@@ -1,5 +1,5 @@
-"""Deterministic artifact serialization: JSON with %.17g floats, field CSVs,
-and config hashing for run directories."""
+"""Deterministic artifact serialization: JSON with %.17g floats, one CSV
+writer for curves and fields, and config hashing for run directories."""
 
 from __future__ import annotations
 
@@ -61,16 +61,23 @@ def dump_json(obj, path):
         fh.write(dumps_json(obj))
 
 
+_CSV_BLOCK = 4096  # rows formatted per % operation; bounds the string held
+
+
+def write(path, header, columns):
+    """CSV with one header line and one %.17g column per array in ``columns``."""
+    data = np.column_stack(columns)
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(data), _CSV_BLOCK):
+            block = data[i : i + _CSV_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_field_csv(field, path):
     """Snapshot CSV with header s,re,im."""
-    s = field.grid()
-    with open(path, "w") as fh:
-        fh.write("s,re,im\n")
-        for i in range(field.n_points):
-            fh.write(
-                "%.17g,%.17g,%.17g\n"
-                % (s[i], field.values[i].real, field.values[i].imag)
-            )
+    write(path, "s,re,im", [field.grid(), field.values.real, field.values.imag])
 
 
 def config_hash(params):

@@ -28,7 +28,7 @@ from .errors import (
     InvalidParameter,
 )
 from .geometry import Curve, IntrinsicData, SolverConfig, propagate_frame
-from .integrators import rk4_solve
+from .integrators import rk4_solve, two_sided
 
 
 @dataclass
@@ -193,20 +193,12 @@ def reconstruct_flow(data, frame0, point0, cfg=None, *, origin_series=None,
         tau_max = float(np.max(np.abs(tv)))
         target = min(cfg.step, 0.25 / max(1.0, tau_max))
         m = max(1, int(math.ceil(ds / target)))
-        kw = dict(step=ds / m, out_every=m, method="magnus4",
-                  position0=pk, max_steps=cfg.max_steps)
-        parts = []
-        if s[-1] > 1e-12:
-            parts.append(propagate_frame(c_fn, tau_fn, 0.0, float(s[-1]), Fk, **kw))
-        if s[0] < -1e-12:
-            parts.append(propagate_frame(c_fn, tau_fn, 0.0, float(s[0]), Fk, **kw))
-        if len(parts) == 2:
-            (sp, Fp, Gp), (sm, Fm, Gm) = parts
-            ss = np.concatenate([sm[:0:-1], sp])
-            GG = np.concatenate([Gm[:0:-1], Gp])
-            FF = np.concatenate([Fm[:0:-1], Fp])
-        else:
-            ss, FF, GG = parts[0]
+        ss, FF, GG = two_sided(
+            lambda end: propagate_frame(c_fn, tau_fn, 0.0, end, Fk, step=ds / m,
+                                        out_every=m, position0=pk,
+                                        max_steps=cfg.max_steps),
+            float(s[0]), float(s[-1]),
+        )
         return Curve(ss, GG, FF)
 
     idx = range(len(data.t_grid))

@@ -15,18 +15,12 @@ from .errors import (
     GridTooCoarse,
     InvalidParameter,
 )
-from .integrators import mgs_rows, propagate_frame
+from . import dataio
+from .integrators import propagate_frame
 
 TOL_UNIT = 1e-9
 TOL_FRAME = 1e-8
 TOL_CURVATURE = 1e-6  # below this torsion is flagged, not invented
-
-
-def vec3(x, y, z):
-    v = np.array([x, y, z], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise InvalidParameter("vector components must be finite")
-    return v
 
 
 def unit_vec3(v):
@@ -100,11 +94,7 @@ class Curve:
             header += ",Tx,Ty,Tz,nx,ny,nz,bx,by,bz"
             for r in range(3):
                 cols += [self.frames[:, r, j] for j in range(3)]
-        data = np.column_stack(cols)
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in data:
-                fh.write(",".join("%.17g" % x for x in row) + "\n")
+        dataio.write(path, header, cols)
 
     @staticmethod
     def read_csv(path):
@@ -125,22 +115,19 @@ class Curve:
 class SolverConfig:
     """Fixed-step integrator knobs.
 
-    ``renorm_every`` counts fine steps between re-orthonormalizations of the
-    frame (RK4 path); it also sets the output spacing of trajectories, since
-    states are materialized exactly at those nodes.
+    ``step`` bounds the fine step, ``max_steps`` caps the fine steps of one
+    run, and ``renorm_every`` is the number of fine steps per output node:
+    it sets the output spacing of trajectories, since states are
+    materialized exactly at those nodes.
     """
 
     step: float = 1e-3
-    tol_abs: float = 1e-10
-    tol_rel: float = 1e-10
     max_steps: int = 50_000_000
     renorm_every: int = 16
 
     def __post_init__(self):
         if self.step <= 0:
             raise InvalidParameter("step must be positive")
-        if self.tol_abs <= 0 or self.tol_rel <= 0:
-            raise InvalidParameter("tolerances must be positive")
 
 
 @dataclass
@@ -150,10 +137,6 @@ class FrameTrajectory:
     s: np.ndarray
     frames: np.ndarray
     points: np.ndarray | None = None
-
-    def __iter__(self):
-        for i in range(len(self.s)):
-            yield self.s[i], FrenetFrame.from_matrix(self.frames[i])
 
     def frame_at(self, i):
         return FrenetFrame.from_matrix(self.frames[i])
@@ -192,22 +175,20 @@ class IntrinsicData:
             raise GridMismatch("tau must match c")
 
 
-def frenet_integrate(c, tau, frame0, s_span, cfg=None, *, method="rk4",
-                     position0=None):
+def frenet_integrate(c, tau, frame0, s_span, cfg=None, *, position0=None):
     """Integrate T' = c n, n' = -c T + tau b, b' = -tau n over s_span.
 
     ``c`` and ``tau`` are scalar functions accepting ndarray arguments.
-    Output nodes land every ``cfg.renorm_every`` fine steps; with
-    method="rk4" the frame is re-orthonormalized (modified Gram-Schmidt) at
-    each output node, with method="magnus4" every step is an exact rotation
-    so no renormalization is applied.  When ``position0`` is given the curve
-    point (chi' = T) is carried in the same linear system.
+    Every fine step is a Magnus-4 exact rotation, so the frame needs no
+    renormalization; output nodes land every ``cfg.renorm_every`` fine
+    steps.  When ``position0`` is given the curve point (chi' = T) is
+    carried in the same linear system.
     """
     cfg = cfg or SolverConfig()
     F0 = frame0.matrix() if isinstance(frame0, FrenetFrame) else np.asarray(frame0)
     s_out, frames, points = propagate_frame(
         c, tau, float(s_span[0]), float(s_span[1]), F0,
-        step=cfg.step, out_every=cfg.renorm_every, method=method,
+        step=cfg.step, out_every=cfg.renorm_every,
         position0=position0, max_steps=cfg.max_steps,
     )
     return FrameTrajectory(s_out, frames, points)
@@ -294,7 +275,3 @@ def frame_orthonormality_defect(frames):
     d1 = np.max(np.abs(gram - np.eye(3)))
     d2 = np.max(np.abs(np.linalg.det(frames) - 1.0))
     return float(max(d1, d2))
-
-
-def orthonormalize_frame(M):
-    return mgs_rows(np.asarray(M, dtype=float))

@@ -3,23 +3,24 @@
 Two families cover every integration in the package:
 
 * ``rk4_solve`` -- classic fixed-step RK4 for small nonlinear systems.
-* batched one-step transfer matrices for *linear* systems y' = A(s) y,
-  either RK4 transfer matrices or a 4th-order two-point commutator-corrected
-  exponential step ("magnus4").  Per-step matrices are built vectorized over
-  all steps, combined by tree reduction inside output blocks and by a
-  doubling prefix scan across blocks, so multi-million-step runs cost a
-  handful of numpy passes instead of a Python loop.
+* Magnus-4 propagators for *linear* systems y' = A(s) y: a 4th-order
+  two-point commutator-corrected exponential step (Iserles & Norsett 1999).
+  Per-step exponentials are built vectorized over all steps and combined by
+  a doubling prefix scan inside output blocks and across them, so
+  multi-million-step runs cost a handful of numpy passes instead of a
+  Python loop.
 
-The frame system (T,n,b) and its position-augmented variant get dedicated
-drivers because their exponentials are exact rotations (Rodrigues) plus a
-closed-form phi1 block for the position row.
+The frame system (T,n,b) and its position-augmented variant have their own
+step, ``magnus_frame_step``, because its exponentials are exact rotations
+(Rodrigues) plus a closed-form phi1 block for the position row; the 2-dim
+complex systems use a closed-form 2x2 exponential.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteCoefficient, StepLimitExceeded
+from .errors import InvalidParameter, NonFiniteCoefficient, StepLimitExceeded
 
 # Gauss-Legendre 2-point nodes on [0, 1]
 GAUSS_C1 = 0.5 - np.sqrt(3.0) / 6.0
@@ -107,59 +108,43 @@ def expm2(M):
     return np.exp(tr)[:, None, None] * out
 
 
-def rk4_transfer(A1, A2, A3, h):
-    """Per-step RK4 transfer matrices for y' = A(s) y, batched over steps.
-
-    Identical to classic RK4 applied to each column of the fundamental
-    matrix; stages use A at s, s+h/2, s+h.
-    """
-    d = A1.shape[-1]
-    eye = np.eye(d, dtype=A1.dtype)[None]
-    K1 = A1
-    K2 = A2 @ (eye + (h / 2) * K1)
-    K3 = A2 @ (eye + (h / 2) * K2)
-    K4 = A3 @ (eye + h * K3)
-    return eye + (h / 6) * (K1 + 2 * K2 + 2 * K3 + K4)
-
-
 def magnus_omega(A1, A2, h):
     """4th-order two-point Magnus exponent for y' = A(s) y."""
     return (h / 2) * (A1 + A2) + (np.sqrt(3.0) * h * h / 12) * (A2 @ A1 - A1 @ A2)
 
 
-def _block_prefix(P):
-    """Inclusive prefix products along axis 0: out[k] = P[k] @ ... @ P[0]."""
+def _prefix(P, axis):
+    """Inclusive prefix products along ``axis``: out[k] = P[k] @ ... @ P[0]."""
     out = P.copy()
+    n = out.shape[axis]
+    lead = (slice(None),) * axis
     step = 1
-    n = out.shape[0]
     while step < n:
-        out[step:] = np.matmul(out[step:], out[:n - step])
+        hi, lo = lead + (slice(step, None),), lead + (slice(None, n - step),)
+        out[hi] = np.matmul(out[hi], out[lo])
         step *= 2
     return out
 
 
-def _inner_prefix(P):
-    """Prefix products along axis 1 of (nb, m, d, d)."""
-    out = P.copy()
-    m = out.shape[1]
-    step = 1
-    while step < m:
-        out[:, step:] = np.matmul(out[:, step:], out[:, :m - step])
-        step *= 2
-    return out
+def magnus_frame_step(c1, c2, t1, t2, h):
+    """One Magnus-4 step of the frame system, batched over steps.
 
-
-def mgs_rows(F):
-    """Modified Gram-Schmidt on the rows of (..., 3, 3), batched."""
-    t = F[..., 0, :]
-    t = t / np.linalg.norm(t, axis=-1, keepdims=True)
-    n = F[..., 1, :] - np.sum(F[..., 1, :] * t, axis=-1, keepdims=True) * t
-    n = n / np.linalg.norm(n, axis=-1, keepdims=True)
-    b = F[..., 2, :]
-    b = b - np.sum(b * t, axis=-1, keepdims=True) * t
-    b = b - np.sum(b * n, axis=-1, keepdims=True) * n
-    b = b / np.linalg.norm(b, axis=-1, keepdims=True)
-    return np.stack([t, n, b], axis=-2)
+    ``c1, c2, t1, t2`` are curvature and torsion at the two Gauss nodes and
+    ``h`` the step (a scalar, or one per row).  Returns (R, wV): the exact
+    rotation that advances the frame rows, R @ F, and the position
+    increment in frame coordinates, wV @ F.
+    """
+    h = np.asarray(h, dtype=float)
+    hc = h[..., None]
+    z = np.zeros_like(c1)
+    v1 = np.stack([-t1, z, -c1], axis=1)
+    v2 = np.stack([-t2, z, -c2], axis=1)
+    omega = (hc / 2) * (v1 + v2) + (np.sqrt(3.0) * hc * hc / 12) * np.cross(v2, v1)
+    R, V = rodrigues_phi1(omega)
+    w = np.zeros_like(omega)
+    w[:, 0] = h
+    w[:, 1] = (np.sqrt(3.0) * h * h / 12) * (c1 - c2)
+    return R, np.einsum("ni,nij->nj", w, V)
 
 
 def _stage_coeffs(fn, s):
@@ -171,146 +156,115 @@ def _stage_coeffs(fn, s):
     return vals
 
 
+def _plan(s0, s1, step, out_every, max_steps):
+    """Uniform fine grid over [s0, s1] in whole output blocks.
+
+    Returns (h, m, s_out, chunks): the fine step, the fine steps per output
+    block, the output nodes and an iterator of (b0, bc, sk), the first block,
+    the block count and the fine-step start points of each chunk of at most
+    ``_CHUNK`` steps.
+    """
+    span = s1 - s0
+    if span == 0:
+        raise InvalidParameter("empty span")
+    m = max(1, int(out_every))
+    n_blocks = max(1, int(np.ceil(abs(span) / (step * m))))
+    h = span / (n_blocks * m)
+    n_steps = n_blocks * m
+    if max_steps is not None and n_steps > max_steps:
+        raise StepLimitExceeded(
+            f"{n_steps} steps needed for span {span:g} at step {step:g}"
+        )
+    s_out = s0 + h * m * np.arange(n_blocks + 1)
+    blocks_per_chunk = max(1, _CHUNK // m)
+
+    def chunks():
+        for b0 in range(0, n_blocks, blocks_per_chunk):
+            bc = min(blocks_per_chunk, n_blocks - b0)
+            yield b0, bc, s0 + (b0 * m + np.arange(bc * m)) * h
+
+    return h, m, s_out, chunks()
+
+
 def propagate_frame(c_fn, tau_fn, s0, s1, frame0, *, step, out_every,
-                    method="magnus4", position0=None, max_steps=None):
+                    position0=None, max_steps=None):
     """Propagate the Frenet frame system, optionally with the curve point.
 
     State rows are (T, n, b) (and G when position0 is given); the system is
     linear with coefficient rows T'=c n, n'=-c T + tau b, b'=-tau n, G'=T.
     Returns (s_out, frames, points) with outputs every ``out_every`` fine
-    steps, s_out[0] = s0.  ``method`` is "rk4" (with Gram-Schmidt
-    re-orthonormalization at every output node) or "magnus4" (exact
-    rotations, no renormalization needed).
+    steps, s_out[0] = s0.  Every step is an exact rotation, so the frames
+    stay orthonormal to roundoff without renormalization.
     """
-    span = s1 - s0
-    if span == 0:
-        raise ValueError("empty span")
-    m = max(1, int(out_every))
-    n_blocks = max(1, int(np.ceil(abs(span) / (step * m))))
-    h = span / (n_blocks * m)
-    n_steps = n_blocks * m
-    if max_steps is not None and n_steps > max_steps:
-        raise StepLimitExceeded(
-            f"{n_steps} steps needed for span {span:g} at step {step:g}"
-        )
+    h, m, s_out, chunks = _plan(s0, s1, step, out_every, max_steps)
     F = np.array(frame0, dtype=float)
     G = None if position0 is None else np.array(position0, dtype=float)
-    s_out = s0 + h * m * np.arange(n_blocks + 1)
-    frames = np.empty((n_blocks + 1, 3, 3))
+    frames = np.empty((len(s_out), 3, 3))
     frames[0] = F
     points = None
     if G is not None:
-        points = np.empty((n_blocks + 1, 3))
+        points = np.empty((len(s_out), 3))
         points[0] = G
 
-    blocks_per_chunk = max(1, _CHUNK // m)
-    b0 = 0
-    while b0 < n_blocks:
-        bc = min(blocks_per_chunk, n_blocks - b0)
-        n = bc * m
-        sk = s0 + (b0 * m + np.arange(n)) * h
-        if method == "magnus4":
-            sg1, sg2 = sk + GAUSS_C1 * h, sk + GAUSS_C2 * h
-            c1, c2 = _stage_coeffs(c_fn, sg1), _stage_coeffs(c_fn, sg2)
-            t1, t2 = _stage_coeffs(tau_fn, sg1), _stage_coeffs(tau_fn, sg2)
-            z = np.zeros(n)
-            v1 = np.stack([-t1, z, -c1], axis=1)
-            v2 = np.stack([-t2, z, -c2], axis=1)
-            omega = (h / 2) * (v1 + v2) + (np.sqrt(3.0) * h * h / 12) * np.cross(v2, v1)
-            R, V = rodrigues_phi1(omega)
-            if G is not None:
-                w = np.zeros((n, 3))
-                w[:, 0] = h
-                w[:, 1] = (np.sqrt(3.0) * h * h / 12) * (c1 - c2)
-                wV = np.einsum("ni,nij->nj", w, V)
-            Q = _inner_prefix(R.reshape(bc, m, 3, 3))
-            Pblk = _block_prefix(Q[:, -1])
-            frames[b0 + 1 : b0 + bc + 1] = Pblk @ F
-            if G is not None:
-                Qs = np.empty((bc, m, 3, 3))
-                Qs[:, 0] = np.eye(3)
-                Qs[:, 1:] = Q[:, :-1]
-                Sblk = np.einsum("bki,bkij->bj", wV.reshape(bc, m, 3), Qs)
-                Pprev = np.empty((bc, 3, 3))
-                Pprev[0] = np.eye(3)
-                Pprev[1:] = Pblk[:-1]
-                rows = np.einsum("bi,bij->bj", Sblk, Pprev)
-                points[b0 + 1 : b0 + bc + 1] = G + np.cumsum(rows @ F, axis=0)
-            F = frames[b0 + bc]
-            if G is not None:
-                G = points[b0 + bc]
-        else:  # rk4 transfer matrices + periodic re-orthonormalization
-            d = 3 if G is None else 4
-            sa, sb, sc = sk, sk + h / 2, sk + h
-            B = np.zeros((3, n, d, d))
-            for i, ss in enumerate((sa, sb, sc)):
-                cv = _stage_coeffs(c_fn, ss)
-                tv = _stage_coeffs(tau_fn, ss)
-                o = d - 3
-                B[i, :, o + 0, o + 1] = cv
-                B[i, :, o + 1, o + 0] = -cv
-                B[i, :, o + 1, o + 2] = tv
-                B[i, :, o + 2, o + 1] = -tv
-                if o:
-                    B[i, :, 0, 1] = 1.0
-            Phi = rk4_transfer(B[0], B[1], B[2], h)
-            P = _inner_prefix(Phi.reshape(bc, m, d, d))[:, -1]
-            Y = np.zeros((d, 3))
-            if G is not None:
-                Y[0] = G
-            Y[d - 3 :] = F
-            for j in range(bc):
-                Y = P[j] @ Y
-                Y[d - 3 :] = mgs_rows(Y[d - 3 :])
-                frames[b0 + j + 1] = Y[d - 3 :]
-                if G is not None:
-                    points[b0 + j + 1] = Y[0]
-            F = Y[d - 3 :]
-            if G is not None:
-                G = Y[0]
-        b0 += bc
+    for b0, bc, sk in chunks:
+        sg1, sg2 = sk + GAUSS_C1 * h, sk + GAUSS_C2 * h
+        c1, c2 = _stage_coeffs(c_fn, sg1), _stage_coeffs(c_fn, sg2)
+        t1, t2 = _stage_coeffs(tau_fn, sg1), _stage_coeffs(tau_fn, sg2)
+        R, wV = magnus_frame_step(c1, c2, t1, t2, h)
+        Q = _prefix(R.reshape(bc, m, 3, 3), axis=1)
+        Pblk = _prefix(Q[:, -1], axis=0)
+        frames[b0 + 1 : b0 + bc + 1] = Pblk @ F
+        if G is not None:
+            Qs = np.empty((bc, m, 3, 3))
+            Qs[:, 0] = np.eye(3)
+            Qs[:, 1:] = Q[:, :-1]
+            Sblk = np.einsum("bki,bkij->bj", wV.reshape(bc, m, 3), Qs)
+            Pprev = np.empty((bc, 3, 3))
+            Pprev[0] = np.eye(3)
+            Pprev[1:] = Pblk[:-1]
+            rows = np.einsum("bi,bij->bj", Sblk, Pprev)
+            points[b0 + 1 : b0 + bc + 1] = G + np.cumsum(rows @ F, axis=0)
+            G = points[b0 + bc]
+        F = frames[b0 + bc]
     return s_out, frames, points
 
 
-def propagate_linear2(afn, s0, s1, y0, *, step, out_every, method="magnus4",
-                      max_steps=None):
+def propagate_linear2(afn, s0, s1, y0, *, step, out_every, max_steps=None):
     """Propagate a 2-dim complex linear system y' = A(s) y.
 
     ``afn(s_array) -> (N,2,2)`` complex.  Returns (s_out, Y) with Y[k] the
     state at s_out[k]; outputs every ``out_every`` fine steps.
     """
-    span = s1 - s0
-    if span == 0:
-        raise ValueError("empty span")
-    m = max(1, int(out_every))
-    n_blocks = max(1, int(np.ceil(abs(span) / (step * m))))
-    h = span / (n_blocks * m)
-    n_steps = n_blocks * m
-    if max_steps is not None and n_steps > max_steps:
-        raise StepLimitExceeded(
-            f"{n_steps} steps needed for span {span:g} at step {step:g}"
-        )
+    h, m, s_out, chunks = _plan(s0, s1, step, out_every, max_steps)
     y = np.array(y0, dtype=complex)
-    s_out = s0 + h * m * np.arange(n_blocks + 1)
-    out = np.empty((n_blocks + 1, 2), dtype=complex)
+    out = np.empty((len(s_out), 2), dtype=complex)
     out[0] = y
-    blocks_per_chunk = max(1, _CHUNK // m)
-    b0 = 0
-    while b0 < n_blocks:
-        bc = min(blocks_per_chunk, n_blocks - b0)
-        n = bc * m
-        sk = s0 + (b0 * m + np.arange(n)) * h
-        if method == "magnus4":
-            A1 = afn(sk + GAUSS_C1 * h)
-            A2 = afn(sk + GAUSS_C2 * h)
-            P = expm2(magnus_omega(A1, A2, h))
-        else:
-            P = rk4_transfer(afn(sk), afn(sk + h / 2), afn(sk + h), h)
+    for b0, bc, sk in chunks:
+        A1 = afn(sk + GAUSS_C1 * h)
+        A2 = afn(sk + GAUSS_C2 * h)
+        P = expm2(magnus_omega(A1, A2, h))
         if not np.all(np.isfinite(P.view(float))):
             raise NonFiniteCoefficient("propagator became non-finite")
-        Q = _inner_prefix(P.reshape(bc, m, 2, 2))
-        Pblk = _block_prefix(Q[:, -1])
+        Q = _prefix(P.reshape(bc, m, 2, 2), axis=1)
+        Pblk = _prefix(Q[:, -1], axis=0)
         out[b0 + 1 : b0 + bc + 1] = np.einsum("bij,j->bi", Pblk, y)
         y = out[b0 + bc]
-        b0 += bc
     return s_out, out
+
+
+def two_sided(run, s_lo, s_hi):
+    """Run ``run(s_end)`` from s = 0 toward each end of [s_lo, s_hi] and stitch.
+
+    ``run`` returns a tuple of arrays whose first axis is its output nodes,
+    node 0 at s = 0.  A side is run only when its end lies beyond 0; the
+    result is the same tuple on one ascending grid, with the node at 0 once.
+    """
+    plus = run(s_hi) if s_hi > 0 else None
+    minus = run(s_lo) if s_lo < 0 else None
+    if minus is None:
+        if plus is None:
+            raise InvalidParameter("empty span")
+        return plus
+    if plus is None:
+        return tuple(x[::-1] for x in minus)
+    return tuple(np.concatenate([xm[:0:-1], xp]) for xm, xp in zip(minus, plus))

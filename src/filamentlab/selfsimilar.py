@@ -15,7 +15,13 @@ import numpy as np
 
 from .errors import InvalidParameter, OutOfProfileRange
 from .geometry import Curve, SolverConfig
-from .integrators import GAUSS_C1, GAUSS_C2, propagate_frame, rodrigues_phi1
+from .integrators import (
+    GAUSS_C1,
+    GAUSS_C2,
+    magnus_frame_step,
+    propagate_frame,
+    two_sided,
+)
 
 
 @dataclass
@@ -54,17 +60,16 @@ def profile(a, s_max, cfg=None):
     G0 = np.array([0.0, 0.0, 2 * a])
     c_fn = lambda s: np.full(np.shape(s), float(a))
     tau_fn = lambda s: s / 2
-    kw = dict(step=cfg.step, out_every=cfg.renorm_every, method="magnus4",
-              position0=G0, max_steps=cfg.max_steps)
-    s_p, F_p, G_p = propagate_frame(c_fn, tau_fn, 0.0, float(s_max), F0, **kw)
-    s_m, F_m, G_m = propagate_frame(c_fn, tau_fn, 0.0, -float(s_max), F0, **kw)
-    s = np.concatenate([s_m[:0:-1], s_p])
-    pts = np.concatenate([G_m[:0:-1], G_p])
-    frames = np.concatenate([F_m[:0:-1], F_p])
+    s, frames, pts = two_sided(
+        lambda end: propagate_frame(c_fn, tau_fn, 0.0, end, F0, step=cfg.step,
+                                    out_every=cfg.renorm_every, position0=G0,
+                                    max_steps=cfg.max_steps),
+        -float(s_max), float(s_max),
+    )
     curve = Curve(s, pts, frames)
-    S = s_p[-1]
-    A_plus = G_p[-1] / S
-    A_minus = G_m[-1] / (-S)
+    S = s[-1]
+    A_plus = pts[-1] / S
+    A_minus = pts[0] / (-S)
     return SelfSimilarProfile(
         a=float(a), s_max=float(S), curve=curve,
         A_plus=A_plus, A_minus=A_minus,
@@ -149,19 +154,12 @@ def _x_refine(prof, s_query, substeps=32):
     h = (s_query - s0) / substeps
     F = prof.curve.frames[i].copy()
     G = prof.curve.points[i].copy()
-    a = prof.a
-    root3 = math.sqrt(3.0)
+    c = np.full_like(h, prof.a)
     for k in range(substeps):
         sk = s0 + k * h
         t1 = (sk + GAUSS_C1 * h) / 2
         t2 = (sk + GAUSS_C2 * h) / 2
-        v1 = np.stack([-t1, np.zeros_like(h), np.full_like(h, -a)], axis=1)
-        v2 = np.stack([-t2, np.zeros_like(h), np.full_like(h, -a)], axis=1)
-        omega = (h[:, None] / 2) * (v1 + v2) + (root3 / 12) * (h * h)[:, None] * np.cross(v2, v1)
-        R, V = rodrigues_phi1(omega)
-        w = np.zeros_like(omega)
-        w[:, 0] = h
-        wV = np.einsum("ni,nij->nj", w, V)
+        R, wV = magnus_frame_step(c, c, t1, t2, h)
         G = G + np.einsum("ni,nij->nj", wV, F)
         F = R @ F
     return G[:, 0]

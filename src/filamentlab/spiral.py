@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConstraintViolated, InvalidParameter
 from .geometry import Curve, SolverConfig
+from .integrators import two_sided
 from .selfsimilar import _hermite_eval
 
 CONSTRAINT_TOL = 1e-10
@@ -63,13 +64,6 @@ class SpiralParams:
             )
         else:
             self.E0 = float((self.c0_sq + self.nu) ** 2 / 4)
-
-
-@dataclass(frozen=True)
-class YHState:
-    y: float
-    h: float
-    s: float
 
 
 @dataclass
@@ -146,21 +140,10 @@ def spiral_profile(params, s_span, cfg=None):
     if s_lo > 0 or s_hi < 0:
         raise InvalidParameter("s_span must contain 0 (initial data lives there)")
     cfg = cfg or SolverConfig(step=3e-4, renorm_every=32)
-    h, m = cfg.step, cfg.renorm_every
-    parts = []
-    if s_hi > 0:
-        parts.append(_integrate_dir(params, s_hi, h, m))
-    if s_lo < 0:
-        parts.append(_integrate_dir(params, s_lo, h, m))
-    if len(parts) == 2:
-        (sp, Gp, Tp), (sm, Gm, Tm) = parts
-        s = np.concatenate([sm[:0:-1], sp])
-        G = np.concatenate([Gm[:0:-1], Gp])
-        T = np.concatenate([Tm[:0:-1], Tp])
-    else:
-        s, G, T = parts[0]
-        if s_hi <= 0:
-            s, G, T = s[::-1], G[::-1], T[::-1]
+    s, G, T = two_sided(
+        lambda end: _integrate_dir(params, end, cfg.step, cfg.renorm_every),
+        s_lo, s_hi,
+    )
     mu = params.mu
     IA = np.eye(3) + _amatrix(mu)
     mvec = 0.5 * (G @ IA.T)

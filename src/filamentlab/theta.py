@@ -61,7 +61,7 @@ def _numeric_cprime(c, delta=1e-6):
     return cp
 
 
-def theta_solve(c, tau, init, s_span, cfg=None, *, cprime=None, method="magnus4"):
+def theta_solve(c, tau, init, s_span, cfg=None, *, cprime=None):
     """Integrate the reduction over s_span from the given initial state.
 
     ``c`` must be positive and differentiable on the span (the coefficient
@@ -88,8 +88,7 @@ def theta_solve(c, tau, init, s_span, cfg=None, *, cprime=None, method="magnus4"
     s_out, Y = propagate_linear2(
         afn, float(s_span[0]), float(s_span[1]),
         np.array([init.theta, init.theta_prime], dtype=complex),
-        step=cfg.step, out_every=cfg.renorm_every, method=method,
-        max_steps=cfg.max_steps,
+        step=cfg.step, out_every=cfg.renorm_every, max_steps=cfg.max_steps,
     )
     return ThetaTrajectory(s_out, Y[:, 0], Y[:, 1])
 

@@ -112,8 +112,7 @@ def test_criterion_5_cross_oracles():
     fr_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
     fr = geometry.frenet_integrate(c_fn, tau_fn, FrenetFrame.identity(),
                                    (0.0, 50.0),
-                                   SolverConfig(step=2.5e-4, renorm_every=80),
-                                   method="magnus4")
+                                   SolverConfig(step=2.5e-4, renorm_every=80))
     d_routes = float(np.max(np.abs(fr.T - fr_theta.frames[:, 0])))
     assert d_routes <= 1e-6
 

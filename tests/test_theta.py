@@ -78,8 +78,7 @@ def test_tangent_cross_oracle_theta_vs_frenet(c_fn, tau_fn, span):
              for st in canonical_initial_data(float(np.asarray(c_fn(0.0))))]
     fr_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
     cfg_f = SolverConfig(step=2.5e-4, renorm_every=80)
-    fr = frenet_integrate(c_fn, tau_fn, FrenetFrame.identity(), (0.0, span), cfg_f,
-                          method="magnus4")
+    fr = frenet_integrate(c_fn, tau_fn, FrenetFrame.identity(), (0.0, span), cfg_f)
     assert np.max(np.abs(fr.s - fr_theta.s)) < 1e-9
     assert np.max(np.abs(fr.T - fr_theta.frames[:, 0])) <= 1e-6
 
@@ -92,7 +91,7 @@ def test_full_frame_cross_oracle_smooth_coefficients():
              for st in canonical_initial_data(1.2)]
     fr_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
     fr = frenet_integrate(c_fn, tau_fn, FrenetFrame.identity(), (0.0, 20.0),
-                          SolverConfig(step=2.5e-4, renorm_every=80), method="magnus4")
+                          SolverConfig(step=2.5e-4, renorm_every=80))
     assert np.max(np.abs(fr.frames - fr_theta.frames)) < 1e-6
 
 
@@ -114,12 +113,19 @@ def test_route_vs_route_within_uncertainties():
 
 
 def test_rk4_method_agrees_on_short_span():
+    """Magnus-4 theta route against an independent adaptive Runge-Kutta oracle."""
+    from scipy.integrate import solve_ivp
+
     c = CONST_A(0.8)
     st = canonical_initial_data(0.8)[0]
     cfg = SolverConfig(step=2e-4, renorm_every=50)
-    t1 = theta_solve(c, HALF_S, st, (0.0, 10.0), cfg, cprime=ZERO, method="magnus4")
-    t2 = theta_solve(c, HALF_S, st, (0.0, 10.0), cfg, cprime=ZERO, method="rk4")
-    assert np.max(np.abs(t1.theta - t2.theta)) < 1e-8
+    t1 = theta_solve(c, HALF_S, st, (0.0, 10.0), cfg, cprime=ZERO)
+    # theta'' = -i (s/2) theta' - (c^2/4) theta with c' = 0
+    ref = solve_ivp(lambda s, y: [y[1], -0.5j * s * y[1] - 0.16 * y[0]], (0.0, 10.0),
+                    np.array([st.theta, st.theta_prime], dtype=complex),
+                    method="DOP853", rtol=1e-12, atol=1e-14, t_eval=t1.s)
+    assert ref.success
+    assert np.max(np.abs(t1.theta - ref.y[0])) < 1e-8
 
 
 def test_errors():

@@ -316,6 +316,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if not args.command:
             raise _UsageError("missing subcommand")
+        if args.threads < 1:
+            raise _UsageError(f"--threads must be >= 1, got {args.threads}")
         config = _read_config(args.config) if args.config else {}
         unknown = set(config) - set(SPECS[args.command])
         if unknown:

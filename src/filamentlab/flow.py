@@ -303,6 +303,12 @@ def stability_experiment(a, u_plus, t0=1.0, cfg=None, *, t_min_factor=1e-4,
     """
     if a <= 0:
         raise InvalidParameter("a must be positive")
+    if n_slices < 4:
+        raise InvalidParameter("need n_slices >= 4 for the trace at t = 0")
+    if n_slices > n_steps + 1:
+        raise InvalidParameter(
+            f"n_slices = {n_slices} exceeds the {n_steps + 1} stored times"
+        )
     norm_up = u_plus.l2_norm()
     if norm_up > 0.1 * a:
         raise InvalidParameter("perturbation too large: need ||u_plus|| <= 0.1 a")
@@ -345,11 +351,11 @@ def stability_experiment(a, u_plus, t0=1.0, cfg=None, *, t_min_factor=1e-4,
                        * math.log(Ts[k + 1] / Ts[k]))
         v = np.fft.ifft(np.fft.fft(v) * np.exp(-1j * xi2 * dT / 2))
         min_abs = min(min_abs, float(np.min(np.abs(v))))
+        if min_abs < 0.5 * a:
+            raise CurvatureVanishes(
+                f"filament function dipped to {min_abs:g} < 0.5 a; perturbation too large"
+            )
         record(k + 1, v)
-    if min_abs < 0.5 * a:
-        raise CurvatureVanishes(
-            f"filament function dipped to {min_abs:g} < 0.5 a; perturbation too large"
-        )
 
     # u-side origin series (t = 1/T, ascending in t).  The frame ODE is run
     # in the gauge n~ + i b~ = e^{i phi/2}(n + i b), whose coupling entry

@@ -6,14 +6,16 @@ Two families cover every integration in the package:
 * Magnus-4 propagators for *linear* systems y' = A(s) y: a 4th-order
   two-point commutator-corrected exponential step (Iserles & Norsett 1999).
   Per-step exponentials are built vectorized over all steps and combined by
-  a doubling prefix scan inside output blocks and across them, so
+  one work-efficient two-level prefix scan (``_scan``) over each chunk, so
   multi-million-step runs cost a handful of numpy passes instead of a
   Python loop.
 
 The frame system (T,n,b) and its position-augmented variant have their own
-step, ``magnus_frame_step``, because its exponentials are exact rotations
-(Rodrigues) plus a closed-form phi1 block for the position row; the 2-dim
-complex systems use a closed-form 2x2 exponential.
+step, ``magnus_frame_step``: its exponentials are exact rotations, held as
+unit quaternions (Euler-Rodrigues parameters) and multiplied elementwise in
+the scan, plus a closed-form phi1 row for the position; rotation matrices
+are formed only at output nodes.  The 2-dim complex systems use a
+closed-form 2x2 exponential and the same scan with ``matmul``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ GAUSS_C1 = 0.5 - np.sqrt(3.0) / 6.0
 GAUSS_C2 = 0.5 + np.sqrt(3.0) / 6.0
 
 _CHUNK = 200_000  # fine steps per vectorized chunk; caps peak memory
+_SCAN_ROW = 32     # elements per row of the two-level prefix scan
 
 
 def rk4_solve(f, s_nodes, y0, substeps=1):
@@ -54,42 +57,101 @@ def rk4_solve(f, s_nodes, y0, substeps=1):
 
 
 # ---------------------------------------------------------------------------
-# batched small-matrix helpers
+# batched small-matrix and quaternion helpers
+#
+# A rotation is held as a unit quaternion w + x i + y j + z k, stored as the
+# SU(2) pair (alpha, beta) = (w + i x, y + i z) in the last axis of a complex
+# array; the Hamilton product is then the 2x2 unitary matrix product below.
+
+_Q_ONE = np.array([1.0, 0.0], dtype=complex)
 
 
-def skew(w):
-    """Batched skew matrices: skew(w) @ x = w x x (cross product)."""
-    n = w.shape[0]
-    S = np.zeros((n, 3, 3))
-    S[:, 0, 1] = -w[:, 2]
-    S[:, 0, 2] = w[:, 1]
-    S[:, 1, 0] = w[:, 2]
-    S[:, 1, 2] = -w[:, 0]
-    S[:, 2, 0] = -w[:, 1]
-    S[:, 2, 1] = w[:, 0]
-    return S
+def _qmul(p, q):
+    """Batched Hamilton product p q of quaternion pairs (rotation q, then p)."""
+    a1, b1 = p[..., 0], p[..., 1]
+    a2, b2 = q[..., 0], q[..., 1]
+    return np.stack([a1 * a2 - b1 * b2.conj(), a1 * b2 + b1 * a2.conj()], axis=-1)
+
+
+def _rotation(q):
+    """Batched rotation matrices of (not necessarily unit) quaternion pairs."""
+    w, x = q[..., 0].real, q[..., 0].imag
+    y, z = q[..., 1].real, q[..., 1].imag
+    n2 = w * w + x * x + y * y + z * z
+    R = np.empty(q.shape[:-1] + (3, 3))
+    R[..., 0, 0] = w * w + x * x - y * y - z * z
+    R[..., 1, 1] = w * w - x * x + y * y - z * z
+    R[..., 2, 2] = w * w - x * x - y * y + z * z
+    R[..., 0, 1] = 2 * (x * y - w * z)
+    R[..., 1, 0] = 2 * (x * y + w * z)
+    R[..., 0, 2] = 2 * (x * z + w * y)
+    R[..., 2, 0] = 2 * (x * z - w * y)
+    R[..., 1, 2] = 2 * (y * z - w * x)
+    R[..., 2, 1] = 2 * (y * z + w * x)
+    return R / n2[..., None, None]
+
+
+def _unrotate(q, v):
+    """Batched row vectors v @ R(q) (the inverse rotation of v), unit q."""
+    w, x = q[..., 0].real, q[..., 0].imag
+    y, z = q[..., 1].real, q[..., 1].imag
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    t0 = 2 * (v1 * z - v2 * y)
+    t1 = 2 * (v2 * x - v0 * z)
+    t2 = 2 * (v0 * y - v1 * x)
+    return np.stack([v0 + w * t0 + (t1 * z - t2 * y),
+                     v1 + w * t1 + (t2 * x - t0 * z),
+                     v2 + w * t2 + (t0 * y - t1 * x)], axis=-1)
+
+
+def _scan(x, mul, one):
+    """Inclusive prefix products along axis 0: out[k] = x[k] * ... * x[0].
+
+    Two-level scan (Blelloch 1990): the elements, padded with ``one``, are
+    cut into rows of ``_SCAN_ROW`` consecutive elements; a sequential pass
+    over the columns, vectorized over all rows, forms the in-row prefixes,
+    then every row is multiplied by the prefix of the row totals before it,
+    which the same scan computes.  O(n) products in O(log n) vectorized
+    passes.  ``mul(a, b)`` is the batched product a * b.
+    """
+    n = len(x)
+    cols = min(n, _SCAN_ROW)
+    rows = -(-n // cols)
+    pad = np.empty((rows * cols,) + x.shape[1:], dtype=x.dtype)
+    pad[:n] = x
+    pad[n:] = one
+    y = pad.reshape((rows, cols) + x.shape[1:]).swapaxes(0, 1).copy()
+    for j in range(1, cols):
+        y[j] = mul(y[j], y[j - 1])
+    if rows > 1:
+        y[:, 1:] = mul(y[:, 1:], _scan(y[-1, :-1], mul, one)[None])
+    return y.swapaxes(0, 1).reshape(pad.shape)[:n]
 
 
 def rodrigues_phi1(omega):
-    """Exact rotation R = exp(skew(omega)) and V = phi1(skew(omega)), batched.
+    """Exact rotation exp(skew(omega)) and the phi1 coefficients, batched.
 
+    Returns (q, B, C): the Euler-Rodrigues pair of the rotation by |omega|
+    about omega, and the coefficients of
+    phi1(skew(omega)) = I + B skew(omega) + C skew(omega)^2, where
     phi1(X) = sum X^n/(n+1)! integrates a frozen-axis rotation in closed form.
     """
-    th = np.linalg.norm(omega, axis=1)
-    th2 = th * th
+    th2 = np.einsum("ni,ni->n", omega, omega)
+    th = np.sqrt(th2)
     small = th < 1e-4
     safe = np.where(small, 1.0, th)
-    A = np.where(small, 1 - th2 / 6 + th2 * th2 / 120, np.sin(safe) / safe)
-    B = np.where(small, 0.5 - th2 / 24 + th2 * th2 / 720, (1 - np.cos(safe)) / safe**2)
+    sh, ch = np.sin(safe / 2), np.cos(th / 2)
+    half = np.where(small, 0.5 - th2 / 48 + th2 * th2 / 3840, sh / safe)
     C = np.where(
-        small, 1 / 6 - th2 / 120 + th2 * th2 / 5040, (safe - np.sin(safe)) / safe**3
+        small, 1 / 6 - th2 / 120 + th2 * th2 / 5040, (safe - 2 * sh * ch) / safe**3
     )
-    S = skew(omega)
-    S2 = S @ S
-    eye = np.eye(3)[None]
-    R = eye + A[:, None, None] * S + B[:, None, None] * S2
-    V = eye + B[:, None, None] * S + C[:, None, None] * S2
-    return R, V
+    q = np.empty((len(th), 2), dtype=complex)
+    q.real[:, 0] = ch
+    q.imag[:, 0] = half * omega[:, 0]
+    q.real[:, 1] = half * omega[:, 1]
+    q.imag[:, 1] = half * omega[:, 2]
+    # (1 - cos th)/th^2 = 2 (sin(th/2)/th)^2, free of cancellation
+    return q, 2 * half * half, C
 
 
 def expm2(M):
@@ -113,38 +175,27 @@ def magnus_omega(A1, A2, h):
     return (h / 2) * (A1 + A2) + (np.sqrt(3.0) * h * h / 12) * (A2 @ A1 - A1 @ A2)
 
 
-def _prefix(P, axis):
-    """Inclusive prefix products along ``axis``: out[k] = P[k] @ ... @ P[0]."""
-    out = P.copy()
-    n = out.shape[axis]
-    lead = (slice(None),) * axis
-    step = 1
-    while step < n:
-        hi, lo = lead + (slice(step, None),), lead + (slice(None, n - step),)
-        out[hi] = np.matmul(out[hi], out[lo])
-        step *= 2
-    return out
-
-
 def magnus_frame_step(c1, c2, t1, t2, h):
     """One Magnus-4 step of the frame system, batched over steps.
 
     ``c1, c2, t1, t2`` are curvature and torsion at the two Gauss nodes and
-    ``h`` the step (a scalar, or one per row).  Returns (R, wV): the exact
-    rotation that advances the frame rows, R @ F, and the position
-    increment in frame coordinates, wV @ F.
+    ``h`` the step (a scalar, or one per row).  Returns (q, wV): the
+    Euler-Rodrigues pair of the exact rotation that advances the frame rows,
+    R(q) @ F, and the position increment in frame coordinates, wV @ F.
     """
     h = np.asarray(h, dtype=float)
-    hc = h[..., None]
-    z = np.zeros_like(c1)
-    v1 = np.stack([-t1, z, -c1], axis=1)
-    v2 = np.stack([-t2, z, -c2], axis=1)
-    omega = (hc / 2) * (v1 + v2) + (np.sqrt(3.0) * hc * hc / 12) * np.cross(v2, v1)
-    R, V = rodrigues_phi1(omega)
-    w = np.zeros_like(omega)
-    w[:, 0] = h
-    w[:, 1] = (np.sqrt(3.0) * h * h / 12) * (c1 - c2)
-    return R, np.einsum("ni,nij->nj", w, V)
+    k = np.sqrt(3.0) * h * h / 12
+    o0, o1, o2 = -(h / 2) * (t1 + t2), k * (c2 * t1 - c1 * t2), -(h / 2) * (c1 + c2)
+    q, B, C = rodrigues_phi1(np.stack([o0, o1, o2], axis=1))
+    # wV = w phi1(skew(omega)) = w + B p + C (p x omega), with p = w x omega
+    # and w = (h, k (c1 - c2), 0) the position row of the Magnus exponent
+    w0, w1 = h, k * (c1 - c2)
+    p0, p1, p2 = w1 * o2, -w0 * o2, w0 * o1 - w1 * o0
+    wV = np.empty((len(o0), 3))
+    wV[:, 0] = w0 + B * p0 + C * (p1 * o2 - p2 * o1)
+    wV[:, 1] = w1 + B * p1 + C * (p2 * o0 - p0 * o2)
+    wV[:, 2] = B * p2 + C * (p0 * o1 - p1 * o0)
+    return q, wV
 
 
 def _stage_coeffs(fn, s):
@@ -210,19 +261,13 @@ def propagate_frame(c_fn, tau_fn, s0, s1, frame0, *, step, out_every,
         sg1, sg2 = sk + GAUSS_C1 * h, sk + GAUSS_C2 * h
         c1, c2 = _stage_coeffs(c_fn, sg1), _stage_coeffs(c_fn, sg2)
         t1, t2 = _stage_coeffs(tau_fn, sg1), _stage_coeffs(tau_fn, sg2)
-        R, wV = magnus_frame_step(c1, c2, t1, t2, h)
-        Q = _prefix(R.reshape(bc, m, 3, 3), axis=1)
-        Pblk = _prefix(Q[:, -1], axis=0)
-        frames[b0 + 1 : b0 + bc + 1] = Pblk @ F
+        q, wV = magnus_frame_step(c1, c2, t1, t2, h)
+        P = _scan(q, _qmul, _Q_ONE)
+        frames[b0 + 1 : b0 + bc + 1] = _rotation(P[m - 1 :: m]) @ F
         if G is not None:
-            Qs = np.empty((bc, m, 3, 3))
-            Qs[:, 0] = np.eye(3)
-            Qs[:, 1:] = Q[:, :-1]
-            Sblk = np.einsum("bki,bkij->bj", wV.reshape(bc, m, 3), Qs)
-            Pprev = np.empty((bc, 3, 3))
-            Pprev[0] = np.eye(3)
-            Pprev[1:] = Pblk[:-1]
-            rows = np.einsum("bi,bij->bj", Sblk, Pprev)
+            # step k adds wV_k @ R(P_{k-1}) @ F, with P_{-1} the identity
+            wV[1:] = _unrotate(P[:-1], wV[1:])
+            rows = wV.reshape(bc, m, 3).sum(axis=1)
             points[b0 + 1 : b0 + bc + 1] = G + np.cumsum(rows @ F, axis=0)
             G = points[b0 + bc]
         F = frames[b0 + bc]
@@ -245,8 +290,7 @@ def propagate_linear2(afn, s0, s1, y0, *, step, out_every, max_steps=None):
         P = expm2(magnus_omega(A1, A2, h))
         if not np.all(np.isfinite(P.view(float))):
             raise NonFiniteCoefficient("propagator became non-finite")
-        Q = _prefix(P.reshape(bc, m, 2, 2), axis=1)
-        Pblk = _prefix(Q[:, -1], axis=0)
+        Pblk = _scan(P, np.matmul, np.eye(2))[m - 1 :: m]
         out[b0 + 1 : b0 + bc + 1] = np.einsum("bij,j->bi", Pblk, y)
         y = out[b0 + bc]
     return s_out, out

@@ -28,6 +28,7 @@ from .errors import (
 )
 
 ALIAS_FRACTION = 1e-6
+_RESAMPLE_BLOCK = 1 << 20  # phase-matrix entries per block of resample targets
 
 
 @dataclass
@@ -210,15 +211,24 @@ def pseudo_conformal_inverse(u_slice, t):
 
 
 def resample(field, target_grid):
-    """Evaluate the trigonometric interpolant at arbitrary points."""
+    """Evaluate the trigonometric interpolant at arbitrary points.
+
+    The (targets x modes) phase matrix is formed for blocks of target points
+    of at most ``_RESAMPLE_BLOCK`` entries, so memory stays bounded on any
+    grid.
+    """
     target_grid = np.asarray(target_grid, dtype=float)
     lo, hi = field.s0, field.s0 + field.domain_length
     if target_grid.min() < lo - 1e-9 or target_grid.max() > hi + 1e-9:
         raise ResampleOutOfRange("target grid outside the source period")
     spec = np.fft.fft(field.values) / field.n_points
     xi = field.xi()
-    phase = np.exp(1j * np.outer(target_grid - field.s0, xi))
-    return phase @ spec
+    x = (target_grid - field.s0).ravel()
+    out = np.empty(len(x), dtype=complex)
+    block = max(1, _RESAMPLE_BLOCK // field.n_points)
+    for i in range(0, len(x), block):
+        out[i : i + block] = np.exp(1j * np.outer(x[i : i + block], xi)) @ spec
+    return out
 
 
 def free_evolution(field, t):

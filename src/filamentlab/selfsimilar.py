@@ -18,6 +18,7 @@ from .geometry import Curve, SolverConfig
 from .integrators import (
     GAUSS_C1,
     GAUSS_C2,
+    _rotation,
     magnus_frame_step,
     propagate_frame,
     two_sided,
@@ -159,9 +160,9 @@ def _x_refine(prof, s_query, substeps=32):
         sk = s0 + k * h
         t1 = (sk + GAUSS_C1 * h) / 2
         t2 = (sk + GAUSS_C2 * h) / 2
-        R, wV = magnus_frame_step(c, c, t1, t2, h)
+        q, wV = magnus_frame_step(c, c, t1, t2, h)
         G = G + np.einsum("ni,nij->nj", wV, F)
-        F = R @ F
+        F = _rotation(q) @ F
     return G[:, 0]
 
 

@@ -160,3 +160,29 @@ def test_json_float_formatting():
     text = dumps_json({"x": 0.1, "arr": np.array([1.5, 2.0]), "n": 3})
     assert '"x": 0.10000000000000001' in text
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_rejected(tmp_path, capsys, threads):
+    rc = run_cli(["angle", "--method", "closed", "--threads", threads], tmp_path)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[usage]:")
+    assert "--threads" in err
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_stability_run_identical_across_threads(tmp_path):
+    args = ["stability", "--n-steps", "300", "--n-slices", "8",
+            "--tmin-factor", "1e-2"]
+    mask = re.compile(rb'"timestamp": "[^"]*"')
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert cli.main(args + ["--threads", threads, "--out-dir", str(out)]) == 0
+        (run_dir,) = out.iterdir()
+        runs.append({p.name: mask.sub(b"T", p.read_bytes())
+                     for p in sorted(run_dir.iterdir())})
+    assert len(runs[0]) == 9  # run.json and one frame CSV per slice
+    assert runs[0] == runs[1]

@@ -209,3 +209,37 @@ def test_stability_gates():
     big = nls.gaussian_field(1100.0, 4096, 0.2, width=2.0)
     with pytest.raises(InvalidParameter):
         flow.stability_experiment(0.5, big, 1.0)  # perturbation too large
+
+
+def test_stability_rejects_too_few_slices():
+    up = nls.gaussian_field(1100.0, 4096, 5e-3, width=2.0)
+    with pytest.raises(InvalidParameter, match="n_slices"):
+        flow.stability_experiment(0.5, up, 1.0, n_steps=100, n_slices=3)
+
+
+def test_stability_rejects_more_slices_than_stored_times():
+    # rounded slice ids would collide and silently drop slices
+    up = nls.gaussian_field(1100.0, 4096, 5e-3, width=2.0)
+    with pytest.raises(InvalidParameter, match="n_slices"):
+        flow.stability_experiment(0.5, up, 1.0, n_steps=10, n_slices=12)
+
+
+def test_stability_fails_at_first_dip(monkeypatch):
+    # a narrow bump of norm 0.09 a, phased so that v(0) ~ a - 0.34 at the
+    # start, dips below a/2 on the first step; counting inverse FFTs shows
+    # the run stops there instead of after all 100000 split steps
+    a, t0 = 0.5, 1e6
+    bump = nls.gaussian_field(10.0, 4096, 0.09 * a, width=0.01)
+    phase = 0.5 * a * a * math.log(1.0 / t0)
+    up = bump.copy_with(-bump.values * np.exp(-1j * phase))
+    calls = []
+    ifft = np.fft.ifft
+
+    def counting_ifft(*args, **kwargs):
+        calls.append(1)
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counting_ifft)
+    with pytest.raises(CurvatureVanishes, match=r"dipped to .* < 0\.5 a; perturbation too large"):
+        flow.stability_experiment(a, up, t0, n_steps=100_000, n_slices=40)
+    assert len(calls) < 10

@@ -1,0 +1,126 @@
+"""Frame-kernel tests: the two-level prefix scan, the quaternion Magnus-4
+step against dense matrix exponentials, and the stability-regime oracle."""
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
+
+from filamentlab import integrators
+from filamentlab.integrators import (
+    _Q_ONE,
+    _SCAN_ROW,
+    _qmul,
+    _rotation,
+    _scan,
+    _unrotate,
+    expm2,
+    magnus_frame_step,
+    propagate_frame,
+    rodrigues_phi1,
+)
+
+B = _SCAN_ROW
+SCAN_LENGTHS = (1, 2, 7, B, B + 1, B * B, B * B + 1, 1031)  # 1031 is prime
+
+
+def _skew(w):
+    return np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+
+
+def _random_quaternions(rng, n):
+    q, _, _ = rodrigues_phi1(rng.normal(size=(n, 3)))
+    return q
+
+
+def _random_unitary2(rng, n):
+    M = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    return expm2(0.5j * (M + np.conj(np.swapaxes(M, 1, 2))))
+
+
+@pytest.mark.parametrize("n", SCAN_LENGTHS)
+@pytest.mark.parametrize("kind", ["quaternion", "matrix2"])
+def test_scan_matches_sequential_product(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "quaternion":
+        x, mul, one = _random_quaternions(rng, n), _qmul, _Q_ONE
+    else:
+        x, mul, one = _random_unitary2(rng, n), np.matmul, np.eye(2)
+    out = _scan(x, mul, one)
+    assert out.shape == x.shape
+    acc = x[0]
+    assert np.array_equal(out[0], x[0])
+    for k in range(1, n):
+        acc = mul(x[k], acc)
+        assert np.max(np.abs(out[k] - acc)) < 1e-13, k
+
+
+def test_quaternion_product_composes_rotations():
+    rng = np.random.default_rng(1)
+    p, q = _random_quaternions(rng, 50), _random_quaternions(rng, 50)
+    assert np.max(np.abs(_rotation(_qmul(p, q)) - _rotation(p) @ _rotation(q))) < 1e-14
+    v = rng.normal(size=(50, 3))
+    assert np.max(np.abs(_unrotate(q, v) - np.einsum("ni,nij->nj", v, _rotation(q)))) < 1e-14
+
+
+def test_magnus_frame_step_matches_augmented_expm():
+    # the step is exp of the 4x4 position-augmented Magnus exponent
+    # [[skew(omega), 0], [w, 0]] acting on rows (T, n, b, G); angles span the
+    # series branch (< 1e-4) and the closed form
+    rng = np.random.default_rng(2)
+    n = 40
+    h = np.concatenate([np.full(n // 2, 1e-7), np.full(n // 2, 0.3)])
+    c1, c2 = 1 + rng.random(n), 1 + rng.random(n)
+    t1, t2 = rng.normal(size=n), rng.normal(size=n)
+    q, wV = magnus_frame_step(c1, c2, t1, t2, h)
+    k = np.sqrt(3.0) * h * h / 12
+    for i in range(n):
+        v1, v2 = np.array([-t1[i], 0, -c1[i]]), np.array([-t2[i], 0, -c2[i]])
+        omega = (h[i] / 2) * (v1 + v2) + k[i] * np.cross(v2, v1)
+        X = np.zeros((4, 4))
+        X[:3, :3] = _skew(omega)
+        X[3, :3] = [h[i], k[i] * (c1[i] - c2[i]), 0.0]
+        E = expm(X)
+        assert np.max(np.abs(_rotation(q[i]) - E[:3, :3])) < 1e-14
+        assert np.max(np.abs(wV[i] - E[3, :3])) < 1e-15
+    assert np.max(np.abs(np.abs(q[:, 0]) ** 2 + np.abs(q[:, 1]) ** 2 - 1)) < 1e-15
+
+
+def test_frame_oracle_stability_regime():
+    # the t = 1e-4 slice of the stability run: c = a/sqrt(t), tau = s/2t, at
+    # the pipeline's step 0.25/max|tau| over |s| <= 5 and 1000 steps per node
+    c, t = 50.0, 1e-4
+    tau = lambda s: s / (2 * t)
+
+    def rhs(s, y):
+        F = y[:9].reshape(3, 3)
+        A = np.array([[0.0, c, 0.0], [-c, 0.0, tau(s)], [0.0, -tau(s), 0.0]])
+        return np.concatenate([(A @ F).ravel(), F[0]])
+
+    G0 = np.array([0.0, 0.0, 1.0])
+    s, frames, points = propagate_frame(
+        lambda x: np.full(np.shape(x), c), tau, 0.0, 0.05, np.eye(3),
+        step=0.25 * 2 * t / 5.0, out_every=1000, position0=G0)
+    ref = solve_ivp(rhs, (0.0, 0.05), np.concatenate([np.eye(3).ravel(), G0]),
+                    method="DOP853", rtol=1e-12, atol=1e-14, t_eval=s)
+    assert len(s) == 6
+    assert np.max(np.abs(frames.reshape(-1, 9) - ref.y.T[:, :9])) < 1e-8
+    assert np.max(np.abs(points - ref.y.T[:, 9:])) < 1e-8
+
+
+def test_frames_orthonormal_across_chunks(monkeypatch):
+    # several scan chunks per span: the frame handed from chunk to chunk
+    # stays a rotation
+    monkeypatch.setattr(integrators, "_CHUNK", 3000)
+    s, frames, points = propagate_frame(
+        lambda x: 1 + 0.3 * np.sin(x), lambda x: x / 2, 0.0, 40.0, np.eye(3),
+        step=1e-3, out_every=7, position0=np.zeros(3))
+    eye = np.eye(3)[None]
+    assert np.max(np.abs(frames @ np.swapaxes(frames, 1, 2) - eye)) < 1e-13
+    monkeypatch.undo()
+    s2, frames2, points2 = propagate_frame(
+        lambda x: 1 + 0.3 * np.sin(x), lambda x: x / 2, 0.0, 40.0, np.eye(3),
+        step=1e-3, out_every=7, position0=np.zeros(3))
+    assert np.array_equal(s, s2)
+    assert np.max(np.abs(frames - frames2)) < 1e-12
+    assert np.max(np.abs(points - points2)) < 1e-12

@@ -214,3 +214,15 @@ def test_validation_errors():
     problem = NlsProblem(sign=1, background_a=0.0, potential="none", t_span=(0.0, 0.1))
     with pytest.raises(AliasingDetected):
         evolve(problem, f, 10)
+
+
+def test_resample_blocked_matches_dense():
+    # 4096 modes give blocks of 256 targets; 700 targets cross two block
+    # boundaries, checked against the one dense phase matrix
+    n = 4096
+    f = gaussian_field(100.0, n, 1.0, width=3.0)
+    f = f.copy_with(f.values * np.exp(0.3j * f.grid()))
+    pts = np.linspace(-49.0, 49.0, 700)
+    assert nls._RESAMPLE_BLOCK // n < len(pts) // 2
+    dense = np.exp(1j * np.outer(pts - f.s0, f.xi())) @ (np.fft.fft(f.values) / n)
+    assert np.max(np.abs(nls.resample(f, pts) - dense)) < 1e-12

@@ -232,7 +232,7 @@ def _run_stability(params, outdir, threads=1):
     return report.to_dict()
 
 
-def _run_selfcheck(params, outdir, threads=1):
+def _run_selfcheck(params, outdir):
     checks = []
 
     def check(name, value, bound):
@@ -292,6 +292,7 @@ RUNNERS = {
     "evolve": _run_evolve,
     "nls": _run_nls,
     "spiral": _run_spiral,
+    "selfcheck": _run_selfcheck,
 }
 
 
@@ -330,15 +331,11 @@ def main(argv=None):
         outdir = _outdir(args, args.command, params)
         if args.command == "stability":
             summary = _run_stability(params, outdir, threads=args.threads)
-        elif args.command == "selfcheck":
-            summary = _run_selfcheck(params, outdir, threads=args.threads)
         else:
             summary = RUNNERS[args.command](params, outdir)
         _emit(outdir, summary)
         print(outdir)
-        if args.command == "selfcheck" and not summary["all_ok"]:
-            return 1
-        return 0
+        return 0 if summary.get("all_ok", True) else 1
     except (FilamentError, ValueError) as exc:
         print(f"error[validation]: {exc}", file=sys.stderr)
         return 2

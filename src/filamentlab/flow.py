@@ -315,58 +315,44 @@ def stability_experiment(a, u_plus, t0=1.0, cfg=None, *, t_min_factor=1e-4,
     t_max = float(t0)
     t_min = t_max * t_min_factor
     sign, coeff = 1, 0.5
-    T0, T1 = 1.0 / t_max, 1.0 / t_min
-    v0 = nls.long_range_ansatz(u_plus, a, sign, T0, coeff)
+    problem = nls.NlsProblem(sign=sign, background_a=a, potential="gp",
+                             t_span=(1.0 / t_max, 1.0 / t_min), coeff=coeff)
+    v0 = nls.long_range_ansatz(u_plus, a, sign, problem.t_span[0], coeff)
     N = u_plus.n_points
     xi = u_plus.xi()
-    xi2 = xi**2
-    Ts = T0 * (T1 / T0) ** (np.arange(n_steps + 1) / n_steps)
+    Ts = nls.time_grid(problem, n_steps)
     slice_ids = {int(k) for k in np.round(np.linspace(0, n_steps, n_slices))}
     x_grid = u_plus.grid()
     i0 = int(np.argmin(np.abs(x_grid)))
     w1 = 1j * xi * np.exp(1j * xi * (x_grid[i0] - u_plus.s0)) / N
-    w2 = -(xi2) * np.exp(1j * xi * (x_grid[i0] - u_plus.s0)) / N
+    w2 = -(xi**2) * np.exp(1j * xi * (x_grid[i0] - u_plus.s0)) / N
 
-    v = v0.values.copy()
     a2 = a * a
-    origin = {"T": [], "v0": [], "vx0": [], "vxx0": []}
+    origin = []  # (v, v_x, v_xx) at x = 0 after each step, in step order
     slices = {}
-    min_abs = np.inf
 
-    def record(k, vv):
-        vhat = np.fft.fft(vv)
-        origin["T"].append(Ts[k])
-        origin["v0"].append(vv[i0])
-        origin["vx0"].append(w1 @ vhat)
-        origin["vxx0"].append(w2 @ vhat)
+    def record(k, vv, vhat):
+        origin.append((vv[i0], w1 @ vhat, w2 @ vhat))
         if k in slice_ids:
-            vx = np.fft.ifft(1j * xi * vhat)
-            slices[k] = (vv.copy(), vx)
+            slices[k] = (vv, np.fft.ifft(1j * xi * vhat))
 
-    record(0, v)
-    for k in range(n_steps):
-        dT = Ts[k + 1] - Ts[k]
-        v = np.fft.ifft(np.fft.fft(v) * np.exp(-1j * xi2 * dT / 2))
-        v = v * np.exp(1j * sign * coeff * (np.abs(v) ** 2 - a2)
-                       * math.log(Ts[k + 1] / Ts[k]))
-        v = np.fft.ifft(np.fft.fft(v) * np.exp(-1j * xi2 * dT / 2))
+    record(0, v0.values, np.fft.fft(v0.values))
+    min_abs = np.inf
+    for k, _, vhat in nls._strang(problem, v0, n_steps):
+        v = np.fft.ifft(vhat)
         min_abs = min(min_abs, float(np.min(np.abs(v))))
         if min_abs < 0.5 * a:
             raise CurvatureVanishes(
                 f"filament function dipped to {min_abs:g} < 0.5 a; perturbation too large"
             )
-        record(k + 1, v)
+        record(k, v, vhat)
 
     # u-side origin series (t = 1/T, ascending in t).  The frame ODE is run
     # in the gauge n~ + i b~ = e^{i phi/2}(n + i b), whose coupling entry
     # (a^2/t - c^2)/2 needs only |v(0,T)| -- no spatial derivatives, so the
     # entry stays clean even when the dispersed tail wraps the box.
-    Tarr = np.array(origin["T"])
-    v0s = np.array(origin["v0"])
-    vx0 = np.array(origin["vx0"])
-    vxx0 = np.array(origin["vxx0"])
-    t_u = (1.0 / Tarr)[::-1]
-    v0s, vx0, vxx0 = v0s[::-1], vx0[::-1], vxx0[::-1]
+    t_u = (1.0 / Ts)[::-1]
+    v0s, vx0, vxx0 = np.array(origin)[::-1].T
     absv = np.abs(v0s)
     tau0 = -np.imag(vx0 / v0s) / t_u
     c0 = absv / np.sqrt(t_u)
@@ -446,13 +432,11 @@ def stability_experiment(a, u_plus, t0=1.0, cfg=None, *, t_min_factor=1e-4,
 
     # unperturbed reference
     prof = selfsimilar.profile(a, max(1.5 * s_max / math.sqrt(t_min), 50.0))
+    T_ref = np.ascontiguousarray(prof.curve.frames[:, 0].T)  # rows T_x, T_y, T_z
     sup_T = 0.0
     for k, tk in enumerate(t_slices):
         sig = result.curves[k].s_grid / math.sqrt(tk)
-        Ta = np.column_stack([
-            np.interp(sig, prof.curve.s_grid, prof.curve.frames[:, 0, j])
-            for j in range(3)
-        ])
+        Ta = np.column_stack([np.interp(sig, prof.curve.s_grid, Tj) for Tj in T_ref])
         sup_T = max(sup_T, float(np.max(np.linalg.norm(
             result.curves[k].frames[:, 0] - Ta, axis=1))))
 

@@ -186,3 +186,26 @@ def test_stability_run_identical_across_threads(tmp_path):
                      for p in sorted(run_dir.iterdir())})
     assert len(runs[0]) == 9  # run.json and one frame CSV per slice
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("args", [
+    ["evolve", "--n-steps", "0"],
+    ["evolve", "--n-steps", "-3"],
+    ["nls", "--n-steps", "-3", "--n-points", "256", "--length", "100"],
+    ["evolve", "--store-every", "-1"],
+], ids=["evolve-zero-steps", "evolve-negative-steps", "nls-negative-steps",
+        "evolve-negative-store-every"])
+def test_bad_step_counts_exit_2(tmp_path, capsys, args):
+    assert run_cli(args, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[validation]:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("all_ok, code", [(True, 0), (False, 1)])
+def test_selfcheck_exit_code_follows_checks(tmp_path, monkeypatch, all_ok, code):
+    monkeypatch.setitem(cli.RUNNERS, "selfcheck",
+                        lambda params, outdir: {"checks": [], "all_ok": all_ok})
+    assert run_cli(["selfcheck"], tmp_path) == code
+    data, _ = read_run_json(tmp_path, "selfcheck")
+    assert data["all_ok"] is all_ok

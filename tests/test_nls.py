@@ -226,3 +226,66 @@ def test_resample_blocked_matches_dense():
     assert nls._RESAMPLE_BLOCK // n < len(pts) // 2
     dense = np.exp(1j * np.outer(pts - f.s0, f.xi())) @ (np.fft.fft(f.values) / n)
     assert np.max(np.abs(nls.resample(f, pts) - dense)) < 1e-12
+
+
+def _unfused_strang(problem, v0, n_steps):
+    """Reference: both linear half-steps of every step through their own FFT pair."""
+    ts = nls.time_grid(problem, n_steps)
+    xi2 = v0.xi() ** 2
+    a2 = problem.background_a**2
+    v = v0.values.copy()
+    for k in range(n_steps):
+        dt = ts[k + 1] - ts[k]
+        v = np.fft.ifft(np.fft.fft(v) * np.exp(-1j * xi2 * dt / 2))
+        if problem.potential == "gp":
+            phase = (np.abs(v) ** 2 - a2) * math.log(ts[k + 1] / ts[k])
+        else:
+            phase = np.abs(v) ** 2 * dt
+        v = v * np.exp(1j * problem.sign * problem.coeff * phase)
+        v = np.fft.ifft(np.fft.fft(v) * np.exp(-1j * xi2 * dt / 2))
+    return v
+
+
+@pytest.mark.parametrize("potential", ["gp", "none"])
+def test_stepper_matches_unfused_strang(potential):
+    # gp runs on the geometric time grid, none on the linear one
+    n = 256
+    bump = gaussian_field(50.0, n, 1.0, width=2.0)
+    bump = bump.copy_with(bump.values * np.exp(0.4j * bump.grid()))
+    a = 0.5 if potential == "gp" else 0.0
+    v0 = bump.copy_with(a + bump.values)
+    problem = NlsProblem(sign=1, background_a=a, potential=potential,
+                         t_span=(1.0, 6.0) if potential == "gp" else (0.0, 2.0))
+    n_steps = 300
+    ref = _unfused_strang(problem, v0, n_steps)
+    out = evolve(problem, v0, n_steps, store_every=100)
+    assert np.max(np.abs(ref - v0.values)) > 0.1  # the run moved the field
+    assert np.max(np.abs(out.fields[-1].values - ref)) <= 1e-12
+    steps = list(nls._strang(problem, v0, n_steps))
+    assert [k for k, _, _ in steps] == list(range(1, n_steps + 1))
+    assert np.array_equal([t for _, t, _ in steps], nls.time_grid(problem, n_steps)[1:])
+    assert np.max(np.abs(np.fft.ifft(steps[-1][2]) - ref)) <= 1e-12
+    assert np.array_equal(out.times, nls.time_grid(problem, n_steps)[::100])
+
+
+def test_evolve_fft_count(monkeypatch):
+    # one FFT pair per step, one inverse FFT per stored field after the first
+    # and one alias-check FFT per stored field; an unfused step needs two pairs
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    n = 128
+    f = gaussian_field(40.0, n, 0.2, width=2.0)
+    problem = NlsProblem(sign=-1, background_a=0.5, potential="gp", t_span=(1.0, 3.0))
+    n_steps = 60
+    out = evolve(problem, f.copy_with(0.5 + f.values), n_steps, store_every=20)
+    assert len(out.fields) == 4
+    assert len(calls) <= 2 * n_steps + 2 * len(out.fields)
+

@@ -63,11 +63,23 @@ def _resolve(args, spec, config):
 
 
 def _outdir(args, sub, params):
+    """Create the run directory; also return the directories this call made,
+    deepest first."""
     base = args.out_dir or os.environ.get("FILAMENTLAB_OUT") or "runs"
     h = dataio.config_hash(params)
     d = Path(base) / f"{sub}-{h}"
+    made = [p for p in (d, *d.parents) if not p.exists()]
     d.mkdir(parents=True, exist_ok=True)
-    return d
+    return d, made
+
+
+def _discard(made):
+    """Remove the directories a failed run created, while they are empty."""
+    for d in made:
+        try:
+            d.rmdir()
+        except OSError:
+            return
 
 
 def _emit(outdir, summary):
@@ -327,8 +339,9 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return 2
+    made = []
     try:
-        outdir = _outdir(args, args.command, params)
+        outdir, made = _outdir(args, args.command, params)
         if args.command == "stability":
             summary = _run_stability(params, outdir, threads=args.threads)
         else:
@@ -337,9 +350,11 @@ def main(argv=None):
         print(outdir)
         return 0 if summary.get("all_ok", True) else 1
     except (FilamentError, ValueError) as exc:
+        _discard(made)
         print(f"error[validation]: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
+        _discard(made)
         print(f"error[io]: {exc}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,8 @@ closed-form 2x2 exponential and the same scan with ``matmul``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidParameter, NonFiniteCoefficient, StepLimitExceeded
@@ -219,7 +221,13 @@ def _plan(s0, s1, step, out_every, max_steps):
     if span == 0:
         raise InvalidParameter("empty span")
     m = max(1, int(out_every))
-    n_blocks = max(1, int(np.ceil(abs(span) / (step * m))))
+    # a span that is a whole number of blocks up to roundoff gets exactly
+    # that many; ceil alone would add a spurious block
+    r = abs(span) / (step * m)
+    n_blocks = round(r)
+    if abs(r - n_blocks) > 1e-9 * r:
+        n_blocks = math.ceil(r)
+    n_blocks = max(1, n_blocks)
     h = span / (n_blocks * m)
     n_steps = n_blocks * m
     if max_steps is not None and n_steps > max_steps:

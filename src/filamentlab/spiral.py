@@ -7,6 +7,14 @@ compatibility constraint (I+A)G(0) . G'(0) = 0.  Along any profile
 reduced scalar description lives in (y, h) = (d c^2/ds, c^2 (tau - s/2)),
 bridged to the complex profile equation f'' + i(s/2) f' + (f/2)(|f|^2+nu)=0
 by  conj(f) f' = y/2 + i h.
+
+All three ODEs (``spiral_profile``, ``yh_evolve``, ``f_solve``) run on one
+fixed-step RK4 driver, ``_rk4_scalar``.  It plans n = n_out * m steps in
+whole output blocks, validates the span, the initial state and the step
+budget (``SolverConfig.max_steps``), and calls the equation's step body once
+per block.  Each body is a fused loop on local floats: the four stages are
+written out, with no right-hand-side call and no tuple per stage, in the
+same evaluation order as the plain RK4 formulas.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstraintViolated, InvalidParameter
+from .errors import ConstraintViolated, InvalidParameter, StepLimitExceeded
 from .geometry import Curve, SolverConfig
 from .integrators import two_sided
 from .selfsimilar import _hermite_eval
@@ -42,6 +50,9 @@ class SpiralParams:
     def __post_init__(self):
         self.G0 = np.asarray(self.G0, dtype=float)
         self.T0 = np.asarray(self.T0, dtype=float)
+        if not (math.isfinite(self.mu) and np.all(np.isfinite(self.G0))
+                and np.all(np.isfinite(self.T0))):
+            raise InvalidParameter("mu, G0 and T0 must be finite")
         if abs(np.linalg.norm(self.T0) - 1.0) > 1e-10:
             raise ConstraintViolated("|T0| must be 1")
         IA = np.eye(3) + _amatrix(self.mu)
@@ -83,49 +94,105 @@ class SpiralProfileResult:
         return float(np.max(np.abs(np.linalg.norm(T, axis=1) - 1.0)))
 
 
-def _rhs(G, T, mu):
-    gx, gy, gz = G
-    tx, ty, tz = T
-    mx = 0.5 * (gx - mu * gy)
-    my = 0.5 * (mu * gx + gy)
-    mz = 0.5 * gz
-    return (tx, ty, tz), (my * tz - mz * ty, mz * tx - mx * tz, mx * ty - my * tx)
+def _rk4_scalar(advance, y0, s0, s1, cfg):
+    """Fixed-step RK4 driver shared by the scalar solvers of this module.
+
+    Plans n = n_out * m fine steps over [s0, s1], m = ``cfg.renorm_every``
+    and each step at most ``cfg.step``, and calls ``advance(y, s, h, m)``
+    once per output block: it runs m RK4 steps of size h from the state
+    tuple y at s and returns (y, s) at the block end.  Returns (s_nodes, out)
+    with the state at every block end in the rows of out, row 0 the initial
+    state.
+    """
+    span = s1 - s0
+    if not (math.isfinite(span) and span != 0.0):
+        raise InvalidParameter(f"span [{s0:g}, {s1:g}] must be finite and nonempty")
+    y0 = np.asarray(y0)
+    if not np.all(np.isfinite(y0)):
+        raise InvalidParameter("initial state must be finite")
+    step, m = cfg.step, cfg.renorm_every
+    if m < 1:
+        raise InvalidParameter("renorm_every must be >= 1")
+    n_out = max(1, int(math.ceil(abs(span) / (step * m))))
+    n = n_out * m
+    if n > cfg.max_steps:
+        raise StepLimitExceeded(f"{n} steps needed for span {span:g} at step {step:g}")
+    h = span / n
+    out = np.empty((n_out + 1, len(y0)), dtype=y0.dtype)
+    out[0] = y0
+    y, s = tuple(y0.tolist()), s0
+    for b in range(1, n_out + 1):
+        y, s = advance(y, s, h, m)
+        out[b] = y
+    return np.linspace(s0, s0 + n * h, n_out + 1), out
 
 
-def _integrate_dir(params, s_end, h, out_every):
-    """Scalar RK4 on (G, T); T' = (1/2)(I+A)G x T keeps the run light."""
-    mu = params.mu
-    n = max(1, int(math.ceil(abs(s_end) / (h * out_every)))) * out_every
-    h = s_end / n
+def _profile_block(mu, state, s, h, m):
+    """m RK4 steps of G' = T, T' = M x T with M = (1/2)(I+A)G (autonomous)."""
+    gx, gy, gz, tx, ty, tz = state
     h2, h6 = h / 2, h / 6
-    G = tuple(map(float, params.G0))
-    T = tuple(map(float, params.T0))
-    n_out = n // out_every
-    out_G = np.empty((n_out + 1, 3))
-    out_T = np.empty((n_out + 1, 3))
-    out_G[0], out_T[0] = G, T
-    for k in range(n):
-        k1G, k1T = _rhs(G, T, mu)
-        G2 = (G[0] + h2 * k1G[0], G[1] + h2 * k1G[1], G[2] + h2 * k1G[2])
-        T2 = (T[0] + h2 * k1T[0], T[1] + h2 * k1T[1], T[2] + h2 * k1T[2])
-        k2G, k2T = _rhs(G2, T2, mu)
-        G3 = (G[0] + h2 * k2G[0], G[1] + h2 * k2G[1], G[2] + h2 * k2G[2])
-        T3 = (T[0] + h2 * k2T[0], T[1] + h2 * k2T[1], T[2] + h2 * k2T[2])
-        k3G, k3T = _rhs(G3, T3, mu)
-        G4 = (G[0] + h * k3G[0], G[1] + h * k3G[1], G[2] + h * k3G[2])
-        T4 = (T[0] + h * k3T[0], T[1] + h * k3T[1], T[2] + h * k3T[2])
-        k4G, k4T = _rhs(G4, T4, mu)
-        G = (G[0] + h6 * (k1G[0] + 2 * k2G[0] + 2 * k3G[0] + k4G[0]),
-             G[1] + h6 * (k1G[1] + 2 * k2G[1] + 2 * k3G[1] + k4G[1]),
-             G[2] + h6 * (k1G[2] + 2 * k2G[2] + 2 * k3G[2] + k4G[2]))
-        T = (T[0] + h6 * (k1T[0] + 2 * k2T[0] + 2 * k3T[0] + k4T[0]),
-             T[1] + h6 * (k1T[1] + 2 * k2T[1] + 2 * k3T[1] + k4T[1]),
-             T[2] + h6 * (k1T[2] + 2 * k2T[2] + 2 * k3T[2] + k4T[2]))
-        if (k + 1) % out_every == 0:
-            out_G[(k + 1) // out_every] = G
-            out_T[(k + 1) // out_every] = T
-    s_nodes = np.linspace(0.0, n * h, n_out + 1)
-    return s_nodes, out_G, out_T
+    for _ in range(m):
+        # stage 1: k1 = (T, a), a = M(G) x T
+        mx = 0.5 * (gx - mu * gy)
+        my = 0.5 * (mu * gx + gy)
+        mz = 0.5 * gz
+        ax = my * tz - mz * ty
+        ay = mz * tx - mx * tz
+        az = mx * ty - my * tx
+        # stage 2 at (G + h2 T, u = T + h2 a): k2 = (u, b)
+        px = gx + h2 * tx
+        py = gy + h2 * ty
+        pz = gz + h2 * tz
+        ux = tx + h2 * ax
+        uy = ty + h2 * ay
+        uz = tz + h2 * az
+        mx = 0.5 * (px - mu * py)
+        my = 0.5 * (mu * px + py)
+        mz = 0.5 * pz
+        bx = my * uz - mz * uy
+        by = mz * ux - mx * uz
+        bz = mx * uy - my * ux
+        # stage 3 at (G + h2 u, v = T + h2 b): k3 = (v, c)
+        px = gx + h2 * ux
+        py = gy + h2 * uy
+        pz = gz + h2 * uz
+        vx = tx + h2 * bx
+        vy = ty + h2 * by
+        vz = tz + h2 * bz
+        mx = 0.5 * (px - mu * py)
+        my = 0.5 * (mu * px + py)
+        mz = 0.5 * pz
+        cx = my * vz - mz * vy
+        cy = mz * vx - mx * vz
+        cz = mx * vy - my * vx
+        # stage 4 at (G + h v, w = T + h c): k4 = (w, d)
+        px = gx + h * vx
+        py = gy + h * vy
+        pz = gz + h * vz
+        wx = tx + h * cx
+        wy = ty + h * cy
+        wz = tz + h * cz
+        mx = 0.5 * (px - mu * py)
+        my = 0.5 * (mu * px + py)
+        mz = 0.5 * pz
+        dx = my * wz - mz * wy
+        dy = mz * wx - mx * wz
+        dz = mx * wy - my * wx
+        gx = gx + h6 * (tx + 2.0 * ux + 2.0 * vx + wx)
+        gy = gy + h6 * (ty + 2.0 * uy + 2.0 * vy + wy)
+        gz = gz + h6 * (tz + 2.0 * uz + 2.0 * vz + wz)
+        tx = tx + h6 * (ax + 2.0 * bx + 2.0 * cx + dx)
+        ty = ty + h6 * (ay + 2.0 * by + 2.0 * cy + dy)
+        tz = tz + h6 * (az + 2.0 * bz + 2.0 * cz + dz)
+    return (gx, gy, gz, tx, ty, tz), s + m * h
+
+
+def _integrate_dir(params, s_end, cfg):
+    """Scalar RK4 on (G, T) from s = 0; T' = (1/2)(I+A)G x T keeps the run light."""
+    mu = params.mu
+    s, out = _rk4_scalar(lambda y, s, h, m: _profile_block(mu, y, s, h, m),
+                         (*params.G0.tolist(), *params.T0.tolist()), 0.0, s_end, cfg)
+    return s, out[:, :3], out[:, 3:]
 
 
 def spiral_profile(params, s_span, cfg=None):
@@ -141,7 +208,7 @@ def spiral_profile(params, s_span, cfg=None):
         raise InvalidParameter("s_span must contain 0 (initial data lives there)")
     cfg = cfg or SolverConfig(step=3e-4, renorm_every=32)
     s, G, T = two_sided(
-        lambda end: _integrate_dir(params, end, cfg.step, cfg.renorm_every),
+        lambda end: _integrate_dir(params, end, cfg),
         s_lo, s_hi,
     )
     mu = params.mu
@@ -169,6 +236,31 @@ def g_of(x, nu, E0):
     return 2 * E0 - (3 * x + nu) * (x + nu) / 2
 
 
+def _yh_block(nu, E0, state, s, h, m):
+    """m RK4 steps of x' = y, y' = s h + g(x), h' = -(s/4) y (g_of inlined)."""
+    x, y, hh = state
+    h2, h6 = h / 2, h / 6
+    e2 = 2 * E0
+    for _ in range(m):
+        k1y = s * hh + (e2 - (3.0 * x + nu) * (x + nu) / 2.0)
+        k1h = -(s / 4.0) * y
+        x2, y2, hh2, s2 = x + h2 * y, y + h2 * k1y, hh + h2 * k1h, s + h2
+        k2y = s2 * hh2 + (e2 - (3.0 * x2 + nu) * (x2 + nu) / 2.0)
+        q2 = -(s2 / 4.0)
+        k2h = q2 * y2
+        x3, y3, hh3 = x + h2 * y2, y + h2 * k2y, hh + h2 * k2h
+        k3y = s2 * hh3 + (e2 - (3.0 * x3 + nu) * (x3 + nu) / 2.0)
+        k3h = q2 * y3
+        x4, y4, hh4, s4 = x + h * y3, y + h * k3y, hh + h * k3h, s + h
+        k4y = s4 * hh4 + (e2 - (3.0 * x4 + nu) * (x4 + nu) / 2.0)
+        k4h = -(s4 / 4.0) * y4
+        x += h6 * (y + 2.0 * y2 + 2.0 * y3 + y4)
+        y += h6 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        hh += h6 * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
+        s += h
+    return (x, y, hh), s
+
+
 def yh_evolve(y0, h0, nu, E0, s_span, cfg=None, *, x0):
     """Reduced system x' = y, y' = s h + g(x), h' = -(s/4) y from s_span[0].
 
@@ -176,32 +268,32 @@ def yh_evolve(y0, h0, nu, E0, s_span, cfg=None, *, x0):
     derivative y, so the level must be given).  Returns (s, x, y, h) arrays.
     """
     cfg = cfg or SolverConfig(step=2e-4, renorm_every=50)
-    s0, s1 = float(s_span[0]), float(s_span[1])
-    step, m = cfg.step, cfg.renorm_every
-    n = max(1, int(math.ceil(abs(s1 - s0) / (step * m)))) * m
-    h = (s1 - s0) / n
-    x, y, hh = float(x0), float(y0), float(h0)
-    s = s0
-    n_out = n // m
-    out = np.empty((n_out + 1, 3))
-    out[0] = x, y, hh
+    nu, E0 = float(nu), float(E0)
+    if not (math.isfinite(nu) and math.isfinite(E0)):
+        raise InvalidParameter("nu and E0 must be finite")
+    s, out = _rk4_scalar(lambda y, s, h, m: _yh_block(nu, E0, y, s, h, m),
+                         (float(x0), float(y0), float(h0)),
+                         float(s_span[0]), float(s_span[1]), cfg)
+    return s, out[:, 0], out[:, 1], out[:, 2]
+
+
+def _f_block(nu, state, s, h, m):
+    """m RK4 steps of f' = g, g' = -i(s/2) g - (f/2)(|f|^2 + nu)."""
+    f, g = state
     h2, h6 = h / 2, h / 6
-    for k in range(n):
-        k1 = (y, s * hh + g_of(x, nu, E0), -(s / 4) * y)
-        x2, y2, hh2, s2 = x + h2 * k1[0], y + h2 * k1[1], hh + h2 * k1[2], s + h2
-        k2 = (y2, s2 * hh2 + g_of(x2, nu, E0), -(s2 / 4) * y2)
-        x3, y3, hh3 = x + h2 * k2[0], y + h2 * k2[1], hh + h2 * k2[2]
-        k3 = (y3, s2 * hh3 + g_of(x3, nu, E0), -(s2 / 4) * y3)
-        x4, y4, hh4, s4 = x + h * k3[0], y + h * k3[1], hh + h * k3[2], s + h
-        k4 = (y4, s4 * hh4 + g_of(x4, nu, E0), -(s4 / 4) * y4)
-        x += h6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        y += h6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        hh += h6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+    for _ in range(m):
+        k1g = -0.5j * s * g - 0.5 * f * (abs(f) ** 2 + nu)
+        f2, g2, s2 = f + h2 * g, g + h2 * k1g, s + h2
+        j2 = -0.5j * s2
+        k2g = j2 * g2 - 0.5 * f2 * (abs(f2) ** 2 + nu)
+        f3, g3 = f + h2 * g2, g + h2 * k2g
+        k3g = j2 * g3 - 0.5 * f3 * (abs(f3) ** 2 + nu)
+        f4, g4, s4 = f + h * g3, g + h * k3g, s + h
+        k4g = -0.5j * s4 * g4 - 0.5 * f4 * (abs(f4) ** 2 + nu)
+        f += h6 * (g + 2 * g2 + 2 * g3 + g4)
+        g += h6 * (k1g + 2 * k2g + 2 * k3g + k4g)
         s += h
-        if (k + 1) % m == 0:
-            out[(k + 1) // m] = x, y, hh
-    s_nodes = np.linspace(s0, s0 + n * h, n_out + 1)
-    return s_nodes, out[:, 0], out[:, 1], out[:, 2]
+    return (f, g), s
 
 
 def f_solve(f0, f0_prime, nu, s_span, cfg=None):
@@ -211,35 +303,13 @@ def f_solve(f0, f0_prime, nu, s_span, cfg=None):
     energy is |f'|^2 + (|f|^2 + nu)^2 / 4.
     """
     cfg = cfg or SolverConfig(step=2.5e-4, renorm_every=64)
-    s0, s1 = float(s_span[0]), float(s_span[1])
-    step, m = cfg.step, cfg.renorm_every
-    n = max(1, int(math.ceil(abs(s1 - s0) / (step * m)))) * m
-    h = (s1 - s0) / n
-    f, g = complex(f0), complex(f0_prime)
-    s = s0
-    n_out = n // m
-    out = np.empty((n_out + 1, 2), dtype=complex)
-    out[0] = f, g
-    h2, h6 = h / 2, h / 6
-    for k in range(n):
-        k1f = g
-        k1g = -0.5j * s * g - 0.5 * f * (abs(f) ** 2 + nu)
-        f2, g2, s2 = f + h2 * k1f, g + h2 * k1g, s + h2
-        k2f = g2
-        k2g = -0.5j * s2 * g2 - 0.5 * f2 * (abs(f2) ** 2 + nu)
-        f3, g3 = f + h2 * k2f, g + h2 * k2g
-        k3f = g3
-        k3g = -0.5j * s2 * g3 - 0.5 * f3 * (abs(f3) ** 2 + nu)
-        f4, g4, s4 = f + h * k3f, g + h * k3g, s + h
-        k4f = g4
-        k4g = -0.5j * s4 * g4 - 0.5 * f4 * (abs(f4) ** 2 + nu)
-        f += h6 * (k1f + 2 * k2f + 2 * k3f + k4f)
-        g += h6 * (k1g + 2 * k2g + 2 * k3g + k4g)
-        s += h
-        if (k + 1) % m == 0:
-            out[(k + 1) // m] = f, g
-    s_nodes = np.linspace(s0, s0 + n * h, n_out + 1)
-    return s_nodes, out[:, 0], out[:, 1]
+    nu = float(nu)
+    if not math.isfinite(nu):
+        raise InvalidParameter("nu must be finite")
+    s, out = _rk4_scalar(lambda y, s, h, m: _f_block(nu, y, s, h, m),
+                         (complex(f0), complex(f0_prime)),
+                         float(s_span[0]), float(s_span[1]), cfg)
+    return s, out[:, 0], out[:, 1]
 
 
 def f_energy(f, fp, nu):

@@ -209,3 +209,19 @@ def test_selfcheck_exit_code_follows_checks(tmp_path, monkeypatch, all_ok, code)
     assert run_cli(["selfcheck"], tmp_path) == code
     data, _ = read_run_json(tmp_path, "selfcheck")
     assert data["all_ok"] is all_ok
+
+
+@pytest.mark.parametrize("args", [
+    ["evolve", "--n-steps", "0"],
+    ["spiral", "--smax", "-1"],
+    ["spiral", "--smax", "1e6"],
+], ids=["evolve-zero-steps", "spiral-negative-smax", "spiral-over-step-limit"])
+def test_failed_run_leaves_no_directory(tmp_path, capsys, args):
+    # the out dir given on the command line exists: it stays, left empty
+    assert run_cli(args, tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error[validation]:")
+    assert not list(tmp_path.iterdir())
+    # it does not exist yet: the run removes every directory it made
+    out = tmp_path / "new" / "runs"
+    assert cli.main(args + ["--out-dir", str(out)]) == 2
+    assert not list(tmp_path.iterdir())

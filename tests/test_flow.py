@@ -107,7 +107,29 @@ def test_steady_circle_data_translates():
                                np.ones_like(t_dense))
     res3 = flow.reconstruct_flow(data3, np.eye(3), np.zeros(3),
                                  origin_series=series)
-    assert geometry.bf_residual(*res3.curves, dt=dt) <= 1e-6
+    # the stencil's own truncation (~h^2/4) is the whole residual: the exact
+    # translating circle (sin s, 1 - cos s, t) on the same grid reads the same
+    sg = res3.curves[1].s_grid
+    exact = [geometry.Curve(sg, np.column_stack([np.sin(sg), 1 - np.cos(sg),
+                                                 np.full(len(sg), tk)]))
+             for tk in t3]
+    assert abs(geometry.bf_residual(*res3.curves, dt=dt)
+               - geometry.bf_residual(*exact, dt=dt)) <= 1e-9
+
+
+@pytest.mark.parametrize("s_max,ds", [(3.0, 0.05), (5.0, 0.01)])
+def test_reconstructed_curves_lie_on_data_grid(s_max, ds):
+    # s_max/ds whole: every slice must come back on the data's own nodes,
+    # not on a grid with one spurious output block per side
+    n_half = int(round(s_max / ds))
+    s = ds * np.arange(-n_half, n_half + 1)
+    t = np.array([0.5, 1.0])
+    ones = np.ones((len(t), len(s)))
+    res = flow.reconstruct_flow(IntrinsicData(s, t, ones, 0.3 * ones),
+                                np.eye(3), np.zeros(3))
+    for curve in res.curves:
+        assert len(curve.s_grid) == len(s)
+        assert np.max(np.abs(curve.s_grid - s)) <= 1e-12
 
 
 def test_reconstruct_rejects_vanishing_curvature():

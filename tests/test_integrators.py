@@ -124,3 +124,19 @@ def test_frames_orthonormal_across_chunks(monkeypatch):
     assert np.array_equal(s, s2)
     assert np.max(np.abs(frames - frames2)) < 1e-12
     assert np.max(np.abs(points - points2)) < 1e-12
+
+
+def test_plan_whole_span_gets_exact_block_count():
+    # spans that are a whole number of blocks up to roundoff, as the
+    # reconstruction asks for (step ds/m, m steps per block, s_max = k ds)
+    for ds in (0.002, 0.005, 0.01, 0.02, 0.05):
+        for m in (1, 3, 8, 50, 1000):
+            for n_blocks in (1, 2, 7, 300, 500, 1500, 2000):
+                s_end = ds * n_blocks
+                for s1 in (s_end, -s_end):
+                    h, mm, s_out, _ = integrators._plan(0.0, s1, ds / m, m, None)
+                    assert len(s_out) == n_blocks + 1, (ds, m, n_blocks)
+                    assert mm == m
+    # a span just past a whole number of blocks still gets one more
+    h, m, s_out, _ = integrators._plan(0.0, 1.0 + 1e-6, 0.1, 1, None)
+    assert len(s_out) == 12

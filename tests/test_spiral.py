@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from filamentlab import selfsimilar, spiral
-from filamentlab.errors import ConstraintViolated, InvalidParameter
+from filamentlab.errors import (
+    ConstraintViolated,
+    InvalidParameter,
+    StepLimitExceeded,
+)
 from filamentlab.geometry import SolverConfig
 from filamentlab.spiral import (
     SpiralParams,
@@ -171,3 +175,124 @@ def test_log_spiral_asymptotics():
     d1 = np.linalg.norm(q_at(40.0) - q_at(20.0))
     d2 = np.linalg.norm(q_at(80.0) - q_at(40.0))
     assert d2 < 0.75 * d1
+
+
+# ---------------------------------------------------------------------------
+# the fused per-block kernels against a plain RK4 loop, and the driver's
+# boundary checks
+
+
+def _rk4_plain(rhs, y0, s0, s1, step, m):
+    """Unfused RK4 on a list state, n = ceil(|span|/(step m)) m steps."""
+    n = max(1, math.ceil(abs(s1 - s0) / (step * m))) * m
+    h = (s1 - s0) / n
+    y, s = list(y0), s0
+    out = [y]
+    for k in range(n):
+        k1 = rhs(s, y)
+        k2 = rhs(s + h / 2, [a + h / 2 * b for a, b in zip(y, k1)])
+        k3 = rhs(s + h / 2, [a + h / 2 * b for a, b in zip(y, k2)])
+        k4 = rhs(s + h, [a + h * b for a, b in zip(y, k3)])
+        y = [a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        s += h
+        if (k + 1) % m == 0:
+            out.append(y)
+    return np.linspace(s0, s0 + n * h, n // m + 1), np.array(out)
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def test_spiral_profile_matches_plain_rk4():
+    mu = 0.4
+    p = make_params(mu, 0.5)
+
+    def rhs(s, y):
+        gx, gy, gz, tx, ty, tz = y
+        mx, my, mz = 0.5 * (gx - mu * gy), 0.5 * (mu * gx + gy), 0.5 * gz
+        return [tx, ty, tz, my * tz - mz * ty, mz * tx - mx * tz, mx * ty - my * tx]
+
+    res = spiral_profile(p, (-5.0, 5.0))
+    y0 = [*p.G0, *p.T0]
+    s_p, y_p = _rk4_plain(rhs, y0, 0.0, 5.0, 3e-4, 32)
+    s_m, y_m = _rk4_plain(rhs, y0, 0.0, -5.0, 3e-4, 32)
+    s_ref = np.concatenate([s_m[:0:-1], s_p])
+    y_ref = np.concatenate([y_m[:0:-1], y_p])
+    assert np.array_equal(res.curve.s_grid, s_ref)
+    assert _rel(res.curve.points, y_ref[:, :3]) <= 1e-13
+    assert _rel(res.curve.frames[:, 0], y_ref[:, 3:]) <= 1e-13
+
+
+def test_yh_evolve_matches_plain_rk4():
+    nu, E0 = 0.4, 0.3
+    cfg = SolverConfig(step=2e-4, renorm_every=50)
+
+    def rhs(s, v):
+        x, y, h = v
+        return [y, s * h + g_of(x, nu, E0), -(s / 4) * y]
+
+    for span in ((0.0, 10.0), (2.0, -6.0)):
+        s, x, y, h = yh_evolve(0.1, 0.2, nu, E0, span, cfg, x0=0.7)
+        s_ref, ref = _rk4_plain(rhs, [0.7, 0.1, 0.2], *span, 2e-4, 50)
+        assert np.array_equal(s, s_ref)
+        assert _rel(np.stack([x, y, h], axis=1), ref) <= 1e-13
+
+
+def test_f_solve_matches_plain_rk4():
+    nu = 0.5
+    cfg = SolverConfig(step=2.5e-4, renorm_every=64)
+
+    def rhs(s, v):
+        f, g = v
+        return [g, -0.5j * s * g - 0.5 * f * (abs(f) ** 2 + nu)]
+
+    for span in ((0.0, 10.0), (3.0, -5.0)):
+        s, f, fp = f_solve(1.0, 0.3j, nu, span, cfg)
+        s_ref, ref = _rk4_plain(rhs, [1.0 + 0j, 0.3j], *span, 2.5e-4, 64)
+        assert np.array_equal(s, s_ref)
+        assert _rel(np.stack([f, fp], axis=1), ref) <= 1e-13
+
+
+def test_scalar_solvers_enforce_max_steps():
+    cfg = SolverConfig(step=1e-3, renorm_every=10, max_steps=1000)
+    with pytest.raises(StepLimitExceeded):
+        f_solve(1.0, 0.3j, 0.5, (0.0, 2.0), cfg)
+    with pytest.raises(StepLimitExceeded):
+        yh_evolve(0.0, 0.0, -0.25, 0.0, (0.0, -2.0), cfg, x0=0.25)
+    with pytest.raises(StepLimitExceeded):
+        spiral_profile(make_params(0.3, 0.5), (-2.0, 2.0), cfg)
+    # at the limit itself the run goes through
+    s, f, fp = f_solve(1.0, 0.3j, 0.5, (0.0, 1.0), cfg)
+    assert len(s) == 101
+
+
+def test_scalar_solvers_reject_empty_span():
+    with pytest.raises(InvalidParameter):
+        f_solve(1.0, 0.3j, 0.5, (0.0, 0.0))
+    with pytest.raises(InvalidParameter):
+        yh_evolve(0.0, 0.0, -0.25, 0.0, (2.0, 2.0), x0=0.25)
+    with pytest.raises(InvalidParameter):
+        f_solve(1.0, 0.3j, 0.5, (0.0, math.inf))
+    with pytest.raises(InvalidParameter):
+        yh_evolve(0.0, 0.0, -0.25, 0.0, (0.0, math.nan), x0=0.25)
+
+
+def test_scalar_solvers_reject_non_finite_input():
+    with pytest.raises(InvalidParameter):
+        f_solve(math.nan, 0.3j, 0.5, (0.0, 1.0))
+    with pytest.raises(InvalidParameter):
+        f_solve(1.0, 0.3j, math.nan, (0.0, 1.0))
+    with pytest.raises(InvalidParameter):
+        yh_evolve(0.0, 0.0, -0.25, math.inf, (0.0, 1.0), x0=0.25)
+    with pytest.raises(InvalidParameter):
+        make_params(math.nan, 0.5)
+    with pytest.raises(InvalidParameter):
+        make_params(0.3, math.nan)
+    with pytest.raises(InvalidParameter):
+        f_solve(1.0, complex(0.0, math.inf), 0.5, (0.0, 1.0))
+    with pytest.raises(InvalidParameter):
+        yh_evolve(0.0, 0.0, -0.25, 0.0, (0.0, 1.0), x0=math.nan)
+    with pytest.raises(InvalidParameter):
+        yh_evolve(math.inf, 0.0, -0.25, 0.0, (0.0, 1.0), x0=0.25)

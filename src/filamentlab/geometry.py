@@ -3,6 +3,8 @@ and binormal-flow residual diagnostics."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,8 +128,15 @@ class SolverConfig:
     renorm_every: int = 16
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise InvalidParameter("step must be positive")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise InvalidParameter(f"step must be finite and positive, got {self.step}")
+        if not (isinstance(self.renorm_every, numbers.Integral)
+                and self.renorm_every >= 1):
+            raise InvalidParameter(
+                f"renorm_every must be an integer >= 1, got {self.renorm_every!r}"
+            )
+        if not self.max_steps >= 1:
+            raise InvalidParameter(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 @dataclass

@@ -1,21 +1,23 @@
-"""Shared ODE kernels.
+"""Shared ODE kernels and the one step planner.
 
-Two families cover every integration in the package:
+Every linear system y' = A(s) y in the package runs on a Magnus-4 step: a
+4th-order two-point commutator-corrected exponential (Iserles & Norsett
+1999).  Per-step exponentials are built vectorized over all steps and
+combined by one work-efficient two-level prefix scan (``_scan``), so
+multi-million-step runs cost a handful of numpy passes instead of a Python
+loop.
 
-* ``rk4_solve`` -- classic fixed-step RK4 for small nonlinear systems.
-* Magnus-4 propagators for *linear* systems y' = A(s) y: a 4th-order
-  two-point commutator-corrected exponential step (Iserles & Norsett 1999).
-  Per-step exponentials are built vectorized over all steps and combined by
-  one work-efficient two-level prefix scan (``_scan``) over each chunk, so
-  multi-million-step runs cost a handful of numpy passes instead of a
-  Python loop.
+Skew 3x3 systems -- the frame system (T,n,b) with its position row
+(``magnus_frame_step``), and the origin-frame ODE in t of the flow
+reconstruction -- take exact exponentials: rotations held as unit
+quaternions (Euler-Rodrigues parameters, ``rodrigues_phi1``), multiplied
+elementwise in the scan and turned into matrices only at output nodes.  The
+2-dim complex systems use a closed-form 2x2 exponential and the same scan
+with ``matmul``.
 
-The frame system (T,n,b) and its position-augmented variant have their own
-step, ``magnus_frame_step``: its exponentials are exact rotations, held as
-unit quaternions (Euler-Rodrigues parameters) and multiplied elementwise in
-the scan, plus a closed-form phi1 row for the position; rotation matrices
-are formed only at output nodes.  The 2-dim complex systems use a
-closed-form 2x2 exponential and the same scan with ``matmul``.
+``_plan`` lays every fixed-step run on whole output blocks; it also plans
+the fused scalar RK4 driver of the nonlinear profile ODEs
+(``spiral._rk4_scalar``).
 """
 
 from __future__ import annotations
@@ -32,30 +34,6 @@ GAUSS_C2 = 0.5 + np.sqrt(3.0) / 6.0
 
 _CHUNK = 200_000  # fine steps per vectorized chunk; caps peak memory
 _SCAN_ROW = 32     # elements per row of the two-level prefix scan
-
-
-def rk4_solve(f, s_nodes, y0, substeps=1):
-    """Fixed-step RK4 over the (possibly non-uniform) node array.
-
-    Returns an array with y at every node; ``substeps`` subdivides each
-    interval uniformly.
-    """
-    s_nodes = np.asarray(s_nodes, dtype=float)
-    y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
-    out = np.empty((len(s_nodes),) + y.shape, dtype=y.dtype)
-    out[0] = y
-    for k in range(len(s_nodes) - 1):
-        h = (s_nodes[k + 1] - s_nodes[k]) / substeps
-        s = s_nodes[k]
-        for _ in range(substeps):
-            k1 = f(s, y)
-            k2 = f(s + h / 2, y + (h / 2) * k1)
-            k3 = f(s + h / 2, y + (h / 2) * k2)
-            k4 = f(s + h, y + h * k3)
-            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            s += h
-        out[k + 1] = y
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +196,11 @@ def _plan(s0, s1, step, out_every, max_steps):
     ``_CHUNK`` steps.
     """
     span = s1 - s0
-    if span == 0:
-        raise InvalidParameter("empty span")
-    m = max(1, int(out_every))
+    if not (math.isfinite(span) and span != 0.0):
+        raise InvalidParameter(f"span [{s0:g}, {s1:g}] must be finite and nonempty")
+    if out_every < 1:
+        raise InvalidParameter(f"out_every must be >= 1, got {out_every}")
+    m = int(out_every)
     # a span that is a whole number of blocks up to roundoff gets exactly
     # that many; ceil alone would add a spurious block
     r = abs(span) / (step * m)

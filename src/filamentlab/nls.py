@@ -85,6 +85,10 @@ class ComplexField:
 
 def gaussian_field(domain_length, n_points, l2_norm, width=2.0, center=0.0):
     """Gaussian bump normalized to the requested L2 norm."""
+    if not math.isfinite(l2_norm):
+        raise InvalidParameter("l2_norm must be finite")
+    if not (math.isfinite(width) and width > 0):
+        raise InvalidParameter("width must be finite and positive")
     f = ComplexField(domain_length, n_points,
                      np.zeros(n_points, dtype=complex))
     x = f.grid()
@@ -112,8 +116,12 @@ class NlsProblem:
     def __post_init__(self):
         if self.sign not in (-1, 1):
             raise InvalidParameter("sign must be +1 or -1")
-        if self.background_a < 0:
-            raise InvalidParameter("background_a must be nonnegative")
+        if not (math.isfinite(self.background_a) and self.background_a >= 0):
+            raise InvalidParameter("background_a must be finite and nonnegative")
+        if not all(math.isfinite(t) for t in self.t_span):
+            raise InvalidParameter(f"t_span {self.t_span} must be finite")
+        if self.coeff is not None and not math.isfinite(self.coeff):
+            raise InvalidParameter("coeff must be finite")
         if self.potential not in ("gp", "none"):
             raise InvalidParameter("potential must be 'gp' or 'none'")
         t0, t1 = self.t_span

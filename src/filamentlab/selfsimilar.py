@@ -54,8 +54,8 @@ def profile(a, s_max, cfg=None):
     rigorous tail estimate (the remainder is 2 a s times an integral of the
     unit binormal against 1/s'^2).
     """
-    if a < 0 or s_max <= 0:
-        raise InvalidParameter("need a >= 0 and s_max > 0")
+    if not (math.isfinite(a) and math.isfinite(s_max)) or a < 0 or s_max <= 0:
+        raise InvalidParameter("need finite a >= 0 and s_max > 0")
     cfg = cfg or _default_cfg(s_max)
     F0 = np.eye(3)
     G0 = np.array([0.0, 0.0, 2 * a])

@@ -9,12 +9,13 @@ bridged to the complex profile equation f'' + i(s/2) f' + (f/2)(|f|^2+nu)=0
 by  conj(f) f' = y/2 + i h.
 
 All three ODEs (``spiral_profile``, ``yh_evolve``, ``f_solve``) run on one
-fixed-step RK4 driver, ``_rk4_scalar``.  It plans n = n_out * m steps in
-whole output blocks, validates the span, the initial state and the step
-budget (``SolverConfig.max_steps``), and calls the equation's step body once
-per block.  Each body is a fused loop on local floats: the four stages are
-written out, with no right-hand-side call and no tuple per stage, in the
-same evaluation order as the plain RK4 formulas.
+fixed-step RK4 driver, ``_rk4_scalar``.  It plans whole output blocks with
+the package's one planner, ``integrators._plan`` (which validates the span
+and the step budget ``SolverConfig.max_steps``), checks the initial state,
+and calls the equation's step body once per block.  Each body is a fused
+loop on local floats: the four stages are written out, with no
+right-hand-side call and no tuple per stage, in the same evaluation order as
+the plain RK4 formulas.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstraintViolated, InvalidParameter, StepLimitExceeded
+from .errors import ConstraintViolated, InvalidParameter
 from .geometry import Curve, SolverConfig
-from .integrators import two_sided
+from .integrators import _plan, two_sided
 from .selfsimilar import _hermite_eval
 
 CONSTRAINT_TOL = 1e-10
@@ -97,34 +98,24 @@ class SpiralProfileResult:
 def _rk4_scalar(advance, y0, s0, s1, cfg):
     """Fixed-step RK4 driver shared by the scalar solvers of this module.
 
-    Plans n = n_out * m fine steps over [s0, s1], m = ``cfg.renorm_every``
-    and each step at most ``cfg.step``, and calls ``advance(y, s, h, m)``
-    once per output block: it runs m RK4 steps of size h from the state
-    tuple y at s and returns (y, s) at the block end.  Returns (s_nodes, out)
-    with the state at every block end in the rows of out, row 0 the initial
-    state.
+    Plans the fine steps over [s0, s1] with ``integrators._plan``, in output
+    blocks of m = ``cfg.renorm_every`` steps of at most ``cfg.step``, and
+    calls ``advance(y, s, h, m)`` once per block: it runs m RK4 steps of size
+    h from the state tuple y at s and returns (y, s) at the block end.
+    Returns (s_nodes, out) with the state at every block end in the rows of
+    out, row 0 the initial state.
     """
-    span = s1 - s0
-    if not (math.isfinite(span) and span != 0.0):
-        raise InvalidParameter(f"span [{s0:g}, {s1:g}] must be finite and nonempty")
+    h, m, s_nodes, _ = _plan(s0, s1, cfg.step, cfg.renorm_every, cfg.max_steps)
     y0 = np.asarray(y0)
     if not np.all(np.isfinite(y0)):
         raise InvalidParameter("initial state must be finite")
-    step, m = cfg.step, cfg.renorm_every
-    if m < 1:
-        raise InvalidParameter("renorm_every must be >= 1")
-    n_out = max(1, int(math.ceil(abs(span) / (step * m))))
-    n = n_out * m
-    if n > cfg.max_steps:
-        raise StepLimitExceeded(f"{n} steps needed for span {span:g} at step {step:g}")
-    h = span / n
-    out = np.empty((n_out + 1, len(y0)), dtype=y0.dtype)
+    out = np.empty((len(s_nodes), len(y0)), dtype=y0.dtype)
     out[0] = y0
     y, s = tuple(y0.tolist()), s0
-    for b in range(1, n_out + 1):
+    for b in range(1, len(s_nodes)):
         y, s = advance(y, s, h, m)
         out[b] = y
-    return np.linspace(s0, s0 + n * h, n_out + 1), out
+    return s_nodes, out
 
 
 def _profile_block(mu, state, s, h, m):

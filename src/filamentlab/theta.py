@@ -14,6 +14,7 @@ independent computation of the limit tangent component.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,8 +141,8 @@ def a1_from_theta(a, s_max, cfg=None):
     the window [s_max/2, s_max]; the half-spread of T_1 on the window is the
     reported uncertainty.
     """
-    if a <= 0:
-        raise InvalidParameter("a must be positive for the theta route")
+    if not (math.isfinite(a) and a > 0):
+        raise InvalidParameter("a must be finite and positive for the theta route")
     cfg = cfg or SolverConfig(step=4e-3, renorm_every=8)
     traj = theta_solve(
         lambda s: np.full(np.shape(s), float(a)),

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -211,17 +212,39 @@ def test_selfcheck_exit_code_follows_checks(tmp_path, monkeypatch, all_ok, code)
     assert data["all_ok"] is all_ok
 
 
+SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
+
+
 @pytest.mark.parametrize("args", [
     ["evolve", "--n-steps", "0"],
     ["spiral", "--smax", "-1"],
     ["spiral", "--smax", "1e6"],
-], ids=["evolve-zero-steps", "spiral-negative-smax", "spiral-over-step-limit"])
+    ["profile", "--step", "inf"],
+    ["profile", "--smax", "inf"],
+    ["angle", "--smax", "inf"],
+    ["theta", "--smax", "inf"],
+    ["theta", "--a", "nan"],
+    ["evolve", "--t0", "inf", *SMALL_GRID],
+    ["nls", "--t1", "inf", *SMALL_GRID],
+    ["nls", "--uplus-norm", "inf", *SMALL_GRID],
+    ["stability", "--width", "0", *SMALL_GRID, "--n-slices", "8"],
+], ids=["evolve-zero-steps", "spiral-negative-smax", "spiral-over-step-limit",
+        "profile-inf-step", "profile-inf-smax", "angle-inf-smax", "theta-inf-smax",
+        "theta-nan-a", "evolve-inf-t0", "nls-inf-t1", "nls-inf-uplus-norm",
+        "stability-zero-width"])
 def test_failed_run_leaves_no_directory(tmp_path, capsys, args):
-    # the out dir given on the command line exists: it stays, left empty
-    assert run_cli(args, tmp_path) == 2
-    assert capsys.readouterr().err.startswith("error[validation]:")
-    assert not list(tmp_path.iterdir())
-    # it does not exist yet: the run removes every directory it made
-    out = tmp_path / "new" / "runs"
-    assert cli.main(args + ["--out-dir", str(out)]) == 2
-    assert not list(tmp_path.iterdir())
+    # exactly one stderr line, and no numpy warning on the way to it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # the out dir given on the command line exists: it stays, left empty
+        assert run_cli(args, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+        # it does not exist yet: the run removes every directory it made
+        out = tmp_path / "new" / "runs"
+        assert cli.main(args + ["--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]:") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+    assert not caught, [str(w.message) for w in caught]

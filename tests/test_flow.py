@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from filamentlab import flow, geometry, nls, selfsimilar
 from filamentlab.errors import (
@@ -139,6 +140,61 @@ def test_reconstruct_rejects_vanishing_curvature():
     c[1, 3] = 0.0
     with pytest.raises(CurvatureVanishes):
         flow.reconstruct_flow(IntrinsicData(s, t, c, 0 * c), np.eye(3), np.zeros(3))
+
+
+def _stability_origin_series(monkeypatch):
+    """The geometric-t origin series that a small stability run builds."""
+    seen = []
+    ode = flow._frame_ode_backward
+
+    def recording(series):
+        seen.append(series)
+        return ode(series)
+
+    monkeypatch.setattr(flow, "_frame_ode_backward", recording)
+    up = nls.gaussian_field(1100.0, 1024, 0.04, width=2.0)
+    flow.stability_experiment(0.5, up, 1.0, t_min_factor=1e-4, s_max=1.0,
+                              ds=0.05, n_steps=700, n_slices=8)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _raw_origin_series(monkeypatch):
+    """Finite-difference origin series of smooth data on a jittered t grid."""
+    rng = np.random.default_rng(0)
+    n_t = 400
+    t = np.sort(0.1 * 10 ** ((np.arange(n_t) + rng.uniform(-0.3, 0.3, n_t)) / (n_t - 1)))
+    s = 0.1 * np.arange(-2, 3)
+    c = 1 + 0.3 * np.sin(s[None] + 2 * t[:, None]) + 0.1 * s[None] ** 2
+    tau = 0.5 * np.cos(s[None] - t[:, None]) + s[None] / (2 * t[:, None])
+    return flow._origin_series_from_data(IntrinsicData(s, t, c, tau), 2)
+
+
+@pytest.mark.parametrize("make_series", [_stability_origin_series, _raw_origin_series],
+                         ids=["stability-geometric-t", "raw-data-nonuniform-t"])
+def test_origin_frame_ode_matches_dop853(monkeypatch, make_series):
+    # reference: DOP853 run interval by interval from t_max down, on the
+    # same log-t interpolated coefficients (linear in log t on each interval)
+    series = make_series(monkeypatch)
+    assert np.ptp(np.diff(series.t)) > 0
+    lt = np.log(series.t)
+
+    def rhs(tt, y):
+        x = math.log(tt)
+        ct, cs, g = (np.interp(x, lt, v) for v in (series.ctau, series.c_s, series.g))
+        A = np.array([[0.0, -ct, cs], [ct, 0.0, g], [-cs, -g, 0.0]])
+        return (A @ y.reshape(3, 3)).ravel()
+
+    ref = np.empty((len(series.t), 3, 3))
+    ref[-1] = np.eye(3)
+    for k in range(len(series.t) - 1, 0, -1):
+        sol = solve_ivp(rhs, (series.t[k], series.t[k - 1]), ref[k].ravel(),
+                        method="DOP853", rtol=1e-12, atol=1e-14)
+        ref[k - 1] = sol.y[:, -1].reshape(3, 3)
+    F = flow._frame_ode_backward(series)
+    assert np.max(np.abs(ref[0] - np.eye(3))) > 1e-2  # the frame does turn
+    assert np.max(np.abs(F - ref)) <= 1e-12
+    assert np.max(np.abs(F @ F.swapaxes(1, 2) - np.eye(3))) <= 1e-14
 
 
 def test_trace_at_zero_selfsimilar():

@@ -266,5 +266,9 @@ def test_field_csv_is_17g_per_value(tmp_path):
 
 
 def test_solver_config_validation():
-    with pytest.raises(InvalidParameter):
-        SolverConfig(step=-1.0)
+    for bad in ({"step": -1.0}, {"step": 0.0}, {"step": np.inf}, {"step": np.nan},
+                {"renorm_every": 0}, {"renorm_every": 1.5}, {"renorm_every": 2.0},
+                {"max_steps": 0}, {"max_steps": np.nan}):
+        with pytest.raises(InvalidParameter):
+            SolverConfig(**bad)
+    SolverConfig(step=1e-3, renorm_every=np.int64(4), max_steps=1)

@@ -1,12 +1,18 @@
 """Frame-kernel tests: the two-level prefix scan, the quaternion Magnus-4
-step against dense matrix exponentials, and the stability-regime oracle."""
+step against dense matrix exponentials, the stability-regime oracle, and the
+step planner."""
 
+import math
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from filamentlab import integrators
+from filamentlab.errors import InvalidParameter, StepLimitExceeded
 from filamentlab.integrators import (
     _Q_ONE,
     _SCAN_ROW,
@@ -140,3 +146,43 @@ def test_plan_whole_span_gets_exact_block_count():
     # a span just past a whole number of blocks still gets one more
     h, m, s_out, _ = integrators._plan(0.0, 1.0 + 1e-6, 0.1, 1, None)
     assert len(s_out) == 12
+
+
+@settings(max_examples=300, deadline=None)
+@given(s0_rel=st.floats(-100.0, 100.0),
+       span=st.floats(1e-3, 1e3).flatmap(lambda x: st.sampled_from((x, -x))),
+       blocks=st.floats(1e-6, 1e4), out_every=st.integers(1, 64),
+       max_steps=st.integers(1, 10**6))
+def test_plan_properties(s0_rel, span, blocks, out_every, max_steps):
+    s0 = s0_rel * abs(span)
+    s1 = s0 + span
+    span = s1 - s0  # the span the planner sees
+    step = abs(span) / (blocks * out_every)
+    h, m, s_out, _ = integrators._plan(s0, s1, step, out_every, None)
+    n_blocks = len(s_out) - 1
+    assert m == out_every and n_blocks >= 1
+    assert s_out[0] == s0
+    assert abs(s_out[-1] - s1) <= 1e-12 * abs(span)
+    assert h * m * n_blocks == pytest.approx(span, rel=1e-12)
+    # the step bound holds, and one block fewer would break it: no spurious block
+    assert abs(h) <= step * (1 + 1e-9)
+    if n_blocks > 1:
+        assert abs(span) / ((n_blocks - 1) * m) > step * (1 - 1e-9)
+    if n_blocks * m > max_steps:
+        with pytest.raises(StepLimitExceeded):
+            integrators._plan(s0, s1, step, out_every, max_steps)
+    else:
+        assert len(integrators._plan(s0, s1, step, out_every, max_steps)[2]) == len(s_out)
+
+
+@pytest.mark.parametrize("s0, s1", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan),
+                                    (math.inf, math.inf), (1.5, 1.5)])
+def test_plan_rejects_non_finite_or_empty_span(s0, s1):
+    with pytest.raises(InvalidParameter, match="span"):
+        integrators._plan(s0, s1, 0.1, 4, None)
+
+
+@pytest.mark.parametrize("out_every", [0, -3, 0.5])
+def test_plan_rejects_out_every_below_one(out_every):
+    with pytest.raises(InvalidParameter, match="out_every"):
+        integrators._plan(0.0, 1.0, 0.1, out_every, None)

@@ -207,6 +207,15 @@ def test_validation_errors():
         NlsProblem(sign=1, background_a=0.1, potential="gp", t_span=(-1.0, 1.0))
     with pytest.raises(InvalidParameter):
         NlsProblem(sign=2, background_a=0.1)
+    for bad in ({"t_span": (1.0, math.inf)}, {"t_span": (math.nan, 2.0)},
+                {"background_a": math.inf}, {"background_a": math.nan},
+                {"coeff": math.inf}):
+        with pytest.raises(InvalidParameter):
+            NlsProblem(**bad)
+    for norm, width in ((math.inf, 2.0), (math.nan, 2.0), (1.0, 0.0), (1.0, -1.0),
+                        (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(InvalidParameter):
+            gaussian_field(10.0, 64, norm, width)
     with pytest.raises(InvalidParameter):
         ComplexField(10.0, 100, np.zeros(100, dtype=complex))  # not a power of two
     n = 64

@@ -22,6 +22,11 @@ def test_invalid_parameters():
         profile(-0.1, 10.0)
     with pytest.raises(InvalidParameter):
         profile(0.5, 0.0)
+    # non-finite inputs fail before the default config divides by s_max
+    with pytest.raises(InvalidParameter):
+        profile(0.5, math.inf)
+    with pytest.raises(InvalidParameter):
+        profile(math.nan, 10.0)
     with pytest.raises(InvalidParameter):
         corner_angle(-1.0)
 

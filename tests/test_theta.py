@@ -135,6 +135,10 @@ def test_errors():
                     (0.0, 3.0), cfg)
     with pytest.raises(InvalidParameter):
         theta.a1_from_theta(0.0, 10.0)
+    with pytest.raises(InvalidParameter):
+        theta.a1_from_theta(math.nan, 10.0)
+    with pytest.raises(InvalidParameter):  # the planner's finite-span check
+        theta.a1_from_theta(0.5, math.inf)
     c = CONST_A(1.0)
     tr = theta_solve(c, ZERO, ThetaState(0.0, 1.0), (0.0, 1.0), cfg)
     with pytest.raises(EnergyDegenerate):

@@ -11,8 +11,7 @@ from filamentlab import integrators, nls, spiral
 
 def test_traced_functions_and_parameters_exist():
     for mod, name in ((integrators, "propagate_frame"), (integrators, "rodrigues_phi1"),
-                      (integrators, "rk4_solve"), (nls, "evolve"),
-                      (spiral, "spiral_profile")):
+                      (nls, "evolve"), (spiral, "spiral_profile")):
         assert inspect.isfunction(getattr(mod, name, None)), f"{mod.__name__}.{name}"
     assert "out_every" in inspect.signature(integrators.propagate_frame).parameters
     assert "n_steps" in inspect.signature(nls.evolve).parameters

@@ -42,26 +42,6 @@ def _read_config(path):
     return params
 
 
-def _coerce(value, kind):
-    if kind is bool:
-        return str(value).lower() in ("1", "true", "yes")
-    return kind(value)
-
-
-def _resolve(args, spec, config):
-    """Flags override config-file entries, which override defaults."""
-    params = {}
-    for key, (kind, default) in spec.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            params[key] = flag_val
-        elif key in config:
-            params[key] = _coerce(config[key], kind)
-        else:
-            params[key] = default
-    return params
-
-
 def _outdir(args, sub, params):
     """Create the run directory; also return the directories this call made,
     deepest first."""
@@ -122,9 +102,9 @@ def _run_profile(params, outdir):
     if a < 0 or smax <= 0:
         raise FilamentError("profile needs a >= 0 and smax > 0")
     cfg = None
-    if params["step"] > 0:
-        cfg = geometry.SolverConfig(step=params["step"],
-                                    renorm_every=max(1, int(round(0.016 / params["step"]))))
+    if params["step"] != 0:  # 0 selects the default step
+        cfg = geometry.SolverConfig(step=params["step"])
+        cfg.renorm_every = max(1, int(round(0.016 / cfg.step)))
     prof = selfsimilar.profile(a, smax, cfg)
     prof.curve.write_csv(outdir / "profile.csv")
     inter = selfsimilar.self_intersections(prof) if a > 0 else np.array([])
@@ -172,7 +152,7 @@ def _run_evolve(params, outdir):
     potential = {"gp": "gp", "cubic": "none"}.get(params["problem"])
     if potential is None:
         raise FilamentError("problem must be 'gp' or 'cubic'")
-    coeff = params["coeff"] if params["coeff"] > 0 else None
+    coeff = params["coeff"] if params["coeff"] != 0 else None  # 0: the default
     problem = nls.NlsProblem(sign=params["sign"], background_a=params["a"],
                              potential=potential,
                              t_span=(params["t0"], params["t1"]), coeff=coeff)
@@ -229,6 +209,7 @@ def _run_spiral(params, outdir):
 
 def _run_stability(params, outdir, threads=1):
     a = params["a"]
+    flow.check_scales(params["t0"], params["tmin_factor"], params["smax"], params["ds"])
     # periodic box: perturbation support plus the dispersive spreading scale
     length = 8.0 * (params["width"]
                     + math.sqrt(1.0 / (params["t0"] * params["tmin_factor"]))) * 1.3
@@ -314,9 +295,9 @@ def build_parser():
     sub = p.add_subparsers(dest="command")
     for name, spec in SPECS.items():
         sp = sub.add_parser(name, prog=f"filamentlab {name}")
-        for key, (kind, _default) in spec.items():
-            sp.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                            type=kind if kind is not bool else str, default=None)
+        for key, (kind, default) in spec.items():
+            sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind,
+                            default=default)
         sp.add_argument("--config", default=None)
         sp.add_argument("--out-dir", "-o", dest="out_dir", default=None)
         sp.add_argument("--threads", type=int, default=1)
@@ -324,18 +305,24 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if not args.command:
             raise _UsageError("missing subcommand")
+        if args.config:
+            config = _read_config(args.config)
+            unknown = set(config) - set(SPECS[args.command])
+            if unknown:
+                raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+            # config entries parse as flags placed before the explicit ones,
+            # which therefore win (argparse keeps the last occurrence)
+            entries = [f"--{k.replace('_', '-')}={v}" for k, v in config.items()]
+            args = parser.parse_args([argv[0], *entries, *argv[1:]])
         if args.threads < 1:
             raise _UsageError(f"--threads must be >= 1, got {args.threads}")
-        config = _read_config(args.config) if args.config else {}
-        unknown = set(config) - set(SPECS[args.command])
-        if unknown:
-            raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-        params = _resolve(args, SPECS[args.command], config)
+        params = {key: getattr(args, key) for key in SPECS[args.command]}
     except _UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return 2

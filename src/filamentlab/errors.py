@@ -25,12 +25,8 @@ class GridTooCoarse(FilamentError):
     """Not enough samples for the requested stencil."""
 
 
-class CurvatureBelowThreshold(FilamentError):
-    """Torsion requested where curvature is below the resolvable threshold."""
-
-
 class CurvatureVanishes(FilamentError):
-    """Construction requires strictly positive curvature."""
+    """Construction requires curvature c > 0."""
 
 
 class InvalidParameter(FilamentError):

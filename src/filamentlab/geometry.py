@@ -11,7 +11,6 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .errors import (
-    CurvatureBelowThreshold,
     GridMismatch,
     GridNonUniform,
     GridTooCoarse,
@@ -77,7 +76,7 @@ class Curve:
         self.s_grid = np.asarray(self.s_grid, dtype=float)
         self.points = np.asarray(self.points, dtype=float)
         if np.any(np.diff(self.s_grid) <= 0):
-            raise InvalidParameter("s_grid must be strictly increasing")
+            raise InvalidParameter("each s_grid step must be positive")
         if len(self.points) != len(self.s_grid):
             raise GridMismatch("points and s_grid lengths differ")
 
@@ -184,6 +183,23 @@ class IntrinsicData:
             raise GridMismatch("tau must match c")
 
 
+def _uniform_step(s, who):
+    """Spacing of the uniform grid ``s``; GridNonUniform naming ``who`` otherwise."""
+    ds = np.diff(s)
+    if np.max(np.abs(ds - ds[0])) > 1e-9 * abs(ds[0]):
+        raise GridNonUniform(f"{who} needs a uniform grid")
+    return ds[0]
+
+
+def _nonuniform_dt(f, t):
+    """Second-order derivative in t on interior nodes of a non-uniform grid."""
+    shape = (-1,) + (1,) * (f.ndim - 1)
+    hp = (t[1:-1] - t[:-2]).reshape(shape)
+    hn = (t[2:] - t[1:-1]).reshape(shape)
+    num = hp**2 * f[2:] - (hp**2 - hn**2) * f[1:-1] - hn**2 * f[:-2]
+    return num / (hp * hn * (hp + hn))
+
+
 def frenet_integrate(c, tau, frame0, s_span, cfg=None, *, position0=None):
     """Integrate T' = c n, n' = -c T + tau b, b' = -tau n over s_span.
 
@@ -211,29 +227,26 @@ def curve_from_tangent(tangents, base):
     s, T = tangents
     s = np.asarray(s, dtype=float)
     T = np.asarray(T, dtype=float)
-    ds = np.diff(s)
-    if len(s) < 3 or np.max(np.abs(ds - ds[0])) > 1e-9 * abs(ds[0]):
-        raise GridNonUniform("tangent samples must sit on a uniform grid")
+    if len(s) < 3:
+        raise GridTooCoarse("need at least 3 tangent samples")
+    _uniform_step(s, "curve_from_tangent")
     pts = np.asarray(base, dtype=float)[None] + cumulative_simpson(
         T, x=s, axis=0, initial=0.0
     )
     return Curve(s, pts)
 
 
-def curvature_torsion_from_curve(curve, *, tol_c=TOL_CURVATURE, strict=False):
+def curvature_torsion_from_curve(curve):
     """Second-order finite-difference inversion of the Frenet relations.
 
     c = |chi_ss|; torsion from the triple-product formula
     tau = det(chi', chi'', chi''') / |chi' x chi''|^2, reported only where
-    c > tol_c (flagged samples carry NaN and tau_defined=False).
+    c > TOL_CURVATURE (flagged samples carry NaN and tau_defined=False).
     """
     s = curve.s_grid
     if len(s) < 5:
         raise GridTooCoarse("need at least 5 samples")
-    ds = np.diff(s)
-    if np.max(np.abs(ds - ds[0])) > 1e-9 * abs(ds[0]):
-        raise GridNonUniform("curve grid must be uniform")
-    h = ds[0]
+    h = _uniform_step(s, "curvature_torsion_from_curve")
     p = curve.points
     d1 = (p[2:] - p[:-2]) / (2 * h)
     d2 = (p[2:] - 2 * p[1:-1] + p[:-2]) / (h * h)
@@ -244,9 +257,7 @@ def curvature_torsion_from_curve(curve, *, tol_c=TOL_CURVATURE, strict=False):
     c = np.linalg.norm(d2i, axis=1)
     cross = np.cross(d1i, d2i)
     denom = np.sum(cross * cross, axis=1)
-    defined = c > tol_c
-    if strict and not np.all(defined):
-        raise CurvatureBelowThreshold("torsion undefined at some samples")
+    defined = c > TOL_CURVATURE
     tau = np.full(len(c), np.nan)
     ok = defined & (denom > 0)
     tau[ok] = np.einsum("ij,ij->i", cross[ok], d3[ok]) / denom[ok]
@@ -264,11 +275,7 @@ def bf_residual(curve_prev, curve_mid, curve_next, dt):
             np.abs(other.s_grid - curve_mid.s_grid)
         ) > 1e-12 * max(1.0, np.max(np.abs(curve_mid.s_grid))):
             raise GridMismatch("snapshots must share the s grid")
-    s = curve_mid.s_grid
-    ds = np.diff(s)
-    if np.max(np.abs(ds - ds[0])) > 1e-9 * abs(ds[0]):
-        raise GridNonUniform("bf_residual needs a uniform s grid")
-    h = ds[0]
+    h = _uniform_step(curve_mid.s_grid, "bf_residual")
     p = curve_mid.points
     chi_t = (curve_next.points[1:-1] - curve_prev.points[1:-1]) / (2 * dt)
     chi_s = (p[2:] - p[:-2]) / (2 * h)

@@ -147,16 +147,17 @@ def _hermite_eval(curve, sq):
             + h01[:, None] * G1 + (d * h11)[:, None] * T1)
 
 
-def _x_refine(prof, s_query, substeps=32):
+def _x_refine(prof, s_query):
     """Batched high-accuracy x(s) by short frame propagation from grid nodes."""
     grid = prof.curve.s_grid
     i = np.clip(np.searchsorted(grid, s_query, side="right") - 1, 0, len(grid) - 2)
     s0 = grid[i]
-    h = (s_query - s0) / substeps
+    m = 32  # Magnus steps from the bracketing node to the query point
+    h = (s_query - s0) / m
     F = prof.curve.frames[i].copy()
     G = prof.curve.points[i].copy()
     c = np.full_like(h, prof.a)
-    for k in range(substeps):
+    for k in range(m):
         sk = s0 + k * h
         t1 = (sk + GAUSS_C1 * h) / 2
         t2 = (sk + GAUSS_C2 * h) / 2
@@ -166,13 +167,13 @@ def _x_refine(prof, s_query, substeps=32):
     return G[:, 0]
 
 
-def self_intersections(prof, tol=1e-10, merge=1e-8):
-    """Positive zeros of the first profile component, bisected to ``tol``.
+def self_intersections(prof):
+    """Positive zeros of the first profile component, bisected to 1e-10.
 
     By parity G(s*) = G(-s*) at every returned s*, so each zero marks a
     self-intersection of the profile.  Zeros are located by sign change on
     the stored grid and refined by bisection against a short-step frame
-    propagation from the bracketing node; zeros closer than ``merge`` are
+    propagation from the bracketing node; zeros closer than 1e-8 are
     merged.  The scan covers (0, s_max]; an empty array is a valid result.
     """
     s = prof.curve.s_grid
@@ -184,7 +185,7 @@ def self_intersections(prof, tol=1e-10, merge=1e-8):
         return np.array([])
     lo, hi = sp[flip].copy(), sp[flip + 1].copy()
     flo = xp[flip].copy()
-    while np.max(hi - lo) > tol:
+    while np.max(hi - lo) > 1e-10:
         mid = 0.5 * (lo + hi)
         fmid = _x_refine(prof, mid)
         left = np.sign(fmid) * np.sign(flo) > 0
@@ -194,6 +195,6 @@ def self_intersections(prof, tol=1e-10, merge=1e-8):
     roots = 0.5 * (lo + hi)
     keep = [roots[0]]
     for r in roots[1:]:
-        if r - keep[-1] > merge:
+        if r - keep[-1] > 1e-8:
             keep.append(r)
     return np.array(keep)

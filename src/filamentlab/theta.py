@@ -55,7 +55,9 @@ def energy_drift(traj, c):
     return float(np.max(np.abs(E - E[0])) / abs(E[0]))
 
 
-def _numeric_cprime(c, delta=1e-6):
+def _numeric_cprime(c):
+    delta = 1e-6
+
     def cp(s):
         return (np.asarray(c(s + delta)) - np.asarray(c(s - delta))) / (2 * delta)
 
@@ -133,7 +135,7 @@ class A1Estimate:
     s_max: float
 
 
-def a1_from_theta(a, s_max, cfg=None):
+def a1_from_theta(a, s_max):
     """Limit tangent component by the theta route (self-similar case).
 
     Integrates theta'' + i(s/2) theta' + (a^2/4) theta = 0 from
@@ -143,13 +145,14 @@ def a1_from_theta(a, s_max, cfg=None):
     """
     if not (math.isfinite(a) and a > 0):
         raise InvalidParameter("a must be finite and positive for the theta route")
-    cfg = cfg or SolverConfig(step=4e-3, renorm_every=8)
+    if not (math.isfinite(s_max) and s_max > 0):
+        raise InvalidParameter(f"s_max must be finite and positive, got {s_max}")
     traj = theta_solve(
         lambda s: np.full(np.shape(s), float(a)),
         lambda s: s / 2,
         ThetaState(0.0, a / np.sqrt(2.0)),
         (0.0, float(s_max)),
-        cfg,
+        SolverConfig(step=4e-3, renorm_every=8),
         cprime=lambda s: np.zeros(np.shape(s)),
     )
     T1 = 1 - np.abs(traj.theta) ** 2

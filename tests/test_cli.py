@@ -228,23 +228,85 @@ SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
     ["nls", "--t1", "inf", *SMALL_GRID],
     ["nls", "--uplus-norm", "inf", *SMALL_GRID],
     ["stability", "--width", "0", *SMALL_GRID, "--n-slices", "8"],
+    ["stability", "--t0", "0", *SMALL_GRID, "--n-slices", "8"],
+    ["stability", "--tmin-factor", "0", *SMALL_GRID, "--n-slices", "8"],
+    ["stability", "--ds", "0", *SMALL_GRID, "--n-slices", "8"],
+    ["stability", "--smax=inf", *SMALL_GRID, "--n-slices", "8"],
+    ["stability", "--ds=-inf", *SMALL_GRID, "--n-slices", "8"],
+    ["evolve", "--length", "0", *SMALL_GRID],
+    ["evolve", "--length", "-5", *SMALL_GRID],
+    ["evolve", "--length", "inf", *SMALL_GRID],
+    ["nls", "--length=-inf", *SMALL_GRID],
+    ["nls", "--t0", "inf", *SMALL_GRID],
+    ["nls", "--uplus-norm", "-0.01", *SMALL_GRID],
+    ["theta", "--smax", "-5"],
+    ["evolve", "--coeff", "nan", *SMALL_GRID],
+    ["evolve", "--coeff", "-1", *SMALL_GRID],
+    ["profile", "--step", "nan"],
+    ["profile", "--step", "-1"],
+    ["theta", "--config", "{bad_config}"],
 ], ids=["evolve-zero-steps", "spiral-negative-smax", "spiral-over-step-limit",
         "profile-inf-step", "profile-inf-smax", "angle-inf-smax", "theta-inf-smax",
         "theta-nan-a", "evolve-inf-t0", "nls-inf-t1", "nls-inf-uplus-norm",
-        "stability-zero-width"])
-def test_failed_run_leaves_no_directory(tmp_path, capsys, args):
+        "stability-zero-width", "stability-zero-t0", "stability-zero-tmin-factor",
+        "stability-zero-ds", "stability-inf-smax", "stability-minus-inf-ds",
+        "evolve-zero-length", "evolve-negative-length", "evolve-inf-length",
+        "nls-minus-inf-length", "nls-inf-t0", "nls-negative-uplus-norm",
+        "theta-negative-smax", "evolve-nan-coeff", "evolve-negative-coeff",
+        "profile-nan-step", "profile-negative-step", "theta-bad-config-value"])
+def test_failed_run_leaves_no_directory(tmp_path_factory, tmp_path, capsys, args):
+    bad_config = tmp_path_factory.mktemp("config") / "bad.cfg"
+    bad_config.write_text("a = abc\n")
+    args = [str(bad_config) if x == "{bad_config}" else x for x in args]
+    # a config value is parsed like its flag: a bad one is a usage error
+    kind = "usage" if "--config" in args else "validation"
     # exactly one stderr line, and no numpy warning on the way to it
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         # the out dir given on the command line exists: it stays, left empty
         assert run_cli(args, tmp_path) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error[validation]:") and err.count("\n") == 1
+        assert err.startswith(f"error[{kind}]:") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
         # it does not exist yet: the run removes every directory it made
         out = tmp_path / "new" / "runs"
         assert cli.main(args + ["--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error[validation]:") and err.count("\n") == 1
+        assert err.startswith(f"error[{kind}]:") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
     assert not caught, [str(w.message) for w in caught]
+
+
+# every numeric flag of every subcommand on a small grid; an int flag cannot
+# take nan or inf (argparse rejects it), so it gets only 0 and -1
+SWEEP_BASE = {
+    "profile": [],
+    "angle": ["--smax", "20"],
+    "theta": ["--smax", "20"],
+    "evolve": ["--n-points", "256", "--n-steps", "10"],
+    "nls": ["--n-points", "256", "--n-steps", "10"],
+    "spiral": ["--smax", "5"],
+    "stability": ["--n-points", "256", "--n-steps", "20", "--n-slices", "8",
+                  "--tmin-factor", "1e-2"],
+}
+SWEEP = [(sub, key.replace("_", "-"), value)
+         for sub, spec in cli.SPECS.items()
+         for key, (kind, _default) in spec.items() if kind in (int, float)
+         for value in (("nan", "inf", "-inf") if kind is float else ()) + ("0", "-1")]
+
+
+@pytest.mark.parametrize("sub, flag, value", SWEEP,
+                         ids=[f"{s}-{f}={v}" for s, f, v in SWEEP])
+def test_numeric_flag_sweep(tmp_path, capsys, sub, flag, value):
+    # a run either succeeds quietly or fails with exactly one typed line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli([sub, *SWEEP_BASE[sub], f"--{flag}={value}"], tmp_path)
+    err = capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+    if rc == 0:
+        assert err == ""
+    else:
+        assert rc == 2
+        assert re.fullmatch(r"error\[(usage|validation)\]: [^\n]*\n", err), err
+        assert not list(tmp_path.iterdir())

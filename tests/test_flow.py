@@ -289,6 +289,20 @@ def test_stability_gates():
         flow.stability_experiment(0.5, big, 1.0)  # perturbation too large
 
 
+@pytest.mark.parametrize("bad", [
+    {"t0": 0.0}, {"t0": -1.0}, {"t0": math.inf}, {"t_min_factor": 0.0},
+    {"t_min_factor": math.nan}, {"s_max": math.inf}, {"s_max": -1.0},
+    {"ds": 0.0}, {"ds": -math.inf}, {"t0": 1e-200, "t_min_factor": 1e-200},
+])
+def test_stability_rejects_bad_scales(bad):
+    # checked before any division by t0 * t_min_factor or ds
+    up = nls.gaussian_field(100.0, 256, 5e-3, width=2.0)
+    args = {"t0": 1.0, "t_min_factor": 1e-2, "s_max": 1.0, "ds": 0.05, **bad}
+    with pytest.raises(InvalidParameter, match="finite and positive"):
+        flow.stability_experiment(0.5, up, args.pop("t0"), n_steps=20, n_slices=8,
+                                  **args)
+
+
 def test_stability_rejects_too_few_slices():
     up = nls.gaussian_field(1100.0, 4096, 5e-3, width=2.0)
     with pytest.raises(InvalidParameter, match="n_slices"):

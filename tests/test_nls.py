@@ -209,13 +209,17 @@ def test_validation_errors():
         NlsProblem(sign=2, background_a=0.1)
     for bad in ({"t_span": (1.0, math.inf)}, {"t_span": (math.nan, 2.0)},
                 {"background_a": math.inf}, {"background_a": math.nan},
-                {"coeff": math.inf}):
+                {"coeff": math.inf}, {"coeff": math.nan}, {"coeff": 0.0},
+                {"coeff": -1.0}):
         with pytest.raises(InvalidParameter):
             NlsProblem(**bad)
-    for norm, width in ((math.inf, 2.0), (math.nan, 2.0), (1.0, 0.0), (1.0, -1.0),
-                        (1.0, math.inf), (1.0, math.nan)):
+    for norm, width in ((math.inf, 2.0), (math.nan, 2.0), (-0.01, 2.0), (1.0, 0.0),
+                        (1.0, -1.0), (1.0, math.inf), (1.0, math.nan)):
         with pytest.raises(InvalidParameter):
             gaussian_field(10.0, 64, norm, width)
+    for length in (0.0, -5.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidParameter, match="domain_length"):
+            ComplexField(length, 64, np.zeros(64, dtype=complex))
     with pytest.raises(InvalidParameter):
         ComplexField(10.0, 100, np.zeros(100, dtype=complex))  # not a power of two
     n = 64
@@ -223,6 +227,29 @@ def test_validation_errors():
     problem = NlsProblem(sign=1, background_a=0.0, potential="none", t_span=(0.0, 0.1))
     with pytest.raises(AliasingDetected):
         evolve(problem, f, 10)
+
+
+def test_mass_drift_of_zero_field_is_absolute():
+    zero = ComplexField(10.0, 64, np.zeros(64, dtype=complex))
+    res = evolve(NlsProblem(background_a=0.0, t_span=(1.0, 2.0)), zero, 5)
+    assert res.mass_drift() == 0.0
+
+
+def test_gp_energy_law_defect_uses_the_nonuniform_stencil():
+    # dE/dt by the shared 3-point stencil on a geometric time grid
+    rng = np.random.default_rng(7)
+    n = 64
+    x = 10.0 * np.arange(n) / n
+    fields = [ComplexField(10.0, n, 0.5 + 0.01 * rng.normal(size=n)
+                           + 0.01j * np.sin(2 * np.pi * x / 10.0)) for _ in range(5)]
+    times = 1.5 ** np.arange(5)
+    E = np.array([nls.gp_energy(f, t, 0.5, -1) for f, t in zip(fields, times)])
+    P = np.array([10.0 * np.mean((np.abs(f.values) ** 2 - 0.25) ** 2) for f in fields])
+    hp, hn = np.diff(times)[:-1], np.diff(times)[1:]
+    dE = (hp**2 * E[2:] + (hn**2 - hp**2) * E[1:-1] - hn**2 * E[:-2]) / (
+        hp * hn * (hp + hn))
+    expect = np.max(np.abs(dE + P[1:-1] / (4 * times[1:-1] ** 2)))
+    assert nls.gp_energy_law_defect(times, fields, 0.5, -1) == expect
 
 
 def test_resample_blocked_matches_dense():

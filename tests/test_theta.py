@@ -137,8 +137,9 @@ def test_errors():
         theta.a1_from_theta(0.0, 10.0)
     with pytest.raises(InvalidParameter):
         theta.a1_from_theta(math.nan, 10.0)
-    with pytest.raises(InvalidParameter):  # the planner's finite-span check
-        theta.a1_from_theta(0.5, math.inf)
+    for s_max in (math.inf, math.nan, 0.0, -5.0):
+        with pytest.raises(InvalidParameter, match="s_max"):
+            theta.a1_from_theta(0.5, s_max)
     c = CONST_A(1.0)
     tr = theta_solve(c, ZERO, ThetaState(0.0, 1.0), (0.0, 1.0), cfg)
     with pytest.raises(EnergyDegenerate):

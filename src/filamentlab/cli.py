@@ -156,8 +156,7 @@ def _run_evolve(params, outdir):
     problem = nls.NlsProblem(sign=params["sign"], background_a=params["a"],
                              potential=potential,
                              t_span=(params["t0"], params["t1"]), coeff=coeff)
-    f0 = nls.ComplexField(params["length"], params["n_points"],
-                          np.zeros(params["n_points"], dtype=complex))
+    f0 = nls.ComplexField.zeros(params["length"], params["n_points"])
     if params["datum"] == "const":
         v0 = f0.copy_with(np.full(params["n_points"], params["a"], dtype=complex))
     elif params["datum"] == "gaussian":

@@ -11,6 +11,12 @@ chi(s,t) = chi(0,t~0) - int c b dt' + int T ds.  The t -> 0 limit exists
 with |chi(s,t) - chi0(s)| <= C a sqrt(t); the stability experiment drives
 the whole chain from a perturbed filament function built on the
 Schrodinger side.
+
+A slice that carries the unperturbed fields c = a/sqrt(t), tau = s/2t is
+the self-similar profile rescaled, chi = sqrt(t) G(s/sqrt(t)), turned and
+moved by the origin frame and point of that slice: the stability experiment
+builds its slices below the box's faithful horizon from its reference
+profile instead of integrating them.
 """
 
 from __future__ import annotations
@@ -28,11 +34,13 @@ from .errors import (
     GridTooCoarse,
     InsufficientTimeRange,
     InvalidParameter,
+    OutOfProfileRange,
 )
 from .geometry import (Curve, IntrinsicData, SolverConfig, _nonuniform_dt,
                        propagate_frame)
-from .integrators import (GAUSS_C1, GAUSS_C2, _Q_ONE, _qmul, _rotation, _scan,
-                          magnus_omega, rodrigues_phi1, two_sided)
+from .integrators import (GAUSS_C1, GAUSS_C2, _Q_ONE, _plan, _qmul, _rotation,
+                          _scan, magnus_frame_step, magnus_omega,
+                          rodrigues_phi1, two_sided)
 
 _ORIGIN_SUBSTEPS = 2  # uniform frame-ODE steps per origin-series interval
 _SLICE_STEP = 1e-3     # fine-step bound of the Frenet integration in s
@@ -64,6 +72,7 @@ class FlowResult:
     curves: list
     frame_at_origin: np.ndarray     # (n_t, 3, 3), rows (T, n, b)
     chi_origin: np.ndarray          # (n_t, 3)
+    profile_slices: int = 0         # slices built from the reference profile
 
 
 def intrinsic_residual(data):
@@ -154,14 +163,51 @@ def _frame_ode_backward(series):
     return out[::-1]
 
 
-def reconstruct_flow(data, frame0, point0, *, origin_series=None, threads=1):
+def _slice_nodes(s, m):
+    """The s nodes of a slice integrated at ``m`` fine steps per grid step."""
+    ds = s[1] - s[0]
+    return two_sided(lambda end: (_plan(0.0, end, ds / m, m, None)[2],),
+                     float(s[0]), float(s[-1]))[0]
+
+
+def _profile_slice(prof, s_nodes, tk, Fk, pk):
+    """Slice of the fields c = a/sqrt(t), tau = s/2t built from the profile.
+
+    With sigma = s/sqrt(t) the Frenet system in s is the profile system in
+    sigma, so the frame is F_G(sigma) @ Fk and the point
+    pk + sqrt(t) (G(sigma) - G(0)) @ Fk.  A node between two profile nodes
+    takes one Magnus-4 step (c = a, tau = sigma/2) from the nearest one.
+    """
+    grid, frames, points = prof.curve.s_grid, prof.curve.frames, prof.curve.points
+    rt = math.sqrt(tk)
+    sig = s_nodes / rt
+    if max(-sig[0], sig[-1]) > grid[-1]:
+        raise OutOfProfileRange(
+            f"slice t = {tk:g} reaches sigma = {max(-sig[0], sig[-1]):g} "
+            f"beyond the profile's s_max = {grid[-1]:g}")
+    j = np.clip(np.searchsorted(grid, sig), 1, len(grid) - 1)
+    j -= sig - grid[j - 1] < grid[j] - sig
+    h = sig - grid[j]
+    c = np.full_like(h, prof.a)
+    q, wV = magnus_frame_step(c, c, (grid[j] + GAUSS_C1 * h) / 2,
+                              (grid[j] + GAUSS_C2 * h) / 2, h)
+    Fj = frames[j]
+    dG = points[j] - points[np.searchsorted(grid, 0.0)] + np.einsum("ni,nij->nj", wV, Fj)
+    return Curve(s_nodes, pk + rt * dG @ Fk, _rotation(q) @ Fj @ Fk)
+
+
+def reconstruct_flow(data, frame0, point0, *, origin_series=None, threads=1,
+                     reference=None):
     """Reconstruct curves for every time slice of the intrinsic data.
 
     ``frame0`` (rows T,n,b) and ``point0`` are the data at (s=0, t=max).
     ``origin_series`` overrides the finite-difference s=0 coefficient
     history (used by the Schrodinger-side pipeline, where spectral values
-    are available).  The calling thread and ``threads - 1`` workers build
-    every ``threads``-th slice each.
+    are available).  ``reference = (prof, t_cut)`` declares that every
+    slice with t < t_cut carries the unperturbed fields c = prof.a/sqrt(t),
+    tau = s/2t; those slices are built from the profile, not integrated.
+    The calling thread and ``threads - 1`` workers integrate every
+    ``threads``-th of the other slices each.
     """
     if np.min(data.c) <= 0:
         raise CurvatureVanishes("reconstruction requires c > 0 on the grid")
@@ -199,11 +245,13 @@ def reconstruct_flow(data, frame0, point0, *, origin_series=None, threads=1):
         tk = data.t_grid[k]
         Fk, pk = at_slice(tk)
         cv, tv = data.c[k], data.tau[k]
-        c_fn = lambda x: np.interp(x, s, cv)
-        tau_fn = lambda x: np.interp(x, s, tv)
         tau_max = float(np.max(np.abs(tv)))
         target = min(_SLICE_STEP, 0.25 / max(1.0, tau_max))
         m = max(1, int(math.ceil(ds / target)))
+        if tk < t_cut:
+            return _profile_slice(prof, _slice_nodes(s, m), tk, Fk, pk)
+        c_fn = lambda x: np.interp(x, s, cv)
+        tau_fn = lambda x: np.interp(x, s, tv)
         ss, FF, GG = two_sided(
             lambda end: propagate_frame(c_fn, tau_fn, 0.0, end, Fk, step=ds / m,
                                         out_every=m, position0=pk,
@@ -212,10 +260,15 @@ def reconstruct_flow(data, frame0, point0, *, origin_series=None, threads=1):
         )
         return Curve(ss, GG, FF)
 
+    prof, t_cut = reference or (None, 0.0)
     curves = [None] * len(data.t_grid)
+    built = [k for k, tk in enumerate(data.t_grid) if tk < t_cut]
+    direct = [k for k, tk in enumerate(data.t_grid) if tk >= t_cut]
+    for k in built:
+        curves[k] = build_slice(k)
 
     def build(j):
-        for k in range(j, len(curves), threads):
+        for k in direct[j::threads]:
             curves[k] = build_slice(k)
 
     # the caller builds its share itself, so threads=1 starts no worker and
@@ -229,7 +282,7 @@ def reconstruct_flow(data, frame0, point0, *, origin_series=None, threads=1):
     frames_origin = np.array([at_slice(tk)[0] for tk in data.t_grid])
     chi_origin = np.array([at_slice(tk)[1] for tk in data.t_grid])
     return FlowResult(np.asarray(data.t_grid, dtype=float), curves,
-                      frames_origin, chi_origin)
+                      frames_origin, chi_origin, len(built))
 
 
 def trace_at_zero(result):
@@ -263,6 +316,15 @@ def tangent_pde_residual(result):
 
 @dataclass
 class StabilityReport:
+    """Summary of one stability run; ``to_dict`` is its ``run.json``.
+
+    The slices with t < ``t_clean`` carry the unperturbed fields and are
+    built from the reference profile (their count is
+    ``flow.profile_slices``); on them ``sup_T_defect`` measures only the
+    perturbation of the origin frame (and the interpolation of the
+    reference tangent).
+    """
+
     a: float
     sign: int
     coeff: float
@@ -296,6 +358,7 @@ class StabilityReport:
             "min_v_over_a": self.min_v_over_a,
             "boundary_w_max": self.boundary_w_max,
             "t_clean": self.t_clean,
+            "profile_slices": self.flow.profile_slices,
             "vertex": list(map(float, self.vertex)),
         }
 
@@ -321,6 +384,11 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     Outside the periodic box the field is continued by the constant a (the
     perturbation there has dispersed to O(||u_plus||/sqrt(t_hi))); the
     report's boundary_w_max records the largest magnitude actually discarded.
+
+    Slices with t below the box's faithful horizon ``t_clean`` carry the
+    unperturbed fields c = a/sqrt(t), tau = s/2t and are built from the
+    reference profile G_a, chi = sqrt(t) G(s/sqrt(t)), turned and moved by
+    the measured origin frame and point; the others are integrated in s.
     """
     if a <= 0:
         raise InvalidParameter("a must be positive")
@@ -447,13 +515,14 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
         taumat[row] = s_grid / (2 * tk) - np.imag(vxq / vq) / tk
     data = IntrinsicData(s_grid, t_slices, cmat, taumat)
 
+    # unperturbed reference; it also yields the slices past t_clean, whose
+    # fields above are exactly the self-similar ones
+    prof = selfsimilar.profile(a, max(1.5 * s_max / math.sqrt(t_min), 50.0))
     point0 = np.array([0.0, 0.0, 2 * a * math.sqrt(t_max)])
     result = reconstruct_flow(data, np.eye(3), point0, origin_series=series,
-                              threads=threads)
+                              threads=threads, reference=(prof, t_clean))
     trace, const = trace_at_zero(result)
 
-    # unperturbed reference
-    prof = selfsimilar.profile(a, max(1.5 * s_max / math.sqrt(t_min), 50.0))
     T_ref = np.ascontiguousarray(prof.curve.frames[:, 0].T)  # rows T_x, T_y, T_z
     sup_T = 0.0
     for k, tk in enumerate(t_slices):

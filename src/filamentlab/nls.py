@@ -32,6 +32,11 @@ ALIAS_FRACTION = 1e-6
 _RESAMPLE_BLOCK = 1 << 20  # phase-matrix entries per block of resample targets
 
 
+def _check_n_points(n):
+    if n < 16 or (n & (n - 1)) != 0:
+        raise InvalidParameter(f"n_points must be a power of two >= 16, got {n}")
+
+
 @dataclass
 class ComplexField:
     """Complex samples on a uniform periodic grid of power-of-two size."""
@@ -47,8 +52,7 @@ class ComplexField:
             raise InvalidParameter(
                 f"domain_length must be finite and positive, got {self.domain_length}"
             )
-        if n < 16 or (n & (n - 1)) != 0:
-            raise InvalidParameter("n_points must be a power of two >= 16")
+        _check_n_points(n)
         self.values = np.asarray(self.values, dtype=complex)
         if self.values.shape != (n,):
             raise InvalidParameter("values shape must match n_points")
@@ -56,6 +60,12 @@ class ComplexField:
             raise InvalidParameter("values must be finite")
         if self.s0 is None:
             self.s0 = -self.domain_length / 2
+
+    @classmethod
+    def zeros(cls, domain_length, n_points):
+        """The zero field on a box centered at 0; n_points is checked first."""
+        _check_n_points(n_points)
+        return cls(domain_length, n_points, np.zeros(n_points, dtype=complex))
 
     def grid(self):
         return self.s0 + self.domain_length * np.arange(self.n_points) / self.n_points
@@ -76,11 +86,15 @@ class ComplexField:
         )
 
     def alias_fraction(self):
-        """Spectral energy fraction carried by the top third of |xi|."""
+        """Fraction of the non-constant spectral energy in the top third of |xi|.
+
+        The k = 0 mode (a constant background) is left out of the total, so
+        a background does not hide an under-resolved perturbation.
+        """
         spec = np.abs(np.fft.fft(self.values)) ** 2
         k = np.abs(np.fft.fftfreq(self.n_points)) * self.n_points
         tail = spec[k >= self.n_points / 3].sum()
-        tot = spec.sum()
+        tot = spec[1:].sum()
         return float(tail / tot) if tot > 0 else 0.0
 
     def copy_with(self, values):
@@ -93,8 +107,7 @@ def gaussian_field(domain_length, n_points, l2_norm, width=2.0, center=0.0):
         raise InvalidParameter(f"l2_norm must be finite and nonnegative, got {l2_norm}")
     if not (math.isfinite(width) and width > 0):
         raise InvalidParameter("width must be finite and positive")
-    f = ComplexField(domain_length, n_points,
-                     np.zeros(n_points, dtype=complex))
+    f = ComplexField.zeros(domain_length, n_points)
     x = f.grid()
     vals = np.exp(-((x - center) ** 2) / (2 * width**2)).astype(complex)
     f = f.copy_with(vals)

@@ -185,6 +185,8 @@ def test_stability_run_identical_across_threads(tmp_path):
         (run_dir,) = out.iterdir()
         runs.append({p.name: mask.sub(b"T", p.read_bytes())
                      for p in sorted(run_dir.iterdir())})
+        # some slices lie past t_clean and are built from the reference profile
+        assert json.loads((run_dir / "run.json").read_text())["profile_slices"] > 0
     assert len(runs[0]) == 9  # run.json and one frame CSV per slice
     assert runs[0] == runs[1]
 
@@ -284,7 +286,9 @@ SWEEP_BASE = {
     "angle": ["--smax", "20"],
     "theta": ["--smax", "20"],
     "evolve": ["--n-points", "256", "--n-steps", "10"],
-    "nls": ["--n-points", "256", "--n-steps", "10"],
+    # a box of 100 resolves the width-2 bump on 256 points (the default 900
+    # does not, and the alias gate would reject every run)
+    "nls": ["--n-points", "256", "--n-steps", "10", "--length", "100"],
     "spiral": ["--smax", "5"],
     "stability": ["--n-points", "256", "--n-steps", "20", "--n-slices", "8",
                   "--tmin-factor", "1e-2"],

@@ -9,8 +9,10 @@ from filamentlab.errors import (
     CurvatureVanishes,
     InsufficientTimeRange,
     InvalidParameter,
+    OutOfProfileRange,
 )
 from filamentlab.geometry import IntrinsicData, SolverConfig
+from filamentlab.integrators import _rotation
 
 
 def selfsimilar_data(a, t_lo, t_hi, n_t, s_max, ds):
@@ -78,6 +80,35 @@ def test_reconstruct_threaded_matches_serial():
     for a, b in zip(serial.curves, threaded.curves):
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.frames, b.frames)
+
+
+def test_profile_built_slices_match_direct_integration():
+    # the stability run's default curve grid and reference profile; the
+    # origin frame is a generic rotation, so the profile is turned as well
+    a, s_max, ds = 0.5, 5.0, 0.01
+    t = np.array([1e-4, 1.27e-4, 1e-3, 7.5e-3])  # the default t_clean is 7.6e-3
+    n_half = int(round(s_max / ds))
+    s = -s_max + ds * np.arange(2 * n_half + 1)
+    data = IntrinsicData(s, t, a / np.sqrt(t)[:, None] * np.ones(len(s)),
+                         s[None] / (2 * t)[:, None])
+    frame0 = _rotation(np.array([[0.6 + 0.3j, -0.2 + 0.7j]]))[0]
+    point0 = np.array([0.3, -1.2, 2 * a * math.sqrt(t[-1])])
+    prof = selfsimilar.profile(a, 1.5 * s_max / math.sqrt(t[0]))
+    direct = flow.reconstruct_flow(data, frame0, point0)
+    built = flow.reconstruct_flow(data, frame0, point0, reference=(prof, 1.0))
+    assert (direct.profile_slices, built.profile_slices) == (0, len(t))
+    for cd, cb in zip(direct.curves, built.curves):
+        assert np.array_equal(cd.s_grid, cb.s_grid)
+        assert np.max(np.abs(cd.frames - cb.frames)) <= 1e-9
+        assert np.max(np.abs(cd.points - cb.points)) <= 1e-9
+    assert np.max(np.abs(built.curves[0].frames[:, 0] - frame0[0])) > 0.5  # T turns
+
+
+def test_profile_slice_beyond_the_profile_rejected():
+    data = selfsimilar_data(0.5, 1e-2, 1.0, 4, 2.0, 0.05)
+    prof = selfsimilar.profile(0.5, 10.0)  # sigma reaches 2/sqrt(1e-2) = 20
+    with pytest.raises(OutOfProfileRange):
+        flow.reconstruct_flow(data, np.eye(3), np.zeros(3), reference=(prof, 1.0))
 
 
 def test_steady_circle_data_translates():

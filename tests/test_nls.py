@@ -229,6 +229,32 @@ def test_validation_errors():
         evolve(problem, f, 10)
 
 
+def test_alias_gate_sees_perturbation_under_background():
+    # grid step 3.5 against width 2: the bump is under-resolved, and a
+    # constant background must not dilute that away
+    bump = gaussian_field(900.0, 256, 1e-2, 2.0)
+    problem = NlsProblem(sign=-1, background_a=0.5, potential="gp", t_span=(10.0, 20.0))
+    for a in (0.0, 0.5):
+        field = bump.copy_with(a + bump.values)
+        assert field.alias_fraction() == pytest.approx(bump.alias_fraction(), rel=1e-9)
+        assert field.alias_fraction() > nls.ALIAS_FRACTION
+        with pytest.raises(AliasingDetected):
+            evolve(problem, field, 10)
+    assert ComplexField(900.0, 256, np.full(256, 0.5)).alias_fraction() == 0.0
+    # resolved, the same bump on the background passes
+    fine = gaussian_field(100.0, 256, 1e-2, 2.0)
+    assert fine.copy_with(0.5 + fine.values).alias_fraction() < nls.ALIAS_FRACTION
+
+
+@pytest.mark.parametrize("n", [-1, 0, 3, 100])
+def test_bad_n_points_is_invalid_parameter(n):
+    # checked before any array of n_points entries is allocated
+    with pytest.raises(InvalidParameter, match="n_points"):
+        gaussian_field(100.0, n, 1e-2)
+    with pytest.raises(InvalidParameter, match="n_points"):
+        ComplexField.zeros(100.0, n)
+
+
 def test_mass_drift_of_zero_field_is_absolute():
     zero = ComplexField(10.0, 64, np.zeros(64, dtype=complex))
     res = evolve(NlsProblem(background_a=0.0, t_span=(1.0, 2.0)), zero, 5)

@@ -26,18 +26,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import nls, selfsimilar
 from .errors import (
+    ConstraintViolated,
     CurvatureVanishes,
     GridTooCoarse,
     InsufficientTimeRange,
     InvalidParameter,
     OutOfProfileRange,
 )
-from .geometry import (Curve, IntrinsicData, SolverConfig, _nonuniform_dt,
-                       propagate_frame)
+from .geometry import (Curve, IntrinsicData, SolverConfig, _cumulative_simpson,
+                       _nonuniform_dt, propagate_frame)
 from .integrators import (GAUSS_C1, GAUSS_C2, _Q_ONE, _plan, _qmul, _rotation,
                           _scan, magnus_frame_step, magnus_omega,
                           rodrigues_phi1, two_sided)
@@ -196,6 +196,15 @@ def _profile_slice(prof, s_nodes, tk, Fk, pk):
     return Curve(s_nodes, pk + rt * dG @ Fk, _rotation(q) @ Fj @ Fk)
 
 
+def _check_times(t, name):
+    """Slice and series times are integrated in log t: finite, > 0, increasing."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t) & (t > 0)):
+        raise ConstraintViolated(f"{name} must be finite and positive")
+    if np.any(np.diff(t) <= 0):
+        raise ConstraintViolated(f"{name} must be strictly increasing")
+
+
 def reconstruct_flow(data, frame0, point0, *, origin_series=None, threads=1,
                      reference=None):
     """Reconstruct curves for every time slice of the intrinsic data.
@@ -207,8 +216,12 @@ def reconstruct_flow(data, frame0, point0, *, origin_series=None, threads=1,
     slice with t < t_cut carries the unperturbed fields c = prof.a/sqrt(t),
     tau = s/2t; those slices are built from the profile, not integrated.
     The calling thread and ``threads - 1`` workers integrate every
-    ``threads``-th of the other slices each.
+    ``threads``-th of the other slices each.  The slice times and the series
+    times must be finite, > 0 and strictly increasing (ConstraintViolated).
     """
+    _check_times(data.t_grid, "t_grid")
+    if origin_series is not None:
+        _check_times(origin_series.t, "origin_series.t")
     if np.min(data.c) <= 0:
         raise CurvatureVanishes("reconstruction requires c > 0 on the grid")
     s = data.s_grid
@@ -230,7 +243,7 @@ def reconstruct_flow(data, frame0, point0, *, origin_series=None, threads=1,
     # chi(0,t) = point0 - int_t^{tmax} c b dt' (log-t Simpson on the series)
     b_rows = frames_series[:, 2, :]
     integrand = series.c0[:, None] * b_rows * series.t[:, None]
-    I = cumulative_simpson(integrand, x=np.log(series.t), axis=0, initial=0.0)
+    I = _cumulative_simpson(integrand, np.log(series.t))
     chi0_series = np.asarray(point0)[None] + (I - I[-1])
     lt = np.log(series.t)
 

@@ -8,7 +8,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import (
     GridMismatch,
@@ -200,6 +199,39 @@ def _nonuniform_dt(f, t):
     return num / (hp * hn * (hp + hn))
 
 
+def _simpson_first_panels(y, dx):
+    """3-point rule on [x_i, x_i+1] for every node triple, unequal widths."""
+    x21, x32 = dx[:-1], dx[1:]
+    x31 = x21 + x32
+    r = x21 / x31
+    q = r * (x21 / x32)
+    return x21 / 6 * ((3 - r) * y[:-2] + (3 + q + r) * y[1:-1] + (-q) * y[2:])
+
+
+def _cumulative_simpson(y, x):
+    """Cumulative Simpson integral of y(x) along axis 0, starting at 0.
+
+    ``x`` is 1-D and strictly increasing.  Cartwright's unequal-interval
+    rule in the operation order of ``scipy.integrate.cumulative_simpson``,
+    so the sums agree bit for bit: even panels come from the forward pass,
+    odd ones and the last from the reversed pass.  Two nodes use the
+    trapezoid rule.
+    """
+    y = np.asarray(y, dtype=float)
+    dx = np.diff(np.asarray(x, dtype=float)).reshape((-1,) + (1,) * (y.ndim - 1))
+    if len(y) < 3:
+        panels = dx * (y[1:] + y[:-1]) / 2
+    else:
+        fwd = _simpson_first_panels(y, dx)
+        bwd = _simpson_first_panels(y[::-1], dx[::-1])[::-1]
+        panels = np.empty_like(y[1:])
+        panels[:-1:2] = fwd[::2]
+        panels[1::2] = bwd[::2]
+        panels[-1] = bwd[-1]
+    # + 0.0 as scipy's initial=0.0 does: a -0.0 sum reads 0.0
+    return np.concatenate([np.zeros_like(y[:1]), np.cumsum(panels, axis=0) + 0.0])
+
+
 def frenet_integrate(c, tau, frame0, s_span, cfg=None, *, position0=None):
     """Integrate T' = c n, n' = -c T + tau b, b' = -tau n over s_span.
 
@@ -230,9 +262,7 @@ def curve_from_tangent(tangents, base):
     if len(s) < 3:
         raise GridTooCoarse("need at least 3 tangent samples")
     _uniform_step(s, "curve_from_tangent")
-    pts = np.asarray(base, dtype=float)[None] + cumulative_simpson(
-        T, x=s, axis=0, initial=0.0
-    )
+    pts = np.asarray(base, dtype=float)[None] + _cumulative_simpson(T, s)
     return Curve(s, pts)
 
 

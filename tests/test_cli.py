@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,3 +318,24 @@ def test_numeric_flag_sweep(tmp_path, capsys, sub, flag, value):
         assert rc == 2
         assert re.fullmatch(r"error\[(usage|validation)\]: [^\n]*\n", err), err
         assert not list(tmp_path.iterdir())
+
+
+RUNTIME_ONLY = """
+import sys
+from filamentlab import cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded[:5]
+sys.modules["scipy"] = None  # any later import of scipy now fails
+sys.exit(cli.main(["selfcheck", "--out-dir", sys.argv[1]]))
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # scipy is a test-oracle dependency only: importing the CLI must not
+    # load it, and selfcheck must run with it unavailable
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", RUNTIME_ONLY, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.glob("selfcheck-*/run.json"))

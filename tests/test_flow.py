@@ -1,11 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import cumulative_simpson, solve_ivp
 
 from filamentlab import flow, geometry, nls, selfsimilar
 from filamentlab.errors import (
+    ConstraintViolated,
     CurvatureVanishes,
     InsufficientTimeRange,
     InvalidParameter,
@@ -162,6 +164,44 @@ def test_reconstructed_curves_lie_on_data_grid(s_max, ds):
     for curve in res.curves:
         assert len(curve.s_grid) == len(s)
         assert np.max(np.abs(curve.s_grid - s)) <= 1e-12
+
+
+BAD_TIMES = {
+    "unsorted": [0.5, 1.0, 0.75],
+    "repeated": [0.5, 0.75, 0.75],
+    "zero": [0.0, 0.5, 1.0],
+    "negative": [-0.5, 0.5, 1.0],
+    "nan": [0.5, np.nan, 1.0],
+}
+
+
+@pytest.mark.parametrize("which", ["t_grid", "origin_series.t"])
+@pytest.mark.parametrize("bad", list(BAD_TIMES))
+def test_reconstruct_rejects_bad_times(which, bad):
+    s = np.linspace(-1, 1, 21)
+    good = np.array([0.5, 0.75, 1.0])
+    t = np.array(BAD_TIMES[bad])
+    ones = np.ones((3, 21))
+    data = IntrinsicData(s, t if which == "t_grid" else good, ones, 0 * ones)
+    series = None
+    if which == "origin_series.t":
+        series = flow.OriginSeries(t, 0 * t, 0 * t, 0 * t, np.ones(3))
+    with pytest.raises(ConstraintViolated, match=re.escape(which)):
+        flow.reconstruct_flow(data, np.eye(3), np.zeros(3), origin_series=series)
+
+
+def test_reconstruct_two_slices_integrates_origin_by_trapezoid():
+    # two series nodes are below Simpson's three: the log-t integral of
+    # c b t is one trapezoid, as scipy's cumulative_simpson gives it
+    s = np.linspace(-1, 1, 21)
+    t = np.array([0.5, 1.0])
+    c = np.array([[1.3], [0.9]]) * np.ones((2, 21))
+    point0 = np.array([0.1, -0.2, 0.3])
+    res = flow.reconstruct_flow(IntrinsicData(s, t, c, 0.4 * np.ones((2, 21))),
+                                np.eye(3), point0)
+    integrand = c[:, 10, None] * res.frame_at_origin[:, 2, :] * t[:, None]
+    I = cumulative_simpson(integrand, x=np.log(t), axis=0, initial=0.0)
+    assert np.array_equal(res.chi_origin, point0[None] + (I - I[-1]))
 
 
 def test_reconstruct_rejects_vanishing_curvature():

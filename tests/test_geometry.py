@@ -1,5 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.integrate import cumulative_simpson
 
 from filamentlab import geometry
 from filamentlab.errors import (
@@ -104,6 +110,83 @@ def test_curve_from_tangent_rejects_nonuniform():
     T = np.tile([1.0, 0, 0], (4, 1))
     with pytest.raises(GridNonUniform):
         geometry.curve_from_tangent((s, T), np.zeros(3))
+
+
+def _grid(kind, n, rng):
+    if kind == "uniform":
+        return np.linspace(-1.0, 3.0, n)
+    if kind == "log-uniform":
+        return np.log(np.geomspace(1e-4, 10.0, n))
+    return np.cumsum(rng.random(n) + 1e-3) - 2.0
+
+
+@pytest.mark.parametrize("kind", ["uniform", "log-uniform", "random"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 101, 2000])
+@pytest.mark.parametrize("cols", [None, 3])
+def test_cumulative_simpson_equals_scipy(kind, n, cols):
+    rng = np.random.default_rng(n)
+    x = _grid(kind, n, rng)
+    y = rng.standard_normal(n if cols is None else (n, cols))
+    ours = geometry._cumulative_simpson(y, x)
+    ref = cumulative_simpson(y, x=x, axis=0, initial=0.0)
+    assert ours.shape == ref.shape
+    assert np.array_equal(ours, ref)
+
+
+@st.composite
+def samples(draw):
+    n = draw(st.integers(2, 60))
+    widths = draw(arrays(float, n - 1, elements=st.floats(1e-3, 10.0)))
+    x = draw(st.floats(-100.0, 100.0)) + np.concatenate([[0.0], np.cumsum(widths)])
+    cols = draw(st.sampled_from([None, 1, 3]))
+    y = draw(arrays(float, n if cols is None else (n, cols),
+                    elements=st.floats(-1e6, 1e6)))
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples())
+def test_cumulative_simpson_equals_scipy_on_random_samples(xy):
+    x, y = xy
+    assume(np.all(np.diff(x) > 0))  # a width can vanish in the sum's rounding
+    ours = geometry._cumulative_simpson(y, x)
+    assert np.array_equal(ours, cumulative_simpson(y, x=x, axis=0, initial=0.0))
+
+
+def _helix(kappa, tau):
+    # unit-speed helix with curvature kappa and torsion tau
+    w = np.hypot(kappa, tau)
+    r = kappa / w**2
+    curve = lambda s: np.column_stack([r * np.cos(w * s), r * np.sin(w * s), tau / w * s])
+    tangent = lambda s: np.column_stack([-r * w * np.sin(w * s), r * w * np.cos(w * s),
+                                         np.full(np.shape(s), tau / w)])
+    return curve, tangent, w
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.05, 2.0), st.floats(-2.0, 2.0), st.floats(0.5, 20.0),
+       st.floats(0.05, 0.5))
+def test_curve_from_tangent_reproduces_helix_to_simpson_order(kappa, tau, length, wh):
+    curve, tangent, w = _helix(kappa, tau)
+    n = max(2, int(math.ceil(length * w / wh)))
+    s = np.linspace(0.0, length, n + 1)
+    h = s[1] - s[0]
+    rebuilt = geometry.curve_from_tangent((s, tangent(s)), curve(s[:1])[0])
+    err = np.max(np.linalg.norm(rebuilt.points - curve(s), axis=1))
+    # composite Simpson on the even nodes, plus one 3-point panel on the odd
+    # ones; |T^(k)| = kappa w^(k-1)
+    bound = (length / 180 * kappa * w**3 + kappa * w**2 / 24) * h**4
+    assert err <= 1.5 * bound + 1e-13 * (1 + length)
+
+
+def test_curve_from_tangent_converges_at_fourth_order():
+    errs = []
+    for n in (80, 160, 320):
+        s = np.linspace(0.0, 10.0, n + 1)
+        rebuilt = geometry.curve_from_tangent((s, helix_tangent(s)), helix_curve(s[:1])[0])
+        errs.append(np.max(np.linalg.norm(rebuilt.points - helix_curve(s), axis=1)))
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 15.0 <= coarse / fine <= 17.0
 
 
 def test_curvature_torsion_circle_and_helix():

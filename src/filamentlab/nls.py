@@ -10,7 +10,9 @@ problem to large-time perturbations of the constant a, governed by
 Evolution is Strang splitting, one stepper (``_strang``) shared by ``evolve``
 and ``flow.stability_experiment``: the Fourier half-step is exact for the free
 part and the (possibly 1/t-weighted) cubic phase is integrated in closed form
-over each step, so mass is conserved to roundoff; a step costs one FFT pair.
+over each step, so mass is conserved to roundoff; a step costs one FFT pair,
+two real cos/sin pairs (the half-step's on N/2 + 1 frequencies only) and no
+allocation of the field's size.
 """
 
 from __future__ import annotations
@@ -173,29 +175,51 @@ def _strang(problem, v0, n_steps):
 
     The spectrum is carried from step to step, so a step is v = ifft(vhat L),
     the cubic phase, vhat = fft(v) L, with L = exp(-i xi^2 dt/2).
+
+    The yielded ``vhat_k`` is one buffer, overwritten by the next step: a
+    caller reads it (or copies it) before asking for step k + 1.
+
+    Both exponents are purely imaginary, so exp(i y) is written as cos y and
+    sin y into the real and imaginary views of preallocated buffers (bit for
+    bit glibc's cexp).  xi^2 is mirror-symmetric bit for bit, x2[j] ==
+    x2[N - j], so L is evaluated on the N/2 + 1 distinct frequencies and
+    mirrored.  Every ufunc and both FFTs write with ``out=`` (numpy >= 2.0);
+    a step allocates nothing of the field's size.
     """
     if n_steps < 1:
         raise InvalidParameter(f"n_steps must be >= 1, got {n_steps}")
     ts = time_grid(problem, n_steps)
-    xi2 = v0.xi() ** 2
+    n = v0.n_points
+    m = n // 2 + 1
+    xi2 = v0.xi()[:m] ** 2
+    half_dt = np.diff(ts) / -2  # the half-step phase is xi^2 * half_dt
     gp = problem.potential == "gp"
     a2 = problem.background_a**2 if gp else 0.0
     # cubic phase per unit |v|^2; the 1/t coefficient integrates to log(t_{k+1}/t_k)
     dw = np.log(ts[1:] / ts[:-1]) if gp else np.diff(ts)
     weight = problem.sign * problem.coeff * dw
     vhat = np.fft.fft(v0.values)
-    # A step makes several complex temporaries of the field's size, 128 KB
-    # at 8192 points, which glibc serves by a fresh mmap each until a larger
-    # mmapped block has been freed.  Freeing one 16 MB block raises that
-    # threshold, so they come from the heap (default nls run, glibc on a
-    # 2-vCPU Xeon: 81k -> 1.1k page faults, 0.13 -> 0 s system time, same
-    # peak RSS).
-    np.empty(1 << 21)
+    v = np.empty_like(vhat)
+    half = np.empty_like(vhat)
+    phase = np.empty_like(vhat)  # also holds vhat L before the inverse FFT
+    y = np.empty(m)
+    p = np.empty(n)
     for k in range(n_steps):
-        half = np.exp(-1j * xi2 * (ts[k + 1] - ts[k]) / 2)
-        v = np.fft.ifft(vhat * half)
-        v = v * np.exp(1j * ((np.abs(v) ** 2 - a2) * weight[k]))
-        vhat = np.fft.fft(v) * half
+        np.multiply(xi2, half_dt[k], out=y)
+        np.cos(y, out=half.real[:m])
+        np.sin(y, out=half.imag[:m])
+        half[m:] = half[m - 2:0:-1]
+        np.multiply(vhat, half, out=phase)
+        np.fft.ifft(phase, out=v)
+        np.abs(v, out=p)
+        np.multiply(p, p, out=p)
+        np.subtract(p, a2, out=p)
+        np.multiply(p, weight[k], out=p)
+        np.cos(p, out=phase.real)
+        np.sin(p, out=phase.imag)
+        np.multiply(v, phase, out=v)
+        np.fft.fft(v, out=vhat)
+        np.multiply(vhat, half, out=vhat)
         yield k + 1, ts[k + 1], vhat
 
 

@@ -323,11 +323,66 @@ def test_stepper_matches_unfused_strang(potential):
     out = evolve(problem, v0, n_steps, store_every=100)
     assert np.max(np.abs(ref - v0.values)) > 0.1  # the run moved the field
     assert np.max(np.abs(out.fields[-1].values - ref)) <= 1e-12
-    steps = list(nls._strang(problem, v0, n_steps))
+    # the stepper overwrites its spectrum buffer at every step, so keep copies
+    steps = [(k, t, vhat.copy()) for k, t, vhat in nls._strang(problem, v0, n_steps)]
+    assert not np.array_equal(steps[0][2], steps[-1][2])
     assert [k for k, _, _ in steps] == list(range(1, n_steps + 1))
     assert np.array_equal([t for _, t, _ in steps], nls.time_grid(problem, n_steps)[1:])
     assert np.max(np.abs(np.fft.ifft(steps[-1][2]) - ref)) <= 1e-12
     assert np.array_equal(out.times, nls.time_grid(problem, n_steps)[::100])
+
+
+def _previous_strang(problem, v0, n_steps):
+    """Reference: the stepper before its buffers, one complex exp per factor."""
+    ts = nls.time_grid(problem, n_steps)
+    xi2 = v0.xi() ** 2
+    gp = problem.potential == "gp"
+    a2 = problem.background_a**2 if gp else 0.0
+    dw = np.log(ts[1:] / ts[:-1]) if gp else np.diff(ts)
+    weight = problem.sign * problem.coeff * dw
+    vhat = np.fft.fft(v0.values)
+    for k in range(n_steps):
+        half = np.exp(-1j * xi2 * (ts[k + 1] - ts[k]) / 2)
+        v = np.fft.ifft(vhat * half)
+        v = v * np.exp(1j * ((np.abs(v) ** 2 - a2) * weight[k]))
+        vhat = np.fft.fft(v) * half
+        yield k + 1, ts[k + 1], vhat
+
+
+@pytest.mark.parametrize("potential", ["gp", "none"])
+def test_stepper_equals_previous_loop(potential):
+    # cos/sin into buffer views equal glibc's cexp bit for bit; the bound
+    # leaves room for a libm whose cexp and cos/sin differ in the last bit
+    n = 256
+    bump = gaussian_field(50.0, n, 1.0, width=2.0)
+    bump = bump.copy_with(bump.values * np.exp(0.4j * bump.grid()))
+    a = 0.5 if potential == "gp" else 0.0
+    v0 = bump.copy_with(a + bump.values)
+    problem = NlsProblem(sign=-1, background_a=a, potential=potential,
+                         t_span=(1.0, 6.0) if potential == "gp" else (-1.0, 2.0))
+    n_steps = 300
+    pairs = zip(_previous_strang(problem, v0, n_steps), nls._strang(problem, v0, n_steps),
+                strict=True)
+    for (k_ref, t_ref, ref), (k, t, vhat) in pairs:
+        assert (k, t) == (k_ref, t_ref)
+        assert np.max(np.abs(vhat - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_evolve_snapshots_are_distinct_copies():
+    n = 128
+    f = gaussian_field(40.0, n, 0.5, width=2.0)
+    v0 = f.copy_with(0.5 + f.values * np.exp(0.3j * f.grid()))
+    problem = NlsProblem(sign=-1, background_a=0.5, potential="gp", t_span=(1.0, 3.0))
+    n_steps = 12
+    out = evolve(problem, v0, n_steps, store_every=1)
+    expect = [v0.values] + [np.fft.ifft(vhat.copy())
+                            for _, _, vhat in nls._strang(problem, v0, n_steps)]
+    assert len(out.fields) == n_steps + 1
+    for got, want in zip(out.fields, expect, strict=True):
+        assert np.array_equal(got.values, want)
+    for i in range(len(out.fields)):
+        for j in range(i):
+            assert not np.array_equal(out.fields[i].values, out.fields[j].values)
 
 
 def test_evolve_fft_count(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from filamentlab import nls
 from filamentlab.dataio import dumps_json
+from filamentlab.geometry import Curve
 
 
 @st.composite
@@ -35,6 +36,46 @@ def test_pseudo_conformal_inverse_is_identity(v, t):
     scale = float(np.max(np.abs(v.values)))
     bound = 16 * np.finfo(float).eps * (1 + phase) * scale + np.finfo(float).tiny
     assert np.max(np.abs(back.values - v.values)) <= bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 16), st.floats(1e-300, 1e300))
+def test_xi_squared_is_mirror_symmetric(log2_n, length):
+    # nls._strang evaluates the half-step on the N/2 + 1 distinct
+    # frequencies and mirrors it, which needs x2[k] == x2[N - k] bit for bit
+    with np.errstate(over="ignore"):
+        x2 = nls.ComplexField.zeros(length, 1 << log2_n).xi() ** 2
+    assert x2[0] == 0
+    assert x2[1:].tobytes() == x2[:0:-1].tobytes()
+
+
+# the CSV writer's %.17g reads back exactly, -0.0, subnormals, +-inf and nan
+# included (nan as the one value float("nan") reads back)
+_csv_floats = st.one_of(st.floats(allow_nan=False), st.just(math.nan))
+
+
+@st.composite
+def curves(draw):
+    s = np.sort(np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                       min_size=1, max_size=40, unique=True))))
+    n = len(s)
+    points = draw(arrays(float, (n, 3), elements=_csv_floats))
+    frames = draw(st.none() | arrays(float, (n, 3, 3), elements=_csv_floats))
+    return Curve(s, points, frames)
+
+
+@settings(max_examples=100, deadline=None)
+@given(curves())
+def test_curve_csv_round_trip(tmp_path_factory, curve):
+    path = tmp_path_factory.mktemp("csv") / "curve.csv"
+    curve.write_csv(path)
+    back = Curve.read_csv(path)
+    assert back.s_grid.tobytes() == curve.s_grid.tobytes()
+    assert back.points.tobytes() == curve.points.tobytes()
+    if curve.frames is None:
+        assert back.frames is None
+    else:
+        assert back.frames.tobytes() == curve.frames.tobytes()
 
 
 # run.json writes non-finite floats as the strings "nan", "inf", "-inf",

@@ -170,21 +170,17 @@ def _slice_nodes(s, m):
                      float(s[0]), float(s[-1]))[0]
 
 
-def _profile_slice(prof, s_nodes, tk, Fk, pk):
-    """Slice of the fields c = a/sqrt(t), tau = s/2t built from the profile.
+def _profile_at(prof, sig):
+    """Frames and points of the profile at the nodes ``sig``.
 
-    With sigma = s/sqrt(t) the Frenet system in s is the profile system in
-    sigma, so the frame is F_G(sigma) @ Fk and the point
-    pk + sqrt(t) (G(sigma) - G(0)) @ Fk.  A node between two profile nodes
-    takes one Magnus-4 step (c = a, tau = sigma/2) from the nearest one.
+    A node between two profile nodes takes one Magnus-4 step (c = a,
+    tau = sigma/2) from the nearest one.
     """
     grid, frames, points = prof.curve.s_grid, prof.curve.frames, prof.curve.points
-    rt = math.sqrt(tk)
-    sig = s_nodes / rt
-    if max(-sig[0], sig[-1]) > grid[-1]:
+    reach = float(np.max(np.abs(sig)))
+    if reach > grid[-1]:
         raise OutOfProfileRange(
-            f"slice t = {tk:g} reaches sigma = {max(-sig[0], sig[-1]):g} "
-            f"beyond the profile's s_max = {grid[-1]:g}")
+            f"sigma = {reach:g} lies beyond the profile's s_max = {grid[-1]:g}")
     j = np.clip(np.searchsorted(grid, sig), 1, len(grid) - 1)
     j -= sig - grid[j - 1] < grid[j] - sig
     h = sig - grid[j]
@@ -192,8 +188,20 @@ def _profile_slice(prof, s_nodes, tk, Fk, pk):
     q, wV = magnus_frame_step(c, c, (grid[j] + GAUSS_C1 * h) / 2,
                               (grid[j] + GAUSS_C2 * h) / 2, h)
     Fj = frames[j]
-    dG = points[j] - points[np.searchsorted(grid, 0.0)] + np.einsum("ni,nij->nj", wV, Fj)
-    return Curve(s_nodes, pk + rt * dG @ Fk, _rotation(q) @ Fj @ Fk)
+    return _rotation(q) @ Fj, points[j] + np.einsum("ni,nij->nj", wV, Fj)
+
+
+def _profile_slice(prof, s_nodes, tk, Fk, pk):
+    """Slice of the fields c = a/sqrt(t), tau = s/2t built from the profile.
+
+    With sigma = s/sqrt(t) the Frenet system in s is the profile system in
+    sigma, so the frame is F_G(sigma) @ Fk and the point
+    pk + sqrt(t) (G(sigma) - G(0)) @ Fk.
+    """
+    rt = math.sqrt(tk)
+    F, G = _profile_at(prof, s_nodes / rt)
+    G0 = prof.curve.points[np.searchsorted(prof.curve.s_grid, 0.0)]
+    return Curve(s_nodes, pk + rt * (G - G0) @ Fk, F @ Fk)
 
 
 def _check_times(t, name):
@@ -215,9 +223,10 @@ def reconstruct_flow(data, frame0, point0, *, origin_series=None, threads=1,
     are available).  ``reference = (prof, t_cut)`` declares that every
     slice with t < t_cut carries the unperturbed fields c = prof.a/sqrt(t),
     tau = s/2t; those slices are built from the profile, not integrated.
-    The calling thread and ``threads - 1`` workers integrate every
-    ``threads``-th of the other slices each.  The slice times and the series
-    times must be finite, > 0 and strictly increasing (ConstraintViolated).
+    The calling thread and up to ``threads - 1`` workers, no more than
+    there are slices to integrate, take every n-th of those slices each.
+    The slice times and the series times must be finite, > 0 and strictly
+    increasing (ConstraintViolated).
     """
     _check_times(data.t_grid, "t_grid")
     if origin_series is not None:
@@ -280,16 +289,19 @@ def reconstruct_flow(data, frame0, point0, *, origin_series=None, threads=1,
     for k in built:
         curves[k] = build_slice(k)
 
+    # no more shares than integrated slices
+    n = max(1, min(threads, len(direct)))
+
     def build(j):
-        for k in direct[j::threads]:
+        for k in direct[j::n]:
             curves[k] = build_slice(k)
 
-    # the caller builds its share itself, so threads=1 starts no worker and
-    # allocates in the main malloc arena: one worker thread with its own
+    # the caller builds its share itself, so a single share starts no worker
+    # and allocates in the main malloc arena: one worker thread with its own
     # arena raised the default stability run's peak RSS from 261 to 320 MB
     # (glibc, 2-vCPU Xeon)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        rest = ex.map(build, range(1, threads))
+    with ThreadPoolExecutor(max_workers=max(1, n - 1)) as ex:
+        rest = ex.map(build, range(1, n))
         build(0)
         list(rest)
     frames_origin = np.array([at_slice(tk)[0] for tk in data.t_grid])
@@ -334,8 +346,9 @@ class StabilityReport:
     The slices with t < ``t_clean`` carry the unperturbed fields and are
     built from the reference profile (their count is
     ``flow.profile_slices``); on them ``sup_T_defect`` measures only the
-    perturbation of the origin frame (and the interpolation of the
-    reference tangent).
+    perturbation of the origin frame.  The reference tangent is evaluated
+    on each slice's nodes as the built slices are (``_profile_at``), so the
+    figure does not depend on the profile's grid.
     """
 
     a: float
@@ -530,19 +543,20 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
 
     # unperturbed reference; it also yields the slices past t_clean, whose
     # fields above are exactly the self-similar ones
-    prof = selfsimilar.profile(a, max(1.5 * s_max / math.sqrt(t_min), 50.0))
+    # sized to the largest sigma = s/sqrt(t) a slice node reaches, plus one
+    # output spacing; _profile_at still rejects a node beyond it
+    sig_max = float(np.max(np.abs(s_grid))) / math.sqrt(t_slices[0])
+    cfg = selfsimilar._default_cfg(sig_max)
+    prof = selfsimilar.profile(a, max(sig_max + cfg.step * cfg.renorm_every, 50.0))
     point0 = np.array([0.0, 0.0, 2 * a * math.sqrt(t_max)])
     result = reconstruct_flow(data, np.eye(3), point0, origin_series=series,
                               threads=threads, reference=(prof, t_clean))
     trace, const = trace_at_zero(result)
 
-    T_ref = np.ascontiguousarray(prof.curve.frames[:, 0].T)  # rows T_x, T_y, T_z
-    sup_T = 0.0
-    for k, tk in enumerate(t_slices):
-        sig = result.curves[k].s_grid / math.sqrt(tk)
-        Ta = np.column_stack([np.interp(sig, prof.curve.s_grid, Tj) for Tj in T_ref])
-        sup_T = max(sup_T, float(np.max(np.linalg.norm(
-            result.curves[k].frames[:, 0] - Ta, axis=1))))
+    # every slice's nodes against the reference in one batched evaluation
+    sig = np.concatenate([c.s_grid / math.sqrt(tk) for c, tk in zip(result.curves, t_slices)])
+    T = np.concatenate([c.frames[:, 0] for c in result.curves])
+    sup_T = float(np.max(np.linalg.norm(T - _profile_at(prof, sig)[0][:, 0], axis=1)))
 
     # vertex from the sqrt(t) law at s = 0, then cone defect vs A+/-
     r1, r2 = math.sqrt(t_slices[0]), math.sqrt(t_slices[1])

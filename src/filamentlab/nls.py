@@ -18,6 +18,7 @@ allocation of the field's size.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,11 @@ class ComplexField:
                 f"domain_length must be finite and positive, got {self.domain_length}"
             )
         _check_n_points(n)
+        # a normal grid step keeps the wavenumbers 2 pi k/L finite
+        if not self.domain_length / n >= sys.float_info.min:
+            raise InvalidParameter(
+                f"grid step domain_length/n_points = {self.domain_length / n:g} "
+                f"is not a normal float")
         self.values = np.asarray(self.values, dtype=complex)
         if self.values.shape != (n,):
             raise InvalidParameter("values shape must match n_points")
@@ -191,8 +197,14 @@ def _strang(problem, v0, n_steps):
     ts = time_grid(problem, n_steps)
     n = v0.n_points
     m = n // 2 + 1
-    xi2 = v0.xi()[:m] ** 2
     half_dt = np.diff(ts) / -2  # the half-step phase is xi^2 * half_dt
+    with np.errstate(over="ignore"):
+        xi2 = v0.xi()[:m] ** 2
+        top = xi2[-1] * np.max(np.abs(half_dt))
+    if not np.isfinite(top):
+        raise InvalidParameter(
+            f"half-step phase xi^2 dt/2 overflows on the grid step "
+            f"{v0.domain_length / n:g}")
     gp = problem.potential == "gp"
     a2 = problem.background_a**2 if gp else 0.0
     # cubic phase per unit |v|^2; the 1/t coefficient integrates to log(t_{k+1}/t_k)

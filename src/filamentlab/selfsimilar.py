@@ -47,36 +47,79 @@ def _default_cfg(s_max):
     return SolverConfig(step=step, renorm_every=max(1, int(round(dso / step))))
 
 
+# parity of G_a: x is odd and y, z are even, so T = G' keeps its x and flips
+# y, z, while n and b (whose Frenet equations carry the odd torsion) flip x
+_POINT_PARITY = np.array([-1.0, 1.0, 1.0])
+_FRAME_PARITY = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
+
+
+def _half(a, end, cfg):
+    """(s, frames, points) of G_a from s = 0 to ``end``."""
+    c_fn = lambda s: np.full(np.shape(s), float(a))
+    tau_fn = lambda s: s / 2
+    return propagate_frame(c_fn, tau_fn, 0.0, end, np.eye(3), step=cfg.step,
+                           out_every=cfg.renorm_every,
+                           position0=np.array([0.0, 0.0, 2 * a]),
+                           max_steps=cfg.max_steps)
+
+
+def _mirror(s, frames, points):
+    """The half from 0 to -S read off the half from 0 to S by parity.
+
+    Adding 0.0 turns the -0.0 of a flipped zero into the +0.0 that a direct
+    run gives (a = 0 has zero frame entries).
+    """
+    return -s, frames * _FRAME_PARITY + 0.0, points * _POINT_PARITY + 0.0
+
+
 def profile(a, s_max, cfg=None):
     """Compute G_a on [-s_max, s_max] with frames and limit directions.
 
-    A+/- are read as G(+-S)/(+-S); the reported error bound 2a/S is the
-    rigorous tail estimate (the remainder is 2 a s times an integral of the
-    unit binormal against 1/s'^2).
+    One frame propagation runs from 0 to S; the left half is its mirror
+    image (``_mirror``), which equals a direct run from 0 to -S bit for bit
+    (``mirror_defect``), as every step of that run is the negated step of
+    this one.
+
+    A+/- are read through the modulus law |G|^2 = s^2 + 4 a^2 as
+    G(+-S)/(+-(S + 2 a^2/S)), which is G/|G| to O(S^-4).  The reported
+    error bound is rigorous.  Since G = s T + 2 a b, (G/s)' = -2 a b/s^2, so
+    |G(S)/S - A+| <= 2a/S.  The reading rescales G(S)/S by
+    S^2/(S^2 + 2 a^2), which moves it by at most
+    |G(S)/S| 2 a^2/(S^2 + 2 a^2) = sqrt(S^2 + 4 a^2) 2 a^2/(S (S^2 + 2 a^2))
+    <= 2 a^2/S^2, because S^2 (S^2 + 4 a^2) <= (S^2 + 2 a^2)^2.  By the
+    triangle inequality |A+ estimate - A+| <= 2a/S + 2a^2/S^2 =
+    ``a1_error_bound``, and so is the error of its first component a1.
     """
     if not (math.isfinite(a) and math.isfinite(s_max)) or a < 0 or s_max <= 0:
         raise InvalidParameter("need finite a >= 0 and s_max > 0")
     cfg = cfg or _default_cfg(s_max)
-    F0 = np.eye(3)
-    G0 = np.array([0.0, 0.0, 2 * a])
-    c_fn = lambda s: np.full(np.shape(s), float(a))
-    tau_fn = lambda s: s / 2
-    s, frames, pts = two_sided(
-        lambda end: propagate_frame(c_fn, tau_fn, 0.0, end, F0, step=cfg.step,
-                                    out_every=cfg.renorm_every, position0=G0,
-                                    max_steps=cfg.max_steps),
-        -float(s_max), float(s_max),
-    )
+    half = _half(a, float(s_max), cfg)
+    s, frames, pts = two_sided(lambda end: half if end > 0 else _mirror(*half),
+                               -float(s_max), float(s_max))
     curve = Curve(s, pts, frames)
     S = s[-1]
-    A_plus = pts[-1] / S
-    A_minus = pts[0] / (-S)
+    r = S + 2 * a * a / S
+    A_plus = pts[-1] / r
+    A_minus = pts[0] / -r
     return SelfSimilarProfile(
         a=float(a), s_max=float(S), curve=curve,
         A_plus=A_plus, A_minus=A_minus,
         a1_estimate=float(A_plus[0]),
-        a1_error_bound=2 * float(a) / float(S),
+        a1_error_bound=float(2 * a / S + 2 * a * a / (S * S)),
     )
+
+
+def mirror_defect(a, s_max, cfg=None):
+    """Max difference between a direct run of G_a from 0 to -s_max and the
+    mirror of the run from 0 to s_max that ``profile`` returns instead.
+
+    Zero in exact arithmetic by parity, and zero in floating point as long
+    as the elementwise kernels are exact under sign flips.
+    """
+    cfg = cfg or _default_cfg(s_max)
+    mirrored = _mirror(*_half(a, float(s_max), cfg))
+    direct = _half(a, -float(s_max), cfg)
+    return max(float(np.max(np.abs(m - d))) for m, d in zip(mirrored, direct))
 
 
 def corner_angle(a):

@@ -251,6 +251,8 @@ SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
     ["profile", "--step", "nan"],
     ["profile", "--step", "-1"],
     ["theta", "--config", "{bad_config}"],
+    ["evolve", "--length", "5e-324", "--n-points", "64", "--n-steps", "4"],
+    ["evolve", "--length", "1e-300", "--n-points", "64", "--n-steps", "4"],
 ], ids=["evolve-zero-steps", "spiral-negative-smax", "spiral-over-step-limit",
         "profile-inf-step", "profile-inf-smax", "angle-inf-smax", "theta-inf-smax",
         "theta-nan-a", "evolve-inf-t0", "nls-inf-t1", "nls-inf-uplus-norm",
@@ -259,7 +261,8 @@ SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
         "evolve-zero-length", "evolve-negative-length", "evolve-inf-length",
         "nls-minus-inf-length", "nls-inf-t0", "nls-negative-uplus-norm",
         "theta-negative-smax", "evolve-nan-coeff", "evolve-negative-coeff",
-        "profile-nan-step", "profile-negative-step", "theta-bad-config-value"])
+        "profile-nan-step", "profile-negative-step", "theta-bad-config-value",
+        "evolve-subnormal-grid-step", "evolve-tiny-grid-step"])
 def test_failed_run_leaves_no_directory(tmp_path_factory, tmp_path, capsys, args):
     bad_config = tmp_path_factory.mktemp("config") / "bad.cfg"
     bad_config.write_text("a = abc\n")

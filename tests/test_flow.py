@@ -84,6 +84,24 @@ def test_reconstruct_threaded_matches_serial():
         assert np.array_equal(a.frames, b.frames)
 
 
+def test_reconstruct_starts_no_more_workers_than_slices(monkeypatch):
+    seen = []
+    pool = flow.ThreadPoolExecutor
+
+    def recording(max_workers):
+        seen.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(flow, "ThreadPoolExecutor", recording)
+    data = selfsimilar_data(0.5, 0.25, 1.0, 5, 2.0, 0.05)
+    wide = flow.reconstruct_flow(data, np.eye(3), np.array([0.0, 0.0, 1.0]), threads=64)
+    assert seen == [len(data.t_grid) - 1]
+    serial = flow.reconstruct_flow(data, np.eye(3), np.array([0.0, 0.0, 1.0]))
+    for a, b in zip(serial.curves, wide.curves):
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.frames, b.frames)
+
+
 def test_profile_built_slices_match_direct_integration():
     # the stability run's default curve grid and reference profile; the
     # origin frame is a generic rotation, so the profile is turned as well
@@ -352,6 +370,20 @@ def test_stability_perturbed_small_run():
     assert rep.trace_constant <= 3 * a
     assert rep.extra_identity_defect <= 1e-2
     assert rep.boundary_w_max <= 1e-3 * a
+
+
+def test_sup_T_defect_does_not_depend_on_the_reference_span(monkeypatch):
+    # the reference tangent is evaluated on the slice nodes, not interpolated
+    # between profile nodes, so a wider profile (other nodes) gives the same
+    # figure; linear interpolation moved it by 6e-8 here
+    up = nls.gaussian_field(1100.0, 4096, 5e-3, width=2.0)
+    kw = dict(t_min_factor=1e-4, s_max=4.0, ds=0.02, n_steps=700, n_slices=25)
+    base = flow.stability_experiment(0.5, up, 1.0, **kw)
+    assert 0 < base.flow.profile_slices < 25
+    profile = selfsimilar.profile
+    monkeypatch.setattr(flow.selfsimilar, "profile", lambda a, S: profile(a, 1.5 * S))
+    wide = flow.stability_experiment(0.5, up, 1.0, **kw)
+    assert abs(wide.sup_T_defect - base.sup_T_defect) <= 1e-12
 
 
 def test_stability_gates():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,16 @@ def test_validation_errors():
             ComplexField(length, 64, np.zeros(64, dtype=complex))
     with pytest.raises(InvalidParameter):
         ComplexField(10.0, 100, np.zeros(100, dtype=complex))  # not a power of two
+    for length in (5e-324, 64 * 1e-310):  # grid step zero, then subnormal
+        with pytest.raises(InvalidParameter, match="normal float"):
+            ComplexField.zeros(length, 64)
+    # a normal step whose Nyquist wavenumber squares to inf: the stepper
+    # rejects it before numpy warns about cos(inf)
+    tiny = ComplexField.zeros(1e-300, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameter, match="overflows"):
+            evolve(NlsProblem(background_a=0.0, t_span=(1.0, 2.0)), tiny, 4)
     n = 64
     f = ComplexField(10.0, n, np.exp(1j * np.pi * np.arange(n)))  # Nyquist comb
     problem = NlsProblem(sign=1, background_a=0.0, potential="none", t_span=(0.0, 0.1))

@@ -6,6 +6,7 @@ import pytest
 from filamentlab import selfsimilar
 from filamentlab.errors import InvalidParameter, OutOfProfileRange
 from filamentlab.geometry import SolverConfig
+from filamentlab.integrators import propagate_frame
 from filamentlab.selfsimilar import chi, corner_angle, profile, self_intersections
 
 
@@ -36,6 +37,60 @@ def test_angle_law_frenet_route():
     exact = math.exp(-math.pi * 0.25 / 2)
     assert abs(prof.a1_estimate - exact) <= prof.a1_error_bound + 1e-3
     assert abs(prof.a1_estimate - 0.6752) < 1e-3
+
+
+def _direct_left_half(a, s_max, cfg):
+    """G_a integrated from 0 to -s_max, as profile() did before it mirrored."""
+    return propagate_frame(lambda s: np.full(np.shape(s), float(a)), lambda s: s / 2,
+                           0.0, -float(s_max), np.eye(3), step=cfg.step,
+                           out_every=cfg.renorm_every,
+                           position0=np.array([0.0, 0.0, 2 * a]),
+                           max_steps=cfg.max_steps)
+
+
+def _profile_step_cfg(step):
+    # the configuration `filamentlab profile --step` builds
+    cfg = SolverConfig(step=step)
+    cfg.renorm_every = max(1, int(round(0.016 / cfg.step)))
+    return cfg
+
+
+@pytest.mark.parametrize("a, s_max, cfg", [
+    *((a, s_max, None) for a in (0.0, 0.1, 0.5, 1.0, 2.0)
+      for s_max in (20.0, 100.0, 400.0, 500.0, 750.0)),
+    (0.5, 100.0, _profile_step_cfg(1e-3)),
+])
+def test_mirrored_half_equals_direct_run_bit_for_bit(a, s_max, cfg):
+    prof = profile(a, s_max, cfg)
+    s, frames, points = _direct_left_half(a, s_max, cfg or selfsimilar._default_cfg(s_max))
+    n = len(s)
+    assert len(prof.curve.s_grid) == 2 * n - 1
+    for got, want in ((prof.curve.s_grid, s), (prof.curve.frames, frames),
+                      (prof.curve.points, points)):
+        assert got[:n][::-1].tobytes() == want.tobytes()
+
+
+def test_mirror_defect_measures_the_direct_run():
+    assert selfsimilar.mirror_defect(0.5, 60.0) == 0.0
+    assert selfsimilar.mirror_defect(0.5, 100.0, _profile_step_cfg(1e-3)) == 0.0
+
+
+def test_a1_error_bound_holds():
+    for a in (0.1, 0.3, 0.5, 0.9, 1.5, 2.0):
+        for s_max in (10.0, 40.0, 100.0, 250.0):
+            prof = profile(a, s_max)
+            S = prof.s_max
+            assert prof.a1_error_bound == pytest.approx(2 * a / S + 2 * a * a / S**2,
+                                                        rel=1e-15)
+            err = abs(prof.a1_estimate - math.exp(-math.pi * a * a / 2))
+            assert err <= prof.a1_error_bound
+
+
+def test_modulus_law_reading_sharpens_a1():
+    # G(S)/S misses exp(-pi a^2/2) by 5.5e-6 here; G(S)/(S + 2a^2/S) is G/|G|
+    # to O(S^-4)
+    prof = profile(0.5, 250.0)
+    assert abs(prof.a1_estimate - math.exp(-math.pi * 0.25 / 2)) <= 1e-7
 
 
 def test_modulus_law_and_parity():

@@ -116,9 +116,12 @@ class SolverConfig:
     """Fixed-step integrator knobs.
 
     ``step`` bounds the fine step, ``max_steps`` caps the fine steps of one
-    run, and ``renorm_every`` is the number of fine steps per output node:
-    it sets the output spacing of trajectories, since states are
-    materialized exactly at those nodes.
+    run (one side of a two-sided run), and ``renorm_every`` is the number of
+    fine steps per output node: it sets the output spacing of trajectories,
+    since states are materialized exactly at those nodes.  A fine step is
+    one step of the run's method, whatever its cost: a Magnus step of the
+    frame and theta propagators, or a DOP853 step of the scalar profile ODEs
+    of ``spiral``, which is 12 right-hand-side evaluations.
     """
 
     step: float = 1e-3

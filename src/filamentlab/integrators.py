@@ -16,8 +16,8 @@ elementwise in the scan and turned into matrices only at output nodes.  The
 with ``matmul``.
 
 ``_plan`` lays every fixed-step run on whole output blocks; it also plans
-the fused scalar RK4 driver of the nonlinear profile ODEs
-(``spiral._rk4_scalar``).
+the fused fixed-step DOP853 driver of the nonlinear profile ODEs
+(``spiral._fixed_step``).
 """
 
 from __future__ import annotations

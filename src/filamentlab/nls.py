@@ -113,8 +113,10 @@ def gaussian_field(domain_length, n_points, l2_norm, width=2.0, center=0.0):
     """Gaussian bump normalized to the requested L2 norm."""
     if not (math.isfinite(l2_norm) and l2_norm >= 0):
         raise InvalidParameter(f"l2_norm must be finite and nonnegative, got {l2_norm}")
-    if not (math.isfinite(width) and width > 0):
-        raise InvalidParameter("width must be finite and positive")
+    # a normal width**2 keeps the exponent finite (no 0/0 at the center)
+    if not (width > 0 and sys.float_info.min <= width * width < math.inf):
+        raise InvalidParameter(
+            f"width must be positive with width**2 a normal float, got {width:g}")
     f = ComplexField.zeros(domain_length, n_points)
     x = f.grid()
     vals = np.exp(-((x - center) ** 2) / (2 * width**2)).astype(complex)

@@ -9,18 +9,21 @@ bridged to the complex profile equation f'' + i(s/2) f' + (f/2)(|f|^2+nu)=0
 by  conj(f) f' = y/2 + i h.
 
 All three ODEs (``spiral_profile``, ``yh_evolve``, ``f_solve``) run on one
-fixed-step RK4 driver, ``_rk4_scalar``.  It plans whole output blocks with
-the package's one planner, ``integrators._plan`` (which validates the span
-and the step budget ``SolverConfig.max_steps``), checks the initial state,
-and calls the equation's step body once per block.  Each body is a fused
-loop on local floats: the four stages are written out, with no
-right-hand-side call and no tuple per stage, in the same evaluation order as
-the plain RK4 formulas.
+fixed-step driver, ``_fixed_step``, with the 12-stage 8th-order Dormand-Prince
+tableau (DOP853) and no step control.  It plans whole output blocks with the
+package's one planner, ``integrators._plan`` (which validates the span and
+the step budget ``SolverConfig.max_steps``), checks the initial state, and
+calls the equation's step body once per block.  Each body is a fused loop on
+local floats, generated once on first use (``_body``) from the tableau and a
+short right-hand-side template: the twelve stages are written out, with no
+right-hand-side call and no tuple per stage.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,93 +98,125 @@ class SpiralProfileResult:
         return float(np.max(np.abs(np.linalg.norm(T, axis=1) - 1.0)))
 
 
-def _rk4_scalar(advance, y0, s0, s1, cfg):
-    """Fixed-step RK4 driver shared by the scalar solvers of this module.
+# The 12-stage 8th-order Runge-Kutta method of Dormand & Prince (Prince &
+# Dormand, J. Comput. Appl. Math. 1981; Hairer, Norsett & Wanner, Solving
+# ODEs I, II.10), used at a fixed step: the nodes C, the nonzero entries of
+# each row of A, and the weights B.
+_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+      0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+      0.6512820512820513, 0.6, 0.8571428571428571, 1.0)
+_A = (
+    {},
+    {0: 0.05260015195876773},
+    {0: 0.0197250569845379, 1: 0.0591751709536137},
+    {0: 0.02958758547680685, 2: 0.08876275643042054},
+    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596,
+     5: -0.017578125},
+    {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+     5: -0.015319437748624402, 6: 0.008273789163814023},
+    {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+     5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
+    {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+     5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+     8: -0.020331201708508627},
+    {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+     5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+     8: 2.4936055526796523, 9: -3.0467644718982196},
+    {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+     5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+     8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
+)
+_B = {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+      7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+      10: 0.20136540080403034, 11: 0.04471061572777259}
+
+
+@functools.cache
+def _body(rhs):
+    """The fused block of m fixed DOP853 steps for one right-hand side.
+
+    ``rhs`` is (parameters, state names, auxiliary lines, derivatives): the
+    derivative of each state name is an expression in the state names, the
+    parameters, s and the auxiliary names.  The generated function
+    ``block(state, s, h, m, *parameters)`` writes every stage out on local
+    floats -- stage i renames each state name v and s to vi and si, and a
+    derivative that is a bare name is used in place, so G' = T costs
+    nothing -- and returns the state tuple after m steps of size h.
+    """
+    params, names, aux, ders = rhs
+    names = names.split()
+    word = re.compile(r"\b(%s)\b" % "|".join([*names, "s"]))
+    uses_s = any(re.search(r"\bs\b", e) for e in (*aux, *ders))
+    state = ", ".join(names)
+    src = [f"def block(state, s, h, m, {params}):", f"    {state} = state",
+           "    for _ in range(m):"]
+    k = []  # k[i][j]: the name holding the derivative of state j at stage i
+
+    def comb(row, j):
+        return " + ".join(f"{a!r} * {k[i][j]}" for i, a in row.items())
+
+    for i, row in enumerate(_A):
+        def rename(e):
+            return word.sub(rf"\g<1>{i or ''}", e)
+
+        if i:
+            src += [f"        {v}{i} = {v} + h * ({comb(row, j)})"
+                    for j, v in enumerate(names)]
+            if uses_s:
+                src.append(f"        s{i} = s + {_C[i]!r} * h")
+        src += ["        " + rename(line) for line in aux]
+        k.append([])
+        for j, e in enumerate(map(rename, ders)):
+            if not e.isidentifier():
+                src.append(f"        k{j}_{i} = {e}")
+                e = f"k{j}_{i}"
+            k[i].append(e)
+    # one assignment: a stage-0 derivative may be a state name itself
+    src.append(f"        {state} = " + ", ".join(
+        f"{v} + h * ({comb(_B, j)})" for j, v in enumerate(names)))
+    if uses_s:
+        src.append("        s = s + h")
+    src.append(f"    return {state}")
+    scope = {}
+    exec(compile("\n".join(src), f"<DOP853 block: {names}>", "exec"), scope)
+    return scope["block"]
+
+
+def _fixed_step(rhs, params, y0, s0, s1, cfg):
+    """Fixed-step DOP853 driver shared by the scalar solvers of this module.
 
     Plans the fine steps over [s0, s1] with ``integrators._plan``, in output
     blocks of m = ``cfg.renorm_every`` steps of at most ``cfg.step``, and
-    calls ``advance(y, s, h, m)`` once per block: it runs m RK4 steps of size
-    h from the state tuple y at s and returns (y, s) at the block end.
-    Returns (s_nodes, out) with the state at every block end in the rows of
-    out, row 0 the initial state.
+    runs the fused block of ``rhs`` (see ``_body``) with ``params`` once per
+    block, from that block's start node.  Returns (s_nodes, out) with the
+    state at every block end in the rows of out, row 0 the initial state.
     """
     h, m, s_nodes, _ = _plan(s0, s1, cfg.step, cfg.renorm_every, cfg.max_steps)
     y0 = np.asarray(y0)
     if not np.all(np.isfinite(y0)):
         raise InvalidParameter("initial state must be finite")
+    block = _body(rhs)
     out = np.empty((len(s_nodes), len(y0)), dtype=y0.dtype)
     out[0] = y0
-    y, s = tuple(y0.tolist()), s0
-    for b in range(1, len(s_nodes)):
-        y, s = advance(y, s, h, m)
+    y = tuple(y0.tolist())
+    for b, s in enumerate(s_nodes[:-1].tolist(), 1):
+        y = block(y, s, h, m, *params)
         out[b] = y
     return s_nodes, out
 
 
-def _profile_block(mu, state, s, h, m):
-    """m RK4 steps of G' = T, T' = M x T with M = (1/2)(I+A)G (autonomous)."""
-    gx, gy, gz, tx, ty, tz = state
-    h2, h6 = h / 2, h / 6
-    for _ in range(m):
-        # stage 1: k1 = (T, a), a = M(G) x T
-        mx = 0.5 * (gx - mu * gy)
-        my = 0.5 * (mu * gx + gy)
-        mz = 0.5 * gz
-        ax = my * tz - mz * ty
-        ay = mz * tx - mx * tz
-        az = mx * ty - my * tx
-        # stage 2 at (G + h2 T, u = T + h2 a): k2 = (u, b)
-        px = gx + h2 * tx
-        py = gy + h2 * ty
-        pz = gz + h2 * tz
-        ux = tx + h2 * ax
-        uy = ty + h2 * ay
-        uz = tz + h2 * az
-        mx = 0.5 * (px - mu * py)
-        my = 0.5 * (mu * px + py)
-        mz = 0.5 * pz
-        bx = my * uz - mz * uy
-        by = mz * ux - mx * uz
-        bz = mx * uy - my * ux
-        # stage 3 at (G + h2 u, v = T + h2 b): k3 = (v, c)
-        px = gx + h2 * ux
-        py = gy + h2 * uy
-        pz = gz + h2 * uz
-        vx = tx + h2 * bx
-        vy = ty + h2 * by
-        vz = tz + h2 * bz
-        mx = 0.5 * (px - mu * py)
-        my = 0.5 * (mu * px + py)
-        mz = 0.5 * pz
-        cx = my * vz - mz * vy
-        cy = mz * vx - mx * vz
-        cz = mx * vy - my * vx
-        # stage 4 at (G + h v, w = T + h c): k4 = (w, d)
-        px = gx + h * vx
-        py = gy + h * vy
-        pz = gz + h * vz
-        wx = tx + h * cx
-        wy = ty + h * cy
-        wz = tz + h * cz
-        mx = 0.5 * (px - mu * py)
-        my = 0.5 * (mu * px + py)
-        mz = 0.5 * pz
-        dx = my * wz - mz * wy
-        dy = mz * wx - mx * wz
-        dz = mx * wy - my * wx
-        gx = gx + h6 * (tx + 2.0 * ux + 2.0 * vx + wx)
-        gy = gy + h6 * (ty + 2.0 * uy + 2.0 * vy + wy)
-        gz = gz + h6 * (tz + 2.0 * uz + 2.0 * vz + wz)
-        tx = tx + h6 * (ax + 2.0 * bx + 2.0 * cx + dx)
-        ty = ty + h6 * (ay + 2.0 * by + 2.0 * cy + dy)
-        tz = tz + h6 * (az + 2.0 * bz + 2.0 * cz + dz)
-    return (gx, gy, gz, tx, ty, tz), s + m * h
+# G' = T, T' = M x T with M = (1/2)(I+A)G (autonomous)
+_PROFILE = ("mu", "gx gy gz tx ty tz",
+            ("mx = 0.5 * (gx - mu * gy)", "my = 0.5 * (mu * gx + gy)", "mz = 0.5 * gz"),
+            ("tx", "ty", "tz",
+             "my * tz - mz * ty", "mz * tx - mx * tz", "mx * ty - my * tx"))
 
 
 def _integrate_dir(params, s_end, cfg):
-    """Scalar RK4 on (G, T) from s = 0; T' = (1/2)(I+A)G x T keeps the run light."""
-    mu = params.mu
-    s, out = _rk4_scalar(lambda y, s, h, m: _profile_block(mu, y, s, h, m),
+    """DOP853 on (G, T) from s = 0; T' = (1/2)(I+A)G x T keeps the run light."""
+    s, out = _fixed_step(_PROFILE, (params.mu,),
                          (*params.G0.tolist(), *params.T0.tolist()), 0.0, s_end, cfg)
     return s, out[:, :3], out[:, 3:]
 
@@ -197,7 +232,7 @@ def spiral_profile(params, s_span, cfg=None):
     s_lo, s_hi = float(s_span[0]), float(s_span[1])
     if s_lo > 0 or s_hi < 0:
         raise InvalidParameter("s_span must contain 0 (initial data lives there)")
-    cfg = cfg or SolverConfig(step=3e-4, renorm_every=32)
+    cfg = cfg or SolverConfig(step=4.8e-3, renorm_every=2)
     s, G, T = two_sided(
         lambda end: _integrate_dir(params, end, cfg),
         s_lo, s_hi,
@@ -227,29 +262,9 @@ def g_of(x, nu, E0):
     return 2 * E0 - (3 * x + nu) * (x + nu) / 2
 
 
-def _yh_block(nu, E0, state, s, h, m):
-    """m RK4 steps of x' = y, y' = s h + g(x), h' = -(s/4) y (g_of inlined)."""
-    x, y, hh = state
-    h2, h6 = h / 2, h / 6
-    e2 = 2 * E0
-    for _ in range(m):
-        k1y = s * hh + (e2 - (3.0 * x + nu) * (x + nu) / 2.0)
-        k1h = -(s / 4.0) * y
-        x2, y2, hh2, s2 = x + h2 * y, y + h2 * k1y, hh + h2 * k1h, s + h2
-        k2y = s2 * hh2 + (e2 - (3.0 * x2 + nu) * (x2 + nu) / 2.0)
-        q2 = -(s2 / 4.0)
-        k2h = q2 * y2
-        x3, y3, hh3 = x + h2 * y2, y + h2 * k2y, hh + h2 * k2h
-        k3y = s2 * hh3 + (e2 - (3.0 * x3 + nu) * (x3 + nu) / 2.0)
-        k3h = q2 * y3
-        x4, y4, hh4, s4 = x + h * y3, y + h * k3y, hh + h * k3h, s + h
-        k4y = s4 * hh4 + (e2 - (3.0 * x4 + nu) * (x4 + nu) / 2.0)
-        k4h = -(s4 / 4.0) * y4
-        x += h6 * (y + 2.0 * y2 + 2.0 * y3 + y4)
-        y += h6 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        hh += h6 * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
-        s += h
-    return (x, y, hh), s
+# x' = y, y' = s h + g(x), h' = -(s/4) y (g_of inlined)
+_YH = ("nu, E0", "x y hh", (),
+       ("y", "s * hh + (2.0 * E0 - (3.0 * x + nu) * (x + nu) / 2.0)", "-(s / 4.0) * y"))
 
 
 def yh_evolve(y0, h0, nu, E0, s_span, cfg=None, *, x0):
@@ -258,33 +273,17 @@ def yh_evolve(y0, h0, nu, E0, s_span, cfg=None, *, x0):
     ``x0`` supplies |T'|^2 at the starting point (the system only sees its
     derivative y, so the level must be given).  Returns (s, x, y, h) arrays.
     """
-    cfg = cfg or SolverConfig(step=2e-4, renorm_every=50)
+    cfg = cfg or SolverConfig(step=1e-2, renorm_every=1)
     nu, E0 = float(nu), float(E0)
     if not (math.isfinite(nu) and math.isfinite(E0)):
         raise InvalidParameter("nu and E0 must be finite")
-    s, out = _rk4_scalar(lambda y, s, h, m: _yh_block(nu, E0, y, s, h, m),
-                         (float(x0), float(y0), float(h0)),
+    s, out = _fixed_step(_YH, (nu, E0), (float(x0), float(y0), float(h0)),
                          float(s_span[0]), float(s_span[1]), cfg)
     return s, out[:, 0], out[:, 1], out[:, 2]
 
 
-def _f_block(nu, state, s, h, m):
-    """m RK4 steps of f' = g, g' = -i(s/2) g - (f/2)(|f|^2 + nu)."""
-    f, g = state
-    h2, h6 = h / 2, h / 6
-    for _ in range(m):
-        k1g = -0.5j * s * g - 0.5 * f * (abs(f) ** 2 + nu)
-        f2, g2, s2 = f + h2 * g, g + h2 * k1g, s + h2
-        j2 = -0.5j * s2
-        k2g = j2 * g2 - 0.5 * f2 * (abs(f2) ** 2 + nu)
-        f3, g3 = f + h2 * g2, g + h2 * k2g
-        k3g = j2 * g3 - 0.5 * f3 * (abs(f3) ** 2 + nu)
-        f4, g4, s4 = f + h * g3, g + h * k3g, s + h
-        k4g = -0.5j * s4 * g4 - 0.5 * f4 * (abs(f4) ** 2 + nu)
-        f += h6 * (g + 2 * g2 + 2 * g3 + g4)
-        g += h6 * (k1g + 2 * k2g + 2 * k3g + k4g)
-        s += h
-    return (f, g), s
+# f' = g, g' = -i(s/2) g - (f/2)(|f|^2 + nu)
+_F = ("nu", "f g", (), ("g", "-0.5j * s * g - 0.5 * f * (abs(f) ** 2 + nu)"))
 
 
 def f_solve(f0, f0_prime, nu, s_span, cfg=None):
@@ -293,12 +292,11 @@ def f_solve(f0, f0_prime, nu, s_span, cfg=None):
     Initial data at s_span[0]; returns (s, f, f') arrays.  The conserved
     energy is |f'|^2 + (|f|^2 + nu)^2 / 4.
     """
-    cfg = cfg or SolverConfig(step=2.5e-4, renorm_every=64)
+    cfg = cfg or SolverConfig(step=1.6e-2 / 3, renorm_every=3)
     nu = float(nu)
     if not math.isfinite(nu):
         raise InvalidParameter("nu must be finite")
-    s, out = _rk4_scalar(lambda y, s, h, m: _f_block(nu, y, s, h, m),
-                         (complex(f0), complex(f0_prime)),
+    s, out = _fixed_step(_F, (nu,), (complex(f0), complex(f0_prime)),
                          float(s_span[0]), float(s_span[1]), cfg)
     return s, out[:, 0], out[:, 1]
 

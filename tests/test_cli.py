@@ -253,6 +253,10 @@ SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
     ["theta", "--config", "{bad_config}"],
     ["evolve", "--length", "5e-324", "--n-points", "64", "--n-steps", "4"],
     ["evolve", "--length", "1e-300", "--n-points", "64", "--n-steps", "4"],
+    ["nls", "--width", "1e-300", *SMALL_GRID, "--length", "100"],
+    ["stability", "--width", "1e-300", "--n-points", "256", "--n-steps", "20",
+     "--n-slices", "8", "--tmin-factor", "1e-2"],
+    ["evolve", "--datum", "gaussian", "--width", "1e200", *SMALL_GRID],
 ], ids=["evolve-zero-steps", "spiral-negative-smax", "spiral-over-step-limit",
         "profile-inf-step", "profile-inf-smax", "angle-inf-smax", "theta-inf-smax",
         "theta-nan-a", "evolve-inf-t0", "nls-inf-t1", "nls-inf-uplus-norm",
@@ -262,7 +266,9 @@ SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
         "nls-minus-inf-length", "nls-inf-t0", "nls-negative-uplus-norm",
         "theta-negative-smax", "evolve-nan-coeff", "evolve-negative-coeff",
         "profile-nan-step", "profile-negative-step", "theta-bad-config-value",
-        "evolve-subnormal-grid-step", "evolve-tiny-grid-step"])
+        "evolve-subnormal-grid-step", "evolve-tiny-grid-step",
+        "nls-width-squared-underflows", "stability-width-squared-underflows",
+        "evolve-width-squared-overflows"])
 def test_failed_run_leaves_no_directory(tmp_path_factory, tmp_path, capsys, args):
     bad_config = tmp_path_factory.mktemp("config") / "bad.cfg"
     bad_config.write_text("a = abc\n")

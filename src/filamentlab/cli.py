@@ -101,10 +101,8 @@ def _run_profile(params, outdir):
     a, smax = params["a"], params["smax"]
     if a < 0 or smax <= 0:
         raise FilamentError("profile needs a >= 0 and smax > 0")
-    cfg = None
-    if params["step"] != 0:  # 0 selects the default step
-        cfg = geometry.SolverConfig(step=params["step"])
-        cfg.renorm_every = max(1, int(round(0.016 / cfg.step)))
+    # --step 0 keeps the default step; any step keeps the default spacing
+    cfg = selfsimilar._default_cfg(smax, params["step"]) if params["step"] != 0 else None
     prof = selfsimilar.profile(a, smax, cfg)
     prof.curve.write_csv(outdir / "profile.csv")
     inter = selfsimilar.self_intersections(prof) if a > 0 else np.array([])
@@ -241,9 +239,8 @@ def _run_selfcheck(params, outdir):
     check("geometry.orthonormality", geometry.frame_orthonormality_defect(circ.frames), 1e-8)
 
     prof = selfsimilar.profile(0.5, 60.0)
-    # the profile's left half is the mirror of its right half, so its
-    # parity_defect is zero by construction: measure the mirror against a
-    # direct run instead
+    # the profile's left half is the mirror of its right half, so its parity
+    # holds by construction: measure the mirror against a direct run instead
     check("selfsimilar.parity", selfsimilar.mirror_defect(0.5, 60.0), 1e-8)
     check("selfsimilar.modulus_law", selfsimilar.modulus_defect(prof), 1e-6)
     t = 0.25

@@ -34,13 +34,11 @@ from .errors import (
     GridTooCoarse,
     InsufficientTimeRange,
     InvalidParameter,
-    OutOfProfileRange,
 )
 from .geometry import (Curve, IntrinsicData, SolverConfig, _cumulative_simpson,
                        _nonuniform_dt, propagate_frame)
 from .integrators import (GAUSS_C1, GAUSS_C2, _Q_ONE, _plan, _qmul, _rotation,
-                          _scan, magnus_frame_step, magnus_omega,
-                          rodrigues_phi1, two_sided)
+                          _scan, magnus_omega, rodrigues_phi1, two_sided)
 
 _ORIGIN_SUBSTEPS = 2  # uniform frame-ODE steps per origin-series interval
 _SLICE_STEP = 1e-3     # fine-step bound of the Frenet integration in s
@@ -170,27 +168,6 @@ def _slice_nodes(s, m):
                      float(s[0]), float(s[-1]))[0]
 
 
-def _profile_at(prof, sig):
-    """Frames and points of the profile at the nodes ``sig``.
-
-    A node between two profile nodes takes one Magnus-4 step (c = a,
-    tau = sigma/2) from the nearest one.
-    """
-    grid, frames, points = prof.curve.s_grid, prof.curve.frames, prof.curve.points
-    reach = float(np.max(np.abs(sig)))
-    if reach > grid[-1]:
-        raise OutOfProfileRange(
-            f"sigma = {reach:g} lies beyond the profile's s_max = {grid[-1]:g}")
-    j = np.clip(np.searchsorted(grid, sig), 1, len(grid) - 1)
-    j -= sig - grid[j - 1] < grid[j] - sig
-    h = sig - grid[j]
-    c = np.full_like(h, prof.a)
-    q, wV = magnus_frame_step(c, c, (grid[j] + GAUSS_C1 * h) / 2,
-                              (grid[j] + GAUSS_C2 * h) / 2, h)
-    Fj = frames[j]
-    return _rotation(q) @ Fj, points[j] + np.einsum("ni,nij->nj", wV, Fj)
-
-
 def _profile_slice(prof, s_nodes, tk, Fk, pk):
     """Slice of the fields c = a/sqrt(t), tau = s/2t built from the profile.
 
@@ -199,7 +176,7 @@ def _profile_slice(prof, s_nodes, tk, Fk, pk):
     pk + sqrt(t) (G(sigma) - G(0)) @ Fk.
     """
     rt = math.sqrt(tk)
-    F, G = _profile_at(prof, s_nodes / rt)
+    F, G = selfsimilar.evaluate(prof, s_nodes / rt)
     G0 = prof.curve.points[np.searchsorted(prof.curve.s_grid, 0.0)]
     return Curve(s_nodes, pk + rt * (G - G0) @ Fk, F @ Fk)
 
@@ -347,8 +324,8 @@ class StabilityReport:
     built from the reference profile (their count is
     ``flow.profile_slices``); on them ``sup_T_defect`` measures only the
     perturbation of the origin frame.  The reference tangent is evaluated
-    on each slice's nodes as the built slices are (``_profile_at``), so the
-    figure does not depend on the profile's grid.
+    on each slice's nodes by ``selfsimilar.evaluate``, as the built slices
+    are, so the figure does not depend on the profile's grid.
     """
 
     a: float
@@ -390,11 +367,14 @@ class StabilityReport:
 
 
 def check_scales(t0, t_min_factor, s_max, ds):
-    """Reject stability-run scales that are not finite and positive."""
+    """Reject stability-run scales that are not finite and positive, and a
+    curve grid whose node count 2 s_max/ds overflows."""
     for name, v in (("t0", t0), ("t_min_factor", t_min_factor), ("s_max", s_max),
                     ("ds", ds), ("t0 * t_min_factor", t0 * t_min_factor)):
         if not (math.isfinite(v) and v > 0):
             raise InvalidParameter(f"{name} must be finite and positive, got {v}")
+    if not math.isfinite(2 * s_max / ds):
+        raise InvalidParameter(f"ds = {ds} gives an infinite node count 2 s_max/ds")
 
 
 def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
@@ -544,7 +524,7 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     # unperturbed reference; it also yields the slices past t_clean, whose
     # fields above are exactly the self-similar ones
     # sized to the largest sigma = s/sqrt(t) a slice node reaches, plus one
-    # output spacing; _profile_at still rejects a node beyond it
+    # output spacing; selfsimilar.evaluate still rejects a node beyond it
     sig_max = float(np.max(np.abs(s_grid))) / math.sqrt(t_slices[0])
     cfg = selfsimilar._default_cfg(sig_max)
     prof = selfsimilar.profile(a, max(sig_max + cfg.step * cfg.renorm_every, 50.0))
@@ -556,7 +536,8 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     # every slice's nodes against the reference in one batched evaluation
     sig = np.concatenate([c.s_grid / math.sqrt(tk) for c, tk in zip(result.curves, t_slices)])
     T = np.concatenate([c.frames[:, 0] for c in result.curves])
-    sup_T = float(np.max(np.linalg.norm(T - _profile_at(prof, sig)[0][:, 0], axis=1)))
+    T_ref = selfsimilar.evaluate(prof, sig)[0][:, 0]
+    sup_T = float(np.max(np.linalg.norm(T - T_ref, axis=1)))
 
     # vertex from the sqrt(t) law at s = 0, then cone defect vs A+/-
     r1, r2 = math.sqrt(t_slices[0]), math.sqrt(t_slices[1])

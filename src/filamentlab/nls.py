@@ -154,6 +154,9 @@ class NlsProblem:
         t0, t1 = self.t_span
         if self.potential == "gp" and (t0 <= 0 or t1 <= 0):
             raise TimeSpanCrossesZero("the 1/t equation needs 0 < t_lo <= t_hi")
+        # its time grid is log-uniform
+        if self.potential == "gp" and not 0 < t1 / t0 < math.inf:
+            raise InvalidParameter(f"t_span {self.t_span}: log(t1/t0) must be finite")
         if self.coeff is None:
             self.coeff = 1.0 if self.potential == "gp" else 0.5
 

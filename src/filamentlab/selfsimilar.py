@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, OutOfProfileRange
+from .errors import InvalidParameter, OutOfProfileRange, StepLimitExceeded
 from .geometry import Curve, SolverConfig
 from .integrators import (
     GAUSS_C1,
@@ -40,11 +40,18 @@ class SelfSimilarProfile:
         return float(np.arccos(np.clip(-np.dot(self.A_plus, self.A_minus), -1, 1)))
 
 
-def _default_cfg(s_max):
-    # output spacing must resolve the fastest frame rotation (tau = s/2)
+def _default_cfg(s_max, step=None):
+    """The configuration of G_a on [-s_max, s_max]: the output spacing
+    resolves the fastest frame rotation (tau = s/2), the fine step is
+    ``step`` or by default the smaller of 2e-3 and that spacing."""
     dso = min(0.032, math.pi / (2 * max(s_max, 1.0)))
-    step = min(2e-3, dso)
-    return SolverConfig(step=step, renorm_every=max(1, int(round(dso / step))))
+    cfg = SolverConfig(step=min(2e-3, dso) if step is None else step)
+    per_node = dso / cfg.step
+    if per_node > cfg.max_steps:  # also an overflow to inf
+        raise StepLimitExceeded(
+            f"step {cfg.step:g} needs {per_node:g} steps per output spacing {dso:g}")
+    cfg.renorm_every = max(1, int(round(per_node)))
+    return cfg
 
 
 # parity of G_a: x is odd and y, z are even, so T = G' keeps its x and flips
@@ -137,26 +144,34 @@ def corner_angle(a):
     return a1, 2 * math.asin(a1)
 
 
-def parity_defect(prof):
-    """Max violation of x odd / y,z even on the symmetric grid."""
-    s = prof.curve.s_grid
-    p = prof.curve.points
-    n = (len(s) - 1) // 2
-    left = p[:n][::-1]
-    right = p[n + 1 :]
-    m = min(len(left), len(right))
-    dx = np.abs(right[:m, 0] + left[:m, 0])
-    dy = np.abs(right[:m, 1] - left[:m, 1])
-    dz = np.abs(right[:m, 2] - left[:m, 2])
-    return float(max(dx.max(), dy.max(), dz.max()))
-
-
 def modulus_defect(prof):
     """Max relative violation of |G|^2 = s^2 + 4 a^2."""
     s = prof.curve.s_grid
     target = s * s + 4 * prof.a * prof.a
     got = np.sum(prof.curve.points**2, axis=1)
     return float(np.max(np.abs(got - target) / target))
+
+
+def evaluate(prof, sigma):
+    """Frames and points of G_a at the abscissae ``sigma`` (a 1-d array).
+
+    A node between two profile nodes takes one Magnus-4 step (c = a,
+    tau = sigma/2) from the nearest one.  |sigma| may pass s_max by a
+    relative 1e-12; beyond that it is OutOfProfileRange.
+    """
+    grid, frames, points = prof.curve.s_grid, prof.curve.frames, prof.curve.points
+    reach = float(np.max(np.abs(sigma), initial=0.0))
+    if reach > prof.s_max * (1 + 1e-12):
+        raise OutOfProfileRange(
+            f"sigma = {reach:g} lies beyond the profile's s_max = {prof.s_max:g}")
+    j = np.clip(np.searchsorted(grid, sigma), 1, len(grid) - 1)
+    j -= sigma - grid[j - 1] < grid[j] - sigma
+    h = sigma - grid[j]
+    c = np.full_like(h, prof.a)
+    q, wV = magnus_frame_step(c, c, (grid[j] + GAUSS_C1 * h) / 2,
+                              (grid[j] + GAUSS_C2 * h) / 2, h)
+    Fj = frames[j]
+    return _rotation(q) @ Fj, points[j] + np.einsum("ni,nij->nj", wV, Fj)
 
 
 def chi(prof, s, t):
@@ -171,50 +186,8 @@ def chi(prof, s, t):
                        s[:, None] * prof.A_minus[None])
         return out[0] if scalar else out
     rt = math.sqrt(t)
-    sigma = s / rt
-    if np.any(np.abs(sigma) > prof.s_max * (1 + 1e-12)):
-        raise OutOfProfileRange(
-            f"|s|/sqrt(t) up to {np.max(np.abs(sigma)):g} exceeds s_max={prof.s_max:g}"
-        )
-    out = rt * _hermite_eval(prof.curve, sigma)
+    out = rt * evaluate(prof, s / rt)[1]
     return out[0] if scalar else out
-
-
-def _hermite_eval(curve, sq):
-    """Cubic Hermite interpolation of the points using stored tangents."""
-    grid = curve.s_grid
-    d = grid[1] - grid[0]
-    i = np.clip(np.searchsorted(grid, sq, side="right") - 1, 0, len(grid) - 2)
-    u = (sq - grid[i]) / d
-    u2, u3 = u * u, u * u * u
-    h00 = 2 * u3 - 3 * u2 + 1
-    h10 = u3 - 2 * u2 + u
-    h01 = -2 * u3 + 3 * u2
-    h11 = u3 - u2
-    G0, G1 = curve.points[i], curve.points[i + 1]
-    T0, T1 = curve.frames[i, 0], curve.frames[i + 1, 0]
-    return (h00[:, None] * G0 + (d * h10)[:, None] * T0
-            + h01[:, None] * G1 + (d * h11)[:, None] * T1)
-
-
-def _x_refine(prof, s_query):
-    """Batched high-accuracy x(s) by short frame propagation from grid nodes."""
-    grid = prof.curve.s_grid
-    i = np.clip(np.searchsorted(grid, s_query, side="right") - 1, 0, len(grid) - 2)
-    s0 = grid[i]
-    m = 32  # Magnus steps from the bracketing node to the query point
-    h = (s_query - s0) / m
-    F = prof.curve.frames[i].copy()
-    G = prof.curve.points[i].copy()
-    c = np.full_like(h, prof.a)
-    for k in range(m):
-        sk = s0 + k * h
-        t1 = (sk + GAUSS_C1 * h) / 2
-        t2 = (sk + GAUSS_C2 * h) / 2
-        q, wV = magnus_frame_step(c, c, t1, t2, h)
-        G = G + np.einsum("ni,nij->nj", wV, F)
-        F = _rotation(q) @ F
-    return G[:, 0]
 
 
 def self_intersections(prof):
@@ -222,9 +195,9 @@ def self_intersections(prof):
 
     By parity G(s*) = G(-s*) at every returned s*, so each zero marks a
     self-intersection of the profile.  Zeros are located by sign change on
-    the stored grid and refined by bisection against a short-step frame
-    propagation from the bracketing node; zeros closer than 1e-8 are
-    merged.  The scan covers (0, s_max]; an empty array is a valid result.
+    the stored grid and refined by bisection against ``evaluate``; zeros
+    closer than 1e-8 are merged.  The scan covers (0, s_max]; an empty
+    array is a valid result.
     """
     s = prof.curve.s_grid
     x = prof.curve.points[:, 0]
@@ -237,7 +210,7 @@ def self_intersections(prof):
     flo = xp[flip].copy()
     while np.max(hi - lo) > 1e-10:
         mid = 0.5 * (lo + hi)
-        fmid = _x_refine(prof, mid)
+        fmid = evaluate(prof, mid)[1][:, 0]
         left = np.sign(fmid) * np.sign(flo) > 0
         lo = np.where(left, mid, lo)
         flo = np.where(left, fmid, flo)

@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstraintViolated, InvalidParameter
+from .errors import ConstraintViolated, InvalidParameter, OutOfProfileRange
 from .geometry import Curve, SolverConfig
 from .integrators import _plan, two_sided
-from .selfsimilar import _hermite_eval
 
 CONSTRAINT_TOL = 1e-10
 
@@ -323,9 +322,24 @@ def spiral_chi(params, profile_curve, s, t):
     sigma = s / rt
     grid = profile_curve.s_grid
     if sigma.min() < grid[0] - 1e-12 or sigma.max() > grid[-1] + 1e-12:
-        from .errors import OutOfProfileRange
-
         raise OutOfProfileRange("s/sqrt(t) outside the computed profile span")
     G = _hermite_eval(profile_curve, sigma)
     out = rt * (G @ rotation_log(params.mu, t).T)
     return out[0] if scalar else out
+
+
+def _hermite_eval(curve, sq):
+    """Cubic Hermite interpolation of the points using stored tangents."""
+    grid = curve.s_grid
+    d = grid[1] - grid[0]
+    i = np.clip(np.searchsorted(grid, sq, side="right") - 1, 0, len(grid) - 2)
+    u = (sq - grid[i]) / d
+    u2, u3 = u * u, u * u * u
+    h00 = 2 * u3 - 3 * u2 + 1
+    h10 = u3 - 2 * u2 + u
+    h01 = -2 * u3 + 3 * u2
+    h11 = u3 - u2
+    G0, G1 = curve.points[i], curve.points[i + 1]
+    T0, T1 = curve.frames[i, 0], curve.frames[i + 1, 0]
+    return (h00[:, None] * G0 + (d * h10)[:, None] * T0
+            + h01[:, None] * G1 + (d * h11)[:, None] * T1)

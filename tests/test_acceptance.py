@@ -120,7 +120,7 @@ def test_criterion_5_cross_oracles():
                                  np.array([1.0, 0.0, 0.0]))
     res = spiral.spiral_profile(params, (-20.0, 20.0))
     prof = selfsimilar.profile(a, 20.0, SolverConfig(step=1e-3, renorm_every=8))
-    pts = selfsimilar._hermite_eval(prof.curve, res.curve.s_grid)
+    pts = selfsimilar.evaluate(prof, res.curve.s_grid)[1]
     d_spiral = float(np.max(np.linalg.norm(res.curve.points - pts, axis=1)))
     assert d_spiral <= 1e-6
     _report(5, f"theta-vs-frenet {d_routes:.2e}; spiral(mu=0)-vs-profile "

@@ -309,7 +309,8 @@ SWEEP_BASE = {
 SWEEP = [(sub, key.replace("_", "-"), value)
          for sub, spec in cli.SPECS.items()
          for key, (kind, _default) in spec.items() if kind in (int, float)
-         for value in (("nan", "inf", "-inf") if kind is float else ()) + ("0", "-1")]
+         for value in (("nan", "inf", "-inf", "5e-324") if kind is float else ())
+         + ("0", "-1")]
 
 
 @pytest.mark.parametrize("sub, flag, value", SWEEP,

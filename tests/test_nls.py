@@ -211,7 +211,8 @@ def test_validation_errors():
     for bad in ({"t_span": (1.0, math.inf)}, {"t_span": (math.nan, 2.0)},
                 {"background_a": math.inf}, {"background_a": math.nan},
                 {"coeff": math.inf}, {"coeff": math.nan}, {"coeff": 0.0},
-                {"coeff": -1.0}):
+                {"coeff": -1.0}, {"t_span": (5e-324, 10.0)},
+                {"t_span": (10.0, 5e-324)}):
         with pytest.raises(InvalidParameter):
             NlsProblem(**bad)
     for norm, width in ((math.inf, 2.0), (math.nan, 2.0), (-0.01, 2.0), (1.0, 0.0),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from filamentlab import selfsimilar
-from filamentlab.errors import InvalidParameter, OutOfProfileRange
+from filamentlab.errors import InvalidParameter, OutOfProfileRange, StepLimitExceeded
 from filamentlab.geometry import SolverConfig
 from filamentlab.integrators import propagate_frame
 from filamentlab.selfsimilar import chi, corner_angle, profile, self_intersections
@@ -48,17 +48,10 @@ def _direct_left_half(a, s_max, cfg):
                            max_steps=cfg.max_steps)
 
 
-def _profile_step_cfg(step):
-    # the configuration `filamentlab profile --step` builds
-    cfg = SolverConfig(step=step)
-    cfg.renorm_every = max(1, int(round(0.016 / cfg.step)))
-    return cfg
-
-
 @pytest.mark.parametrize("a, s_max, cfg", [
     *((a, s_max, None) for a in (0.0, 0.1, 0.5, 1.0, 2.0)
       for s_max in (20.0, 100.0, 400.0, 500.0, 750.0)),
-    (0.5, 100.0, _profile_step_cfg(1e-3)),
+    (0.5, 100.0, selfsimilar._default_cfg(100.0, 1e-3)),
 ])
 def test_mirrored_half_equals_direct_run_bit_for_bit(a, s_max, cfg):
     prof = profile(a, s_max, cfg)
@@ -72,7 +65,7 @@ def test_mirrored_half_equals_direct_run_bit_for_bit(a, s_max, cfg):
 
 def test_mirror_defect_measures_the_direct_run():
     assert selfsimilar.mirror_defect(0.5, 60.0) == 0.0
-    assert selfsimilar.mirror_defect(0.5, 100.0, _profile_step_cfg(1e-3)) == 0.0
+    assert selfsimilar.mirror_defect(0.5, 100.0, selfsimilar._default_cfg(100.0, 1e-3)) == 0.0
 
 
 def test_a1_error_bound_holds():
@@ -94,10 +87,47 @@ def test_modulus_law_reading_sharpens_a1():
 
 
 def test_modulus_law_and_parity():
+    # parity between the nodes: x is odd and y, z are even
+    sig = np.random.default_rng(0).uniform(0.0, 60.0, 1000)
     for a in (0.25, 1.0):
         prof = profile(a, 60.0)
         assert selfsimilar.modulus_defect(prof) <= 1e-6
-        assert selfsimilar.parity_defect(prof) <= 1e-8
+        right = selfsimilar.evaluate(prof, sig)[1]
+        left = selfsimilar.evaluate(prof, -sig)[1]
+        assert np.max(np.abs(left - right * [-1.0, 1.0, 1.0])) <= 1e-12
+
+
+def test_evaluate_between_nodes_matches_a_direct_run():
+    a, cfg = 2.0, SolverConfig(step=1e-4, renorm_every=1)
+    prof = profile(a, 30.0)
+    for end in (0.123456, -7.654321, 29.9999):
+        s, frames, points = selfsimilar._half(a, end, cfg)
+        F, G = selfsimilar.evaluate(prof, np.array([end]))
+        assert np.max(np.abs(G[0] - points[-1])) <= 1e-10
+        assert np.max(np.abs(F[0] - frames[-1])) <= 1e-10
+
+
+def test_evaluate_range_check_allows_roundoff():
+    prof = profile(0.5, 10.0)
+    S = prof.s_max
+    edge = selfsimilar.evaluate(prof, np.array([-S * (1 + 1e-13), S * (1 + 1e-13)]))[1]
+    assert np.allclose(edge, prof.curve.points[[0, -1]], atol=1e-10)
+    with pytest.raises(OutOfProfileRange):
+        selfsimilar.evaluate(prof, np.array([S * (1 + 1e-11)]))
+
+
+def test_default_cfg_with_step():
+    # a given step keeps the default output spacing of the span
+    cfg = selfsimilar._default_cfg(100.0, 1e-3)
+    assert (cfg.step, cfg.renorm_every) == (1e-3, 16)
+    cfg = selfsimilar._default_cfg(20.0, 1e-3)
+    assert (cfg.step, cfg.renorm_every) == (1e-3, 32)
+    # one output spacing would need more steps than the budget (inf here)
+    for step in (1e-320, 5e-324):
+        with pytest.raises(StepLimitExceeded):
+            selfsimilar._default_cfg(100.0, step)
+    with pytest.raises(InvalidParameter):
+        selfsimilar._default_cfg(100.0, -1.0)
 
 
 def test_third_order_ode_residual_second_order():
@@ -186,9 +216,11 @@ def test_self_intersections_dichotomy():
         gp = chi(prof_large, r, 1.0)
         gm = chi(prof_large, -r, 1.0)
         assert np.linalg.norm(gp - gm) <= 1e-8
-    # x really vanishes there (refined evaluation, not grid interpolation)
-    xs = selfsimilar._x_refine(prof_large, roots[:5])
-    assert np.max(np.abs(xs)) < 1e-9
+    # x really vanishes there: a direct run that ends at each root, apart
+    # from the evaluator that found it
+    for r in roots[:5]:
+        _, _, points = selfsimilar._half(2.0, r, SolverConfig(step=1e-4, renorm_every=1))
+        assert abs(points[-1, 0]) < 1e-9
 
 
 def test_small_a_first_zero_matches_sin_asymptotics():

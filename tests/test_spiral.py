@@ -49,7 +49,7 @@ def test_mu_zero_reduces_to_selfsimilar():
     res = spiral_profile(make_params(0.0, a), (-20.0, 20.0))
     prof = selfsimilar.profile(a, 20.0)
     # compare on the coarser of the two grids
-    pts = selfsimilar._hermite_eval(prof.curve, res.curve.s_grid)
+    pts = selfsimilar.evaluate(prof, res.curve.s_grid)[1]
     assert np.max(np.linalg.norm(res.curve.points - pts, axis=1)) <= 1e-6
     # rotation invariant with mu=0: |T'|^2 = -nu = a^2 (constant curvature)
     assert np.max(np.abs(res.c_sq - a * a)) <= 1e-8
@@ -103,12 +103,12 @@ def test_bridge_f_to_yh():
     nu = 0.4
     f0, fp0 = 1.0, 0.25j
     s, f, fp = f_solve(f0, fp0, nu, (0.0, 25.0),
-                       SolverConfig(step=2e-4, renorm_every=50))
+                       SolverConfig(step=1e-2, renorm_every=1))
     prod = np.conj(f) * fp
     y_f, h_f = 2 * np.real(prod), np.imag(prod)
     E0 = float(f_energy(f0, fp0, nu))
     s2, x, y, h = yh_evolve(y_f[0], h_f[0], nu, E0, (0.0, 25.0),
-                            SolverConfig(step=2e-4, renorm_every=50),
+                            SolverConfig(step=1e-2, renorm_every=1),
                             x0=abs(f0) ** 2)
     assert np.max(np.abs(s - s2)) < 1e-12
     assert np.max(np.abs(y - y_f)) < 1e-5
@@ -118,11 +118,11 @@ def test_bridge_f_to_yh():
 
 def test_profile_consistent_with_yh():
     p = make_params(0.35, 0.5)
-    res = spiral_profile(p, (0.0, 25.0), SolverConfig(step=2e-4, renorm_every=40))
+    res = spiral_profile(p, (0.0, 25.0), SolverConfig(step=4e-3, renorm_every=2))
     s = res.curve.s_grid
     ds = s[1] - s[0]
     s2, x, y, h = yh_evolve(p.y0, p.h0, p.nu, p.E0, (0.0, 25.0),
-                            SolverConfig(step=2e-4, renorm_every=40), x0=p.c0_sq)
+                            SolverConfig(step=4e-3, renorm_every=2), x0=p.c0_sq)
     y_on = np.interp(s, s2, y)
     x_on = np.interp(s, s2, x)
     assert np.max(np.abs(x_on - res.c_sq)) < 1e-5

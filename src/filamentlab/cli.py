@@ -101,7 +101,8 @@ def _run_profile(params, outdir):
     a, smax = params["a"], params["smax"]
     if a < 0 or smax <= 0:
         raise FilamentError("profile needs a >= 0 and smax > 0")
-    # --step 0 keeps the default step; any step keeps the default spacing
+    # --step 0 keeps the default step; a given step keeps the default
+    # spacing, and one above that spacing is rejected
     cfg = selfsimilar._default_cfg(smax, params["step"]) if params["step"] != 0 else None
     prof = selfsimilar.profile(a, smax, cfg)
     prof.curve.write_csv(outdir / "profile.csv")
@@ -204,7 +205,7 @@ def _run_spiral(params, outdir):
             "unit_speed_defect": res.unit_speed_defect()}
 
 
-def _run_stability(params, outdir, threads=1):
+def _run_stability(params, outdir):
     a = params["a"]
     flow.check_scales(params["t0"], params["tmin_factor"], params["smax"], params["ds"])
     # periodic box: perturbation support plus the dispersive spreading scale
@@ -215,7 +216,7 @@ def _run_stability(params, outdir, threads=1):
     report = flow.stability_experiment(
         a, up, params["t0"], t_min_factor=params["tmin_factor"],
         s_max=params["smax"], ds=params["ds"], n_steps=params["n_steps"],
-        n_slices=params["n_slices"], threads=threads,
+        n_slices=params["n_slices"],
     )
     for i, curve in enumerate(report.flow.curves):
         curve.write_csv(outdir / f"frame_{i:04d}.csv")
@@ -284,6 +285,7 @@ RUNNERS = {
     "evolve": _run_evolve,
     "nls": _run_nls,
     "spiral": _run_spiral,
+    "stability": _run_stability,
     "selfcheck": _run_selfcheck,
 }
 
@@ -299,7 +301,6 @@ def build_parser():
                             default=default)
         sp.add_argument("--config", default=None)
         sp.add_argument("--out-dir", "-o", dest="out_dir", default=None)
-        sp.add_argument("--threads", type=int, default=1)
     return p
 
 
@@ -319,8 +320,6 @@ def main(argv=None):
             # which therefore win (argparse keeps the last occurrence)
             entries = [f"--{k.replace('_', '-')}={v}" for k, v in config.items()]
             args = parser.parse_args([argv[0], *entries, *argv[1:]])
-        if args.threads < 1:
-            raise _UsageError(f"--threads must be >= 1, got {args.threads}")
         params = {key: getattr(args, key) for key in SPECS[args.command]}
     except _UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
@@ -328,10 +327,7 @@ def main(argv=None):
     made = []
     try:
         outdir, made = _outdir(args, args.command, params)
-        if args.command == "stability":
-            summary = _run_stability(params, outdir, threads=args.threads)
-        else:
-            summary = RUNNERS[args.command](params, outdir)
+        summary = RUNNERS[args.command](params, outdir)
         _emit(outdir, summary)
         print(outdir)
         return 0 if summary.get("all_ok", True) else 1

@@ -22,7 +22,6 @@ profile instead of integrating them.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,8 +189,7 @@ def _check_times(t, name):
         raise ConstraintViolated(f"{name} must be strictly increasing")
 
 
-def reconstruct_flow(data, frame0, point0, *, origin_series=None, threads=1,
-                     reference=None):
+def reconstruct_flow(data, frame0, point0, *, origin_series=None, reference=None):
     """Reconstruct curves for every time slice of the intrinsic data.
 
     ``frame0`` (rows T,n,b) and ``point0`` are the data at (s=0, t=max).
@@ -200,8 +198,6 @@ def reconstruct_flow(data, frame0, point0, *, origin_series=None, threads=1,
     are available).  ``reference = (prof, t_cut)`` declares that every
     slice with t < t_cut carries the unperturbed fields c = prof.a/sqrt(t),
     tau = s/2t; those slices are built from the profile, not integrated.
-    The calling thread and up to ``threads - 1`` workers, no more than
-    there are slices to integrate, take every n-th of those slices each.
     The slice times and the series times must be finite, > 0 and strictly
     increasing (ConstraintViolated).
     """
@@ -260,31 +256,11 @@ def reconstruct_flow(data, frame0, point0, *, origin_series=None, threads=1,
         return Curve(ss, GG, FF)
 
     prof, t_cut = reference or (None, 0.0)
-    curves = [None] * len(data.t_grid)
-    built = [k for k, tk in enumerate(data.t_grid) if tk < t_cut]
-    direct = [k for k, tk in enumerate(data.t_grid) if tk >= t_cut]
-    for k in built:
-        curves[k] = build_slice(k)
-
-    # no more shares than integrated slices
-    n = max(1, min(threads, len(direct)))
-
-    def build(j):
-        for k in direct[j::n]:
-            curves[k] = build_slice(k)
-
-    # the caller builds its share itself, so a single share starts no worker
-    # and allocates in the main malloc arena: one worker thread with its own
-    # arena raised the default stability run's peak RSS from 261 to 320 MB
-    # (glibc, 2-vCPU Xeon)
-    with ThreadPoolExecutor(max_workers=max(1, n - 1)) as ex:
-        rest = ex.map(build, range(1, n))
-        build(0)
-        list(rest)
+    curves = [build_slice(k) for k in range(len(data.t_grid))]
     frames_origin = np.array([at_slice(tk)[0] for tk in data.t_grid])
     chi_origin = np.array([at_slice(tk)[1] for tk in data.t_grid])
     return FlowResult(np.asarray(data.t_grid, dtype=float), curves,
-                      frames_origin, chi_origin, len(built))
+                      frames_origin, chi_origin, int(np.sum(data.t_grid < t_cut)))
 
 
 def trace_at_zero(result):
@@ -378,7 +354,7 @@ def check_scales(t0, t_min_factor, s_max, ds):
 
 
 def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
-                         ds=0.01, n_steps=2000, n_slices=40, threads=1):
+                         ds=0.01, n_steps=2000, n_slices=40):
     """Drive the perturbed corner pipeline end to end.
 
     The Schrodinger side runs the 1/t equation (coefficient 1/2, sign +1 --
@@ -530,7 +506,7 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     prof = selfsimilar.profile(a, max(sig_max + cfg.step * cfg.renorm_every, 50.0))
     point0 = np.array([0.0, 0.0, 2 * a * math.sqrt(t_max)])
     result = reconstruct_flow(data, np.eye(3), point0, origin_series=series,
-                              threads=threads, reference=(prof, t_clean))
+                              reference=(prof, t_clean))
     trace, const = trace_at_zero(result)
 
     # every slice's nodes against the reference in one batched evaluation
@@ -544,9 +520,7 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     chi_01 = result.chi_origin[0]
     chi_02 = result.chi_origin[1]
     vertex = chi_01 - r1 * (chi_02 - chi_01) / (r2 - r1)
-    sA = np.where(trace.s_grid[:, None] >= 0,
-                  trace.s_grid[:, None] * prof.A_plus[None],
-                  trace.s_grid[:, None] * prof.A_minus[None])
+    sA = selfsimilar.chi(prof, trace.s_grid, 0.0)
     dev = np.linalg.norm(trace.points - vertex[None] - sA, axis=1)
     # the floor |s| >= 1 keeps the sqrt(t_min) corner layer out of the quotient
     outer = np.abs(trace.s_grid) >= 1.0

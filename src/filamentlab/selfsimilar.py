@@ -43,9 +43,14 @@ class SelfSimilarProfile:
 def _default_cfg(s_max, step=None):
     """The configuration of G_a on [-s_max, s_max]: the output spacing
     resolves the fastest frame rotation (tau = s/2), the fine step is
-    ``step`` or by default the smaller of 2e-3 and that spacing."""
+    ``step`` or by default the smaller of 2e-3 and that spacing.  A given
+    step above that spacing is InvalidParameter: the nodes would be one
+    step apart, too coarse for the rotation."""
     dso = min(0.032, math.pi / (2 * max(s_max, 1.0)))
     cfg = SolverConfig(step=min(2e-3, dso) if step is None else step)
+    if cfg.step > dso:
+        raise InvalidParameter(
+            f"step {cfg.step:g} exceeds the output spacing {dso:g} of s_max = {s_max:g}")
     per_node = dso / cfg.step
     if per_node > cfg.max_steps:  # also an overflow to inf
         raise StepLimitExceeded(
@@ -145,11 +150,17 @@ def corner_angle(a):
 
 
 def modulus_defect(prof):
-    """Max relative violation of |G|^2 = s^2 + 4 a^2."""
+    """Max relative violation of |G|^2 = s^2 + 4 a^2.
+
+    At a = 0 the law reads 0 = 0 at s = 0, where G(0) = 0 exactly: that
+    node counts as no violation, not as 0/0.
+    """
     s = prof.curve.s_grid
     target = s * s + 4 * prof.a * prof.a
     got = np.sum(prof.curve.points**2, axis=1)
-    return float(np.max(np.abs(got - target) / target))
+    rel = np.divide(np.abs(got - target), target, out=np.zeros_like(target),
+                    where=target > 0)
+    return float(np.max(rel))
 
 
 def evaluate(prof, sigma):

@@ -142,7 +142,9 @@ def _body(rhs):
     ``block(state, s, h, m, *parameters)`` writes every stage out on local
     floats -- stage i renames each state name v and s to vi and si, and a
     derivative that is a bare name is used in place, so G' = T costs
-    nothing -- and returns the state tuple after m steps of size h.
+    nothing -- and returns the state tuple after m steps of size h.  The
+    state entries and h may also be arrays of one shape, each element its
+    own step (``spiral_chi``).
     """
     params, names, aux, ders = rhs
     names = names.split()
@@ -312,7 +314,12 @@ def rotation_log(mu, t):
 
 
 def spiral_chi(params, profile_curve, s, t):
-    """chi(s,t) = exp((A/2) log t) sqrt(t) G(s/sqrt(t)) for t > 0."""
+    """chi(s,t) = exp((A/2) log t) sqrt(t) G(s/sqrt(t)) for t > 0.
+
+    G between the profile's nodes takes one DOP853 step (the block that
+    ``spiral_profile`` runs) from the nearest node, as
+    ``selfsimilar.evaluate`` takes one Magnus step.
+    """
     if t <= 0:
         raise InvalidParameter("t must be positive")
     s = np.asarray(s, dtype=float)
@@ -323,23 +330,9 @@ def spiral_chi(params, profile_curve, s, t):
     grid = profile_curve.s_grid
     if sigma.min() < grid[0] - 1e-12 or sigma.max() > grid[-1] + 1e-12:
         raise OutOfProfileRange("s/sqrt(t) outside the computed profile span")
-    G = _hermite_eval(profile_curve, sigma)
+    j = np.clip(np.searchsorted(grid, sigma), 1, len(grid) - 1)
+    j -= sigma - grid[j - 1] < grid[j] - sigma
+    state = (*profile_curve.points[j].T, *profile_curve.frames[j, 0].T)
+    G = np.stack(_body(_PROFILE)(state, 0.0, sigma - grid[j], 1, params.mu)[:3], axis=1)
     out = rt * (G @ rotation_log(params.mu, t).T)
     return out[0] if scalar else out
-
-
-def _hermite_eval(curve, sq):
-    """Cubic Hermite interpolation of the points using stored tangents."""
-    grid = curve.s_grid
-    d = grid[1] - grid[0]
-    i = np.clip(np.searchsorted(grid, sq, side="right") - 1, 0, len(grid) - 2)
-    u = (sq - grid[i]) / d
-    u2, u3 = u * u, u * u * u
-    h00 = 2 * u3 - 3 * u2 + 1
-    h10 = u3 - 2 * u2 + u
-    h01 = -2 * u3 + 3 * u2
-    h11 = u3 - u2
-    G0, G1 = curve.points[i], curve.points[i + 1]
-    T0, T1 = curve.frames[i, 0], curve.frames[i + 1, 0]
-    return (h00[:, None] * G0 + (d * h10)[:, None] * T0
-            + h01[:, None] * G1 + (d * h11)[:, None] * T1)

@@ -167,9 +167,10 @@ def test_json_float_formatting():
     assert text.endswith("\n")
 
 
-@pytest.mark.parametrize("threads", ["0", "-1"])
-def test_threads_below_one_rejected(tmp_path, capsys, threads):
-    rc = run_cli(["angle", "--method", "closed", "--threads", threads], tmp_path)
+@pytest.mark.parametrize("sub", list(cli.SPECS))
+def test_threads_option_rejected(tmp_path, capsys, sub):
+    # slices are built in one loop: no subcommand takes a worker count
+    rc = run_cli([sub, "--threads", "2"], tmp_path)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error[usage]:")
@@ -178,14 +179,14 @@ def test_threads_below_one_rejected(tmp_path, capsys, threads):
     assert not list(tmp_path.iterdir())
 
 
-def test_stability_run_identical_across_threads(tmp_path):
+def test_stability_run_repeats_identically(tmp_path):
     args = ["stability", "--n-steps", "300", "--n-slices", "8",
             "--tmin-factor", "1e-2"]
     mask = re.compile(rb'"timestamp": "[^"]*"')
     runs = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        assert cli.main(args + ["--threads", threads, "--out-dir", str(out)]) == 0
+    for rep in ("first", "second"):
+        out = tmp_path / rep
+        assert cli.main(args + ["--out-dir", str(out)]) == 0
         (run_dir,) = out.iterdir()
         runs.append({p.name: mask.sub(b"T", p.read_bytes())
                      for p in sorted(run_dir.iterdir())})
@@ -250,6 +251,7 @@ SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
     ["evolve", "--coeff", "-1", *SMALL_GRID],
     ["profile", "--step", "nan"],
     ["profile", "--step", "-1"],
+    ["profile", "--step", "10", "--smax", "20"],
     ["theta", "--config", "{bad_config}"],
     ["evolve", "--length", "5e-324", "--n-points", "64", "--n-steps", "4"],
     ["evolve", "--length", "1e-300", "--n-points", "64", "--n-steps", "4"],
@@ -265,7 +267,8 @@ SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
         "evolve-zero-length", "evolve-negative-length", "evolve-inf-length",
         "nls-minus-inf-length", "nls-inf-t0", "nls-negative-uplus-norm",
         "theta-negative-smax", "evolve-nan-coeff", "evolve-negative-coeff",
-        "profile-nan-step", "profile-negative-step", "theta-bad-config-value",
+        "profile-nan-step", "profile-negative-step", "profile-step-above-spacing",
+        "theta-bad-config-value",
         "evolve-subnormal-grid-step", "evolve-tiny-grid-step",
         "nls-width-squared-underflows", "stability-width-squared-underflows",
         "evolve-width-squared-overflows"])

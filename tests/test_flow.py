@@ -74,34 +74,6 @@ def test_reconstructed_frames_orthonormal_everywhere():
     assert worst <= 1e-6
 
 
-def test_reconstruct_threaded_matches_serial():
-    data = selfsimilar_data(0.5, 0.25, 1.0, 9, 2.0, 0.05)
-    p0 = np.array([0.0, 0.0, 1.0])
-    serial = flow.reconstruct_flow(data, np.eye(3), p0, threads=1)
-    threaded = flow.reconstruct_flow(data, np.eye(3), p0, threads=2)
-    for a, b in zip(serial.curves, threaded.curves):
-        assert np.array_equal(a.points, b.points)
-        assert np.array_equal(a.frames, b.frames)
-
-
-def test_reconstruct_starts_no_more_workers_than_slices(monkeypatch):
-    seen = []
-    pool = flow.ThreadPoolExecutor
-
-    def recording(max_workers):
-        seen.append(max_workers)
-        return pool(max_workers=max_workers)
-
-    monkeypatch.setattr(flow, "ThreadPoolExecutor", recording)
-    data = selfsimilar_data(0.5, 0.25, 1.0, 5, 2.0, 0.05)
-    wide = flow.reconstruct_flow(data, np.eye(3), np.array([0.0, 0.0, 1.0]), threads=64)
-    assert seen == [len(data.t_grid) - 1]
-    serial = flow.reconstruct_flow(data, np.eye(3), np.array([0.0, 0.0, 1.0]))
-    for a, b in zip(serial.curves, wide.curves):
-        assert np.array_equal(a.points, b.points)
-        assert np.array_equal(a.frames, b.frames)
-
-
 def test_profile_built_slices_match_direct_integration():
     # the stability run's default curve grid and reference profile; the
     # origin frame is a generic rotation, so the profile is turned as well

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from filamentlab import selfsimilar
 from filamentlab.errors import InvalidParameter, OutOfProfileRange, StepLimitExceeded
@@ -68,6 +70,19 @@ def test_mirror_defect_measures_the_direct_run():
     assert selfsimilar.mirror_defect(0.5, 100.0, selfsimilar._default_cfg(100.0, 1e-3)) == 0.0
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.0, 2.0), st.floats(1.0, 200.0))
+@example(0.0, 1.0)  # |G(0)|^2 = 4 a^2 = 0: no violation, not 0/0
+def test_modulus_law_holds_across_a_and_span(a, s_max):
+    assert selfsimilar.modulus_defect(profile(a, s_max)) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.0, 2.0), st.floats(1.0, 200.0))
+def test_mirror_equals_direct_run_across_a_and_span(a, s_max):
+    assert selfsimilar.mirror_defect(a, s_max) == 0.0
+
+
 def test_a1_error_bound_holds():
     for a in (0.1, 0.3, 0.5, 0.9, 1.5, 2.0):
         for s_max in (10.0, 40.0, 100.0, 250.0):
@@ -128,6 +143,12 @@ def test_default_cfg_with_step():
             selfsimilar._default_cfg(100.0, step)
     with pytest.raises(InvalidParameter):
         selfsimilar._default_cfg(100.0, -1.0)
+    # a step up to the output spacing (0.032 on [-20, 20]) gives one step
+    # per node; a longer one would space the nodes by the step: rejected
+    assert selfsimilar._default_cfg(20.0, 0.032).renorm_every == 1
+    for step in (0.0320001, 10.0):
+        with pytest.raises(InvalidParameter):
+            selfsimilar._default_cfg(20.0, step)
 
 
 def test_third_order_ode_residual_second_order():

@@ -161,6 +161,18 @@ def test_spiral_chi_properties():
     assert np.max(np.abs(seg - 1)) < 1e-6
 
 
+def test_spiral_chi_between_nodes_matches_a_direct_run():
+    # one DOP853 step from the nearest node against a run that ends at sigma
+    mu, a = 0.6, 0.5
+    p = make_params(mu, a)
+    res = spiral_profile(p, (-30.0, 30.0))
+    sig = np.random.default_rng(0).uniform(-30.0, 30.0, 20)
+    got = spiral_chi(p, res.curve, sig, 1.0)
+    for s, g in zip(sig, got):
+        run = spiral_profile(p, (min(s, 0.0), max(s, 0.0))).curve.points
+        assert np.max(np.abs(g - (run[-1] if s > 0 else run[0]))) <= 1e-10
+
+
 def test_log_spiral_asymptotics():
     # e^{-A log s} G(s)/s is Cauchy: increments over [S, 2S] shrink like 1/S
     mu, a = 0.5, 0.5

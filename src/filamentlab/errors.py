@@ -49,10 +49,6 @@ class AliasingDetected(FilamentError):
     """Spectral tail carries too much energy for the run to be trusted."""
 
 
-class ResampleOutOfRange(FilamentError):
-    """Target grid extends beyond the rescaled source domain."""
-
-
 class InsufficientTimeRange(FilamentError):
     """Trace extraction needs a wider span of stored times."""
 

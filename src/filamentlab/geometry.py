@@ -55,10 +55,6 @@ class FrenetFrame:
     def identity():
         return FrenetFrame(np.eye(3)[0], np.eye(3)[1], np.eye(3)[2])
 
-    @staticmethod
-    def from_matrix(M):
-        return FrenetFrame(np.array(M[0]), np.array(M[1]), np.array(M[2]))
-
 
 @dataclass
 class Curve:
@@ -83,9 +79,6 @@ class Curve:
         ds = np.diff(self.s_grid)
         seg = np.linalg.norm(np.diff(self.points, axis=0), axis=1)
         return float(np.max(np.abs(seg / ds - 1.0)))
-
-    def frame_at(self, i):
-        return FrenetFrame.from_matrix(self.frames[i])
 
     def write_csv(self, path):
         cols = [self.s_grid] + [self.points[:, j] for j in range(3)]
@@ -122,6 +115,12 @@ class SolverConfig:
     one step of the run's method, whatever its cost: a Magnus step of the
     frame and theta propagators, or a DOP853 step of the scalar profile ODEs
     of ``spiral``, which is 12 right-hand-side evaluations.
+
+    ``max_steps`` is a time budget, not a memory budget.  The working arrays
+    of a run are capped at ``integrators._CHUNK`` fine steps, but its output
+    holds max_steps/renorm_every + 1 nodes.  At renorm_every = 1 and the
+    default 5e7 steps, a frame run with positions (104 bytes per node: s,
+    frame and point) may allocate 5.2 GB per side.
     """
 
     step: float = 1e-3
@@ -147,9 +146,6 @@ class FrameTrajectory:
     s: np.ndarray
     frames: np.ndarray
     points: np.ndarray | None = None
-
-    def frame_at(self, i):
-        return FrenetFrame.from_matrix(self.frames[i])
 
     @property
     def T(self):

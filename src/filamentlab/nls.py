@@ -26,13 +26,11 @@ import numpy as np
 from .errors import (
     AliasingDetected,
     InvalidParameter,
-    ResampleOutOfRange,
     TimeSpanCrossesZero,
 )
 from .geometry import _nonuniform_dt, _uniform_step
 
 ALIAS_FRACTION = 1e-6
-_RESAMPLE_BLOCK = 1 << 20  # phase-matrix entries per block of resample targets
 
 
 def _check_n_points(n):
@@ -293,27 +291,6 @@ def pseudo_conformal_inverse(u_slice, t):
                         v, s0=float(u_slice.s0 / t))
 
 
-def resample(field, target_grid):
-    """Evaluate the trigonometric interpolant at arbitrary points.
-
-    The (targets x modes) phase matrix is formed for blocks of target points
-    of at most ``_RESAMPLE_BLOCK`` entries, so memory stays bounded on any
-    grid.
-    """
-    target_grid = np.asarray(target_grid, dtype=float)
-    lo, hi = field.s0, field.s0 + field.domain_length
-    if target_grid.min() < lo - 1e-9 or target_grid.max() > hi + 1e-9:
-        raise ResampleOutOfRange("target grid outside the source period")
-    spec = np.fft.fft(field.values) / field.n_points
-    xi = field.xi()
-    x = (target_grid - field.s0).ravel()
-    out = np.empty(len(x), dtype=complex)
-    block = max(1, _RESAMPLE_BLOCK // field.n_points)
-    for i in range(0, len(x), block):
-        out[i : i + block] = np.exp(1j * np.outer(x[i : i + block], xi)) @ spec
-    return out
-
-
 def free_evolution(field, t):
     """exp(i t d^2/ds^2) applied spectrally."""
     return field.copy_with(
@@ -373,6 +350,9 @@ def long_range_comparison(a, u_plus, sign, t_span, n_steps, *, coeff=1.0):
     the endpoint defects, their ratio, and fitted log-log decay slopes of
     ||v - v1|| and its derivative.
     """
+    if n_steps < 2:
+        # the slopes are fitted through the later half of >= 2 stored times
+        raise InvalidParameter(f"n_steps must be >= 2, got {n_steps}")
     problem = NlsProblem(sign=sign, background_a=a, potential="gp",
                          t_span=tuple(t_span), coeff=coeff)
     v0 = long_range_ansatz(u_plus, a, sign, problem.t_span[0], coeff)

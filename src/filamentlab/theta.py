@@ -7,9 +7,13 @@ of the frame comes from a solution of
 
 via  T_j = 1 - |theta_j|^2 / (2 E(0))  and  c (n_j - i b_j) = -theta_j
 conj(theta_j') / E(0),  where  E(s) = |theta'/c|^2 + |theta|^2/4  is
-conserved.  This gives an integration route entirely independent of the
-3x3 Frenet system, and in the self-similar case (c = a, tau = s/2) an
-independent computation of the limit tangent component.
+conserved.  In the energy-normalised pair w = (theta/2, theta'/c) the
+reduction reads  w' = [[0, c/2], [-c/2, -i tau]] w:  the coefficient is
+skew-Hermitian and holds no c', so each Magnus step is unitary and keeps
+E = |w|^2 to roundoff (Iserles & Norsett 1999).  This gives an integration
+route entirely independent of the 3x3 Frenet system, and in the
+self-similar case (c = a, tau = s/2) an independent computation of the
+limit tangent component.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ TOL_C = 1e-6
 class ThetaState:
     theta: complex
     theta_prime: complex
-    s: float = 0.0
 
 
 @dataclass
@@ -38,10 +41,6 @@ class ThetaTrajectory:
     s: np.ndarray
     theta: np.ndarray
     theta_prime: np.ndarray
-
-    def states(self):
-        for i in range(len(self.s)):
-            yield ThetaState(self.theta[i], self.theta_prime[i], self.s[i])
 
 
 def energy(traj, c):
@@ -55,45 +54,34 @@ def energy_drift(traj, c):
     return float(np.max(np.abs(E - E[0])) / abs(E[0]))
 
 
-def _numeric_cprime(c):
-    delta = 1e-6
+def theta_solve(c, tau, init, s_span, cfg=None):
+    """Integrate the reduction over s_span from ``init`` at s_span[0].
 
-    def cp(s):
-        return (np.asarray(c(s + delta)) - np.asarray(c(s - delta))) / (2 * delta)
-
-    return cp
-
-
-def theta_solve(c, tau, init, s_span, cfg=None, *, cprime=None):
-    """Integrate the reduction over s_span from the given initial state.
-
-    ``c`` must be positive and differentiable on the span (the coefficient
-    contains c'/c); ``cprime`` may be supplied, otherwise a central
-    difference is used.
+    Runs on w = (theta/2, theta'/c) and returns theta = 2 w_1 and
+    theta' = c w_2 on the output nodes; ``c`` must stay positive on the span.
     """
     cfg = cfg or SolverConfig()
-    cp = cprime or _numeric_cprime(c)
 
-    def afn(s):
+    def cval(s):
         cv = np.asarray(c(s), dtype=float)
-        if cv.ndim == 0:
-            cv = np.full(s.shape, float(cv))
         if np.any(cv <= TOL_C):
             raise CurvatureVanishes("c must stay above threshold on the span")
-        cpv = np.asarray(cp(s), dtype=float)
-        tv = np.asarray(tau(s), dtype=float)
+        return cv
+
+    def afn(s):
         A = np.zeros((len(s), 2, 2), dtype=complex)
-        A[:, 0, 1] = 1.0
-        A[:, 1, 0] = -(cv * cv) / 4
-        A[:, 1, 1] = cpv / cv - 1j * tv
+        A[:, 0, 1] = cval(s) / 2
+        A[:, 1, 0] = -A[:, 0, 1]
+        A[:, 1, 1] = -1j * np.asarray(tau(s), dtype=float)
         return A
 
-    s_out, Y = propagate_linear2(
-        afn, float(s_span[0]), float(s_span[1]),
-        np.array([init.theta, init.theta_prime], dtype=complex),
+    s0 = float(s_span[0])
+    s_out, W = propagate_linear2(
+        afn, s0, float(s_span[1]),
+        np.array([init.theta / 2, init.theta_prime / cval(s0)], dtype=complex),
         step=cfg.step, out_every=cfg.renorm_every, max_steps=cfg.max_steps,
     )
-    return ThetaTrajectory(s_out, Y[:, 0], Y[:, 1])
+    return ThetaTrajectory(s_out, 2 * W[:, 0], cval(s_out) * W[:, 1])
 
 
 def canonical_initial_data(c0):
@@ -153,7 +141,6 @@ def a1_from_theta(a, s_max):
         ThetaState(0.0, a / np.sqrt(2.0)),
         (0.0, float(s_max)),
         SolverConfig(step=4e-3, renorm_every=8),
-        cprime=lambda s: np.zeros(np.shape(s)),
     )
     T1 = 1 - np.abs(traj.theta) ** 2
     win = traj.s >= s_max / 2

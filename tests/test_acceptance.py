@@ -65,13 +65,11 @@ def test_criterion_4_conserved_quantities():
     t0 = time.time()
     a = 0.5
     c_fn = lambda s: np.full(np.shape(s), a)
-    zero = lambda s: np.zeros(np.shape(s))
     cfg = SolverConfig(step=4e-3, renorm_every=25)
     theta_drift = 0.0
     for st in theta.canonical_initial_data(a):
         for s_end in (400.0, -400.0):
-            traj = theta.theta_solve(c_fn, lambda s: s / 2, st, (0.0, s_end),
-                                     cfg, cprime=zero)
+            traj = theta.theta_solve(c_fn, lambda s: s / 2, st, (0.0, s_end), cfg)
             theta_drift = max(theta_drift, theta.energy_drift(traj, c_fn))
     assert theta_drift <= 1e-8
 
@@ -106,8 +104,7 @@ def test_criterion_5_cross_oracles():
     c_fn = lambda s: np.full(np.shape(s), a)
     tau_fn = lambda s: s / 2
     cfg_t = SolverConfig(step=1e-3, renorm_every=20)
-    trajs = [theta.theta_solve(c_fn, tau_fn, st, (0.0, 50.0), cfg_t,
-                               cprime=lambda s: np.zeros(np.shape(s)))
+    trajs = [theta.theta_solve(c_fn, tau_fn, st, (0.0, 50.0), cfg_t)
              for st in theta.canonical_initial_data(a)]
     fr_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
     fr = geometry.frenet_integrate(c_fn, tau_fn, FrenetFrame.identity(),

@@ -200,14 +200,16 @@ def test_stability_run_repeats_identically(tmp_path):
     ["evolve", "--n-steps", "0"],
     ["evolve", "--n-steps", "-3"],
     ["nls", "--n-steps", "-3", "--n-points", "256", "--length", "100"],
+    ["nls", "--n-steps", "1", "--n-points", "256", "--length", "100"],
     ["evolve", "--store-every", "-1"],
 ], ids=["evolve-zero-steps", "evolve-negative-steps", "nls-negative-steps",
-        "evolve-negative-store-every"])
+        "nls-one-step", "evolve-negative-store-every"])
 def test_bad_step_counts_exit_2(tmp_path, capsys, args):
     assert run_cli(args, tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error[validation]:")
     assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("all_ok, code", [(True, 0), (False, 1)])

@@ -36,8 +36,6 @@ def test_circle_closes():
     traj = frenet_integrate(ONES, ZERO, FrenetFrame.identity(), (0, 2 * np.pi), cfg)
     assert np.linalg.norm(traj.T[-1] - traj.T[0]) < 1e-6
     assert traj.s[0] == 0.0
-    assert isinstance(traj.frame_at(0), FrenetFrame)
-    assert np.array_equal(traj.frame_at(0).matrix(), traj.frames[0])
 
 
 def test_zero_coefficients_freeze_frame():

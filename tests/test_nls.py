@@ -189,20 +189,6 @@ def test_long_range_phase_signature_small():
     assert report["mass_drift"] <= 1e-10
 
 
-def test_resample_trig_interpolation():
-    from filamentlab.errors import ResampleOutOfRange
-
-    n = 64
-    f = ComplexField(2 * np.pi * 4, n, np.zeros(n, dtype=complex))
-    x = f.grid()
-    f = f.copy_with(np.exp(1j * 2 * x) + 0.5 * np.exp(-1j * x))
-    pts = np.linspace(-10, 10, 37)
-    vals = nls.resample(f, pts)
-    assert np.max(np.abs(vals - (np.exp(2j * pts) + 0.5 * np.exp(-1j * pts)))) < 1e-12
-    with pytest.raises(ResampleOutOfRange):
-        nls.resample(f, np.array([100.0]))
-
-
 def test_validation_errors():
     with pytest.raises(TimeSpanCrossesZero):
         NlsProblem(sign=1, background_a=0.1, potential="gp", t_span=(-1.0, 1.0))
@@ -288,18 +274,6 @@ def test_gp_energy_law_defect_uses_the_nonuniform_stencil():
         hp * hn * (hp + hn))
     expect = np.max(np.abs(dE + P[1:-1] / (4 * times[1:-1] ** 2)))
     assert nls.gp_energy_law_defect(times, fields, 0.5, -1) == expect
-
-
-def test_resample_blocked_matches_dense():
-    # 4096 modes give blocks of 256 targets; 700 targets cross two block
-    # boundaries, checked against the one dense phase matrix
-    n = 4096
-    f = gaussian_field(100.0, n, 1.0, width=3.0)
-    f = f.copy_with(f.values * np.exp(0.3j * f.grid()))
-    pts = np.linspace(-49.0, 49.0, 700)
-    assert nls._RESAMPLE_BLOCK // n < len(pts) // 2
-    dense = np.exp(1j * np.outer(pts - f.s0, f.xi())) @ (np.fft.fft(f.values) / n)
-    assert np.max(np.abs(nls.resample(f, pts) - dense)) < 1e-12
 
 
 def _unfused_strang(problem, v0, n_steps):

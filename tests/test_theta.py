@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from filamentlab import geometry, theta
 from filamentlab.errors import CurvatureVanishes, EnergyDegenerate, InvalidParameter
@@ -17,7 +19,7 @@ def test_circle_closed_form():
     # c = 1, tau = 0: theta'' + theta/4 = 0, theta(0)=0, theta'(0)=1/sqrt2
     cfg = SolverConfig(step=1e-3, renorm_every=10)
     traj = theta_solve(CONST_A(1.0), ZERO, ThetaState(0.0, 1 / math.sqrt(2)),
-                       (0.0, 12.0), cfg, cprime=ZERO)
+                       (0.0, 12.0), cfg)
     exact = math.sqrt(2) * np.sin(traj.s / 2)
     assert np.max(np.abs(traj.theta - exact)) < 1e-9
     # 1 - |theta|^2 = cos s (first tangent component of the circle)
@@ -29,9 +31,6 @@ def test_zero_data_stays_zero():
     traj = theta_solve(CONST_A(1.0), HALF_S, ThetaState(0.0, 0.0), (0.0, 5.0), cfg)
     assert np.max(np.abs(traj.theta)) == 0.0
     assert np.max(np.abs(traj.theta_prime)) == 0.0
-    states = list(traj.states())
-    assert states[0].s == 0.0 and states[-1].s == traj.s[-1]
-    assert states[-1].theta == traj.theta[-1]
 
 
 def test_canonical_data_have_energy_half():
@@ -48,14 +47,30 @@ def test_energy_conserved_selfsimilar_long_span(a):
     c = CONST_A(a)
     for st in canonical_initial_data(a):
         for s_end in (400.0, -400.0):
-            traj = theta_solve(c, HALF_S, st, (0.0, s_end), cfg, cprime=ZERO)
+            traj = theta_solve(c, HALF_S, st, (0.0, s_end), cfg)
             assert theta.energy_drift(traj, c) <= 1e-8
+
+
+@settings(max_examples=15, deadline=None)
+@given(hst.floats(0.5, 2.0), hst.floats(-0.5, 0.5), hst.floats(0.1, 3.0),
+       hst.floats(0.0, 2 * math.pi), hst.floats(-2.0, 2.0), hst.floats(-2.0, 2.0),
+       hst.sampled_from([20.0, -20.0]))
+def test_energy_conserved_to_roundoff_for_varying_curvature(c0, r1, omega, phi,
+                                                            tau0, tau1, s_end):
+    # each step is unitary in w = (theta/2, theta'/c), so E = |w|^2 moves
+    # only by roundoff, however c varies
+    c = lambda s: c0 + r1 * c0 * np.sin(omega * s + phi)
+    tau = lambda s: tau0 + tau1 * np.cos(omega * s) + s / 2
+    cfg = SolverConfig(step=1e-3, renorm_every=20)
+    for init in canonical_initial_data(float(c(0.0))):
+        traj = theta_solve(c, tau, init, (0.0, s_end), cfg)
+        assert theta.energy_drift(traj, c) <= 1e-12
 
 
 def test_frame_from_theta_circle_components():
     cfg = SolverConfig(step=1e-3, renorm_every=10)
     c = CONST_A(1.0)
-    trajs = [theta_solve(c, ZERO, st, (0.0, 12.0), cfg, cprime=ZERO)
+    trajs = [theta_solve(c, ZERO, st, (0.0, 12.0), cfg)
              for st in canonical_initial_data(1.0)]
     fr = theta.frame_from_theta(*trajs, c=c, E0=0.5)
     n1 = fr.frames[:, 1, 0]
@@ -80,7 +95,7 @@ def test_tangent_cross_oracle_theta_vs_frenet(c_fn, tau_fn, span):
     cfg_f = SolverConfig(step=2.5e-4, renorm_every=80)
     fr = frenet_integrate(c_fn, tau_fn, FrenetFrame.identity(), (0.0, span), cfg_f)
     assert np.max(np.abs(fr.s - fr_theta.s)) < 1e-9
-    assert np.max(np.abs(fr.T - fr_theta.frames[:, 0])) <= 1e-6
+    assert np.max(np.abs(fr.T - fr_theta.frames[:, 0])) <= 1e-12
 
 
 def test_full_frame_cross_oracle_smooth_coefficients():
@@ -92,7 +107,7 @@ def test_full_frame_cross_oracle_smooth_coefficients():
     fr_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
     fr = frenet_integrate(c_fn, tau_fn, FrenetFrame.identity(), (0.0, 20.0),
                           SolverConfig(step=2.5e-4, renorm_every=80))
-    assert np.max(np.abs(fr.frames - fr_theta.frames)) < 1e-6
+    assert np.max(np.abs(fr.frames - fr_theta.frames)) <= 1e-12
 
 
 @pytest.mark.parametrize("a,ref", [(0.5, 0.6752), (1.0, 0.2079)])
@@ -119,7 +134,7 @@ def test_rk4_method_agrees_on_short_span():
     c = CONST_A(0.8)
     st = canonical_initial_data(0.8)[0]
     cfg = SolverConfig(step=2e-4, renorm_every=50)
-    t1 = theta_solve(c, HALF_S, st, (0.0, 10.0), cfg, cprime=ZERO)
+    t1 = theta_solve(c, HALF_S, st, (0.0, 10.0), cfg)
     # theta'' = -i (s/2) theta' - (c^2/4) theta with c' = 0
     ref = solve_ivp(lambda s, y: [y[1], -0.5j * s * y[1] - 0.16 * y[0]], (0.0, 10.0),
                     np.array([st.theta, st.theta_prime], dtype=complex),

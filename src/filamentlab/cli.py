@@ -207,7 +207,8 @@ def _run_spiral(params, outdir):
 
 def _run_stability(params, outdir):
     a = params["a"]
-    flow.check_scales(params["t0"], params["tmin_factor"], params["smax"], params["ds"])
+    flow.check_scales(params["t0"], params["tmin_factor"], params["smax"], params["ds"],
+                      params["n_points"], params["n_steps"], params["n_slices"])
     # periodic box: perturbation support plus the dispersive spreading scale
     length = 8.0 * (params["width"]
                     + math.sqrt(1.0 / (params["t0"] * params["tmin_factor"]))) * 1.3

@@ -33,6 +33,10 @@ class InvalidParameter(FilamentError):
     """Parameter outside the documented domain."""
 
 
+class MemoryBudgetExceeded(FilamentError):
+    """A run's planned arrays exceed the package's memory budget."""
+
+
 class OutOfProfileRange(FilamentError):
     """Requested similarity variable lies outside the computed profile span."""
 

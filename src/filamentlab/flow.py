@@ -33,6 +33,7 @@ from .errors import (
     GridTooCoarse,
     InsufficientTimeRange,
     InvalidParameter,
+    MemoryBudgetExceeded,
 )
 from .geometry import (Curve, IntrinsicData, SolverConfig, _cumulative_simpson,
                        _nonuniform_dt, propagate_frame)
@@ -41,6 +42,17 @@ from .integrators import (GAUSS_C1, GAUSS_C2, _Q_ONE, _plan, _qmul, _rotation,
 
 _ORIGIN_SUBSTEPS = 2  # uniform frame-ODE steps per origin-series interval
 _SLICE_STEP = 1e-3     # fine-step bound of the Frenet integration in s
+_UPSAMPLE = 4          # spectral upsampling of a slice before its interpolation
+_MEMORY_BUDGET = 2**31  # bytes a stability run may plan for its largest arrays
+# Planned bytes of a stability run per time step (time grid, origin series,
+# origin-frame ODE), per box point (the stepper's buffers, the spectral
+# weights, the upsampled slice), per slice node (the (c, tau) rows and the
+# curves) and per node of the reference profile.  The tracemalloc peak grows
+# by 790, 265, 385 and 200 bytes per unit of each; these round those up.
+_BYTES_PER_STEP = 1000
+_BYTES_PER_POINT = 400
+_BYTES_PER_NODE = 500
+_BYTES_PER_PROFILE_NODE = 250
 
 
 @dataclass
@@ -302,6 +314,9 @@ class StabilityReport:
     perturbation of the origin frame.  The reference tangent is evaluated
     on each slice's nodes by ``selfsimilar.evaluate``, as the built slices
     are, so the figure does not depend on the profile's grid.
+    ``min_v_over_a`` is the least |v|/a over the box samples of the
+    stepper's mid-step fields, one per Strang step (the datum excluded);
+    the run stops with CurvatureVanishes once it falls below 1/2.
     """
 
     a: float
@@ -342,15 +357,119 @@ class StabilityReport:
         }
 
 
-def check_scales(t0, t_min_factor, s_max, ds):
-    """Reject stability-run scales that are not finite and positive, and a
-    curve grid whose node count 2 s_max/ds overflows."""
+def _reference_span(sig_max):
+    """Span of the reference profile: the largest sigma = s/sqrt(t) that a
+    slice node reaches, plus one output spacing, and at least 50;
+    selfsimilar.evaluate still rejects a node beyond it."""
+    cfg = selfsimilar._default_cfg(sig_max)
+    return max(sig_max + cfg.step * cfg.renorm_every, 50.0)
+
+
+def check_scales(t0, t_min_factor, s_max, ds, n_points, n_steps, n_slices):
+    """Reject stability-run scales that are not finite and positive, a curve
+    grid whose node count 2 s_max/ds overflows, a reference profile whose
+    span s_max/sqrt(t_min) overflows, and a run whose largest arrays would
+    exceed ``_MEMORY_BUDGET`` (MemoryBudgetExceeded)."""
     for name, v in (("t0", t0), ("t_min_factor", t_min_factor), ("s_max", s_max),
                     ("ds", ds), ("t0 * t_min_factor", t0 * t_min_factor)):
         if not (math.isfinite(v) and v > 0):
             raise InvalidParameter(f"{name} must be finite and positive, got {v}")
     if not math.isfinite(2 * s_max / ds):
         raise InvalidParameter(f"ds = {ds} gives an infinite node count 2 s_max/ds")
+    sig_max = s_max / math.sqrt(t0 * t_min_factor)
+    if not math.isfinite(sig_max):
+        raise InvalidParameter(
+            "the reference profile span s_max/sqrt(t0 * t_min_factor) is infinite")
+    span = _reference_span(sig_max)
+    cfg = selfsimilar._default_cfg(span)
+    need = (_BYTES_PER_STEP * (n_steps + 1) + _BYTES_PER_POINT * n_points
+            + _BYTES_PER_NODE * n_slices * (2 * s_max / ds + 1)
+            + _BYTES_PER_PROFILE_NODE * 2 * span / (cfg.step * cfg.renorm_every))
+    if need > _MEMORY_BUDGET:
+        raise MemoryBudgetExceeded(
+            f"the stability run needs about {need / 2**20:.3g} MiB for its arrays, "
+            f"above the {_MEMORY_BUDGET / 2**20:.0f} MiB budget")
+
+
+def _schrodinger_stage(problem, v0, n_steps, slice_ids, t_clean, s_grid):
+    """Run the 1/t equation from ``v0`` and read what the pipeline uses of it.
+
+    Returns ``(origin, cmat, taumat, min_abs, boundary_w)``:
+
+    - ``origin[k]`` is (v, v_x, v_xx) at x = 0 after step k (row 0: the
+      datum), one (3, N) weight matrix times the spectrum;
+    - ``cmat``, ``taumat`` are the (c, tau) rows on ``s_grid`` of the slice
+      steps ``slice_ids``, in ascending t = 1/T.  A slice with t < t_clean
+      carries the unperturbed fields; any other is built when its step is
+      reached, its v and v_x zero-padded from the spectrum to
+      ``_UPSAMPLE`` N points and interpolated onto the nodes s/t;
+    - ``min_abs`` is the least |v| over the stepper's mid-step fields;
+    - ``boundary_w`` is the largest |v - a| at the box ends over the
+      slices built from the field.
+    """
+    a = problem.background_a
+    N, L, x0 = v0.n_points, v0.domain_length, v0.s0
+    xi = v0.xi()
+    ixi = 1j * xi
+    x = v0.grid()
+    i0 = int(np.argmin(np.abs(x)))
+    weights = np.stack([np.ones(N), ixi, -(xi**2)]) * np.exp(ixi * (x[i0] - x0)) / N
+    origin = np.empty((n_steps + 1, 3), dtype=complex)
+    row_of = {k: i for i, k in enumerate(sorted(slice_ids, reverse=True))}
+    cmat = np.empty((len(row_of), len(s_grid)))
+    taumat = np.empty_like(cmat)
+    up = _UPSAMPLE
+    x_fine = x0 + (L / (up * N)) * np.arange(up * N)
+    h = N // 2
+    pad = np.zeros(up * N, dtype=complex)
+    fine = np.empty_like(pad)
+
+    def upsample(spec):
+        """The field of ``spec`` on x_fine, in the buffer ``fine``."""
+        # the factor up, a power of two, scales exactly before the transform
+        np.multiply(spec[:h], up, out=pad[:h])
+        np.multiply(spec[-h:], up, out=pad[-h:])
+        return np.fft.ifft(pad, out=fine)
+
+    def read(k, T, vhat):
+        """Origin row of step k and, at a slice step, its (c, tau) rows;
+        returns the slice's largest |v - a| at the box ends."""
+        np.matmul(weights, vhat, out=origin[k])
+        row = row_of.get(k)
+        if row is None:
+            return 0.0
+        tk = 1.0 / T
+        if tk < t_clean:
+            # past the box's faithful horizon the wrapped tail is numerical
+            # noise while the true perturbation of (c, tau) integrates away
+            # (oscillatory, amplitude O(||u_plus|| sqrt(t))): continue with
+            # the unperturbed fields
+            cmat[row] = a / math.sqrt(tk)
+            taumat[row] = s_grid / (2 * tk)
+            return 0.0
+        # slices are band-limited: upsample spectrally before the pointwise
+        # interpolation
+        xq = s_grid / tk
+        vf = upsample(vhat)
+        edge = max(float(abs(vf[0] - a)), float(abs(vf[up * (N - 1)] - a)))
+        # beyond the box the perturbation has dispersed away: continue by a
+        vq = np.interp(xq, x_fine, vf, left=a, right=a)
+        vxq = np.interp(xq, x_fine, upsample(ixi * vhat), left=0.0, right=0.0)
+        cmat[row] = np.abs(vq) / math.sqrt(tk)
+        taumat[row] = s_grid / (2 * tk) - np.imag(vxq / vq) / tk
+        return edge
+
+    boundary_w = read(0, problem.t_span[0], np.fft.fft(v0.values))
+    min_abs = np.inf
+    p = np.empty(N)
+    for k, T, vhat, v in nls._strang(problem, v0, n_steps):
+        min_abs = min(min_abs, float(np.min(np.abs(v, out=p))))
+        if min_abs < 0.5 * a:
+            raise CurvatureVanishes(
+                f"filament function dipped to {min_abs:g} < 0.5 a; perturbation too large"
+            )
+        boundary_w = max(boundary_w, read(k, T, vhat))
+    return origin, cmat, taumat, min_abs, boundary_w
 
 
 def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
@@ -374,7 +493,7 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     """
     if a <= 0:
         raise InvalidParameter("a must be positive")
-    check_scales(t0, t_min_factor, s_max, ds)
+    check_scales(t0, t_min_factor, s_max, ds, u_plus.n_points, n_steps, n_slices)
     if n_slices < 4:
         raise InvalidParameter("need n_slices >= 4 for the trace at t = 0")
     if n_slices > n_steps + 1:
@@ -390,41 +509,24 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     problem = nls.NlsProblem(sign=sign, background_a=a, potential="gp",
                              t_span=(1.0 / t_max, 1.0 / t_min), coeff=coeff)
     v0 = nls.long_range_ansatz(u_plus, a, sign, problem.t_span[0], coeff)
-    N = u_plus.n_points
-    xi = u_plus.xi()
     Ts = nls.time_grid(problem, n_steps)
     slice_ids = {int(k) for k in np.round(np.linspace(0, n_steps, n_slices))}
-    x_grid = u_plus.grid()
-    i0 = int(np.argmin(np.abs(x_grid)))
-    w1 = 1j * xi * np.exp(1j * xi * (x_grid[i0] - u_plus.s0)) / N
-    w2 = -(xi**2) * np.exp(1j * xi * (x_grid[i0] - u_plus.s0)) / N
-
-    a2 = a * a
-    origin = []  # (v, v_x, v_xx) at x = 0 after each step, in step order
-    slices = {}
-
-    def record(k, vv, vhat):
-        origin.append((vv[i0], w1 @ vhat, w2 @ vhat))
-        if k in slice_ids:
-            slices[k] = (vv, np.fft.ifft(1j * xi * vhat))
-
-    record(0, v0.values, np.fft.fft(v0.values))
-    min_abs = np.inf
-    for k, _, vhat in nls._strang(problem, v0, n_steps):
-        v = np.fft.ifft(vhat)
-        min_abs = min(min_abs, float(np.min(np.abs(v))))
-        if min_abs < 0.5 * a:
-            raise CurvatureVanishes(
-                f"filament function dipped to {min_abs:g} < 0.5 a; perturbation too large"
-            )
-        record(k, v, vhat)
+    xi_cut = _spectral_support(u_plus)
+    t_clean = 4.0 * xi_cut / u_plus.domain_length
+    n_s = int(round(2 * s_max / ds))
+    s_grid = -s_max + ds * np.arange(n_s + 1)
+    t_slices = np.array(sorted(1.0 / Ts[k] for k in slice_ids))
+    origin, cmat, taumat, min_abs, boundary_w = _schrodinger_stage(
+        problem, v0, n_steps, slice_ids, t_clean, s_grid)
+    data = IntrinsicData(s_grid, t_slices, cmat, taumat)
 
     # u-side origin series (t = 1/T, ascending in t).  The frame ODE is run
     # in the gauge n~ + i b~ = e^{i phi/2}(n + i b), whose coupling entry
     # (a^2/t - c^2)/2 needs only |v(0,T)| -- no spatial derivatives, so the
     # entry stays clean even when the dispersed tail wraps the box.
+    a2 = a * a
     t_u = (1.0 / Ts)[::-1]
-    v0s, vx0, vxx0 = np.array(origin)[::-1].T
+    v0s, vx0, vxx0 = origin[::-1].T
     absv = np.abs(v0s)
     tau0 = -np.imag(vx0 / v0s) / t_u
     c0 = absv / np.sqrt(t_u)
@@ -432,8 +534,6 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     c_s0 = dabs / (t_u * np.sqrt(t_u))
     phi0 = np.unwrap(-np.angle(v0s))
     g_entry = (a2 / t_u - c0**2) / 2
-    xi_cut = _spectral_support(u_plus)
-    t_clean = 4.0 * xi_cut / u_plus.domain_length
     # the 1/t^{3/2}-weighted first-derivative entries are dominated by
     # box-wrap noise past the faithful horizon while their true size decays;
     # drop them there (the |v(0)|-based entries g and phi stay measured)
@@ -456,54 +556,10 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
         clean = slice(None)
     extra_defect = float(np.max((extra * t_u[1:-1] / a2)[clean]))
 
-    # (c, tau) fields on the fixed curve grid; slices are band-limited, so
-    # upsample spectrally (zero padding) before the pointwise interpolation
-    n_s = int(round(2 * s_max / ds))
-    s_grid = -s_max + ds * np.arange(n_s + 1)
-    t_slices = np.array(sorted(1.0 / Ts[k] for k in slice_ids))
-    cmat = np.empty((len(t_slices), len(s_grid)))
-    taumat = np.empty_like(cmat)
-    by_t = {1.0 / Ts[k]: k for k in slice_ids}
-    upf = 4
-    x_fine = u_plus.s0 + (u_plus.domain_length / (upf * N)) * np.arange(upf * N)
-
-    def upsample(vals):
-        spec = np.fft.fft(vals)
-        pad = np.zeros(upf * N, dtype=complex)
-        pad[: N // 2] = spec[: N // 2]
-        pad[-N // 2 :] = spec[-N // 2 :]
-        return np.fft.ifft(pad) * upf
-
-    boundary_w = 0.0
-    for row, tk in enumerate(t_slices):
-        if tk < t_clean:
-            # past the box's faithful horizon the wrapped tail is numerical
-            # noise while the true perturbation of (c, tau) integrates away
-            # (oscillatory, amplitude O(||u_plus|| sqrt(t))): continue with
-            # the unperturbed fields
-            cmat[row] = a / math.sqrt(tk)
-            taumat[row] = s_grid / (2 * tk)
-            continue
-        vv, vx = slices[by_t[tk]]
-        boundary_w = max(boundary_w, float(abs(vv[0] - a)), float(abs(vv[-1] - a)))
-        vvf, vxf = upsample(vv), upsample(vx)
-        xq = s_grid / tk
-        # beyond the box the perturbation has dispersed away: continue by a
-        vq = (np.interp(xq, x_fine, vvf.real, left=a, right=a)
-              + 1j * np.interp(xq, x_fine, vvf.imag, left=0.0, right=0.0))
-        vxq = (np.interp(xq, x_fine, vxf.real, left=0.0, right=0.0)
-               + 1j * np.interp(xq, x_fine, vxf.imag, left=0.0, right=0.0))
-        cmat[row] = np.abs(vq) / math.sqrt(tk)
-        taumat[row] = s_grid / (2 * tk) - np.imag(vxq / vq) / tk
-    data = IntrinsicData(s_grid, t_slices, cmat, taumat)
-
     # unperturbed reference; it also yields the slices past t_clean, whose
     # fields above are exactly the self-similar ones
-    # sized to the largest sigma = s/sqrt(t) a slice node reaches, plus one
-    # output spacing; selfsimilar.evaluate still rejects a node beyond it
     sig_max = float(np.max(np.abs(s_grid))) / math.sqrt(t_slices[0])
-    cfg = selfsimilar._default_cfg(sig_max)
-    prof = selfsimilar.profile(a, max(sig_max + cfg.step * cfg.renorm_every, 50.0))
+    prof = selfsimilar.profile(a, _reference_span(sig_max))
     point0 = np.array([0.0, 0.0, 2 * a * math.sqrt(t_max)])
     result = reconstruct_flow(data, np.eye(3), point0, origin_series=series,
                               reference=(prof, t_clean))

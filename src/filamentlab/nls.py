@@ -12,7 +12,9 @@ and ``flow.stability_experiment``: the Fourier half-step is exact for the free
 part and the (possibly 1/t-weighted) cubic phase is integrated in closed form
 over each step, so mass is conserved to roundoff; a step costs one FFT pair,
 two real cos/sin pairs (the half-step's on N/2 + 1 frequencies only) and no
-allocation of the field's size.
+allocation of the field's size.  Each step yields the spectrum at its end and
+the physical-space field at its middle, both buffers that the next step
+overwrites.
 """
 
 from __future__ import annotations
@@ -180,13 +182,17 @@ class EvolveResult:
 
 
 def _strang(problem, v0, n_steps):
-    """Yield (k, t_k, vhat_k), the spectrum after Strang step k = 1..n_steps.
+    """Yield (k, t_k, vhat_k, v_k) for Strang steps k = 1..n_steps.
 
     The spectrum is carried from step to step, so a step is v = ifft(vhat L),
-    the cubic phase, vhat = fft(v) L, with L = exp(-i xi^2 dt/2).
+    the cubic phase, vhat = fft(v) L, with L = exp(-i xi^2 dt/2).  ``vhat_k``
+    is the spectrum after step k; ``v_k`` is the field in the middle of the
+    step, after the cubic phase.  The phase keeps |v|, so |v_k| is the
+    modulus of the half-step field ifft(vhat_{k-1} L) to roundoff.
 
-    The yielded ``vhat_k`` is one buffer, overwritten by the next step: a
-    caller reads it (or copies it) before asking for step k + 1.
+    The yielded ``vhat_k`` and ``v_k`` are two buffers, overwritten by the
+    next step: a caller reads them (or copies them) before asking for step
+    k + 1.
 
     Both exponents are purely imaginary, so exp(i y) is written as cos y and
     sin y into the real and imaginary views of preallocated buffers (bit for
@@ -235,7 +241,7 @@ def _strang(problem, v0, n_steps):
         np.multiply(v, phase, out=v)
         np.fft.fft(v, out=vhat)
         np.multiply(vhat, half, out=vhat)
-        yield k + 1, ts[k + 1], vhat
+        yield k + 1, ts[k + 1], vhat, v
 
 
 def evolve(problem, v0, n_steps, *, store_every=None):
@@ -248,7 +254,7 @@ def evolve(problem, v0, n_steps, *, store_every=None):
         raise InvalidParameter(f"store_every must be >= 0, got {store_every}")
     stored_t = [problem.t_span[0]]
     fields = [v0.copy_with(v0.values.copy())]
-    for k, t, vhat in _strang(problem, v0, n_steps):
+    for k, t, vhat, _ in _strang(problem, v0, n_steps):
         if (store_every and k % store_every == 0) or k == n_steps:
             stored_t.append(t)
             fields.append(v0.copy_with(np.fft.ifft(vhat)))

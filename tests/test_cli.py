@@ -261,6 +261,11 @@ SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
     ["stability", "--width", "1e-300", "--n-points", "256", "--n-steps", "20",
      "--n-slices", "8", "--tmin-factor", "1e-2"],
     ["evolve", "--datum", "gaussian", "--width", "1e200", *SMALL_GRID],
+    ["stability", "--n-steps", "100000000"],
+    ["stability", "--n-points", str(2**40)],
+    ["stability", "--tmin-factor", "1e-6"],
+    ["stability", "--smax", "1e300", "--ds", "1e300", "--t0", "5e-324",
+     "--tmin-factor", "1"],
 ], ids=["evolve-zero-steps", "spiral-negative-smax", "spiral-over-step-limit",
         "profile-inf-step", "profile-inf-smax", "angle-inf-smax", "theta-inf-smax",
         "theta-nan-a", "evolve-inf-t0", "nls-inf-t1", "nls-inf-uplus-norm",
@@ -273,7 +278,9 @@ SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
         "theta-bad-config-value",
         "evolve-subnormal-grid-step", "evolve-tiny-grid-step",
         "nls-width-squared-underflows", "stability-width-squared-underflows",
-        "evolve-width-squared-overflows"])
+        "evolve-width-squared-overflows", "stability-huge-n-steps",
+        "stability-huge-n-points", "stability-huge-profile-span",
+        "stability-infinite-profile-span"])
 def test_failed_run_leaves_no_directory(tmp_path_factory, tmp_path, capsys, args):
     bad_config = tmp_path_factory.mktemp("config") / "bad.cfg"
     bad_config.write_text("a = abc\n")

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from filamentlab.errors import (
     CurvatureVanishes,
     InsufficientTimeRange,
     InvalidParameter,
+    MemoryBudgetExceeded,
     OutOfProfileRange,
 )
 from filamentlab.geometry import IntrinsicData, SolverConfig
@@ -410,3 +412,144 @@ def test_stability_fails_at_first_dip(monkeypatch):
     with pytest.raises(CurvatureVanishes, match=r"dipped to .* < 0\.5 a; perturbation too large"):
         flow.stability_experiment(a, up, t0, n_steps=100_000, n_slices=40)
     assert len(calls) < 10
+
+
+def _previous_stage(problem, v0, n_steps, slice_ids, t_clean, s_grid):
+    """Reference: the Schrodinger stage before it read the spectrum.
+
+    An inverse FFT after every step gives v(0) and the step-end min |v|;
+    every slice keeps its full-box (v, v_x), and the slices at or above
+    t_clean are upsampled through an FFT pair each before the interpolation.
+    """
+    a = problem.background_a
+    N = v0.n_points
+    xi = v0.xi()
+    x_grid = v0.grid()
+    i0 = int(np.argmin(np.abs(x_grid)))
+    w1 = 1j * xi * np.exp(1j * xi * (x_grid[i0] - v0.s0)) / N
+    w2 = -(xi**2) * np.exp(1j * xi * (x_grid[i0] - v0.s0)) / N
+    Ts = nls.time_grid(problem, n_steps)
+    origin, slices = [], {}
+
+    def record(k, vv, vhat):
+        origin.append((vv[i0], w1 @ vhat, w2 @ vhat))
+        if k in slice_ids:
+            slices[k] = (vv, np.fft.ifft(1j * xi * vhat))
+
+    record(0, v0.values, np.fft.fft(v0.values))
+    min_abs = np.inf
+    for k, _, vhat, _ in nls._strang(problem, v0, n_steps):
+        v = np.fft.ifft(vhat)
+        min_abs = min(min_abs, float(np.min(np.abs(v))))
+        record(k, v, vhat)
+
+    upf = 4
+    x_fine = v0.s0 + (v0.domain_length / (upf * N)) * np.arange(upf * N)
+
+    def upsample(vals):
+        spec = np.fft.fft(vals)
+        pad = np.zeros(upf * N, dtype=complex)
+        pad[: N // 2] = spec[: N // 2]
+        pad[-N // 2 :] = spec[-N // 2 :]
+        return np.fft.ifft(pad) * upf
+
+    ks = sorted(slice_ids, reverse=True)  # ascending t = 1/T
+    cmat = np.empty((len(ks), len(s_grid)))
+    taumat = np.empty_like(cmat)
+    boundary_w = 0.0
+    for row, k in enumerate(ks):
+        tk = 1.0 / Ts[k]
+        if tk < t_clean:
+            cmat[row] = a / math.sqrt(tk)
+            taumat[row] = s_grid / (2 * tk)
+            continue
+        vv, vx = slices[k]
+        boundary_w = max(boundary_w, float(abs(vv[0] - a)), float(abs(vv[-1] - a)))
+        vvf, vxf = upsample(vv), upsample(vx)
+        xq = s_grid / tk
+        vq = (np.interp(xq, x_fine, vvf.real, left=a, right=a)
+              + 1j * np.interp(xq, x_fine, vvf.imag, left=0.0, right=0.0))
+        vxq = (np.interp(xq, x_fine, vxf.real, left=0.0, right=0.0)
+               + 1j * np.interp(xq, x_fine, vxf.imag, left=0.0, right=0.0))
+        cmat[row] = np.abs(vq) / math.sqrt(tk)
+        taumat[row] = s_grid / (2 * tk) - np.imag(vxq / vq) / tk
+    return np.array(origin), cmat, taumat, min_abs, boundary_w
+
+
+def _small_stability(stage=None):
+    """A 100-step run at N = 512 whose slices lie on both sides of t_clean;
+    also returns the stage's inputs and outputs."""
+    seen = []
+    run_stage = stage or flow._schrodinger_stage
+
+    def recording(*args):
+        out = run_stage(*args)
+        seen.append((args, out))
+        return out
+
+    up = nls.gaussian_field(125.0, 512, 1e-2, width=2.0)
+    up = up.copy_with(up.values * np.exp(0.4j * up.grid()))  # v_x(0) != 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "_schrodinger_stage", recording)
+        rep = flow.stability_experiment(0.5, up, 1.0, t_min_factor=1e-2, s_max=1.0,
+                                        ds=0.05, n_steps=100, n_slices=12)
+    return rep, seen[0]
+
+
+def _rel(got, want):
+    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
+
+
+def test_stability_stage_matches_previous_stage():
+    rep, (args, out) = _small_stability()
+    assert 0 < rep.flow.profile_slices < 12
+    origin, cmat, taumat, min_abs, boundary_w = out
+    ref = _previous_stage(*args)
+    for col in range(3):  # v, v_x, v_xx at x = 0
+        assert _rel(origin[:, col], ref[0][:, col]) <= 1e-12
+    assert _rel(cmat, ref[1]) <= 1e-12
+    assert _rel(taumat, ref[2]) <= 1e-12
+    assert boundary_w > 0
+    assert abs(boundary_w - ref[4]) <= 1e-12 * ref[4]
+    # mid-step against step-end samples of the same run
+    assert abs(min_abs - ref[3]) <= 1e-2 * ref[3]
+
+
+def test_stability_report_matches_previous_stage():
+    new, _ = _small_stability()
+    old, _ = _small_stability(_previous_stage)
+    got, want = new.to_dict(), old.to_dict()
+    assert got.keys() == want.keys()
+    for key in got.keys() - {"min_v_over_a"}:
+        if key == "vertex":  # its first component is roundoff-sized
+            assert _rel(got[key], want[key]) <= 1e-12
+            continue
+        g, w = np.asarray(got[key], dtype=float), np.asarray(want[key], dtype=float)
+        assert np.all(np.abs(g - w) <= 1e-12 * np.abs(w)), key
+
+
+def test_stability_keeps_no_full_box_slices():
+    # 40 slices of full-box (v, v_x) at N = 2^15 would hold
+    # 40 * 2 * 2^15 * 16 B = 42 MB; the stage keeps rows on the curve nodes
+    n = 2**15
+    up = nls.gaussian_field(125.0, n, 1e-2, width=2.0)
+    tracemalloc.start()
+    try:
+        flow.stability_experiment(0.5, up, 1.0, t_min_factor=1e-2, s_max=1.0,
+                                  ds=0.05, n_steps=60, n_slices=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 * n * 16 / 2
+
+
+@pytest.mark.parametrize("big", [{"n_steps": 10**8}, {"n_points": 2**40},
+                                 {"n_slices": 10**6}, {"ds": 1e-9},
+                                 {"t_min_factor": 1e-9}])
+def test_stability_plans_its_memory(big):
+    # the last case is the reference profile: 1.3e9 nodes to sigma = 31623
+    args = {"t0": 1.0, "t_min_factor": 1e-2, "s_max": 1.0, "ds": 0.05,
+            "n_points": 256, "n_steps": 20, "n_slices": 8}
+    flow.check_scales(*args.values())
+    with pytest.raises(MemoryBudgetExceeded, match="budget"):
+        flow.check_scales(*{**args, **big}.values())

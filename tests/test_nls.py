@@ -310,7 +310,7 @@ def test_stepper_matches_unfused_strang(potential):
     assert np.max(np.abs(ref - v0.values)) > 0.1  # the run moved the field
     assert np.max(np.abs(out.fields[-1].values - ref)) <= 1e-12
     # the stepper overwrites its spectrum buffer at every step, so keep copies
-    steps = [(k, t, vhat.copy()) for k, t, vhat in nls._strang(problem, v0, n_steps)]
+    steps = [(k, t, vhat.copy()) for k, t, vhat, _ in nls._strang(problem, v0, n_steps)]
     assert not np.array_equal(steps[0][2], steps[-1][2])
     assert [k for k, _, _ in steps] == list(range(1, n_steps + 1))
     assert np.array_equal([t for _, t, _ in steps], nls.time_grid(problem, n_steps)[1:])
@@ -349,9 +349,31 @@ def test_stepper_equals_previous_loop(potential):
     n_steps = 300
     pairs = zip(_previous_strang(problem, v0, n_steps), nls._strang(problem, v0, n_steps),
                 strict=True)
-    for (k_ref, t_ref, ref), (k, t, vhat) in pairs:
+    for (k_ref, t_ref, ref), (k, t, vhat, _) in pairs:
         assert (k, t) == (k_ref, t_ref)
         assert np.max(np.abs(vhat - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("potential", ["gp", "none"])
+def test_stepper_mid_step_field_has_the_half_step_modulus(potential):
+    # the cubic phase keeps |v|, so the yielded mid-step buffer has the
+    # modulus of the half-step field ifft(vhat_{k-1} L_k)
+    n = 256
+    bump = gaussian_field(50.0, n, 1.0, width=2.0)
+    bump = bump.copy_with(bump.values * np.exp(0.4j * bump.grid()))
+    a = 0.5 if potential == "gp" else 0.0
+    v0 = bump.copy_with(a + bump.values)
+    problem = NlsProblem(sign=-1, background_a=a, potential=potential,
+                         t_span=(1.0, 6.0) if potential == "gp" else (-1.0, 2.0))
+    n_steps = 50
+    ts = nls.time_grid(problem, n_steps)
+    xi2 = v0.xi() ** 2
+    prev = np.fft.fft(v0.values)
+    for k, _, vhat, v in nls._strang(problem, v0, n_steps):
+        half = np.fft.ifft(prev * np.exp(-1j * xi2 * (ts[k] - ts[k - 1]) / 2))
+        assert np.max(np.abs(np.abs(v) - np.abs(half))) <= 1e-14 * np.max(np.abs(half))
+        assert not np.array_equal(v, half)  # the buffer holds the phased field
+        prev = vhat.copy()
 
 
 def test_evolve_snapshots_are_distinct_copies():
@@ -362,7 +384,7 @@ def test_evolve_snapshots_are_distinct_copies():
     n_steps = 12
     out = evolve(problem, v0, n_steps, store_every=1)
     expect = [v0.values] + [np.fft.ifft(vhat.copy())
-                            for _, _, vhat in nls._strang(problem, v0, n_steps)]
+                            for _, _, vhat, _ in nls._strang(problem, v0, n_steps)]
     assert len(out.fields) == n_steps + 1
     for got, want in zip(out.fields, expect, strict=True):
         assert np.array_equal(got.values, want)

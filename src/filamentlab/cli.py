@@ -155,6 +155,7 @@ def _run_evolve(params, outdir):
     problem = nls.NlsProblem(sign=params["sign"], background_a=params["a"],
                              potential=potential,
                              t_span=(params["t0"], params["t1"]), coeff=coeff)
+    nls.check_memory(params["n_points"], params["n_steps"], params["store_every"])
     f0 = nls.ComplexField.zeros(params["length"], params["n_points"])
     if params["datum"] == "const":
         v0 = f0.copy_with(np.full(params["n_points"], params["a"], dtype=complex))
@@ -174,8 +175,8 @@ def _run_evolve(params, outdir):
         raise FilamentError("datum must be const/gaussian/random")
     res = nls.evolve(problem, v0, params["n_steps"],
                      store_every=params["store_every"])
-    for i, f in enumerate(res.fields):
-        dataio.write_field_csv(f, outdir / f"field_{i:04d}.csv")
+    dataio.write_field_csvs(res.fields, [outdir / f"field_{i:04d}.csv"
+                                         for i in range(len(res.fields))])
     energy = None
     if potential == "gp":
         energy = [nls.gp_energy(f, t, params["a"], params["sign"], problem.coeff)
@@ -185,6 +186,8 @@ def _run_evolve(params, outdir):
 
 
 def _run_nls(params, outdir):
+    nls.check_memory(params["n_points"], params["n_steps"],
+                     nls._long_range_store(params["n_steps"]))
     up = nls.gaussian_field(params["length"], params["n_points"],
                             params["uplus_norm"], params["width"])
     report = nls.long_range_comparison(
@@ -219,8 +222,8 @@ def _run_stability(params, outdir):
         s_max=params["smax"], ds=params["ds"], n_steps=params["n_steps"],
         n_slices=params["n_slices"],
     )
-    for i, curve in enumerate(report.flow.curves):
-        curve.write_csv(outdir / f"frame_{i:04d}.csv")
+    dataio.write_csvs([curve.csv_job(outdir / f"frame_{i:04d}.csv")
+                       for i, curve in enumerate(report.flow.curves)])
     return report.to_dict()
 
 

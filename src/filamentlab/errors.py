@@ -36,6 +36,16 @@ class InvalidParameter(FilamentError):
 class MemoryBudgetExceeded(FilamentError):
     """A run's planned arrays exceed the package's memory budget."""
 
+    BUDGET = 2**31  # bytes a run may plan for its largest arrays
+
+    @classmethod
+    def check(cls, need, run):
+        """Raise for a ``run`` whose planned arrays take ``need`` bytes
+        above ``BUDGET``."""
+        if need > cls.BUDGET:
+            raise cls(f"the {run} needs about {need / 2**20:.3g} MiB for its arrays, "
+                      f"above the {cls.BUDGET / 2**20:.0f} MiB budget")
+
 
 class OutOfProfileRange(FilamentError):
     """Requested similarity variable lies outside the computed profile span."""

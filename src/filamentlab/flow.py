@@ -43,7 +43,6 @@ from .integrators import (GAUSS_C1, GAUSS_C2, _Q_ONE, _plan, _qmul, _rotation,
 _ORIGIN_SUBSTEPS = 2  # uniform frame-ODE steps per origin-series interval
 _SLICE_STEP = 1e-3     # fine-step bound of the Frenet integration in s
 _UPSAMPLE = 4          # spectral upsampling of a slice before its interpolation
-_MEMORY_BUDGET = 2**31  # bytes a stability run may plan for its largest arrays
 # Planned bytes of a stability run per time step (time grid, origin series,
 # origin-frame ODE), per box point (the stepper's buffers, the spectral
 # weights, the upsampled slice), per slice node (the (c, tau) rows and the
@@ -369,7 +368,7 @@ def check_scales(t0, t_min_factor, s_max, ds, n_points, n_steps, n_slices):
     """Reject stability-run scales that are not finite and positive, a curve
     grid whose node count 2 s_max/ds overflows, a reference profile whose
     span s_max/sqrt(t_min) overflows, and a run whose largest arrays would
-    exceed ``_MEMORY_BUDGET`` (MemoryBudgetExceeded)."""
+    exceed ``MemoryBudgetExceeded.BUDGET``."""
     for name, v in (("t0", t0), ("t_min_factor", t_min_factor), ("s_max", s_max),
                     ("ds", ds), ("t0 * t_min_factor", t0 * t_min_factor)):
         if not (math.isfinite(v) and v > 0):
@@ -385,10 +384,7 @@ def check_scales(t0, t_min_factor, s_max, ds, n_points, n_steps, n_slices):
     need = (_BYTES_PER_STEP * (n_steps + 1) + _BYTES_PER_POINT * n_points
             + _BYTES_PER_NODE * n_slices * (2 * s_max / ds + 1)
             + _BYTES_PER_PROFILE_NODE * 2 * span / (cfg.step * cfg.renorm_every))
-    if need > _MEMORY_BUDGET:
-        raise MemoryBudgetExceeded(
-            f"the stability run needs about {need / 2**20:.3g} MiB for its arrays, "
-            f"above the {_MEMORY_BUDGET / 2**20:.0f} MiB budget")
+    MemoryBudgetExceeded.check(need, "stability run")
 
 
 def _schrodinger_stage(problem, v0, n_steps, slice_ids, t_clean, s_grid):

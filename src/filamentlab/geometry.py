@@ -80,14 +80,19 @@ class Curve:
         seg = np.linalg.norm(np.diff(self.points, axis=0), axis=1)
         return float(np.max(np.abs(seg / ds - 1.0)))
 
-    def write_csv(self, path):
+    def csv_job(self, path):
+        """``(path, header, columns)`` of this curve's CSV, for
+        :func:`dataio.write_csvs`."""
         cols = [self.s_grid] + [self.points[:, j] for j in range(3)]
         header = "s,x,y,z"
         if self.frames is not None:
             header += ",Tx,Ty,Tz,nx,ny,nz,bx,by,bz"
             for r in range(3):
                 cols += [self.frames[:, r, j] for j in range(3)]
-        dataio.write(path, header, cols)
+        return path, header, cols
+
+    def write_csv(self, path):
+        dataio.write(*self.csv_job(path))
 
     @staticmethod
     def read_csv(path):

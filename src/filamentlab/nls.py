@@ -28,11 +28,20 @@ import numpy as np
 from .errors import (
     AliasingDetected,
     InvalidParameter,
+    MemoryBudgetExceeded,
     TimeSpanCrossesZero,
 )
 from .geometry import _nonuniform_dt, _uniform_step
 
 ALIAS_FRACTION = 1e-6
+# Planned bytes of an evolve run per box point (the stepper's buffers, the
+# datum's temporaries, the snapshot CSVs' shared grid), per point of a
+# stored snapshot (one complex sample) and per time step (the time grid and
+# its differences).  The tracemalloc peak of an evolve or nls CLI run grows
+# by 100 to 170, 16 and 32 bytes per unit of each; these round those up.
+_BYTES_PER_POINT = 200
+_BYTES_PER_STORED_POINT = 16
+_BYTES_PER_STEP = 40
 
 
 def _check_n_points(n):
@@ -244,6 +253,19 @@ def _strang(problem, v0, n_steps):
         yield k + 1, ts[k + 1], vhat, v
 
 
+def check_memory(n_points, n_steps, store_every):
+    """Plan the bytes of an ``evolve`` run on ``n_points`` that stores every
+    ``store_every`` of ``n_steps`` steps (0 or None: the endpoints only):
+    the stepper's buffers, the n_steps/store_every + 2 stored snapshots and
+    their CSV columns, and the time grid.  Raise MemoryBudgetExceeded above
+    the package's budget; return the planned bytes."""
+    stored = n_steps // store_every + 2 if store_every else 2
+    need = (n_points * (_BYTES_PER_POINT + _BYTES_PER_STORED_POINT * stored)
+            + _BYTES_PER_STEP * (n_steps + 1))
+    MemoryBudgetExceeded.check(need, "NLS run")
+    return need
+
+
 def evolve(problem, v0, n_steps, *, store_every=None):
     """Strang-split run over the problem's time span.
 
@@ -252,6 +274,7 @@ def evolve(problem, v0, n_steps, *, store_every=None):
     """
     if store_every is not None and store_every < 0:
         raise InvalidParameter(f"store_every must be >= 0, got {store_every}")
+    check_memory(v0.n_points, n_steps, store_every)
     stored_t = [problem.t_span[0]]
     fields = [v0.copy_with(v0.values.copy())]
     for k, t, vhat, _ in _strang(problem, v0, n_steps):
@@ -349,6 +372,11 @@ def galilean_transform(field, m, t):
     return field.copy_with(np.exp(1j * (N * s - t * N * N)) * shifted)
 
 
+def _long_range_store(n_steps):
+    """Steps between the snapshots ``long_range_comparison`` checks."""
+    return max(1, n_steps // 24)
+
+
 def long_range_comparison(a, u_plus, sign, t_span, n_steps, *, coeff=1.0):
     """One GP run from v1(t0); ansatz defects with and without the log phase.
 
@@ -362,8 +390,7 @@ def long_range_comparison(a, u_plus, sign, t_span, n_steps, *, coeff=1.0):
     problem = NlsProblem(sign=sign, background_a=a, potential="gp",
                          t_span=tuple(t_span), coeff=coeff)
     v0 = long_range_ansatz(u_plus, a, sign, problem.t_span[0], coeff)
-    store = max(1, n_steps // 24)
-    res = evolve(problem, v0, n_steps, store_every=store)
+    res = evolve(problem, v0, n_steps, store_every=_long_range_store(n_steps))
     d_phase, d_free, d_deriv = [], [], []
     for t, f in zip(res.times, res.fields):
         # the ansatz with and without its log phase share one free evolution

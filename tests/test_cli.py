@@ -4,13 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from filamentlab import cli
+from filamentlab import cli, nls
 from filamentlab.dataio import dumps_json
 
 
@@ -266,6 +267,9 @@ SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
     ["stability", "--tmin-factor", "1e-6"],
     ["stability", "--smax", "1e300", "--ds", "1e300", "--t0", "5e-324",
      "--tmin-factor", "1"],
+    ["nls", "--n-points", "134217728"],
+    ["evolve", "--n-points", "268435456", "--n-steps", "2"],
+    ["evolve", "--n-steps", "1000000", "--store-every", "1", "--n-points", "4096"],
 ], ids=["evolve-zero-steps", "spiral-negative-smax", "spiral-over-step-limit",
         "profile-inf-step", "profile-inf-smax", "angle-inf-smax", "theta-inf-smax",
         "theta-nan-a", "evolve-inf-t0", "nls-inf-t1", "nls-inf-uplus-norm",
@@ -280,7 +284,8 @@ SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
         "nls-width-squared-underflows", "stability-width-squared-underflows",
         "evolve-width-squared-overflows", "stability-huge-n-steps",
         "stability-huge-n-points", "stability-huge-profile-span",
-        "stability-infinite-profile-span"])
+        "stability-infinite-profile-span", "nls-huge-n-points",
+        "evolve-huge-n-points", "evolve-huge-snapshot-count"])
 def test_failed_run_leaves_no_directory(tmp_path_factory, tmp_path, capsys, args):
     bad_config = tmp_path_factory.mktemp("config") / "bad.cfg"
     bad_config.write_text("a = abc\n")
@@ -361,3 +366,24 @@ def test_runtime_needs_no_scipy(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert list(tmp_path.glob("selfcheck-*/run.json"))
+
+
+@pytest.mark.parametrize("sub, args", [
+    ("evolve", {"n_points": 2**14, "n_steps": 40, "store_every": 1, "datum": "gaussian"}),
+    ("nls", {"n_points": 2**14, "n_steps": 240}),
+])
+def test_nls_runs_stay_inside_their_memory_plan(tmp_path, sub, args):
+    params = {key: kind(default) for key, (kind, default) in cli.SPECS[sub].items()}
+    params.update(args)
+    store = params["store_every"] if sub == "evolve" else nls._long_range_store(
+        params["n_steps"])
+    plan = nls.check_memory(params["n_points"], params["n_steps"], store)
+    tracemalloc.start()
+    try:
+        cli.RUNNERS[sub](params, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # numpy reports its allocations to tracemalloc; the plan covers the
+    # peak and is not loose by more than 2x
+    assert peak <= plan <= 2 * peak

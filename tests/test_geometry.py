@@ -339,11 +339,15 @@ def test_field_csv_is_17g_per_value(tmp_path):
     values[4095:4097] = [complex(-0.0, 5e-324), complex(5e-324, -0.0)]
     field = ComplexField(50.0, 8192, values)
     path = tmp_path / "field.csv"
-    dataio.write_field_csv(field, path)
+    dataio.write_field_csvs([field], [path])
     expected = "s,re,im\n" + "".join(
         "%.17g,%.17g,%.17g\n" % (s, v.real, v.imag) for s, v in zip(field.grid(), values)
     )
     assert path.read_text() == expected
+    # snapshots share one grid column, so fields on two boxes are refused
+    moved = ComplexField(50.0, 8192, values, s0=0.0)
+    with pytest.raises(ValueError, match="different grids"):
+        dataio.write_field_csvs([field, moved], [path, tmp_path / "moved.csv"])
 
 
 def test_solver_config_validation():

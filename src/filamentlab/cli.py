@@ -53,13 +53,17 @@ def _outdir(args, sub, params):
     return d, made
 
 
-def _discard(made):
-    """Remove the directories a failed run created, while they are empty."""
-    for d in made:
-        try:
+def _discard(outdir, made):
+    """Remove what a failed run leaves: every file in its run directory, so
+    that a run.json there always belongs to a run that completed, then the
+    directories the run created."""
+    try:
+        for f in outdir.iterdir() if outdir else ():
+            f.unlink()
+        for d in made:
             d.rmdir()
-        except OSError:
-            return
+    except OSError:
+        return
 
 
 def _emit(outdir, summary):
@@ -72,8 +76,7 @@ def _emit(outdir, summary):
 
 SPECS = {
     "profile": {"a": (float, 0.5), "smax": (float, 20.0), "step": (float, 0.0)},
-    "angle": {"a": (float, 0.5), "method": (str, "both"), "smax": (float, 400.0)},
-    "theta": {"a": (float, 0.5), "smax": (float, 400.0)},
+    "angle": {"a": (float, 0.5), "smax": (float, 400.0)},
     "evolve": {
         "problem": (str, "gp"), "sign": (int, -1), "a": (float, 0.5),
         "t0": (float, 1.0), "t1": (float, 10.0), "n_steps": (int, 400),
@@ -120,31 +123,16 @@ def _run_profile(params, outdir):
 
 
 def _run_angle(params, outdir):
-    a, method, smax = params["a"], params["method"], params["smax"]
-    if method not in ("both", "closed", "ode"):
-        raise FilamentError("method must be one of both/closed/ode")
-    a1_cf, gamma_cf = selfsimilar.corner_angle(a)
-    out = {"a": a, "closed_form": a1_cf, "gamma_closed_form": gamma_cf}
-    if method in ("both", "ode"):
-        prof = selfsimilar.profile(a, smax)
-        est = theta.a1_from_theta(a, smax) if a > 0 else None
-        out.update(
-            ode_estimate=prof.a1_estimate,
-            ode_error_bound=prof.a1_error_bound,
-            theta_estimate=est.a1 if est else None,  # route needs a > 0
-            theta_spread=est.spread if est else None,
-            gamma_measured=prof.gamma_measured(),
-        )
-    return out
-
-
-def _run_theta(params, outdir):
     a, smax = params["a"], params["smax"]
-    if a <= 0:
-        raise FilamentError("theta route needs a > 0")
-    est = theta.a1_from_theta(a, smax)
-    return {"a": a, "s_max": smax, "a1": est.a1, "a1_spread": est.spread,
-            "energy_drift": est.energy_drift}
+    a1_cf, gamma_cf = selfsimilar.corner_angle(a)
+    prof = selfsimilar.profile(a, smax)
+    est = theta.a1_from_theta(a, smax) if a > 0 else None  # route needs a > 0
+    return {"a": a, "closed_form": a1_cf, "gamma_closed_form": gamma_cf,
+            "ode_estimate": prof.a1_estimate, "ode_error_bound": prof.a1_error_bound,
+            "theta_estimate": est.a1 if est else None,
+            "theta_spread": est.spread if est else None,
+            "theta_energy_drift": est.energy_drift if est else None,
+            "gamma_measured": prof.gamma_measured()}
 
 
 def _run_evolve(params, outdir):
@@ -285,7 +273,6 @@ def _run_selfcheck(params, outdir):
 RUNNERS = {
     "profile": _run_profile,
     "angle": _run_angle,
-    "theta": _run_theta,
     "evolve": _run_evolve,
     "nls": _run_nls,
     "spiral": _run_spiral,
@@ -328,7 +315,7 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return 2
-    made = []
+    outdir, made = None, []
     try:
         outdir, made = _outdir(args, args.command, params)
         summary = RUNNERS[args.command](params, outdir)
@@ -336,11 +323,11 @@ def main(argv=None):
         print(outdir)
         return 0 if summary.get("all_ok", True) else 1
     except (FilamentError, ValueError) as exc:
-        _discard(made)
+        _discard(outdir, made)
         print(f"error[validation]: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        _discard(made)
+        _discard(outdir, made)
         print(f"error[io]: {exc}", file=sys.stderr)
         return 2
 

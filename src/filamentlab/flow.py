@@ -28,6 +28,7 @@ import numpy as np
 
 from . import nls, selfsimilar
 from .errors import (
+    AliasingDetected,
     ConstraintViolated,
     CurvatureVanishes,
     GridTooCoarse,
@@ -486,6 +487,9 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     unperturbed fields c = a/sqrt(t), tau = s/2t and are built from the
     reference profile G_a, chi = sqrt(t) G(s/sqrt(t)), turned and moved by
     the measured origin frame and point; the others are integrated in s.
+    A u_plus that the grid does not resolve (AliasingDetected) and a run
+    whose interior times all lie below t_clean (InsufficientTimeRange) are
+    rejected before the Schrodinger stage.
     """
     if a <= 0:
         raise InvalidParameter("a must be positive")
@@ -499,6 +503,9 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     norm_up = u_plus.l2_norm()
     if norm_up > 0.1 * a:
         raise InvalidParameter("perturbation too large: need ||u_plus|| <= 0.1 a")
+    frac = u_plus.alias_fraction()
+    if frac > nls.ALIAS_FRACTION:
+        raise AliasingDetected(f"u_plus: top-third spectral energy fraction {frac:.2e}")
     t_max = float(t0)
     t_min = t_max * t_min_factor
     sign, coeff = 1, 0.5
@@ -511,6 +518,9 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     t_clean = 4.0 * xi_cut / u_plus.domain_length
     n_s = int(round(2 * s_max / ds))
     s_grid = -s_max + ds * np.arange(n_s + 1)
+    if t_clean > 1.0 / Ts[1]:
+        raise InsufficientTimeRange(
+            f"no interior time reaches the box's faithful horizon t_clean = {t_clean:g}")
     t_slices = np.array(sorted(1.0 / Ts[k] for k in slice_ids))
     origin, cmat, taumat, min_abs, boundary_w = _schrodinger_stage(
         problem, v0, n_steps, slice_ids, t_clean, s_grid)
@@ -548,8 +558,6 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     dphi = _nonuniform_dt(phi0[:, None], t_u)[:, 0]
     extra = np.abs(a2 / t_u[1:-1] + dphi - 2 * q0[1:-1] - c0[1:-1] ** 2)
     clean = t_u[1:-1] >= t_clean
-    if not np.any(clean):
-        clean = slice(None)
     extra_defect = float(np.max((extra * t_u[1:-1] / a2)[clean]))
 
     # unperturbed reference; it also yields the slices past t_clean, whose

@@ -204,6 +204,8 @@ def _plan(s0, s1, step, out_every, max_steps):
     # a span that is a whole number of blocks up to roundoff gets exactly
     # that many; ceil alone would add a spurious block
     r = abs(span) / (step * m)
+    if not math.isfinite(r):
+        raise StepLimitExceeded(f"span {span:g} at step {step:g} needs {r:g} output blocks")
     n_blocks = round(r)
     if abs(r - n_blocks) > 1e-9 * r:
         n_blocks = math.ceil(r)

@@ -120,7 +120,6 @@ class A1Estimate:
     a1: float
     spread: float
     energy_drift: float
-    s_max: float
 
 
 def a1_from_theta(a, s_max):
@@ -147,4 +146,4 @@ def a1_from_theta(a, s_max):
     a1 = float(np.mean(T1[win]))
     spread = float(0.5 * (np.max(T1[win]) - np.min(T1[win])))
     drift = energy_drift(traj, lambda s: np.full(np.shape(s), float(a)))
-    return A1Estimate(a1, spread, drift, float(s_max))
+    return A1Estimate(a1, spread, drift)

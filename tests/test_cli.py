@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from filamentlab import cli, nls
+from filamentlab import cli, dataio, nls
 from filamentlab.dataio import dumps_json
+from filamentlab.errors import FilamentError
 
 
 def run_cli(args, tmp_path, monkeypatch=None, env_out=None):
@@ -29,13 +30,23 @@ def read_run_json(tmp_path, sub):
 
 
 def test_angle_both_routes(tmp_path):
-    rc = run_cli(["angle", "--a", "0.5", "--method", "both", "--smax", "400"], tmp_path)
+    rc = run_cli(["angle", "--a", "0.5", "--smax", "400"], tmp_path)
     assert rc == 0
     data, _ = read_run_json(tmp_path, "angle")
     exact = math.exp(-math.pi * 0.25 / 2)
     assert data["closed_form"] == pytest.approx(exact, abs=1e-15)
     assert abs(data["ode_estimate"] - exact) <= 1e-3
     assert abs(data["theta_estimate"] - exact) <= 1e-3
+    assert data["theta_energy_drift"] <= 1e-8
+
+
+def test_angle_at_zero_a_has_no_theta_route(tmp_path):
+    # the theta route needs a > 0; at a = 0 its fields are null
+    assert run_cli(["angle", "--a", "0", "--smax", "20"], tmp_path) == 0
+    data, _ = read_run_json(tmp_path, "angle")
+    assert data["ode_estimate"] == pytest.approx(1.0, abs=1e-12)
+    for key in ("theta_estimate", "theta_spread", "theta_energy_drift"):
+        assert data[key] is None
 
 
 def test_profile_zero_curvature_writes_line(tmp_path):
@@ -51,16 +62,8 @@ def test_profile_zero_curvature_writes_line(tmp_path):
     assert data["intersections"] == []
 
 
-def test_theta_command_fields(tmp_path):
-    rc = run_cli(["theta", "--a", "0.5", "--smax", "200"], tmp_path)
-    assert rc == 0
-    data, _ = read_run_json(tmp_path, "theta")
-    assert set(data) >= {"a", "s_max", "a1", "a1_spread", "energy_drift"}
-    assert data["energy_drift"] <= 1e-8
-
-
 def test_determinism_modulo_timestamp(tmp_path):
-    args = ["angle", "--a", "0.3", "--method", "closed"]
+    args = ["angle", "--a", "0.3", "--smax", "20"]
     assert run_cli(args, tmp_path) == 0
     _, path = read_run_json(tmp_path, "angle")
     first = path.read_bytes()
@@ -122,6 +125,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert err.startswith("error[usage]:")
 
 
+@pytest.mark.parametrize("args", [["theta"], ["angle", "--method", "both"]],
+                         ids=["theta-subcommand", "angle-method"])
+def test_retired_angle_entry_points_are_usage_errors(tmp_path, capsys, args):
+    # angle is the one way to the angle-law figure
+    assert run_cli(args, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[usage]:") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_validation_errors_exit_2(tmp_path, capsys):
     rc = run_cli(["profile", "--a", "-1", "--smax", "10"], tmp_path)
     assert rc == 2
@@ -132,7 +145,7 @@ def test_validation_errors_exit_2(tmp_path, capsys):
 
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("a = 0.7\nmethod = closed\n# comment\n")
+    cfg.write_text("a = 0.7\nsmax = 20\n# comment\n")
     rc = cli.main(["angle", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert rc == 0
     data, _ = read_run_json(tmp_path, "angle")
@@ -157,7 +170,7 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
 
 def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("FILAMENTLAB_OUT", str(tmp_path / "envout"))
-    rc = cli.main(["angle", "--a", "0.4", "--method", "closed"])
+    rc = cli.main(["angle", "--a", "0.4", "--smax", "20"])
     assert rc == 0
     assert list((tmp_path / "envout").glob("angle-*/run.json"))
 
@@ -232,8 +245,8 @@ SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
     ["profile", "--step", "inf"],
     ["profile", "--smax", "inf"],
     ["angle", "--smax", "inf"],
-    ["theta", "--smax", "inf"],
-    ["theta", "--a", "nan"],
+    ["profile", "--smax", "1e300"],
+    ["angle", "--smax", "1e300"],
     ["evolve", "--t0", "inf", *SMALL_GRID],
     ["nls", "--t1", "inf", *SMALL_GRID],
     ["nls", "--uplus-norm", "inf", *SMALL_GRID],
@@ -249,18 +262,19 @@ SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
     ["nls", "--length=-inf", *SMALL_GRID],
     ["nls", "--t0", "inf", *SMALL_GRID],
     ["nls", "--uplus-norm", "-0.01", *SMALL_GRID],
-    ["theta", "--smax", "-5"],
     ["evolve", "--coeff", "nan", *SMALL_GRID],
     ["evolve", "--coeff", "-1", *SMALL_GRID],
     ["profile", "--step", "nan"],
     ["profile", "--step", "-1"],
     ["profile", "--step", "10", "--smax", "20"],
-    ["theta", "--config", "{bad_config}"],
+    ["angle", "--config", "{bad_config}"],
     ["evolve", "--length", "5e-324", "--n-points", "64", "--n-steps", "4"],
     ["evolve", "--length", "1e-300", "--n-points", "64", "--n-steps", "4"],
     ["nls", "--width", "1e-300", *SMALL_GRID, "--length", "100"],
     ["stability", "--width", "1e-300", "--n-points", "256", "--n-steps", "20",
      "--n-slices", "8", "--tmin-factor", "1e-2"],
+    ["stability", "--width", "0.1", "--tmin-factor", "1e-2"],
+    ["stability", "--width", "0.01"],
     ["evolve", "--datum", "gaussian", "--width", "1e200", *SMALL_GRID],
     ["stability", "--n-steps", "100000000"],
     ["stability", "--n-points", str(2**40)],
@@ -271,17 +285,19 @@ SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
     ["evolve", "--n-points", "268435456", "--n-steps", "2"],
     ["evolve", "--n-steps", "1000000", "--store-every", "1", "--n-points", "4096"],
 ], ids=["evolve-zero-steps", "spiral-negative-smax", "spiral-over-step-limit",
-        "profile-inf-step", "profile-inf-smax", "angle-inf-smax", "theta-inf-smax",
-        "theta-nan-a", "evolve-inf-t0", "nls-inf-t1", "nls-inf-uplus-norm",
+        "profile-inf-step", "profile-inf-smax", "angle-inf-smax",
+        "profile-huge-smax", "angle-huge-smax", "evolve-inf-t0", "nls-inf-t1",
+        "nls-inf-uplus-norm",
         "stability-zero-width", "stability-zero-t0", "stability-zero-tmin-factor",
         "stability-zero-ds", "stability-inf-smax", "stability-minus-inf-ds",
         "evolve-zero-length", "evolve-negative-length", "evolve-inf-length",
         "nls-minus-inf-length", "nls-inf-t0", "nls-negative-uplus-norm",
-        "theta-negative-smax", "evolve-nan-coeff", "evolve-negative-coeff",
+        "evolve-nan-coeff", "evolve-negative-coeff",
         "profile-nan-step", "profile-negative-step", "profile-step-above-spacing",
-        "theta-bad-config-value",
+        "angle-bad-config-value",
         "evolve-subnormal-grid-step", "evolve-tiny-grid-step",
         "nls-width-squared-underflows", "stability-width-squared-underflows",
+        "stability-no-time-past-horizon", "stability-unresolved-datum",
         "evolve-width-squared-overflows", "stability-huge-n-steps",
         "stability-huge-n-points", "stability-huge-profile-span",
         "stability-infinite-profile-span", "nls-huge-n-points",
@@ -309,12 +325,35 @@ def test_failed_run_leaves_no_directory(tmp_path_factory, tmp_path, capsys, args
     assert not caught, [str(w.message) for w in caught]
 
 
+@pytest.mark.parametrize("earlier_run", [False, True], ids=["fresh", "rerun"])
+def test_failed_run_removes_its_partial_files(tmp_path, monkeypatch, capsys,
+                                              earlier_run):
+    args = ["profile", "--smax", "15", "--out-dir", str(tmp_path / "runs")]
+    if earlier_run:
+        assert cli.main(args) == 0
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert (run_dir / "run.json").exists()
+    capsys.readouterr()
+
+    def fails_after_writing(params, outdir):
+        dataio.write(outdir / "profile.csv", "s", [np.arange(3.0)])
+        raise FilamentError("failed after writing")
+
+    monkeypatch.setitem(cli.RUNNERS, "profile", fails_after_writing)
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[validation]:") and err.count("\n") == 1
+    # no run.json and no partial file; only a run directory that was there
+    # before the failed run stays, empty
+    left = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    assert left == ([Path("runs"), run_dir.relative_to(tmp_path)] if earlier_run else [])
+
+
 # every numeric flag of every subcommand on a small grid; an int flag cannot
 # take nan or inf (argparse rejects it), so it gets only 0 and -1
 SWEEP_BASE = {
     "profile": [],
     "angle": ["--smax", "20"],
-    "theta": ["--smax", "20"],
     "evolve": ["--n-points", "256", "--n-steps", "10"],
     # a box of 100 resolves the width-2 bump on 256 points (the default 900
     # does not, and the alias gate would reject every run)

@@ -16,13 +16,13 @@ A slice that carries the unperturbed fields c = a/sqrt(t), tau = s/2t is
 the self-similar profile rescaled, chi = sqrt(t) G(s/sqrt(t)), turned and
 moved by the origin frame and point of that slice: the stability experiment
 builds its slices below the box's faithful horizon from its reference
-profile instead of integrating them.
+profile instead of integrating them; ``reconstruct_flow`` integrates all.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,10 +36,10 @@ from .errors import (
     InvalidParameter,
     MemoryBudgetExceeded,
 )
-from .geometry import (Curve, IntrinsicData, SolverConfig, _cumulative_simpson,
-                       _nonuniform_dt, propagate_frame)
-from .integrators import (GAUSS_C1, GAUSS_C2, _Q_ONE, _plan, _qmul, _rotation,
-                          _scan, magnus_omega, rodrigues_phi1, two_sided)
+from .geometry import (Curve, SolverConfig, _checked_frame, _cumulative_simpson,
+                       _nonuniform_dt, _uniform_step, propagate_frame)
+from .integrators import (GAUSS_C1, GAUSS_C2, _Q_ONE, _qmul, _rotation, _scan,
+                          magnus_omega, rodrigues_phi1, two_sided)
 
 _ORIGIN_SUBSTEPS = 2  # uniform frame-ODE steps per origin-series interval
 _SLICE_STEP = 1e-3     # fine-step bound of the Frenet integration in s
@@ -53,6 +53,9 @@ _BYTES_PER_STEP = 1000
 _BYTES_PER_POINT = 400
 _BYTES_PER_NODE = 500
 _BYTES_PER_PROFILE_NODE = 250
+# Range of the time scales t0 and t_min of a stability run: the pipeline's
+# time derivatives and Magnus steps carry up to t^3, a normal float in here
+_TIME_SCALES = (1e-100, 1e100)
 
 
 @dataclass
@@ -81,7 +84,6 @@ class FlowResult:
     curves: list
     frame_at_origin: np.ndarray     # (n_t, 3, 3), rows (T, n, b)
     chi_origin: np.ndarray          # (n_t, 3)
-    profile_slices: int = 0         # slices built from the reference profile
 
 
 def intrinsic_residual(data):
@@ -172,14 +174,7 @@ def _frame_ode_backward(series):
     return out[::-1]
 
 
-def _slice_nodes(s, m):
-    """The s nodes of a slice integrated at ``m`` fine steps per grid step."""
-    ds = s[1] - s[0]
-    return two_sided(lambda end: (_plan(0.0, end, ds / m, m, None)[2],),
-                     float(s[0]), float(s[-1]))[0]
-
-
-def _profile_slice(prof, s_nodes, tk, Fk, pk):
+def _profile_slice(prof, s, tk, Fk, pk):
     """Slice of the fields c = a/sqrt(t), tau = s/2t built from the profile.
 
     With sigma = s/sqrt(t) the Frenet system in s is the profile system in
@@ -187,9 +182,9 @@ def _profile_slice(prof, s_nodes, tk, Fk, pk):
     pk + sqrt(t) (G(sigma) - G(0)) @ Fk.
     """
     rt = math.sqrt(tk)
-    F, G = selfsimilar.evaluate(prof, s_nodes / rt)
+    F, G = selfsimilar.evaluate(prof, s / rt)
     G0 = prof.curve.points[np.searchsorted(prof.curve.s_grid, 0.0)]
-    return Curve(s_nodes, pk + rt * (G - G0) @ Fk, F @ Fk)
+    return Curve(s, pk + rt * (G - G0) @ Fk, F @ Fk)
 
 
 def _check_times(t, name):
@@ -201,17 +196,64 @@ def _check_times(t, name):
         raise ConstraintViolated(f"{name} must be strictly increasing")
 
 
-def reconstruct_flow(data, frame0, point0, *, origin_series=None, reference=None):
+def _slice_grid(s):
+    """Index of s = 0 in the slice grid ``s``: uniform, >= 5 nodes, s = 0 an
+    interior node, as every slice runs from s = 0 and returns on ``s``."""
+    if len(s) < 5:
+        raise GridTooCoarse("need >= 5 s nodes")
+    ds = _uniform_step(s, "a flow slice")
+    i0 = int(np.argmin(np.abs(s)))
+    if abs(s[i0]) > 1e-9 * max(1.0, ds):
+        raise GridTooCoarse("s = 0 must be a grid node")
+    if i0 == 0 or i0 == len(s) - 1:
+        raise GridTooCoarse("s = 0 must be an interior node")
+    return i0
+
+
+def _integrated_slice(s, c_row, tau_row, Fk, pk):
+    """Slice of the fields (c_row, tau_row) on ``s``, integrated from the
+    origin frame Fk and point pk at a step <= _SLICE_STEP, 0.25/max|tau|."""
+    ds = s[1] - s[0]
+    target = min(_SLICE_STEP, 0.25 / max(1.0, float(np.max(np.abs(tau_row)))))
+    m = max(1, int(math.ceil(ds / target)))
+    c_fn = lambda x: np.interp(x, s, c_row)
+    tau_fn = lambda x: np.interp(x, s, tau_row)
+    _, FF, GG = two_sided(
+        lambda end: propagate_frame(c_fn, tau_fn, 0.0, end, Fk, step=ds / m,
+                                    out_every=m, position0=pk,
+                                    max_steps=SolverConfig.max_steps),
+        float(s[0]), float(s[-1]),
+    )
+    return Curve(s, GG, FF)
+
+
+def _origin_track(series, frame0, point0, t_grid):
+    """Origin frames and points at the slice times ``t_grid``, each a series
+    time, from ``frame0`` and ``point0`` at the last one; chi(0,t) =
+    point0 - int_t^{tmax} c b dt' is a log-t Simpson integral."""
+    frames = _frame_ode_backward(series) @ frame0
+    if series.phi is not None:
+        frames = _gauge_rotation(series.phi) @ frames
+    lt = np.log(series.t)
+    I = _cumulative_simpson(series.c0[:, None] * frames[:, 2, :] * series.t[:, None], lt)
+    chi = np.asarray(point0)[None] + (I - I[-1])
+    js = [int(np.argmin(np.abs(lt - math.log(tt)))) for tt in t_grid]
+    if any(abs(lt[j] - math.log(tt)) > 1e-9 for j, tt in zip(js, t_grid)):
+        raise GridTooCoarse("slice time missing from the origin series")
+    return frames[js], chi[js] + 0.0
+
+
+def reconstruct_flow(data, frame0, point0, *, origin_series=None):
     """Reconstruct curves for every time slice of the intrinsic data.
 
-    ``frame0`` (rows T,n,b) and ``point0`` are the data at (s=0, t=max).
+    ``frame0`` (rows T,n,b, orthonormal and right-handed within
+    ``geometry.TOL_FRAME``) and ``point0`` are the data at (s=0, t=max).
     ``origin_series`` overrides the finite-difference s=0 coefficient
-    history (used by the Schrodinger-side pipeline, where spectral values
-    are available).  ``reference = (prof, t_cut)`` declares that every
-    slice with t < t_cut carries the unperturbed fields c = prof.a/sqrt(t),
-    tau = s/2t; those slices are built from the profile, not integrated.
-    The slice times and the series times must be finite, > 0 and strictly
-    increasing (ConstraintViolated).
+    history (when spectral values are available).  Every slice is
+    integrated in s from its origin frame and point and returned on the
+    data's own grid ``s``, which must be uniform (GridNonUniform) with
+    s = 0 an interior node (GridTooCoarse).  The slice times and the series
+    times must be finite, > 0 and strictly increasing (ConstraintViolated).
     """
     _check_times(data.t_grid, "t_grid")
     if origin_series is not None:
@@ -219,60 +261,13 @@ def reconstruct_flow(data, frame0, point0, *, origin_series=None, reference=None
     if np.min(data.c) <= 0:
         raise CurvatureVanishes("reconstruction requires c > 0 on the grid")
     s = data.s_grid
-    if len(s) < 5 or len(data.t_grid) < 2:
-        raise GridTooCoarse("need >= 5 s nodes and >= 2 time slices")
-    ds = s[1] - s[0]
-    i0 = int(np.argmin(np.abs(s)))
-    if abs(s[i0]) > 1e-9 * max(1.0, ds):
-        raise GridTooCoarse("s = 0 must be a grid node")
-    if i0 == 0 or i0 == len(s) - 1:
-        raise GridTooCoarse("s = 0 must be an interior node")
+    i0 = _slice_grid(s)
+    if len(data.t_grid) < 2:
+        raise GridTooCoarse("need >= 2 time slices")
     series = origin_series or _origin_series_from_data(data, i0)
-    Fseries = _frame_ode_backward(series)
-    # frame0 is imposed at t_max: Fseries is the propagator from t_max back
-    F0 = np.asarray(frame0, dtype=float)
-    frames_series = Fseries @ F0
-    if series.phi is not None:
-        frames_series = _gauge_rotation(series.phi) @ frames_series
-    # chi(0,t) = point0 - int_t^{tmax} c b dt' (log-t Simpson on the series)
-    b_rows = frames_series[:, 2, :]
-    integrand = series.c0[:, None] * b_rows * series.t[:, None]
-    I = _cumulative_simpson(integrand, np.log(series.t))
-    chi0_series = np.asarray(point0)[None] + (I - I[-1])
-    lt = np.log(series.t)
-
-    def at_slice(tt):
-        x = math.log(tt)
-        j = int(np.argmin(np.abs(lt - x)))
-        if abs(lt[j] - x) > 1e-9:
-            raise GridTooCoarse("slice time missing from the origin series")
-        return frames_series[j], chi0_series[j] + 0.0
-
-    def build_slice(k):
-        tk = data.t_grid[k]
-        Fk, pk = at_slice(tk)
-        cv, tv = data.c[k], data.tau[k]
-        tau_max = float(np.max(np.abs(tv)))
-        target = min(_SLICE_STEP, 0.25 / max(1.0, tau_max))
-        m = max(1, int(math.ceil(ds / target)))
-        if tk < t_cut:
-            return _profile_slice(prof, _slice_nodes(s, m), tk, Fk, pk)
-        c_fn = lambda x: np.interp(x, s, cv)
-        tau_fn = lambda x: np.interp(x, s, tv)
-        ss, FF, GG = two_sided(
-            lambda end: propagate_frame(c_fn, tau_fn, 0.0, end, Fk, step=ds / m,
-                                        out_every=m, position0=pk,
-                                        max_steps=SolverConfig.max_steps),
-            float(s[0]), float(s[-1]),
-        )
-        return Curve(ss, GG, FF)
-
-    prof, t_cut = reference or (None, 0.0)
-    curves = [build_slice(k) for k in range(len(data.t_grid))]
-    frames_origin = np.array([at_slice(tk)[0] for tk in data.t_grid])
-    chi_origin = np.array([at_slice(tk)[1] for tk in data.t_grid])
-    return FlowResult(np.asarray(data.t_grid, dtype=float), curves,
-                      frames_origin, chi_origin, int(np.sum(data.t_grid < t_cut)))
+    frames, chi = _origin_track(series, _checked_frame(frame0), point0, data.t_grid)
+    curves = [_integrated_slice(s, *row) for row in zip(data.c, data.tau, frames, chi)]
+    return FlowResult(np.asarray(data.t_grid, dtype=float), curves, frames, chi)
 
 
 def trace_at_zero(result):
@@ -306,17 +301,18 @@ def tangent_pde_residual(result):
 
 @dataclass
 class StabilityReport:
-    """Summary of one stability run; ``to_dict`` is its ``run.json``.
+    """Summary of one stability run; ``to_dict`` is its ``run.json``: every
+    field but ``flow``, in field order.
 
-    The slices with t < ``t_clean`` carry the unperturbed fields and are
-    built from the reference profile (their count is
-    ``flow.profile_slices``); on them ``sup_T_defect`` measures only the
-    perturbation of the origin frame.  The reference tangent is evaluated
-    on each slice's nodes by ``selfsimilar.evaluate``, as the built slices
-    are, so the figure does not depend on the profile's grid.
-    ``min_v_over_a`` is the least |v|/a over the box samples of the
-    stepper's mid-step fields, one per Strang step (the datum excluded);
-    the run stops with CurvatureVanishes once it falls below 1/2.
+    The ``profile_slices`` slices with t < ``t_clean`` carry the unperturbed
+    fields and are built from the reference profile; on them
+    ``sup_T_defect`` measures only the perturbation of the origin frame.
+    The reference tangent is evaluated on each slice's nodes by
+    ``selfsimilar.evaluate``, as the built slices are, so the figure does
+    not depend on the profile's grid.  ``min_v_over_a`` is the least |v|/a
+    over the box samples of the stepper's mid-step fields, one per Strang
+    step (the datum excluded); the run stops with CurvatureVanishes once it
+    falls below 1/2.
     """
 
     a: float
@@ -333,28 +329,12 @@ class StabilityReport:
     min_v_over_a: float
     boundary_w_max: float
     t_clean: float
+    profile_slices: int
     vertex: np.ndarray
     flow: FlowResult = field(repr=False)
 
     def to_dict(self):
-        return {
-            "a": self.a,
-            "sign": self.sign,
-            "coeff": self.coeff,
-            "uplus_norm": self.uplus_norm,
-            "t_grid": list(map(float, self.t_grid)),
-            "cone_defect": self.cone_defect,
-            "gamma_measured": self.gamma_measured,
-            "gamma_closed_form": self.gamma_closed_form,
-            "trace_constant": self.trace_constant,
-            "sup_T_defect": self.sup_T_defect,
-            "extra_identity_defect": self.extra_identity_defect,
-            "min_v_over_a": self.min_v_over_a,
-            "boundary_w_max": self.boundary_w_max,
-            "t_clean": self.t_clean,
-            "profile_slices": self.flow.profile_slices,
-            "vertex": list(map(float, self.vertex)),
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "flow"}
 
 
 def _reference_span(sig_max):
@@ -366,17 +346,27 @@ def _reference_span(sig_max):
 
 
 def check_scales(t0, t_min_factor, s_max, ds, n_points, n_steps, n_slices):
-    """Reject stability-run scales that are not finite and positive, a curve
-    grid whose node count 2 s_max/ds overflows, a reference profile whose
-    span s_max/sqrt(t_min) overflows, and a run whose largest arrays would
-    exceed ``MemoryBudgetExceeded.BUDGET``."""
+    """Reject stability-run scales that are not finite and positive, a
+    t_min_factor above the trace's 1e-2 (InsufficientTimeRange), a t0 or
+    t_min outside ``_TIME_SCALES``, a curve grid whose node count
+    2 s_max/ds overflows, a reference profile whose span s_max/sqrt(t_min)
+    overflows, and a run whose largest arrays would exceed
+    ``MemoryBudgetExceeded.BUDGET``."""
+    t_min = t0 * t_min_factor
     for name, v in (("t0", t0), ("t_min_factor", t_min_factor), ("s_max", s_max),
-                    ("ds", ds), ("t0 * t_min_factor", t0 * t_min_factor)):
+                    ("ds", ds), ("t0 * t_min_factor", t_min)):
         if not (math.isfinite(v) and v > 0):
             raise InvalidParameter(f"{name} must be finite and positive, got {v}")
+    if t_min_factor > 1e-2:
+        raise InsufficientTimeRange(
+            f"t_min_factor = {t_min_factor:g}: the trace at t = 0 needs t_min/t_max <= 1e-2")
+    lo, hi = _TIME_SCALES
+    for name, v in (("t0", t0), ("t0 * t_min_factor", t_min)):
+        if not lo <= v <= hi:
+            raise InvalidParameter(f"{name} = {v:g} lies outside [{lo:g}, {hi:g}]")
     if not math.isfinite(2 * s_max / ds):
         raise InvalidParameter(f"ds = {ds} gives an infinite node count 2 s_max/ds")
-    sig_max = s_max / math.sqrt(t0 * t_min_factor)
+    sig_max = s_max / math.sqrt(t_min)
     if not math.isfinite(sig_max):
         raise InvalidParameter(
             "the reference profile span s_max/sqrt(t0 * t_min_factor) is infinite")
@@ -388,7 +378,7 @@ def check_scales(t0, t_min_factor, s_max, ds, n_points, n_steps, n_slices):
     MemoryBudgetExceeded.check(need, "stability run")
 
 
-def _schrodinger_stage(problem, v0, n_steps, slice_ids, t_clean, s_grid):
+def _schrodinger_stage(problem, v0, n_steps, slice_ids, s_grid):
     """Run the 1/t equation from ``v0`` and read what the pipeline uses of it.
 
     Returns ``(origin, cmat, taumat, min_abs, boundary_w)``:
@@ -396,13 +386,11 @@ def _schrodinger_stage(problem, v0, n_steps, slice_ids, t_clean, s_grid):
     - ``origin[k]`` is (v, v_x, v_xx) at x = 0 after step k (row 0: the
       datum), one (3, N) weight matrix times the spectrum;
     - ``cmat``, ``taumat`` are the (c, tau) rows on ``s_grid`` of the slice
-      steps ``slice_ids``, in ascending t = 1/T.  A slice with t < t_clean
-      carries the unperturbed fields; any other is built when its step is
-      reached, its v and v_x zero-padded from the spectrum to
+      steps ``slice_ids`` (given in ascending t = 1/T), each built when its
+      step is reached: its v and v_x zero-padded from the spectrum to
       ``_UPSAMPLE`` N points and interpolated onto the nodes s/t;
     - ``min_abs`` is the least |v| over the stepper's mid-step fields;
-    - ``boundary_w`` is the largest |v - a| at the box ends over the
-      slices built from the field.
+    - ``boundary_w`` is the largest |v - a| at the box ends over the slices.
     """
     a = problem.background_a
     N, L, x0 = v0.n_points, v0.domain_length, v0.s0
@@ -412,7 +400,7 @@ def _schrodinger_stage(problem, v0, n_steps, slice_ids, t_clean, s_grid):
     i0 = int(np.argmin(np.abs(x)))
     weights = np.stack([np.ones(N), ixi, -(xi**2)]) * np.exp(ixi * (x[i0] - x0)) / N
     origin = np.empty((n_steps + 1, 3), dtype=complex)
-    row_of = {k: i for i, k in enumerate(sorted(slice_ids, reverse=True))}
+    row_of = {int(k): i for i, k in enumerate(slice_ids)}
     cmat = np.empty((len(row_of), len(s_grid)))
     taumat = np.empty_like(cmat)
     up = _UPSAMPLE
@@ -436,14 +424,6 @@ def _schrodinger_stage(problem, v0, n_steps, slice_ids, t_clean, s_grid):
         if row is None:
             return 0.0
         tk = 1.0 / T
-        if tk < t_clean:
-            # past the box's faithful horizon the wrapped tail is numerical
-            # noise while the true perturbation of (c, tau) integrates away
-            # (oscillatory, amplitude O(||u_plus|| sqrt(t))): continue with
-            # the unperturbed fields
-            cmat[row] = a / math.sqrt(tk)
-            taumat[row] = s_grid / (2 * tk)
-            return 0.0
         # slices are band-limited: upsample spectrally before the pointwise
         # interpolation
         xq = s_grid / tk
@@ -486,10 +466,11 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     Slices with t below the box's faithful horizon ``t_clean`` carry the
     unperturbed fields c = a/sqrt(t), tau = s/2t and are built from the
     reference profile G_a, chi = sqrt(t) G(s/sqrt(t)), turned and moved by
-    the measured origin frame and point; the others are integrated in s.
-    A u_plus that the grid does not resolve (AliasingDetected) and a run
-    whose interior times all lie below t_clean (InsufficientTimeRange) are
-    rejected before the Schrodinger stage.
+    the measured origin frame and point; only the others are read from the
+    Schrodinger run and integrated in s.  A curve grid without the interior
+    node s = 0 (GridTooCoarse), a u_plus that the grid does not resolve
+    (AliasingDetected) and a run whose interior times all lie below t_clean
+    (InsufficientTimeRange) are rejected before the Schrodinger stage.
     """
     if a <= 0:
         raise InvalidParameter("a must be positive")
@@ -513,18 +494,24 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
                              t_span=(1.0 / t_max, 1.0 / t_min), coeff=coeff)
     v0 = nls.long_range_ansatz(u_plus, a, sign, problem.t_span[0], coeff)
     Ts = nls.time_grid(problem, n_steps)
-    slice_ids = {int(k) for k in np.round(np.linspace(0, n_steps, n_slices))}
+    # slice steps in ascending t = 1/T
+    slice_ids = np.round(np.linspace(0, n_steps, n_slices)).astype(int)[::-1]
+    t_slices = 1.0 / Ts[slice_ids]
     xi_cut = _spectral_support(u_plus)
     t_clean = 4.0 * xi_cut / u_plus.domain_length
     n_s = int(round(2 * s_max / ds))
     s_grid = -s_max + ds * np.arange(n_s + 1)
+    _slice_grid(s_grid)
     if t_clean > 1.0 / Ts[1]:
         raise InsufficientTimeRange(
             f"no interior time reaches the box's faithful horizon t_clean = {t_clean:g}")
-    t_slices = np.array(sorted(1.0 / Ts[k] for k in slice_ids))
+    # past the box's faithful horizon the wrapped tail is numerical noise
+    # while the true perturbation of (c, tau) integrates away (oscillatory,
+    # amplitude O(||u_plus|| sqrt(t))): the first n_prof slices continue
+    # with the unperturbed fields, and the stage reads only the others
+    n_prof = int(np.sum(t_slices < t_clean))
     origin, cmat, taumat, min_abs, boundary_w = _schrodinger_stage(
-        problem, v0, n_steps, slice_ids, t_clean, s_grid)
-    data = IntrinsicData(s_grid, t_slices, cmat, taumat)
+        problem, v0, n_steps, slice_ids[n_prof:], s_grid)
 
     # u-side origin series (t = 1/T, ascending in t).  The frame ODE is run
     # in the gauge n~ + i b~ = e^{i phi/2}(n + i b), whose coupling entry
@@ -560,31 +547,32 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     clean = t_u[1:-1] >= t_clean
     extra_defect = float(np.max((extra * t_u[1:-1] / a2)[clean]))
 
-    # unperturbed reference; it also yields the slices past t_clean, whose
-    # fields above are exactly the self-similar ones
+    # unperturbed reference; it also yields the slices past t_clean
     sig_max = float(np.max(np.abs(s_grid))) / math.sqrt(t_slices[0])
     prof = selfsimilar.profile(a, _reference_span(sig_max))
     point0 = np.array([0.0, 0.0, 2 * a * math.sqrt(t_max)])
-    result = reconstruct_flow(data, np.eye(3), point0, origin_series=series,
-                              reference=(prof, t_clean))
+    frames, chi = _origin_track(series, np.eye(3), point0, t_slices)
+    curves = [_profile_slice(prof, s_grid, *row) for row in
+              zip(t_slices[:n_prof], frames, chi)]
+    curves += [_integrated_slice(s_grid, *row) for row in
+               zip(cmat, taumat, frames[n_prof:], chi[n_prof:])]
+    result = FlowResult(t_slices, curves, frames, chi)
     trace, const = trace_at_zero(result)
 
     # every slice's nodes against the reference in one batched evaluation
-    sig = np.concatenate([c.s_grid / math.sqrt(tk) for c, tk in zip(result.curves, t_slices)])
-    T = np.concatenate([c.frames[:, 0] for c in result.curves])
+    sig = (s_grid[None] / np.sqrt(t_slices)[:, None]).ravel()
+    T = np.concatenate([c.frames[:, 0] for c in curves])
     T_ref = selfsimilar.evaluate(prof, sig)[0][:, 0]
     sup_T = float(np.max(np.linalg.norm(T - T_ref, axis=1)))
 
     # vertex from the sqrt(t) law at s = 0, then cone defect vs A+/-
     r1, r2 = math.sqrt(t_slices[0]), math.sqrt(t_slices[1])
-    chi_01 = result.chi_origin[0]
-    chi_02 = result.chi_origin[1]
-    vertex = chi_01 - r1 * (chi_02 - chi_01) / (r2 - r1)
-    sA = selfsimilar.chi(prof, trace.s_grid, 0.0)
+    vertex = chi[0] - r1 * (chi[1] - chi[0]) / (r2 - r1)
+    sA = selfsimilar.chi(prof, s_grid, 0.0)
     dev = np.linalg.norm(trace.points - vertex[None] - sA, axis=1)
     # the floor |s| >= 1 keeps the sqrt(t_min) corner layer out of the quotient
-    outer = np.abs(trace.s_grid) >= 1.0
-    cone = float(np.max(dev[outer] / np.abs(trace.s_grid[outer])))
+    outer = np.abs(s_grid) >= 1.0
+    cone = float(np.max(dev[outer] / np.abs(s_grid[outer])))
     dplus = trace.points[-1] - vertex
     dminus = trace.points[0] - vertex          # points along -A_minus
     dplus /= np.linalg.norm(dplus)
@@ -597,5 +585,5 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
         gamma_closed_form=gamma_cf, trace_constant=const,
         sup_T_defect=sup_T, extra_identity_defect=extra_defect,
         min_v_over_a=float(min_abs / a), boundary_w_max=boundary_w,
-        t_clean=float(t_clean), vertex=vertex, flow=result,
+        t_clean=float(t_clean), profile_slices=n_prof, vertex=vertex, flow=result,
     )

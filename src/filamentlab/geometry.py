@@ -30,6 +30,20 @@ def unit_vec3(v):
     return v
 
 
+def _checked_frame(M):
+    """``M`` as a float 3x3 matrix of rows (T, n, b), orthonormal and
+    right-handed within TOL_FRAME (InvalidParameter otherwise)."""
+    M = np.asarray(M, dtype=float)
+    if M.shape != (3, 3):
+        raise InvalidParameter(f"a frame is a 3x3 matrix, got shape {M.shape}")
+    # written so that a NaN entry fails
+    if not np.max(np.abs(M @ M.T - np.eye(3))) <= TOL_FRAME:
+        raise InvalidParameter("frame vectors not orthonormal")
+    if not abs(np.linalg.det(M) - 1.0) <= TOL_FRAME:
+        raise InvalidParameter("frame not right-handed")
+    return M
+
+
 @dataclass(frozen=True)
 class FrenetFrame:
     """Right-handed orthonormal triple (T, n, b)."""
@@ -41,11 +55,7 @@ class FrenetFrame:
     def __post_init__(self):
         for v in (self.T, self.n, self.b):
             unit_vec3(v)
-        M = self.matrix()
-        if np.max(np.abs(M @ M.T - np.eye(3))) > TOL_FRAME:
-            raise InvalidParameter("frame vectors not orthonormal")
-        if abs(np.linalg.det(M) - 1.0) > TOL_FRAME:
-            raise InvalidParameter("frame not right-handed")
+        _checked_frame(self.matrix())
 
     def matrix(self):
         """Rows (T, n, b)."""
@@ -243,10 +253,11 @@ def frenet_integrate(c, tau, frame0, s_span, cfg=None, *, position0=None):
     Every fine step is a Magnus-4 exact rotation, so the frame needs no
     renormalization; output nodes land every ``cfg.renorm_every`` fine
     steps.  When ``position0`` is given the curve point (chi' = T) is
-    carried in the same linear system.
+    carried in the same linear system.  A raw ``frame0`` matrix must be
+    orthonormal and right-handed, as a FrenetFrame is.
     """
     cfg = cfg or SolverConfig()
-    F0 = frame0.matrix() if isinstance(frame0, FrenetFrame) else np.asarray(frame0)
+    F0 = frame0.matrix() if isinstance(frame0, FrenetFrame) else _checked_frame(frame0)
     s_out, frames, points = propagate_frame(
         c, tau, float(s_span[0]), float(s_span[1]), F0,
         step=cfg.step, out_every=cfg.renorm_every,

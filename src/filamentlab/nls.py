@@ -120,8 +120,10 @@ class ComplexField:
 
 def gaussian_field(domain_length, n_points, l2_norm, width=2.0, center=0.0):
     """Gaussian bump normalized to the requested L2 norm."""
-    if not (math.isfinite(l2_norm) and l2_norm >= 0):
-        raise InvalidParameter(f"l2_norm must be finite and nonnegative, got {l2_norm}")
+    # the field's mass is the square of its norm
+    if not (l2_norm >= 0 and math.isfinite(l2_norm * l2_norm)):
+        raise InvalidParameter(
+            f"l2_norm must be nonnegative with a finite square, got {l2_norm:g}")
     # a normal width**2 keeps the exponent finite (no 0/0 at the center)
     if not (width > 0 and sys.float_info.min <= width * width < math.inf):
         raise InvalidParameter(
@@ -152,8 +154,11 @@ class NlsProblem:
     def __post_init__(self):
         if self.sign not in (-1, 1):
             raise InvalidParameter("sign must be +1 or -1")
-        if not (math.isfinite(self.background_a) and self.background_a >= 0):
-            raise InvalidParameter("background_a must be finite and nonnegative")
+        # the cubic term is stepped against a^2
+        a = self.background_a
+        if not (a >= 0 and math.isfinite(a * a)):
+            raise InvalidParameter(
+                f"background_a must be nonnegative with a finite square, got {a:g}")
         if not all(math.isfinite(t) for t in self.t_span):
             raise InvalidParameter(f"t_span {self.t_span} must be finite")
         if self.coeff is not None and not (math.isfinite(self.coeff) and self.coeff > 0):

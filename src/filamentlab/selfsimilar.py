@@ -41,11 +41,14 @@ class SelfSimilarProfile:
 
 
 def _default_cfg(s_max, step=None):
-    """The configuration of G_a on [-s_max, s_max]: the output spacing
-    resolves the fastest frame rotation (tau = s/2), the fine step is
-    ``step`` or by default the smaller of 2e-3 and that spacing.  A given
-    step above that spacing is InvalidParameter: the nodes would be one
-    step apart, too coarse for the rotation."""
+    """The configuration of G_a on [-s_max, s_max].  The target spacing
+    dso = min(0.032, pi/(2 s_max)) resolves the fastest frame rotation
+    (tau = s/2); the fine step is ``step`` or by default the smaller of
+    2e-3 and dso, and a node falls every round(dso/step) fine steps, so the
+    output spacing is round(dso/step) * step, not dso (4e-3 against
+    dso = 3.1e-3 at s_max = 500).  A given step above dso is
+    InvalidParameter: the nodes would be one step apart, too coarse for the
+    rotation."""
     dso = min(0.032, math.pi / (2 * max(s_max, 1.0)))
     cfg = SolverConfig(step=min(2e-3, dso) if step is None else step)
     if cfg.step > dso:

@@ -71,13 +71,19 @@ class SpiralParams:
         self.c0_sq = float(np.dot(Tp, Tp))
         self.y0 = float(2 * np.dot(Tp, Tpp))
         self.h0 = float(np.dot(np.cross(self.T0, Tp), Tpp))
-        if self.c0_sq > 1e-14:
-            self.E0 = float(
-                (self.y0**2 / 4 + self.h0**2) / self.c0_sq
-                + (self.c0_sq + self.nu) ** 2 / 4
-            )
-        else:
-            self.E0 = float((self.c0_sq + self.nu) ** 2 / 4)
+        try:
+            if self.c0_sq > 1e-14:
+                self.E0 = float(
+                    (self.y0**2 / 4 + self.h0**2) / self.c0_sq
+                    + (self.c0_sq + self.nu) ** 2 / 4
+                )
+            else:
+                self.E0 = float((self.c0_sq + self.nu) ** 2 / 4)
+        except OverflowError:  # a float power that overflows raises
+            self.E0 = math.inf
+        if not math.isfinite(self.E0):
+            raise InvalidParameter(
+                f"mu = {self.mu:g}, G0 and T0 give a non-finite energy E0")
 
 
 @dataclass

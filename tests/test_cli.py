@@ -236,6 +236,8 @@ def test_selfcheck_exit_code_follows_checks(tmp_path, monkeypatch, all_ok, code)
 
 
 SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
+# failed-run rows whose one line must also name what is wrong
+FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node"}
 
 
 @pytest.mark.parametrize("args", [
@@ -279,11 +281,19 @@ SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
     ["stability", "--n-steps", "100000000"],
     ["stability", "--n-points", str(2**40)],
     ["stability", "--tmin-factor", "1e-6"],
-    ["stability", "--smax", "1e300", "--ds", "1e300", "--t0", "5e-324",
-     "--tmin-factor", "1"],
+    ["stability", "--smax", "1e300", "--ds", "1e300", "--t0", "1e-97",
+     "--tmin-factor", "1e-2"],
     ["nls", "--n-points", "134217728"],
     ["evolve", "--n-points", "268435456", "--n-steps", "2"],
     ["evolve", "--n-steps", "1000000", "--store-every", "1", "--n-points", "4096"],
+    ["stability", "--t0", "1e300"],
+    ["stability", "--tmin-factor", "1e300"],
+    ["stability", "--uplus-norm", "1e300"],
+    ["nls", "--uplus-norm", "1e300"],
+    ["evolve", "--a", "1e300"],
+    ["spiral", "--mu", "1e300"],
+    ["nls", "--a", "1e300"],
+    ["stability", "--ds", "0.3"],
 ], ids=["evolve-zero-steps", "spiral-negative-smax", "spiral-over-step-limit",
         "profile-inf-step", "profile-inf-smax", "angle-inf-smax",
         "profile-huge-smax", "angle-huge-smax", "evolve-inf-t0", "nls-inf-t1",
@@ -301,13 +311,17 @@ SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
         "evolve-width-squared-overflows", "stability-huge-n-steps",
         "stability-huge-n-points", "stability-huge-profile-span",
         "stability-infinite-profile-span", "nls-huge-n-points",
-        "evolve-huge-n-points", "evolve-huge-snapshot-count"])
+        "evolve-huge-n-points", "evolve-huge-snapshot-count",
+        "stability-huge-t0", "stability-huge-tmin-factor", "stability-huge-uplus-norm",
+        "nls-huge-uplus-norm", "evolve-huge-a", "spiral-huge-mu", "nls-huge-a",
+        "stability-no-node-at-zero"])
 def test_failed_run_leaves_no_directory(tmp_path_factory, tmp_path, capsys, args):
     bad_config = tmp_path_factory.mktemp("config") / "bad.cfg"
     bad_config.write_text("a = abc\n")
     args = [str(bad_config) if x == "{bad_config}" else x for x in args]
     # a config value is parsed like its flag: a bad one is a usage error
     kind = "usage" if "--config" in args else "validation"
+    named = FAILURE_NAMES.get(tuple(args), "")
     # exactly one stderr line, and no numpy warning on the way to it
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -315,6 +329,7 @@ def test_failed_run_leaves_no_directory(tmp_path_factory, tmp_path, capsys, args
         assert run_cli(args, tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error[{kind}]:") and err.count("\n") == 1
+        assert named in err
         assert not list(tmp_path.iterdir())
         # it does not exist yet: the run removes every directory it made
         out = tmp_path / "new" / "runs"

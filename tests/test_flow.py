@@ -83,26 +83,24 @@ def test_profile_built_slices_match_direct_integration():
     t = np.array([1e-4, 1.27e-4, 1e-3, 7.5e-3])  # the default t_clean is 7.6e-3
     n_half = int(round(s_max / ds))
     s = -s_max + ds * np.arange(2 * n_half + 1)
-    data = IntrinsicData(s, t, a / np.sqrt(t)[:, None] * np.ones(len(s)),
-                         s[None] / (2 * t)[:, None])
     frame0 = _rotation(np.array([[0.6 + 0.3j, -0.2 + 0.7j]]))[0]
     point0 = np.array([0.3, -1.2, 2 * a * math.sqrt(t[-1])])
     prof = selfsimilar.profile(a, 1.5 * s_max / math.sqrt(t[0]))
-    direct = flow.reconstruct_flow(data, frame0, point0)
-    built = flow.reconstruct_flow(data, frame0, point0, reference=(prof, 1.0))
-    assert (direct.profile_slices, built.profile_slices) == (0, len(t))
-    for cd, cb in zip(direct.curves, built.curves):
-        assert np.array_equal(cd.s_grid, cb.s_grid)
-        assert np.max(np.abs(cd.frames - cb.frames)) <= 1e-9
-        assert np.max(np.abs(cd.points - cb.points)) <= 1e-9
-    assert np.max(np.abs(built.curves[0].frames[:, 0] - frame0[0])) > 0.5  # T turns
+    for tk in t:
+        direct = flow._integrated_slice(s, np.full(len(s), a / math.sqrt(tk)),
+                                        s / (2 * tk), frame0, point0)
+        built = flow._profile_slice(prof, s, tk, frame0, point0)
+        assert np.array_equal(direct.s_grid, built.s_grid)
+        assert np.max(np.abs(direct.frames - built.frames)) <= 1e-9
+        assert np.max(np.abs(direct.points - built.points)) <= 1e-9
+    assert np.max(np.abs(built.frames[:, 0] - frame0[0])) > 0.5  # T turns
 
 
 def test_profile_slice_beyond_the_profile_rejected():
-    data = selfsimilar_data(0.5, 1e-2, 1.0, 4, 2.0, 0.05)
+    s = np.linspace(-2.0, 2.0, 81)
     prof = selfsimilar.profile(0.5, 10.0)  # sigma reaches 2/sqrt(1e-2) = 20
     with pytest.raises(OutOfProfileRange):
-        flow.reconstruct_flow(data, np.eye(3), np.zeros(3), reference=(prof, 1.0))
+        flow._profile_slice(prof, s, 1e-2, np.eye(3), np.zeros(3))
 
 
 def test_steady_circle_data_translates():
@@ -156,6 +154,21 @@ def test_reconstructed_curves_lie_on_data_grid(s_max, ds):
     for curve in res.curves:
         assert len(curve.s_grid) == len(s)
         assert np.max(np.abs(curve.s_grid - s)) <= 1e-12
+
+
+@pytest.mark.parametrize("frame0, message", [
+    (np.zeros((3, 3)), "orthonormal"), (2 * np.eye(3), "orthonormal"),
+    (np.diag([1.0, 1.0, -1.0]), "right-handed"), (np.full((3, 3), np.nan), "orthonormal"),
+    (np.eye(2), "3x3"),
+], ids=["zero", "twice-identity", "left-handed", "nan", "2x2"])
+def test_raw_frame0_must_be_a_frame(frame0, message):
+    # both boundaries that take a raw matrix check it as FrenetFrame does
+    data = selfsimilar_data(0.5, 0.5, 1.0, 3, 1.0, 0.05)
+    with pytest.raises(InvalidParameter, match=message):
+        flow.reconstruct_flow(data, frame0, np.zeros(3))
+    ones = lambda s: np.ones(np.shape(s))
+    with pytest.raises(InvalidParameter, match=message):
+        geometry.frenet_integrate(ones, ones, frame0, (0.0, 1.0))
 
 
 BAD_TIMES = {
@@ -353,7 +366,7 @@ def test_sup_T_defect_does_not_depend_on_the_reference_span(monkeypatch):
     up = nls.gaussian_field(1100.0, 4096, 5e-3, width=2.0)
     kw = dict(t_min_factor=1e-4, s_max=4.0, ds=0.02, n_steps=700, n_slices=25)
     base = flow.stability_experiment(0.5, up, 1.0, **kw)
-    assert 0 < base.flow.profile_slices < 25
+    assert 0 < base.profile_slices < 25
     profile = selfsimilar.profile
     monkeypatch.setattr(flow.selfsimilar, "profile", lambda a, S: profile(a, 1.5 * S))
     wide = flow.stability_experiment(0.5, up, 1.0, **kw)
@@ -414,12 +427,12 @@ def test_stability_fails_at_first_dip(monkeypatch):
     assert len(calls) < 10
 
 
-def _previous_stage(problem, v0, n_steps, slice_ids, t_clean, s_grid):
+def _previous_stage(problem, v0, n_steps, slice_ids, s_grid):
     """Reference: the Schrodinger stage before it read the spectrum.
 
     An inverse FFT after every step gives v(0) and the step-end min |v|;
-    every slice keeps its full-box (v, v_x), and the slices at or above
-    t_clean are upsampled through an FFT pair each before the interpolation.
+    every slice keeps its full-box (v, v_x) and is upsampled through an FFT
+    pair before the interpolation.
     """
     a = problem.background_a
     N = v0.n_points
@@ -459,10 +472,6 @@ def _previous_stage(problem, v0, n_steps, slice_ids, t_clean, s_grid):
     boundary_w = 0.0
     for row, k in enumerate(ks):
         tk = 1.0 / Ts[k]
-        if tk < t_clean:
-            cmat[row] = a / math.sqrt(tk)
-            taumat[row] = s_grid / (2 * tk)
-            continue
         vv, vx = slices[k]
         boundary_w = max(boundary_w, float(abs(vv[0] - a)), float(abs(vv[-1] - a)))
         vvf, vxf = upsample(vv), upsample(vx)
@@ -502,7 +511,7 @@ def _rel(got, want):
 
 def test_stability_stage_matches_previous_stage():
     rep, (args, out) = _small_stability()
-    assert 0 < rep.flow.profile_slices < 12
+    assert 0 < rep.profile_slices < 12
     origin, cmat, taumat, min_abs, boundary_w = out
     ref = _previous_stage(*args)
     for col in range(3):  # v, v_x, v_xx at x = 0

@@ -1,25 +1,37 @@
 """Deterministic artifact serialization: JSON with %.17g floats, one CSV
-writer for curves and fields, and config hashing for run directories.
+writer for curves and fields, config hashing for run directories, and the
+package's one forked worker.
 
-The CSV writer formats 4096 rows per ``%`` operation, and that formatting
-holds the interpreter lock, so a batch of CSVs is spread over P processes.
-Its blocks, taken file by file in order, are dealt round-robin: the parent
-formats blocks 0, P, 2P, ... straight into the files, and forked worker k
-formats blocks k, P + k, ... into a pipe, one length-prefixed segment per
-block, which the parent copies into its file in bounded chunks when it
-reaches that block.  A worker thus runs at most about one block ahead of
-the parent, and neither side holds more than a block's text.  P is the
-number of CPUs this process may run on (``os.sched_getaffinity``), capped
-so that each process formats at least ``_MIN_SHARE`` floats and one block,
-and 1 where ``os.fork`` does not exist; at P = 1 nothing is forked.  The bytes written
-do not depend on P, and every worker is reaped before the writer returns
-or raises.
+``_Worker`` forks a process that runs one task with the write end of a
+pipe, reads what it sends, and reaps it; a worker that exits before it has
+sent all it owes raises OSError, and every caller reaps its workers before
+it returns or raises.  A caller forks at most one process per CPU this
+process may run on (``_fork_cpus``: ``os.sched_getaffinity``, 1 where
+``os.fork`` does not exist), and only for work that outweighs a fork round
+trip of a few milliseconds.  Two callers use it:
+
+* The CSV writer.  It formats 4096 rows per ``%`` operation, and that
+  formatting holds the interpreter lock, so a batch of CSVs is spread over
+  P processes.  Its blocks, taken file by file in order, are dealt
+  round-robin: the parent formats blocks 0, P, 2P, ... straight into the
+  files, and worker k formats blocks k, P + k, ... into its pipe, one
+  length-prefixed segment per block, which the parent copies into its file
+  in bounded chunks when it reaches that block.  A worker thus runs at most
+  about one block ahead of the parent, and neither side holds more than a
+  block's text.  P is capped so that each process formats at least
+  ``_MIN_SHARE`` floats and one block; at P = 1 nothing is forked.
+* ``spiral.spiral_profile``, which runs the s <= 0 side of its profile in
+  one worker (see ``spiral._sides``).
+
+The bytes written do not depend on the number of processes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
+import signal
 
 import numpy as np
 
@@ -97,18 +109,20 @@ def _format_block(columns, start):
 
 
 def _send(fd, data):
-    view = memoryview(data)
+    """Write all of the C-contiguous buffer ``data`` to ``fd``."""
+    view = memoryview(data).cast("B")
     while view:
         view = view[os.write(fd, view) :]
 
 
 class _Worker:
-    """A forked process that formats its blocks into a pipe, in order."""
+    """A forked process that runs ``task(fd)``, ``fd`` the write end of a
+    pipe whose read end the parent holds, and exits 0 when it returns."""
 
-    def __init__(self, jobs, blocks, inherited):
-        """Fork; ``blocks`` are (job index, first row) pairs and
-        ``inherited`` the parent's read ends that the child closes."""
-        self.code = None
+    def __init__(self, name, task, inherited=()):
+        """Fork; ``name`` names the worker in errors and ``inherited`` are
+        the parent's read ends that the child closes."""
+        self.name, self.code = name, None
         self.fd, w = os.pipe()
         try:
             self.pid = os.fork()
@@ -126,45 +140,73 @@ class _Worker:
         try:
             for fd in (self.fd, *inherited):
                 os.close(fd)
-            for j, start in blocks:
-                text = _format_block(jobs[j][2], start)
-                _send(w, len(text).to_bytes(8, "little"))
-                _send(w, text)
+            task(w)
             code = 0
         finally:
             os._exit(code)
 
-    def _read(self, n):
+    def _ended(self):
+        return OSError(f"{self.name} {self.pid} exited with code {self.reap()} "
+                       "before sending its rows")
+
+    def read(self, n):
+        """At most ``n`` bytes, at least one, from the worker's pipe."""
         data = os.read(self.fd, n)
         if not data:
-            raise OSError(f"CSV worker {self.pid} exited with code {self.reap()} "
-                          "before sending its rows")
+            raise self._ended()
         return data
 
-    def copy_block(self, out):
-        """Copy the worker's next block into the binary file ``out``."""
-        head = b""
-        while len(head) < 8:
-            head += self._read(8 - len(head))
-        n = int.from_bytes(head, "little")
-        while n:
-            chunk = self._read(min(n, _PIPE_CHUNK))
-            out.write(chunk)
-            n -= len(chunk)
+    def readinto(self, buf):
+        """Fill the C-contiguous buffer ``buf`` from the pipe; return it."""
+        view = memoryview(buf).cast("B")
+        while view:
+            n = os.readv(self.fd, [view])
+            if not n:
+                raise self._ended()
+            view = view[n:]
+        return buf
 
-    def reap(self):
+    def reap(self, kill=False):
         """Close the pipe, wait for the process and return its exit code
-        (-signal if a signal ended it)."""
+        (-signal if a signal ended it); ``kill`` sends SIGKILL first, for
+        a caller that is failing and will not read the rest."""
         if self.code is None:
             os.close(self.fd)
+            if kill:
+                os.kill(self.pid, signal.SIGKILL)
             self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         return self.code
 
 
-def _n_processes(n_floats, n_blocks):
+def _fork_cpus():
+    """The CPUs this process may run on, 1 where ``os.fork`` or
+    ``os.sched_getaffinity`` does not exist: the most processes worth
+    forking."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_floats // _MIN_SHARE, n_blocks))
+    return len(os.sched_getaffinity(0))
+
+
+def _send_blocks(jobs, blocks, fd):
+    """A CSV worker's task: each (job index, first row) block of ``blocks``
+    as one 8-byte-length-prefixed segment, in order."""
+    for j, start in blocks:
+        text = _format_block(jobs[j][2], start)
+        _send(fd, len(text).to_bytes(8, "little"))
+        _send(fd, text)
+
+
+def _copy_block(worker, out):
+    """Copy a CSV worker's next block into the binary file ``out``."""
+    n = int.from_bytes(worker.readinto(bytearray(8)), "little")
+    while n:
+        chunk = worker.read(min(n, _PIPE_CHUNK))
+        out.write(chunk)
+        n -= len(chunk)
+
+
+def _n_processes(n_floats, n_blocks):
+    return max(1, min(_fork_cpus(), n_floats // _MIN_SHARE, n_blocks))
 
 
 def write_csvs(jobs):
@@ -184,14 +226,15 @@ def write_csvs(jobs):
     workers = []
     try:
         for k in range(1, p):
-            workers.append(_Worker(jobs, blocks[k::p], [w.fd for w in workers]))
+            workers.append(_Worker("CSV worker", functools.partial(
+                _send_blocks, jobs, blocks[k::p]), [w.fd for w in workers]))
         i = 0
         for (path, header, columns), rows in zip(jobs, starts):
             with open(path, "wb") as fh:
                 fh.write(header.encode() + b"\n")
                 for start in rows:
                     if i % p:
-                        workers[i % p - 1].copy_block(fh)
+                        _copy_block(workers[i % p - 1], fh)
                     else:
                         fh.write(_format_block(columns, start))
                     i += 1

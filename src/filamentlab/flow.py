@@ -44,6 +44,7 @@ from .integrators import (GAUSS_C1, GAUSS_C2, _Q_ONE, _qmul, _rotation, _scan,
 _ORIGIN_SUBSTEPS = 2  # uniform frame-ODE steps per origin-series interval
 _SLICE_STEP = 1e-3     # fine-step bound of the Frenet integration in s
 _UPSAMPLE = 4          # spectral upsampling of a slice before its interpolation
+_CONE_FLOOR = 1.0      # the cone defect reads the nodes with |s| at or above it
 # Planned bytes of a stability run per time step (time grid, origin series,
 # origin-frame ODE), per box point (the stepper's buffers, the spectral
 # weights, the upsampled slice), per slice node (the (c, tau) rows and the
@@ -346,7 +347,8 @@ def _reference_span(sig_max):
 
 
 def check_scales(t0, t_min_factor, s_max, ds, n_points, n_steps, n_slices):
-    """Reject stability-run scales that are not finite and positive, a
+    """Reject stability-run scales that are not finite and positive, an
+    s_max below ``_CONE_FLOOR`` (the cone defect would read no node), a
     t_min_factor above the trace's 1e-2 (InsufficientTimeRange), a t0 or
     t_min outside ``_TIME_SCALES``, a curve grid whose node count
     2 s_max/ds overflows, a reference profile whose span s_max/sqrt(t_min)
@@ -357,6 +359,9 @@ def check_scales(t0, t_min_factor, s_max, ds, n_points, n_steps, n_slices):
                     ("ds", ds), ("t0 * t_min_factor", t_min)):
         if not (math.isfinite(v) and v > 0):
             raise InvalidParameter(f"{name} must be finite and positive, got {v}")
+    if s_max < _CONE_FLOOR:
+        raise InvalidParameter(
+            f"s_max = {s_max:g}: the cone defect reads |s| >= {_CONE_FLOOR:g}")
     if t_min_factor > 1e-2:
         raise InsufficientTimeRange(
             f"t_min_factor = {t_min_factor:g}: the trace at t = 0 needs t_min/t_max <= 1e-2")
@@ -570,8 +575,8 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     vertex = chi[0] - r1 * (chi[1] - chi[0]) / (r2 - r1)
     sA = selfsimilar.chi(prof, s_grid, 0.0)
     dev = np.linalg.norm(trace.points - vertex[None] - sA, axis=1)
-    # the floor |s| >= 1 keeps the sqrt(t_min) corner layer out of the quotient
-    outer = np.abs(s_grid) >= 1.0
+    # the floor keeps the sqrt(t_min) corner layer out of the quotient
+    outer = np.abs(s_grid) >= _CONE_FLOOR
     cone = float(np.max(dev[outer] / np.abs(s_grid[outer])))
     dplus = trace.points[-1] - vertex
     dminus = trace.points[0] - vertex          # points along -A_minus

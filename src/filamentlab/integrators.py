@@ -251,7 +251,10 @@ def propagate_frame(c_fn, tau_fn, s0, s1, frame0, *, step, out_every,
         sg1, sg2 = sk + GAUSS_C1 * h, sk + GAUSS_C2 * h
         c1, c2 = _stage_coeffs(c_fn, sg1), _stage_coeffs(c_fn, sg2)
         t1, t2 = _stage_coeffs(tau_fn, sg1), _stage_coeffs(tau_fn, sg2)
-        q, wV = magnus_frame_step(c1, c2, t1, t2, h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q, wV = magnus_frame_step(c1, c2, t1, t2, h)
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(wV))):
+            raise NonFiniteCoefficient("propagator became non-finite")
         P = _scan(q, _qmul, _Q_ONE)
         frames[b0 + 1 : b0 + bc + 1] = _rotation(P[m - 1 :: m]) @ F
         if G is not None:
@@ -277,7 +280,8 @@ def propagate_linear2(afn, s0, s1, y0, *, step, out_every, max_steps=None):
     for b0, bc, sk in chunks:
         A1 = afn(sk + GAUSS_C1 * h)
         A2 = afn(sk + GAUSS_C2 * h)
-        P = expm2(magnus_omega(A1, A2, h))
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = expm2(magnus_omega(A1, A2, h))
         if not np.all(np.isfinite(P.view(float))):
             raise NonFiniteCoefficient("propagator became non-finite")
         Pblk = _scan(P, np.matmul, np.eye(2))[m - 1 :: m]

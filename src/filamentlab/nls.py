@@ -130,7 +130,9 @@ def gaussian_field(domain_length, n_points, l2_norm, width=2.0, center=0.0):
             f"width must be positive with width**2 a normal float, got {width:g}")
     f = ComplexField.zeros(domain_length, n_points)
     x = f.grid()
-    vals = np.exp(-((x - center) ** 2) / (2 * width**2)).astype(complex)
+    # a square that overflows is a distance whose Gaussian is exactly 0
+    with np.errstate(over="ignore"):
+        vals = np.exp(-((x - center) ** 2) / (2 * width**2)).astype(complex)
     f = f.copy_with(vals)
     cur = f.l2_norm()
     if l2_norm > 0 and cur == 0:

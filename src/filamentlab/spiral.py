@@ -9,14 +9,24 @@ bridged to the complex profile equation f'' + i(s/2) f' + (f/2)(|f|^2+nu)=0
 by  conj(f) f' = y/2 + i h.
 
 All three ODEs (``spiral_profile``, ``yh_evolve``, ``f_solve``) run on one
-fixed-step driver, ``_fixed_step``, with the 12-stage 8th-order Dormand-Prince
-tableau (DOP853) and no step control.  It plans whole output blocks with the
-package's one planner, ``integrators._plan`` (which validates the span and
-the step budget ``SolverConfig.max_steps``), checks the initial state, and
-calls the equation's step body once per block.  Each body is a fused loop on
-local floats, generated once on first use (``_body``) from the tableau and a
-short right-hand-side template: the twelve stages are written out, with no
+fixed-step driver, ``_fixed_step``, with the 12-stage 8th-order
+Dormand-Prince tableau (DOP853) and no step control.  It plans whole output
+blocks with the package's one planner, ``integrators._plan`` (which
+validates the span and the step budget ``SolverConfig.max_steps``) and
+checks the initial state at once; the run it returns calls the equation's
+step body once per block.  Each body is a fused loop on local floats,
+generated once on first use (``_body``) from the tableau and a short
+right-hand-side template: the twelve stages are written out, with no
 right-hand-side call and no tuple per stage.
+
+The rotating profile has no mirror symmetry, so its two sides of s = 0 are
+two independent runs.  ``spiral_profile`` plans and checks both, then, when
+this process may run on two CPUs and each side has at least
+``_MIN_SIDE_STEPS`` fine steps (about one fork round trip), integrates the
+s <= 0 side in one forked worker (``dataio._Worker``) while it integrates
+the s >= 0 side itself.  The result is bit-identical to the serial run.
+The mirrored ``selfsimilar.profile`` and the stability slices of ``flow``
+call ``integrators.two_sided`` directly and fork nothing.
 """
 
 from __future__ import annotations
@@ -28,11 +38,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dataio
 from .errors import ConstraintViolated, InvalidParameter, OutOfProfileRange
 from .geometry import Curve, SolverConfig
 from .integrators import _plan, two_sided
 
 CONSTRAINT_TOL = 1e-10
+# fine steps per side at least before the two sides run at once: a fork,
+# pipe and reap round trip costs about 2.4 ms, some 150 DOP853 steps
+_MIN_SIDE_STEPS = 150
 
 
 def _amatrix(mu):
@@ -50,6 +64,8 @@ class SpiralParams:
     y0: float = field(init=False)
     h0: float = field(init=False)
 
+    # data whose products overflow give a non-finite E0, refused at the end
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         self.G0 = np.asarray(self.G0, dtype=float)
         self.T0 = np.asarray(self.T0, dtype=float)
@@ -196,22 +212,28 @@ def _fixed_step(rhs, params, y0, s0, s1, cfg):
 
     Plans the fine steps over [s0, s1] with ``integrators._plan``, in output
     blocks of m = ``cfg.renorm_every`` steps of at most ``cfg.step``, and
-    runs the fused block of ``rhs`` (see ``_body``) with ``params`` once per
-    block, from that block's start node.  Returns (s_nodes, out) with the
-    state at every block end in the rows of out, row 0 the initial state.
+    checks that ``y0`` is finite, at once.  Returns (s_nodes, integrate),
+    where ``integrate()`` runs the fused block of ``rhs`` (see ``_body``) with
+    ``params`` once per block, from that block's start node, and returns
+    ``out``: the state at every block end in its rows, row 0 the initial
+    state.
     """
     h, m, s_nodes, _ = _plan(s0, s1, cfg.step, cfg.renorm_every, cfg.max_steps)
     y0 = np.asarray(y0)
     if not np.all(np.isfinite(y0)):
         raise InvalidParameter("initial state must be finite")
     block = _body(rhs)
-    out = np.empty((len(s_nodes), len(y0)), dtype=y0.dtype)
-    out[0] = y0
-    y = tuple(y0.tolist())
-    for b, s in enumerate(s_nodes[:-1].tolist(), 1):
-        y = block(y, s, h, m, *params)
-        out[b] = y
-    return s_nodes, out
+
+    def integrate():
+        out = np.empty((len(s_nodes), len(y0)), dtype=y0.dtype)
+        out[0] = y0
+        y = tuple(y0.tolist())
+        for b, s in enumerate(s_nodes[:-1].tolist(), 1):
+            y = block(y, s, h, m, *params)
+            out[b] = y
+        return out
+
+    return s_nodes, integrate
 
 
 # G' = T, T' = M x T with M = (1/2)(I+A)G (autonomous)
@@ -221,18 +243,50 @@ _PROFILE = ("mu", "gx gy gz tx ty tz",
              "my * tz - mz * ty", "mz * tx - mx * tz", "mx * ty - my * tx"))
 
 
-def _integrate_dir(params, s_end, cfg):
-    """DOP853 on (G, T) from s = 0; T' = (1/2)(I+A)G x T keeps the run light."""
-    s, out = _fixed_step(_PROFILE, (params.mu,),
-                         (*params.G0.tolist(), *params.T0.tolist()), 0.0, s_end, cfg)
-    return s, out[:, :3], out[:, 3:]
+def _sides(params, s_lo, s_hi, cfg):
+    """Integrate (G, T) from s = 0 to both ends; returns (s, G, T) on one
+    ascending grid, stitched by ``integrators.two_sided``.
+
+    Both sides are planned and checked before either runs.  With two CPUs
+    and at least ``_MIN_SIDE_STEPS`` fine steps on each side, the s <= 0
+    side runs in a forked worker (``dataio._Worker``) while this process
+    runs the s >= 0 side, and comes back through the pipe as the raw bytes
+    of its block-end array, whose shape the plan gives.  The two runs do
+    the same arithmetic as the serial one, so the result is bit-identical.
+    """
+    y0 = (*params.G0.tolist(), *params.T0.tolist())
+    plans = {end: _fixed_step(_PROFILE, (params.mu,), y0, 0.0, end, cfg)
+             for end in (s_hi, s_lo) if end != 0}
+    steps = [(len(s) - 1) * int(cfg.renorm_every) for s, _ in plans.values()]
+    worker = None
+    if (len(plans) == 2 and min(steps) >= _MIN_SIDE_STEPS
+            and dataio._fork_cpus() >= 2):
+        minus = plans[s_lo][1]
+        worker = dataio._Worker("spiral side worker",
+                                lambda fd: dataio._send(fd, minus()))
+
+    def run(end):
+        s, integrate = plans[end]
+        if worker is not None and end == s_lo:
+            out = worker.readinto(np.empty((len(s), 6)))
+            worker.reap()
+        else:
+            out = integrate()
+        return s, out[:, :3], out[:, 3:]
+
+    try:
+        return two_sided(run, s_lo, s_hi)
+    finally:
+        if worker is not None:
+            worker.reap(kill=True)  # a no-op once its side has been read
 
 
 def spiral_profile(params, s_span, cfg=None):
     """Integrate the profile equation over s_span (must contain 0).
 
     Frames are assembled algebraically: n = T'/|T'|, b = T x n with
-    T' = (1/2)(I+A)G x T evaluated pointwise.
+    T' = (1/2)(I+A)G x T evaluated pointwise.  The two sides of s = 0 run
+    at once where ``_sides`` says so.
     """
     if not isinstance(params, SpiralParams):
         raise InvalidParameter("params must be SpiralParams")
@@ -240,10 +294,7 @@ def spiral_profile(params, s_span, cfg=None):
     if s_lo > 0 or s_hi < 0:
         raise InvalidParameter("s_span must contain 0 (initial data lives there)")
     cfg = cfg or SolverConfig(step=4.8e-3, renorm_every=2)
-    s, G, T = two_sided(
-        lambda end: _integrate_dir(params, end, cfg),
-        s_lo, s_hi,
-    )
+    s, G, T = _sides(params, s_lo, s_hi, cfg)
     mu = params.mu
     IA = np.eye(3) + _amatrix(mu)
     mvec = 0.5 * (G @ IA.T)
@@ -284,8 +335,9 @@ def yh_evolve(y0, h0, nu, E0, s_span, cfg=None, *, x0):
     nu, E0 = float(nu), float(E0)
     if not (math.isfinite(nu) and math.isfinite(E0)):
         raise InvalidParameter("nu and E0 must be finite")
-    s, out = _fixed_step(_YH, (nu, E0), (float(x0), float(y0), float(h0)),
-                         float(s_span[0]), float(s_span[1]), cfg)
+    s, integrate = _fixed_step(_YH, (nu, E0), (float(x0), float(y0), float(h0)),
+                               float(s_span[0]), float(s_span[1]), cfg)
+    out = integrate()
     return s, out[:, 0], out[:, 1], out[:, 2]
 
 
@@ -303,8 +355,9 @@ def f_solve(f0, f0_prime, nu, s_span, cfg=None):
     nu = float(nu)
     if not math.isfinite(nu):
         raise InvalidParameter("nu must be finite")
-    s, out = _fixed_step(_F, (nu,), (complex(f0), complex(f0_prime)),
-                         float(s_span[0]), float(s_span[1]), cfg)
+    s, integrate = _fixed_step(_F, (nu,), (complex(f0), complex(f0_prime)),
+                               float(s_span[0]), float(s_span[1]), cfg)
+    out = integrate()
     return s, out[:, 0], out[:, 1]
 
 

@@ -237,7 +237,9 @@ def test_selfcheck_exit_code_follows_checks(tmp_path, monkeypatch, all_ok, code)
 
 SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
 # failed-run rows whose one line must also name what is wrong
-FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node"}
+FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
+                 ("stability", "--smax", "0.5"): "the cone defect reads |s| >= 1",
+                 ("profile", "--a", "1e300"): "propagator became non-finite"}
 
 
 @pytest.mark.parametrize("args", [
@@ -294,6 +296,11 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node"}
     ["spiral", "--mu", "1e300"],
     ["nls", "--a", "1e300"],
     ["stability", "--ds", "0.3"],
+    ["stability", "--smax", "0.5"],
+    ["profile", "--a", "1e300"],
+    ["spiral", "--a", "1e300"],
+    ["angle", "--a", "1e300"],
+    ["nls", "--length", "1e300", *SMALL_GRID],
 ], ids=["evolve-zero-steps", "spiral-negative-smax", "spiral-over-step-limit",
         "profile-inf-step", "profile-inf-smax", "angle-inf-smax",
         "profile-huge-smax", "angle-huge-smax", "evolve-inf-t0", "nls-inf-t1",
@@ -314,7 +321,8 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node"}
         "evolve-huge-n-points", "evolve-huge-snapshot-count",
         "stability-huge-t0", "stability-huge-tmin-factor", "stability-huge-uplus-norm",
         "nls-huge-uplus-norm", "evolve-huge-a", "spiral-huge-mu", "nls-huge-a",
-        "stability-no-node-at-zero"])
+        "stability-no-node-at-zero", "stability-smax-below-cone-floor",
+        "profile-huge-a", "spiral-huge-a", "angle-huge-a", "nls-huge-length"])
 def test_failed_run_leaves_no_directory(tmp_path_factory, tmp_path, capsys, args):
     bad_config = tmp_path_factory.mktemp("config") / "bad.cfg"
     bad_config.write_text("a = abc\n")

@@ -1,9 +1,12 @@
-"""The batch CSV writer: the same bytes as the serial loop whatever the
-process count, and no child process left behind, on success or failure."""
+"""The forked workers: the batch CSV writer and the spiral profile's s <= 0
+side give the same bytes as the serial code whatever the process count, and
+leave no child process behind, on success or failure."""
 
+import functools
 import math
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from test_properties import curves
 
-from filamentlab import cli, dataio
+from filamentlab import cli, dataio, flow, nls, selfsimilar, spiral
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
 
@@ -43,9 +46,13 @@ def _time_limit():
         signal.signal(signal.SIGALRM, previous)
 
 
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 def _split(monkeypatch, cpus, block=None):
     """Let every batch use ``cpus`` processes, optionally with short blocks."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    _cpus(monkeypatch, cpus)
     monkeypatch.setattr(dataio, "_MIN_SHARE", 1)
     if block is not None:
         monkeypatch.setattr(dataio, "_CSV_BLOCK", block)
@@ -191,6 +198,120 @@ def test_worker_exits_when_its_reader_has_gone():
     # still writing when the pipe's read end closes: it ends on EPIPE
     data = np.random.default_rng(1).normal(size=(3 * 4096, 13))
     jobs = [(None, "h", [data[:, k] for k in range(13)])]
-    worker = dataio._Worker(jobs, [(0, 0), (0, 4096), (0, 8192)], [])
+    blocks = [(0, 0), (0, 4096), (0, 8192)]
+    worker = dataio._Worker("CSV worker",
+                            functools.partial(dataio._send_blocks, jobs, blocks))
     assert worker.reap() == 1
     _assert_no_child()
+
+
+# --- the spiral profile: its s <= 0 side in a forked worker ---
+
+SPIRAL = spiral.SpiralParams(0.4, np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+
+
+def _count_forks(monkeypatch):
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _profile_bytes(res):
+    return [np.ascontiguousarray(x).tobytes() for x in
+            (res.curve.s_grid, res.curve.points, res.curve.frames, res.c_sq, res.y, res.tau)]
+
+
+@pytest.mark.parametrize("span", [(-3.0, 5.0), (-5.0, 3.0), (-4.0, 4.0)])
+def test_spiral_sides_at_once_are_bit_identical(monkeypatch, span):
+    _cpus(monkeypatch, 1)
+    serial = _profile_bytes(spiral.spiral_profile(SPIRAL, span))
+    monkeypatch.undo()
+    assert _profile_bytes(spiral.spiral_profile(SPIRAL, span)) == serial
+    _cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    assert _profile_bytes(spiral.spiral_profile(SPIRAL, span)) == serial
+    assert forks == [1]
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("cpus, s_lo, n_forks", [
+    (1, -30.0, 0), (4, -0.5, 0), (4, 0.0, 0), (4, -0.75, 1), (2, -30.0, 1)])
+def test_spiral_forks_with_two_cpus_and_enough_steps_per_side(monkeypatch, cpus, s_lo,
+                                                              n_forks):
+    # at the default step 4.8e-3 and 2 steps per block, s = -0.5 is 106
+    # fine steps and s = -0.75 is 158, either side of the minimum of 150
+    assert spiral._MIN_SIDE_STEPS == 150
+    _cpus(monkeypatch, cpus)
+    forks = _count_forks(monkeypatch)
+    spiral.spiral_profile(SPIRAL, (s_lo, 30.0))
+    assert len(forks) == n_forks
+    _assert_no_child()
+
+
+def _failing_block(monkeypatch, in_parent, how="raise"):
+    """Make the DOP853 block fail in this process or in every other one."""
+    parent, original = os.getpid(), spiral._body
+
+    def body(rhs):
+        block = original(rhs)
+
+        def run(*args):
+            if (os.getpid() == parent) == in_parent:
+                if how == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if how == "sleep":
+                    time.sleep(30)
+                raise RuntimeError("block failed in the " + ("parent" if in_parent
+                                                            else "worker"))
+            return block(*args)
+
+        return run
+
+    monkeypatch.setattr(spiral, "_body", body)
+
+
+@pytest.mark.parametrize("how, code", [("raise", "code 1"), ("kill", "code -9")])
+def test_failed_side_worker_raises_oserror_and_is_reaped(monkeypatch, how, code):
+    _cpus(monkeypatch, 2)
+    _failing_block(monkeypatch, False, how)
+    with pytest.raises(OSError, match=f"spiral side worker .* {code}"):
+        spiral.spiral_profile(SPIRAL, (-5.0, 5.0))
+    _assert_no_child()
+
+
+def test_failed_side_worker_is_one_io_error_line(tmp_path, monkeypatch, capsys):
+    _cpus(monkeypatch, 2)
+    _failing_block(monkeypatch, False)
+    assert cli.main(["spiral", "--smax", "5", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[io]: spiral side worker") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+    _assert_no_child()
+
+
+def test_parent_failure_kills_and_reaps_the_side_worker(monkeypatch):
+    # the worker sleeps 30 s before it fails: only a kill ends it at once
+    _cpus(monkeypatch, 2)
+    _failing_block(monkeypatch, False, "sleep")
+    _failing_block(monkeypatch, True)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="in the parent"):
+        spiral.spiral_profile(SPIRAL, (-5.0, 5.0))
+    assert time.monotonic() - start < 10
+    _assert_no_child()
+
+
+def test_mirrored_profile_and_stability_slices_fork_nothing(monkeypatch):
+    _cpus(monkeypatch, 4)
+    forks = _count_forks(monkeypatch)
+    selfsimilar.profile(0.5, 40.0)
+    up = nls.gaussian_field(100.0, 256, 5e-3, width=2.0)
+    rep = flow.stability_experiment(0.5, up, 1.0, t_min_factor=1e-2, s_max=1.0,
+                                    ds=0.05, n_steps=20, n_slices=8)
+    assert rep.profile_slices < 8  # some slices were integrated
+    assert not forks

@@ -8,7 +8,7 @@ sent all it owes raises OSError, and every caller reaps its workers before
 it returns or raises.  A caller forks at most one process per CPU this
 process may run on (``_fork_cpus``: ``os.sched_getaffinity``, 1 where
 ``os.fork`` does not exist), and only for work that outweighs a fork round
-trip of a few milliseconds.  Two callers use it:
+trip of a few milliseconds.  Three callers use it:
 
 * The CSV writer.  It formats 4096 rows per ``%`` operation, and that
   formatting holds the interpreter lock, so a batch of CSVs is spread over
@@ -22,6 +22,9 @@ trip of a few milliseconds.  Two callers use it:
   ``_MIN_SHARE`` floats and one block; at P = 1 nothing is forked.
 * ``spiral.spiral_profile``, which runs the s <= 0 side of its profile in
   one worker (see ``spiral._sides``).
+* ``flow.stability_experiment``, which runs its Schrodinger stage in one
+  worker while it builds and evaluates the reference profile (see
+  ``flow._stage``).
 
 The bytes written do not depend on the number of processes.
 """

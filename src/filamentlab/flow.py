@@ -17,20 +17,31 @@ the self-similar profile rescaled, chi = sqrt(t) G(s/sqrt(t)), turned and
 moved by the origin frame and point of that slice: the stability experiment
 builds its slices below the box's faithful horizon from its reference
 profile instead of integrating them; ``reconstruct_flow`` integrates all.
+
+The stability experiment's two independent halves run at once where that
+pays: its Schrodinger stage, in a forked worker (``dataio._Worker``) when
+this process may run on two CPUs and the stage has at least
+``_MIN_STAGE_SIZE`` step-points (n_steps + 1) N, and its reference side
+(the profile G_a, its evaluation on every slice node, A+/-) in this
+process meanwhile.  The arithmetic is the serial run's, so the report and
+its artifacts are bit-identical either way.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import nls, selfsimilar
+from . import dataio, errors, nls, selfsimilar
 from .errors import (
     AliasingDetected,
     ConstraintViolated,
     CurvatureVanishes,
+    FilamentError,
     GridTooCoarse,
     InsufficientTimeRange,
     InvalidParameter,
@@ -57,6 +68,10 @@ _BYTES_PER_PROFILE_NODE = 250
 # Range of the time scales t0 and t_min of a stability run: the pipeline's
 # time derivatives and Magnus steps carry up to t^3, a normal float in here
 _TIME_SCALES = (1e-100, 1e100)
+# step-points (n_steps + 1) N of the Schrodinger stage at least before it
+# runs in a forked worker: a fork, pipe and reap round trip costs about
+# 3 ms, some 40 000 step-points at the stage's 80 ns each
+_MIN_STAGE_SIZE = 40_000
 
 
 @dataclass
@@ -175,15 +190,16 @@ def _frame_ode_backward(series):
     return out[::-1]
 
 
-def _profile_slice(prof, s, tk, Fk, pk):
+def _profile_slice(prof, s, tk, Fk, pk, ref=None):
     """Slice of the fields c = a/sqrt(t), tau = s/2t built from the profile.
 
     With sigma = s/sqrt(t) the Frenet system in s is the profile system in
     sigma, so the frame is F_G(sigma) @ Fk and the point
-    pk + sqrt(t) (G(sigma) - G(0)) @ Fk.
+    pk + sqrt(t) (G(sigma) - G(0)) @ Fk.  ``ref`` is (F_G, G) at those
+    sigma when the caller has evaluated them already.
     """
     rt = math.sqrt(tk)
-    F, G = selfsimilar.evaluate(prof, s / rt)
+    F, G = selfsimilar.evaluate(prof, s / rt) if ref is None else ref
     G0 = prof.curve.points[np.searchsorted(prof.curve.s_grid, 0.0)]
     return Curve(s, pk + rt * (G - G0) @ Fk, F @ Fk)
 
@@ -454,6 +470,62 @@ def _schrodinger_stage(problem, v0, n_steps, slice_ids, s_grid):
     return origin, cmat, taumat, min_abs, boundary_w
 
 
+def _send_stage(args, fd):
+    """The stage worker's task: run ``_schrodinger_stage(*args)`` and send
+    an 8-byte length, then either that many bytes, "Class: message" of the
+    FilamentError that stopped the stage, or, at length 0, the raw bytes of
+    ``origin``, ``cmat``, ``taumat`` and (``min_abs``, ``boundary_w``)."""
+    try:
+        *arrays, min_abs, boundary_w = _schrodinger_stage(*args)
+    except FilamentError as exc:
+        line = f"{type(exc).__name__}: {exc}".encode()
+        dataio._send(fd, len(line).to_bytes(8, "little") + line)
+        return
+    dataio._send(fd, bytes(8))
+    for x in (*arrays, np.array([min_abs, boundary_w])):
+        dataio._send(fd, x)
+
+
+def _read_stage(worker, n_steps, n_rows, n_nodes):
+    """What ``_send_stage`` sent, read into arrays of the planned shapes; a
+    FilamentError of the stage is raised here, as the same class."""
+    n = int.from_bytes(worker.readinto(bytearray(8)), "little")
+    if n:
+        name, _, message = worker.readinto(bytearray(n)).decode().partition(": ")
+        worker.reap()
+        raise getattr(errors, name)(message)
+    origin = worker.readinto(np.empty((n_steps + 1, 3), dtype=complex))
+    cmat = worker.readinto(np.empty((n_rows, n_nodes)))
+    taumat = worker.readinto(np.empty_like(cmat))
+    min_abs, boundary_w = worker.readinto(np.empty(2)).tolist()
+    worker.reap()
+    return origin, cmat, taumat, min_abs, boundary_w
+
+
+@contextlib.contextmanager
+def _stage(problem, v0, n_steps, slice_ids, s_grid):
+    """Yield a callable that returns ``_schrodinger_stage``'s result.
+
+    With two CPUs (``dataio._fork_cpus``) and at least ``_MIN_STAGE_SIZE``
+    step-points (n_steps + 1) N, the stage starts in a forked worker on
+    entry and the callable reads its arrays back through the pipe;
+    otherwise the callable runs the stage in this process.  A worker still
+    running when the context exits, on a failure, is killed; it is always
+    reaped.
+    """
+    args = (problem, v0, n_steps, slice_ids, s_grid)
+    if (n_steps + 1) * v0.n_points < _MIN_STAGE_SIZE or dataio._fork_cpus() < 2:
+        yield functools.partial(_schrodinger_stage, *args)
+        return
+    worker = dataio._Worker("stability stage worker",
+                            functools.partial(_send_stage, args))
+    try:
+        yield functools.partial(_read_stage, worker, n_steps, len(slice_ids),
+                                len(s_grid))
+    finally:
+        worker.reap(kill=True)  # a no-op once the stage has been read
+
+
 def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
                          ds=0.01, n_steps=2000, n_slices=40):
     """Drive the perturbed corner pipeline end to end.
@@ -476,6 +548,15 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     node s = 0 (GridTooCoarse), a u_plus that the grid does not resolve
     (AliasingDetected) and a run whose interior times all lie below t_clean
     (InsufficientTimeRange) are rejected before the Schrodinger stage.
+
+    Where ``_stage`` forks (two CPUs, at least ``_MIN_STAGE_SIZE``
+    step-points), the Schrodinger stage runs in a worker process, and this
+    process meanwhile builds the reference profile, evaluates it on every
+    slice node and reads A+/-; the origin series, the origin track, the
+    slices and the defects follow here once the stage's arrays are back.
+    Otherwise all of it runs here.  The report is bit-identical either way;
+    a FilamentError of the stage is raised as the same class, a worker
+    that dies is OSError, and no worker outlives the call.
     """
     if a <= 0:
         raise InvalidParameter("a must be positive")
@@ -515,8 +596,16 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     # amplitude O(||u_plus|| sqrt(t))): the first n_prof slices continue
     # with the unperturbed fields, and the stage reads only the others
     n_prof = int(np.sum(t_slices < t_clean))
-    origin, cmat, taumat, min_abs, boundary_w = _schrodinger_stage(
-        problem, v0, n_steps, slice_ids[n_prof:], s_grid)
+    with _stage(problem, v0, n_steps, slice_ids[n_prof:], s_grid) as stage:
+        # the unperturbed reference needs nothing of the stage: G_a, its
+        # frames and points on every slice node (sigma = s/sqrt(t)), which
+        # give the slices below t_clean and the reference tangent, and A+/-
+        sig_max = float(np.max(np.abs(s_grid))) / math.sqrt(t_slices[0])
+        prof = selfsimilar.profile(a, _reference_span(sig_max))
+        sig = (s_grid[None] / np.sqrt(t_slices)[:, None]).ravel()
+        F_ref, G_ref = selfsimilar.evaluate(prof, sig)
+        sA = selfsimilar.chi(prof, s_grid, 0.0)
+        origin, cmat, taumat, min_abs, boundary_w = stage()
 
     # u-side origin series (t = 1/T, ascending in t).  The frame ODE is run
     # in the gauge n~ + i b~ = e^{i phi/2}(n + i b), whose coupling entry
@@ -552,28 +641,25 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     clean = t_u[1:-1] >= t_clean
     extra_defect = float(np.max((extra * t_u[1:-1] / a2)[clean]))
 
-    # unperturbed reference; it also yields the slices past t_clean
-    sig_max = float(np.max(np.abs(s_grid))) / math.sqrt(t_slices[0])
-    prof = selfsimilar.profile(a, _reference_span(sig_max))
+    # slices past t_clean from the reference, turned and moved by the
+    # origin track; the others integrated
     point0 = np.array([0.0, 0.0, 2 * a * math.sqrt(t_max)])
     frames, chi = _origin_track(series, np.eye(3), point0, t_slices)
+    refs = zip(F_ref.reshape(n_slices, -1, 3, 3), G_ref.reshape(n_slices, -1, 3))
     curves = [_profile_slice(prof, s_grid, *row) for row in
-              zip(t_slices[:n_prof], frames, chi)]
+              zip(t_slices[:n_prof], frames, chi, refs)]
     curves += [_integrated_slice(s_grid, *row) for row in
                zip(cmat, taumat, frames[n_prof:], chi[n_prof:])]
     result = FlowResult(t_slices, curves, frames, chi)
     trace, const = trace_at_zero(result)
 
-    # every slice's nodes against the reference in one batched evaluation
-    sig = (s_grid[None] / np.sqrt(t_slices)[:, None]).ravel()
+    # every slice's tangent against the reference tangent
     T = np.concatenate([c.frames[:, 0] for c in curves])
-    T_ref = selfsimilar.evaluate(prof, sig)[0][:, 0]
-    sup_T = float(np.max(np.linalg.norm(T - T_ref, axis=1)))
+    sup_T = float(np.max(np.linalg.norm(T - F_ref[:, 0], axis=1)))
 
     # vertex from the sqrt(t) law at s = 0, then cone defect vs A+/-
     r1, r2 = math.sqrt(t_slices[0]), math.sqrt(t_slices[1])
     vertex = chi[0] - r1 * (chi[1] - chi[0]) / (r2 - r1)
-    sA = selfsimilar.chi(prof, s_grid, 0.0)
     dev = np.linalg.norm(trace.points - vertex[None] - sA, axis=1)
     # the floor keeps the sqrt(t_min) corner layer out of the quotient
     outer = np.abs(s_grid) >= _CONE_FLOOR

@@ -210,12 +210,13 @@ def _plan(s0, s1, step, out_every, max_steps):
     if abs(r - n_blocks) > 1e-9 * r:
         n_blocks = math.ceil(r)
     n_blocks = max(1, n_blocks)
-    h = span / (n_blocks * m)
     n_steps = n_blocks * m
     if max_steps is not None and n_steps > max_steps:
+        # as a float, inf beyond its range: the int may have 300 digits
         raise StepLimitExceeded(
-            f"{n_steps} steps needed for span {span:g} at step {step:g}"
+            f"{float(n_blocks) * m:.3g} steps needed for span {span:g} at step {step:g}"
         )
+    h = span / n_steps
     s_out = s0 + h * m * np.arange(n_blocks + 1)
     blocks_per_chunk = max(1, _CHUNK // m)
 

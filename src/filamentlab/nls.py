@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     AliasingDetected,
+    GridTooCoarse,
     InvalidParameter,
     MemoryBudgetExceeded,
     TimeSpanCrossesZero,
@@ -119,7 +120,12 @@ class ComplexField:
 
 
 def gaussian_field(domain_length, n_points, l2_norm, width=2.0, center=0.0):
-    """Gaussian bump normalized to the requested L2 norm."""
+    """Gaussian bump normalized to the requested L2 norm.
+
+    A nonzero bump narrower than the grid step dx = domain_length/n_points
+    is GridTooCoarse: the grid does not resolve it (such a bump would also
+    fail the alias gate, its top-third fraction being ~3e-3 at width = dx).
+    """
     # the field's mass is the square of its norm
     if not (l2_norm >= 0 and math.isfinite(l2_norm * l2_norm)):
         raise InvalidParameter(
@@ -129,6 +135,11 @@ def gaussian_field(domain_length, n_points, l2_norm, width=2.0, center=0.0):
         raise InvalidParameter(
             f"width must be positive with width**2 a normal float, got {width:g}")
     f = ComplexField.zeros(domain_length, n_points)
+    dx = f.domain_length / f.n_points
+    if l2_norm > 0 and width < dx:
+        raise GridTooCoarse(
+            f"width {width:g} is narrower than the grid step dx = {dx:g}: "
+            "the grid does not resolve the datum")
     x = f.grid()
     # a square that overflows is a distance whose Gaussian is exactly 0
     with np.errstate(over="ignore"):

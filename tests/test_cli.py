@@ -239,7 +239,9 @@ SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
 # failed-run rows whose one line must also name what is wrong
 FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
                  ("stability", "--smax", "0.5"): "the cone defect reads |s| >= 1",
-                 ("profile", "--a", "1e300"): "propagator became non-finite"}
+                 ("profile", "--a", "1e300"): "propagator became non-finite",
+                 ("profile", "--smax", "1e154", "--step", "1e-160"): "inf steps needed",
+                 ("nls", "--length", "1e300", *SMALL_GRID): "narrower than the grid step"}
 
 
 @pytest.mark.parametrize("args", [
@@ -301,6 +303,7 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
     ["spiral", "--a", "1e300"],
     ["angle", "--a", "1e300"],
     ["nls", "--length", "1e300", *SMALL_GRID],
+    ["profile", "--smax", "1e154", "--step", "1e-160"],
 ], ids=["evolve-zero-steps", "spiral-negative-smax", "spiral-over-step-limit",
         "profile-inf-step", "profile-inf-smax", "angle-inf-smax",
         "profile-huge-smax", "angle-huge-smax", "evolve-inf-t0", "nls-inf-t1",
@@ -322,7 +325,8 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
         "stability-huge-t0", "stability-huge-tmin-factor", "stability-huge-uplus-norm",
         "nls-huge-uplus-norm", "evolve-huge-a", "spiral-huge-mu", "nls-huge-a",
         "stability-no-node-at-zero", "stability-smax-below-cone-floor",
-        "profile-huge-a", "spiral-huge-a", "angle-huge-a", "nls-huge-length"])
+        "profile-huge-a", "spiral-huge-a", "angle-huge-a", "nls-huge-length",
+        "profile-step-count-beyond-float"])
 def test_failed_run_leaves_no_directory(tmp_path_factory, tmp_path, capsys, args):
     bad_config = tmp_path_factory.mktemp("config") / "bad.cfg"
     bad_config.write_text("a = abc\n")
@@ -373,7 +377,8 @@ def test_failed_run_removes_its_partial_files(tmp_path, monkeypatch, capsys,
 
 
 # every numeric flag of every subcommand on a small grid; an int flag cannot
-# take nan or inf (argparse rejects it), so it gets only 0 and -1
+# take nan or inf (argparse rejects it), so it gets 0, -1 and a huge 2**40
+# where a float flag gets 1e300
 SWEEP_BASE = {
     "profile": [],
     "angle": ["--smax", "20"],
@@ -388,8 +393,8 @@ SWEEP_BASE = {
 SWEEP = [(sub, key.replace("_", "-"), value)
          for sub, spec in cli.SPECS.items()
          for key, (kind, _default) in spec.items() if kind in (int, float)
-         for value in (("nan", "inf", "-inf", "5e-324") if kind is float else ())
-         + ("0", "-1")]
+         for value in (("nan", "inf", "-inf", "5e-324", "1e300") if kind is float
+                       else (str(2**40),)) + ("0", "-1")]
 
 
 @pytest.mark.parametrize("sub, flag, value", SWEEP,
@@ -406,6 +411,7 @@ def test_numeric_flag_sweep(tmp_path, capsys, sub, flag, value):
     else:
         assert rc == 2
         assert re.fullmatch(r"error\[(usage|validation)\]: [^\n]*\n", err), err
+        assert len(err) - 1 <= 200, err  # no 300-digit count in the line
         assert not list(tmp_path.iterdir())
 
 

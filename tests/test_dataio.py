@@ -1,8 +1,10 @@
-"""The forked workers: the batch CSV writer and the spiral profile's s <= 0
-side give the same bytes as the serial code whatever the process count, and
-leave no child process behind, on success or failure."""
+"""The forked workers: the batch CSV writer, the spiral profile's s <= 0
+side and the stability run's Schrodinger stage give the same bytes as the
+serial code whatever the process count, and leave no child process behind,
+on success or failure."""
 
 import functools
+import json
 import math
 import os
 import signal
@@ -16,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 from test_properties import curves
 
 from filamentlab import cli, dataio, flow, nls, selfsimilar, spiral
+from filamentlab.errors import CurvatureVanishes
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
 
@@ -315,3 +318,107 @@ def test_mirrored_profile_and_stability_slices_fork_nothing(monkeypatch):
                                     ds=0.05, n_steps=20, n_slices=8)
     assert rep.profile_slices < 8  # some slices were integrated
     assert not forks
+
+
+# --- the stability run: its Schrodinger stage in a forked worker ---
+
+# 101 steps of N = 512 points, above the stage's fork minimum; its slices lie
+# on both sides of t_clean
+STAGE = dict(t_min_factor=1e-2, s_max=1.0, ds=0.05, n_steps=100, n_slices=12)
+STAGE_ARGS = ["stability", "--n-points", "512", "--n-steps", "100", "--n-slices", "12",
+              "--tmin-factor", "1e-2", "--smax", "1", "--ds", "0.05"]
+
+
+def _stability():
+    assert (STAGE["n_steps"] + 1) * 512 >= flow._MIN_STAGE_SIZE
+    up = nls.gaussian_field(125.0, 512, 1e-2, width=2.0)
+    return flow.stability_experiment(0.5, up, 1.0, **STAGE)
+
+
+def _report_bytes(rep):
+    curves = [np.concatenate([c.points.ravel(), c.frames.ravel()]).tobytes()
+              for c in rep.flow.curves]
+    return dataio.dumps_json(rep.to_dict()), curves
+
+
+def _stage_in_worker(monkeypatch, how):
+    """Make the Schrodinger stage fail in every process but this one."""
+    parent, original = os.getpid(), flow._schrodinger_stage
+
+    def stage(*args):
+        if os.getpid() != parent:
+            if how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if how == "sleep":
+                time.sleep(30)
+            raise RuntimeError("stage failed in the worker")
+        return original(*args)
+
+    monkeypatch.setattr(flow, "_schrodinger_stage", stage)
+
+
+def test_stability_stage_in_a_worker_is_bit_identical(monkeypatch):
+    _cpus(monkeypatch, 1)
+    serial = _report_bytes(_stability())
+    assert 0 < json.loads(serial[0])["profile_slices"] < STAGE["n_slices"]
+    _cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    assert _report_bytes(_stability()) == serial
+    assert forks == [1]
+    _assert_no_child()
+
+
+def test_curvature_vanishes_in_the_stage_worker_reaches_the_parent(monkeypatch):
+    # the datum of test_flow's first-dip test: v dips below a/2 at once
+    a, t0 = 0.5, 1e6
+    bump = nls.gaussian_field(10.0, 4096, 0.09 * a, width=0.01)
+    up = bump.copy_with(-bump.values * np.exp(-0.5j * a * a * math.log(1.0 / t0)))
+    errors = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        forks = _count_forks(monkeypatch)
+        with pytest.raises(CurvatureVanishes) as caught:
+            flow.stability_experiment(a, up, t0, n_steps=100_000, n_slices=40)
+        assert len(forks) == cpus - 1
+        errors.append((type(caught.value), str(caught.value)))
+        _assert_no_child()
+    assert errors[0] == errors[1]
+    assert "dipped to" in errors[0][1]
+
+
+@pytest.mark.parametrize("how, code", [("raise", "code 1"), ("kill", "code -9")])
+def test_failed_stage_worker_raises_oserror_and_is_reaped(monkeypatch, how, code):
+    _cpus(monkeypatch, 2)
+    _stage_in_worker(monkeypatch, how)
+    with pytest.raises(OSError, match=f"stability stage worker .* exited with {code}"):
+        _stability()
+    _assert_no_child()
+
+
+def test_killed_stage_worker_is_one_io_error_line(tmp_path, monkeypatch, capsys):
+    _cpus(monkeypatch, 2)
+    _stage_in_worker(monkeypatch, "kill")
+    assert cli.main([*STAGE_ARGS, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[io]: stability stage worker") and err.count("\n") == 1
+    assert "code -9" in err
+    assert not list(tmp_path.iterdir())
+    _assert_no_child()
+
+
+def test_parent_failure_kills_and_reaps_the_stage_worker(monkeypatch):
+    # the worker sleeps 30 s before it fails: only a kill ends it at once
+    _cpus(monkeypatch, 2)
+    _stage_in_worker(monkeypatch, "sleep")
+
+    def failing_profile(a, s_max, cfg=None):
+        raise RuntimeError("profile failed in the parent")
+
+    monkeypatch.setattr(selfsimilar, "profile", failing_profile)
+    forks = _count_forks(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="in the parent"):
+        _stability()
+    assert time.monotonic() - start < 10
+    assert forks == [1]
+    _assert_no_child()

@@ -409,7 +409,9 @@ def test_stability_rejects_more_slices_than_stored_times():
 def test_stability_fails_at_first_dip(monkeypatch):
     # a narrow bump of norm 0.09 a, phased so that v(0) ~ a - 0.34 at the
     # start, dips below a/2 on the first step; counting inverse FFTs shows
-    # the run stops there instead of after all 100000 split steps
+    # the run stops there instead of after all 100000 split steps (on one
+    # CPU, so that the stage runs in this process, where they are counted)
+    monkeypatch.setattr(flow.dataio, "_fork_cpus", lambda: 1)
     a, t0 = 0.5, 1e6
     bump = nls.gaussian_field(10.0, 4096, 0.09 * a, width=0.01)
     phase = 0.5 * a * a * math.log(1.0 / t0)
@@ -487,7 +489,8 @@ def _previous_stage(problem, v0, n_steps, slice_ids, s_grid):
 
 def _small_stability(stage=None):
     """A 100-step run at N = 512 whose slices lie on both sides of t_clean;
-    also returns the stage's inputs and outputs."""
+    also returns the stage's inputs and outputs, recorded on one CPU, where
+    the stage runs in this process."""
     seen = []
     run_stage = stage or flow._schrodinger_stage
 
@@ -500,6 +503,7 @@ def _small_stability(stage=None):
     up = up.copy_with(up.values * np.exp(0.4j * up.grid()))  # v_x(0) != 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow, "_schrodinger_stage", recording)
+        mp.setattr(flow.dataio, "_fork_cpus", lambda: 1)
         rep = flow.stability_experiment(0.5, up, 1.0, t_min_factor=1e-2, s_max=1.0,
                                         ds=0.05, n_steps=100, n_slices=12)
     return rep, seen[0]
@@ -537,9 +541,11 @@ def test_stability_report_matches_previous_stage():
         assert np.all(np.abs(g - w) <= 1e-12 * np.abs(w)), key
 
 
-def test_stability_keeps_no_full_box_slices():
+def test_stability_keeps_no_full_box_slices(monkeypatch):
     # 40 slices of full-box (v, v_x) at N = 2^15 would hold
-    # 40 * 2 * 2^15 * 16 B = 42 MB; the stage keeps rows on the curve nodes
+    # 40 * 2 * 2^15 * 16 B = 42 MB; the stage keeps rows on the curve nodes.
+    # tracemalloc sees this process only: the stage runs here on one CPU
+    monkeypatch.setattr(flow.dataio, "_fork_cpus", lambda: 1)
     n = 2**15
     up = nls.gaussian_field(125.0, n, 1e-2, width=2.0)
     tracemalloc.start()

@@ -77,13 +77,6 @@ def _emit(outdir, summary):
 SPECS = {
     "profile": {"a": (float, 0.5), "smax": (float, 20.0), "step": (float, 0.0)},
     "angle": {"a": (float, 0.5), "smax": (float, 400.0)},
-    "evolve": {
-        "problem": (str, "gp"), "sign": (int, -1), "a": (float, 0.5),
-        "t0": (float, 1.0), "t1": (float, 10.0), "n_steps": (int, 400),
-        "n_points": (int, 1024), "length": (float, 100.0),
-        "datum": (str, "const"), "amp": (float, 1e-2), "width": (float, 2.0),
-        "seed": (int, 0), "store_every": (int, 50), "coeff": (float, 0.0),
-    },
     "nls": {
         "a": (float, 0.5), "uplus_norm": (float, 1e-2), "width": (float, 2.0),
         "sign": (int, -1), "t0": (float, 10.0), "t1": (float, 1e4),
@@ -133,44 +126,6 @@ def _run_angle(params, outdir):
             "theta_spread": est.spread if est else None,
             "theta_energy_drift": est.energy_drift if est else None,
             "gamma_measured": prof.gamma_measured()}
-
-
-def _run_evolve(params, outdir):
-    potential = {"gp": "gp", "cubic": "none"}.get(params["problem"])
-    if potential is None:
-        raise FilamentError("problem must be 'gp' or 'cubic'")
-    coeff = params["coeff"] if params["coeff"] != 0 else None  # 0: the default
-    problem = nls.NlsProblem(sign=params["sign"], background_a=params["a"],
-                             potential=potential,
-                             t_span=(params["t0"], params["t1"]), coeff=coeff)
-    nls.check_memory(params["n_points"], params["n_steps"], params["store_every"])
-    f0 = nls.ComplexField.zeros(params["length"], params["n_points"])
-    if params["datum"] == "const":
-        v0 = f0.copy_with(np.full(params["n_points"], params["a"], dtype=complex))
-    elif params["datum"] == "gaussian":
-        bump = nls.gaussian_field(params["length"], params["n_points"],
-                                  params["amp"], params["width"])
-        v0 = f0.copy_with(params["a"] + bump.values)
-    elif params["datum"] == "random":
-        rng = np.random.default_rng(params["seed"])
-        modes = np.arange(-4, 5)
-        coefs = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
-        x = f0.grid()
-        w = sum(c * np.exp(2j * np.pi * m * x / params["length"])
-                for m, c in zip(modes, coefs))
-        v0 = f0.copy_with(params["a"] + params["amp"] * w / np.abs(w).max())
-    else:
-        raise FilamentError("datum must be const/gaussian/random")
-    res = nls.evolve(problem, v0, params["n_steps"],
-                     store_every=params["store_every"])
-    dataio.write_field_csvs(res.fields, [outdir / f"field_{i:04d}.csv"
-                                         for i in range(len(res.fields))])
-    energy = None
-    if potential == "gp":
-        energy = [nls.gp_energy(f, t, params["a"], params["sign"], problem.coeff)
-                  for f, t in zip(res.fields, res.times)]
-    return {"sign": params["sign"], "a": params["a"], "t_grid": res.times,
-            "mass_drift": res.mass_drift(), "energy_series": energy}
 
 
 def _run_nls(params, outdir):
@@ -273,7 +228,6 @@ def _run_selfcheck(params, outdir):
 RUNNERS = {
     "profile": _run_profile,
     "angle": _run_angle,
-    "evolve": _run_evolve,
     "nls": _run_nls,
     "spiral": _run_spiral,
     "stability": _run_stability,

@@ -1,6 +1,6 @@
 """Deterministic artifact serialization: JSON with %.17g floats, one CSV
-writer for curves and fields, config hashing for run directories, and the
-package's one forked worker.
+writer for curves, config hashing for run directories, and the package's
+one forked worker.
 
 ``_Worker`` forks a process that runs one task with the write end of a
 pipe, reads what it sends, and reaps it; a worker that exits before it has
@@ -249,18 +249,6 @@ def write_csvs(jobs):
 def write(path, header, columns):
     """One CSV: the one-job case of :func:`write_csvs`."""
     write_csvs([(path, header, columns)])
-
-
-def write_field_csvs(fields, paths):
-    """Snapshot CSVs with header s,re,im, one per field; the fields must
-    share one grid, which is computed once."""
-    fields = list(fields)
-    boxes = {(f.domain_length, f.n_points, f.s0) for f in fields}
-    if len(boxes) > 1:
-        raise ValueError("snapshot fields on different grids")
-    s = fields[0].grid() if fields else None
-    write_csvs([(path, "s,re,im", [s, f.values.real, f.values.imag])
-                for f, path in zip(fields, paths, strict=True)])
 
 
 def config_hash(params):

@@ -35,11 +35,11 @@ from .errors import (
 from .geometry import _nonuniform_dt, _uniform_step
 
 ALIAS_FRACTION = 1e-6
-# Planned bytes of an evolve run per box point (the stepper's buffers, the
-# datum's temporaries, the snapshot CSVs' shared grid), per point of a
-# stored snapshot (one complex sample) and per time step (the time grid and
-# its differences).  The tracemalloc peak of an evolve or nls CLI run grows
-# by 100 to 170, 16 and 32 bytes per unit of each; these round those up.
+# Planned bytes of a Strang run per box point (the stepper's buffers and the
+# datum's temporaries), per point of a stored snapshot (one complex sample)
+# and per time step (the time grid and its differences).  The tracemalloc
+# peak of ``evolve`` with its datum, or of an nls CLI run, grows by 100 to
+# 170, 16 and 32 bytes per unit of each; these round those up.
 _BYTES_PER_POINT = 200
 _BYTES_PER_STORED_POINT = 16
 _BYTES_PER_STEP = 40
@@ -272,11 +272,11 @@ def _strang(problem, v0, n_steps):
 
 
 def check_memory(n_points, n_steps, store_every):
-    """Plan the bytes of an ``evolve`` run on ``n_points`` that stores every
+    """Plan the bytes of a Strang run on ``n_points`` that stores every
     ``store_every`` of ``n_steps`` steps (0 or None: the endpoints only):
     the stepper's buffers, the n_steps/store_every + 2 stored snapshots and
-    their CSV columns, and the time grid.  Raise MemoryBudgetExceeded above
-    the package's budget; return the planned bytes."""
+    the time grid.  Raise MemoryBudgetExceeded above the package's budget;
+    return the planned bytes."""
     stored = n_steps // store_every + 2 if store_every else 2
     need = (n_points * (_BYTES_PER_POINT + _BYTES_PER_STORED_POINT * stored)
             + _BYTES_PER_STEP * (n_steps + 1))

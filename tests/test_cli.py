@@ -100,21 +100,6 @@ def test_stability_command_writes_frames_and_report(tmp_path):
     assert len(frames) == len(data["t_grid"])
 
 
-def test_evolve_gp_const_datum(tmp_path):
-    rc = run_cli(
-        ["evolve", "--problem", "gp", "--a", "0.5", "--datum", "const",
-         "--t0", "1", "--t1", "4", "--n-steps", "100", "--n-points", "256",
-         "--length", "50"],
-        tmp_path,
-    )
-    assert rc == 0
-    data, path = read_run_json(tmp_path, "evolve")
-    assert data["mass_drift"] <= 1e-10
-    assert max(abs(e) for e in data["energy_series"]) < 1e-12
-    fields = list(path.parent.glob("field_*.csv"))
-    assert len(fields) >= 2
-
-
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli.main(["bogus"]) == 2
     err = capsys.readouterr().err
@@ -125,10 +110,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert err.startswith("error[usage]:")
 
 
-@pytest.mark.parametrize("args", [["theta"], ["angle", "--method", "both"]],
-                         ids=["theta-subcommand", "angle-method"])
-def test_retired_angle_entry_points_are_usage_errors(tmp_path, capsys, args):
-    # angle is the one way to the angle-law figure
+@pytest.mark.parametrize("args", [
+    ["theta"],
+    ["angle", "--method", "both"],
+    ["evolve"],
+    ["evolve", "--problem", "gp"],
+], ids=["theta-subcommand", "angle-method", "evolve-subcommand", "evolve-problem"])
+def test_retired_entry_points_are_usage_errors(tmp_path, capsys, args):
+    # one subcommand per figure: angle is the one way to the angle-law
+    # figure, nls the one way onto the split-step stepper
     assert run_cli(args, tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error[usage]:") and err.count("\n") == 1
@@ -211,13 +201,9 @@ def test_stability_run_repeats_identically(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["evolve", "--n-steps", "0"],
-    ["evolve", "--n-steps", "-3"],
     ["nls", "--n-steps", "-3", "--n-points", "256", "--length", "100"],
     ["nls", "--n-steps", "1", "--n-points", "256", "--length", "100"],
-    ["evolve", "--store-every", "-1"],
-], ids=["evolve-zero-steps", "evolve-negative-steps", "nls-negative-steps",
-        "nls-one-step", "evolve-negative-store-every"])
+], ids=["nls-negative-steps", "nls-one-step"])
 def test_bad_step_counts_exit_2(tmp_path, capsys, args):
     assert run_cli(args, tmp_path) == 2
     err = capsys.readouterr().err
@@ -245,7 +231,6 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
 
 
 @pytest.mark.parametrize("args", [
-    ["evolve", "--n-steps", "0"],
     ["spiral", "--smax", "-1"],
     ["spiral", "--smax", "1e6"],
     ["profile", "--step", "inf"],
@@ -253,7 +238,6 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
     ["angle", "--smax", "inf"],
     ["profile", "--smax", "1e300"],
     ["angle", "--smax", "1e300"],
-    ["evolve", "--t0", "inf", *SMALL_GRID],
     ["nls", "--t1", "inf", *SMALL_GRID],
     ["nls", "--uplus-norm", "inf", *SMALL_GRID],
     ["stability", "--width", "0", *SMALL_GRID, "--n-slices", "8"],
@@ -262,39 +246,28 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
     ["stability", "--ds", "0", *SMALL_GRID, "--n-slices", "8"],
     ["stability", "--smax=inf", *SMALL_GRID, "--n-slices", "8"],
     ["stability", "--ds=-inf", *SMALL_GRID, "--n-slices", "8"],
-    ["evolve", "--length", "0", *SMALL_GRID],
-    ["evolve", "--length", "-5", *SMALL_GRID],
-    ["evolve", "--length", "inf", *SMALL_GRID],
     ["nls", "--length=-inf", *SMALL_GRID],
     ["nls", "--t0", "inf", *SMALL_GRID],
     ["nls", "--uplus-norm", "-0.01", *SMALL_GRID],
-    ["evolve", "--coeff", "nan", *SMALL_GRID],
-    ["evolve", "--coeff", "-1", *SMALL_GRID],
     ["profile", "--step", "nan"],
     ["profile", "--step", "-1"],
     ["profile", "--step", "10", "--smax", "20"],
     ["angle", "--config", "{bad_config}"],
-    ["evolve", "--length", "5e-324", "--n-points", "64", "--n-steps", "4"],
-    ["evolve", "--length", "1e-300", "--n-points", "64", "--n-steps", "4"],
     ["nls", "--width", "1e-300", *SMALL_GRID, "--length", "100"],
     ["stability", "--width", "1e-300", "--n-points", "256", "--n-steps", "20",
      "--n-slices", "8", "--tmin-factor", "1e-2"],
     ["stability", "--width", "0.1", "--tmin-factor", "1e-2"],
     ["stability", "--width", "0.01"],
-    ["evolve", "--datum", "gaussian", "--width", "1e200", *SMALL_GRID],
     ["stability", "--n-steps", "100000000"],
     ["stability", "--n-points", str(2**40)],
     ["stability", "--tmin-factor", "1e-6"],
     ["stability", "--smax", "1e300", "--ds", "1e300", "--t0", "1e-97",
      "--tmin-factor", "1e-2"],
     ["nls", "--n-points", "134217728"],
-    ["evolve", "--n-points", "268435456", "--n-steps", "2"],
-    ["evolve", "--n-steps", "1000000", "--store-every", "1", "--n-points", "4096"],
     ["stability", "--t0", "1e300"],
     ["stability", "--tmin-factor", "1e300"],
     ["stability", "--uplus-norm", "1e300"],
     ["nls", "--uplus-norm", "1e300"],
-    ["evolve", "--a", "1e300"],
     ["spiral", "--mu", "1e300"],
     ["nls", "--a", "1e300"],
     ["stability", "--ds", "0.3"],
@@ -304,26 +277,22 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
     ["angle", "--a", "1e300"],
     ["nls", "--length", "1e300", *SMALL_GRID],
     ["profile", "--smax", "1e154", "--step", "1e-160"],
-], ids=["evolve-zero-steps", "spiral-negative-smax", "spiral-over-step-limit",
+], ids=["spiral-negative-smax", "spiral-over-step-limit",
         "profile-inf-step", "profile-inf-smax", "angle-inf-smax",
-        "profile-huge-smax", "angle-huge-smax", "evolve-inf-t0", "nls-inf-t1",
+        "profile-huge-smax", "angle-huge-smax", "nls-inf-t1",
         "nls-inf-uplus-norm",
         "stability-zero-width", "stability-zero-t0", "stability-zero-tmin-factor",
         "stability-zero-ds", "stability-inf-smax", "stability-minus-inf-ds",
-        "evolve-zero-length", "evolve-negative-length", "evolve-inf-length",
         "nls-minus-inf-length", "nls-inf-t0", "nls-negative-uplus-norm",
-        "evolve-nan-coeff", "evolve-negative-coeff",
         "profile-nan-step", "profile-negative-step", "profile-step-above-spacing",
         "angle-bad-config-value",
-        "evolve-subnormal-grid-step", "evolve-tiny-grid-step",
         "nls-width-squared-underflows", "stability-width-squared-underflows",
         "stability-no-time-past-horizon", "stability-unresolved-datum",
-        "evolve-width-squared-overflows", "stability-huge-n-steps",
+        "stability-huge-n-steps",
         "stability-huge-n-points", "stability-huge-profile-span",
         "stability-infinite-profile-span", "nls-huge-n-points",
-        "evolve-huge-n-points", "evolve-huge-snapshot-count",
         "stability-huge-t0", "stability-huge-tmin-factor", "stability-huge-uplus-norm",
-        "nls-huge-uplus-norm", "evolve-huge-a", "spiral-huge-mu", "nls-huge-a",
+        "nls-huge-uplus-norm", "spiral-huge-mu", "nls-huge-a",
         "stability-no-node-at-zero", "stability-smax-below-cone-floor",
         "profile-huge-a", "spiral-huge-a", "angle-huge-a", "nls-huge-length",
         "profile-step-count-beyond-float"])
@@ -382,7 +351,6 @@ def test_failed_run_removes_its_partial_files(tmp_path, monkeypatch, capsys,
 SWEEP_BASE = {
     "profile": [],
     "angle": ["--smax", "20"],
-    "evolve": ["--n-points", "256", "--n-steps", "10"],
     # a box of 100 resolves the width-2 bump on 256 points (the default 900
     # does not, and the alias gate would reject every run)
     "nls": ["--n-points", "256", "--n-steps", "10", "--length", "100"],
@@ -437,18 +405,32 @@ def test_runtime_needs_no_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("sub, args", [
-    ("evolve", {"n_points": 2**14, "n_steps": 40, "store_every": 1, "datum": "gaussian"}),
+    ("evolve", {"n_points": 2**14, "n_steps": 40, "store_every": 1}),
     ("nls", {"n_points": 2**14, "n_steps": 240}),
 ])
 def test_nls_runs_stay_inside_their_memory_plan(tmp_path, sub, args):
-    params = {key: kind(default) for key, (kind, default) in cli.SPECS[sub].items()}
-    params.update(args)
-    store = params["store_every"] if sub == "evolve" else nls._long_range_store(
-        params["n_steps"])
-    plan = nls.check_memory(params["n_points"], params["n_steps"], store)
+    # evolve: the library stepper storing every step, on a gaussian bump
+    # over a background that is built while traced, as the nls runner
+    # builds its datum; nls: the CLI runner
+    if sub == "evolve":
+        store = args["store_every"]
+        problem = nls.NlsProblem(sign=-1, background_a=0.5, t_span=(1.0, 10.0))
+
+        def run():
+            bump = nls.gaussian_field(100.0, args["n_points"], 1e-2, 2.0)
+            nls.evolve(problem, bump.copy_with(0.5 + bump.values), args["n_steps"],
+                       store_every=store)
+    else:
+        params = {key: kind(default) for key, (kind, default) in cli.SPECS[sub].items()}
+        params.update(args)
+        store = nls._long_range_store(params["n_steps"])
+
+        def run():
+            cli.RUNNERS[sub](params, tmp_path)
+    plan = nls.check_memory(args["n_points"], args["n_steps"], store)
     tracemalloc.start()
     try:
-        cli.RUNNERS[sub](params, tmp_path)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

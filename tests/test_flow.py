@@ -359,6 +359,27 @@ def test_stability_perturbed_small_run():
     assert rep.boundary_w_max <= 1e-3 * a
 
 
+def test_default_box_hides_the_perturbation_past_the_horizon():
+    # Pins a known defect.  Below t_clean the default box (the CLI's at
+    # t_min = 1e-2) builds its slices from the unperturbed profile, so its
+    # gamma matches the closed form by construction.  The wrap-free box (same
+    # grid step, 8 times as long) reads every slice from the Schrodinger run
+    # and measures the perturbed corner.
+    length = 8.0 * (2.0 + math.sqrt(1.0 / 1e-2)) * 1.3
+    gaps, built = [], []
+    for scale in (1, 8):
+        up = nls.gaussian_field(scale * length, scale * 4096, 1e-2, width=2.0)
+        rep = flow.stability_experiment(0.5, up, 1.0, t_min_factor=1e-2, n_steps=1400)
+        gaps.append(abs(rep.gamma_measured - rep.gamma_closed_form))
+        built.append(rep.profile_slices)
+    assert built == [16, 0]
+    assert gaps == pytest.approx([6.85e-5, 1.32e-2], rel=0.05), (
+        f"|gamma - gamma_cf| {gaps[0]:.3g} in the default box against {gaps[1]:.3g} "
+        "in the wrap-free box: this gap is the past-horizon defect that the "
+        "continuation on the line (ROADMAP item 1, step 2) must close; once it "
+        "does, replace this pin with that step's go/no-go")
+
+
 def test_sup_T_defect_does_not_depend_on_the_reference_span(monkeypatch):
     # the reference tangent is evaluated on the slice nodes, not interpolated
     # between profile nodes, so a wider profile (other nodes) gives the same

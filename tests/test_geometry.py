@@ -330,26 +330,6 @@ def test_curve_csv_roundtrip(tmp_path):
         assert back.frames.tobytes() == curve.frames.tobytes()
 
 
-def test_field_csv_is_17g_per_value(tmp_path):
-    from filamentlab import dataio
-    from filamentlab.nls import ComplexField
-
-    rng = np.random.default_rng(1)
-    values = rng.normal(size=8192) + 1j * rng.normal(size=8192)
-    values[4095:4097] = [complex(-0.0, 5e-324), complex(5e-324, -0.0)]
-    field = ComplexField(50.0, 8192, values)
-    path = tmp_path / "field.csv"
-    dataio.write_field_csvs([field], [path])
-    expected = "s,re,im\n" + "".join(
-        "%.17g,%.17g,%.17g\n" % (s, v.real, v.imag) for s, v in zip(field.grid(), values)
-    )
-    assert path.read_text() == expected
-    # snapshots share one grid column, so fields on two boxes are refused
-    moved = ComplexField(50.0, 8192, values, s0=0.0)
-    with pytest.raises(ValueError, match="different grids"):
-        dataio.write_field_csvs([field, moved], [path, tmp_path / "moved.csv"])
-
-
 def test_solver_config_validation():
     for bad in ({"step": -1.0}, {"step": 0.0}, {"step": np.inf}, {"step": np.nan},
                 {"renorm_every": 0}, {"renorm_every": 1.5}, {"renorm_every": 2.0},

@@ -9,6 +9,7 @@ from filamentlab.errors import (
     AliasingDetected,
     GridTooCoarse,
     InvalidParameter,
+    MemoryBudgetExceeded,
     TimeSpanCrossesZero,
 )
 from filamentlab.geometry import IntrinsicData
@@ -203,9 +204,16 @@ def test_validation_errors():
         with pytest.raises(InvalidParameter):
             NlsProblem(**bad)
     for norm, width in ((math.inf, 2.0), (math.nan, 2.0), (-0.01, 2.0), (1.0, 0.0),
-                        (1.0, -1.0), (1.0, math.inf), (1.0, math.nan)):
+                        (1.0, -1.0), (1.0, math.inf), (1.0, math.nan), (1.0, 1e200)):
         with pytest.raises(InvalidParameter):
             gaussian_field(10.0, 64, norm, width)
+    quiet = NlsProblem(background_a=0.0, t_span=(1.0, 2.0))
+    for n_steps, store_every in ((0, None), (-3, None), (10, -1)):
+        with pytest.raises(InvalidParameter, match="must be >= "):
+            evolve(quiet, ComplexField.zeros(10.0, 64), n_steps, store_every=store_every)
+    # a snapshot at each of a million steps is refused before any is stored
+    with pytest.raises(MemoryBudgetExceeded, match="budget"):
+        nls.check_memory(4096, 10**6, 1)
     for length in (0.0, -5.0, math.inf, -math.inf, math.nan):
         with pytest.raises(InvalidParameter, match="domain_length"):
             ComplexField(length, 64, np.zeros(64, dtype=complex))

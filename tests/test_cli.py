@@ -357,9 +357,19 @@ SWEEP_BASE = {
     "spiral": ["--smax", "5"],
     "stability": ["--n-points", "256", "--n-steps", "20", "--n-slices", "8",
                   "--tmin-factor", "1e-2"],
+    "evolve": ["--n-points", "256", "--n-steps", "10"],
+}
+# the numeric options of the retired evolve subcommand: an old invocation
+# with any of them stays a usage error, whatever value it passes
+RETIRED_SPECS = {
+    "evolve": {key: (kind, None) for key, kind in (
+        ("sign", int), ("a", float), ("t0", float), ("t1", float),
+        ("n_steps", int), ("n_points", int), ("length", float),
+        ("amp", float), ("width", float), ("seed", int),
+        ("store_every", int), ("coeff", float))},
 }
 SWEEP = [(sub, key.replace("_", "-"), value)
-         for sub, spec in cli.SPECS.items()
+         for sub, spec in {**cli.SPECS, **RETIRED_SPECS}.items()
          for key, (kind, _default) in spec.items() if kind in (int, float)
          for value in (("nan", "inf", "-inf", "5e-324", "1e300") if kind is float
                        else (str(2**40),)) + ("0", "-1")]
@@ -374,6 +384,8 @@ def test_numeric_flag_sweep(tmp_path, capsys, sub, flag, value):
         rc = run_cli([sub, *SWEEP_BASE[sub], f"--{flag}={value}"], tmp_path)
     err = capsys.readouterr().err
     assert not caught, [str(w.message) for w in caught]
+    if sub in RETIRED_SPECS:
+        assert rc == 2 and err.startswith("error[usage]:"), err
     if rc == 0:
         assert err == ""
     else:

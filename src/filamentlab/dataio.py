@@ -2,41 +2,46 @@
 writer for curves, config hashing for run directories, and the package's
 one forked worker.
 
-``_Worker`` forks a process that runs one task with the write end of a
-pipe, reads what it sends, and reaps it; a worker that exits before it has
-sent all it owes raises OSError, and every caller reaps its workers before
-it returns or raises.  A caller forks at most one process per CPU this
-process may run on (``_fork_cpus``: ``os.sched_getaffinity``, 1 where
-``os.fork`` does not exist), and only for work that outweighs a fork round
-trip of a few milliseconds.  Three callers use it:
+``_Worker`` forks a process that runs one task with ``send``, which
+pickles each object it is given (protocol 5: arrays travel as their raw
+bytes) into a pipe; the parent loads them in order with ``recv``.  A
+worker that exits before it has sent all it owes raises OSError, and every
+caller reaps its workers before it returns or raises.  A caller forks at
+most one process per CPU this process may run on (``_fork_cpus``:
+``os.sched_getaffinity``, 1 where ``os.fork`` does not exist), and only for
+work that outweighs a fork round trip of a few milliseconds.  Three
+callers use it:
 
 * The CSV writer.  It formats 4096 rows per ``%`` operation, and that
   formatting holds the interpreter lock, so a batch of CSVs is spread over
   P processes.  Its blocks, taken file by file in order, are dealt
   round-robin: the parent formats blocks 0, P, 2P, ... straight into the
-  files, and worker k formats blocks k, P + k, ... into its pipe, one
-  length-prefixed segment per block, which the parent copies into its file
-  in bounded chunks when it reaches that block.  A worker thus runs at most
-  about one block ahead of the parent, and neither side holds more than a
-  block's text.  P is capped so that each process formats at least
-  ``_MIN_SHARE`` floats and one block; at P = 1 nothing is forked.
-* ``spiral.spiral_profile``, which runs the s <= 0 side of its profile in
-  one worker (see ``spiral._sides``).
-* ``flow.stability_experiment``, which runs its Schrodinger stage in one
-  worker while it builds and evaluates the reference profile (see
-  ``flow._stage``).
+  files, and worker k sends blocks k, P + k, ..., one message each, which
+  the parent writes to its file when it reaches that block.  A worker thus
+  runs at most about one block ahead of the parent.  P is capped so that
+  each process formats at least ``_MIN_SHARE`` floats and one block; at
+  P = 1 nothing is forked.
+* ``spiral.spiral_profile`` and ``flow.stability_experiment``, through
+  ``_beside``: each runs one independent half of its work in a worker
+  (the profile's s <= 0 side, the stability run's Schrodinger stage) while
+  it does the other half, and gets the worker's result, or the
+  FilamentError it raised, back as one message.
 
 The bytes written do not depend on the number of processes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import os
+import pickle
 import signal
 
 import numpy as np
+
+from .errors import FilamentError
 
 
 def _fmt_float(x):
@@ -94,7 +99,6 @@ def dump_json(obj, path):
 
 _CSV_BLOCK = 4096      # rows formatted per % operation; bounds the string held
 _MIN_SHARE = 1 << 16   # floats per process at least: a fork costs milliseconds
-_PIPE_CHUNK = 1 << 20  # bytes copied from a worker's pipe at once
 
 
 def _n_rows(columns):
@@ -111,70 +115,58 @@ def _format_block(columns, start):
     return ((row * len(block)) % tuple(block.ravel().tolist())).encode()
 
 
-def _send(fd, data):
-    """Write all of the C-contiguous buffer ``data`` to ``fd``."""
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view) :]
-
-
 class _Worker:
-    """A forked process that runs ``task(fd)``, ``fd`` the write end of a
-    pipe whose read end the parent holds, and exits 0 when it returns."""
+    """A forked process that runs ``task(send)`` and exits 0 when it
+    returns; ``send(obj)`` pickles ``obj`` into a pipe whose read end the
+    parent holds, and ``recv`` loads the objects in the order sent."""
 
     def __init__(self, name, task, inherited=()):
         """Fork; ``name`` names the worker in errors and ``inherited`` are
         the parent's read ends that the child closes."""
         self.name, self.code = name, None
-        self.fd, w = os.pipe()
+        r, w = os.pipe()
         try:
             self.pid = os.fork()
         except OSError:
-            os.close(self.fd)
+            os.close(r)
             os.close(w)
             raise
         if self.pid:
             os.close(w)
+            self.pipe = open(r, "rb")
             return
         # the child never returns: it leaves by os._exit, without running
         # the parent's handlers or flushing its buffers; a write to a
         # pipe whose reader has gone fails with EPIPE and ends it too
         code = 1
         try:
-            for fd in (self.fd, *inherited):
+            for fd in (r, *inherited):
                 os.close(fd)
-            task(w)
+            out = open(w, "wb")
+
+            def send(obj):
+                pickle.dump(obj, out, protocol=5)
+                out.flush()
+
+            task(send)
             code = 0
         finally:
             os._exit(code)
 
-    def _ended(self):
-        return OSError(f"{self.name} {self.pid} exited with code {self.reap()} "
-                       "before sending its rows")
-
-    def read(self, n):
-        """At most ``n`` bytes, at least one, from the worker's pipe."""
-        data = os.read(self.fd, n)
-        if not data:
-            raise self._ended()
-        return data
-
-    def readinto(self, buf):
-        """Fill the C-contiguous buffer ``buf`` from the pipe; return it."""
-        view = memoryview(buf).cast("B")
-        while view:
-            n = os.readv(self.fd, [view])
-            if not n:
-                raise self._ended()
-            view = view[n:]
-        return buf
+    def recv(self):
+        """The next object the worker sent; OSError if it ended first."""
+        try:
+            return pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise OSError(f"{self.name} {self.pid} exited with code {self.reap()} "
+                          "before sending its rows") from None
 
     def reap(self, kill=False):
         """Close the pipe, wait for the process and return its exit code
         (-signal if a signal ended it); ``kill`` sends SIGKILL first, for
         a caller that is failing and will not read the rest."""
         if self.code is None:
-            os.close(self.fd)
+            self.pipe.close()
             if kill:
                 os.kill(self.pid, signal.SIGKILL)
             self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
@@ -190,22 +182,52 @@ def _fork_cpus():
     return len(os.sched_getaffinity(0))
 
 
-def _send_blocks(jobs, blocks, fd):
-    """A CSV worker's task: each (job index, first row) block of ``blocks``
-    as one 8-byte-length-prefixed segment, in order."""
+def _send_result(fn, send):
+    """A ``_beside`` worker's task: send (True, ``fn()``), or (False, the
+    FilamentError that ``fn`` raised)."""
+    try:
+        value = fn()
+    except FilamentError as exc:
+        send((False, exc))
+    else:
+        send((True, value))
+
+
+@contextlib.contextmanager
+def _beside(name, fn, worth_forking):
+    """Yield a callable that returns ``fn()``.
+
+    Where ``worth_forking`` holds and this process may run on two CPUs,
+    ``fn`` starts at once in a worker named ``name``, and the callable
+    waits for its result: a FilamentError that ``fn`` raised there is
+    raised here as itself, and any other failure ends the worker with code
+    1, an OSError here.  Otherwise the callable runs ``fn`` here.  A worker
+    still running when the context exits, on a failure, is killed; it is
+    always reaped.
+    """
+    if not worth_forking or _fork_cpus() < 2:
+        yield fn
+        return
+    worker = _Worker(name, functools.partial(_send_result, fn))
+
+    def result():
+        ok, value = worker.recv()
+        worker.reap()
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        worker.reap(kill=True)  # a no-op once the result has been read
+
+
+def _send_blocks(jobs, blocks, send):
+    """A CSV worker's task: send each (job index, first row) block of
+    ``blocks``, formatted, as one message, in order."""
     for j, start in blocks:
-        text = _format_block(jobs[j][2], start)
-        _send(fd, len(text).to_bytes(8, "little"))
-        _send(fd, text)
-
-
-def _copy_block(worker, out):
-    """Copy a CSV worker's next block into the binary file ``out``."""
-    n = int.from_bytes(worker.readinto(bytearray(8)), "little")
-    while n:
-        chunk = worker.read(min(n, _PIPE_CHUNK))
-        out.write(chunk)
-        n -= len(chunk)
+        send(_format_block(jobs[j][2], start))
 
 
 def _n_processes(n_floats, n_blocks):
@@ -229,15 +251,16 @@ def write_csvs(jobs):
     workers = []
     try:
         for k in range(1, p):
-            workers.append(_Worker("CSV worker", functools.partial(
-                _send_blocks, jobs, blocks[k::p]), [w.fd for w in workers]))
+            workers.append(_Worker(
+                "CSV worker", functools.partial(_send_blocks, jobs, blocks[k::p]),
+                [w.pipe.fileno() for w in workers]))
         i = 0
         for (path, header, columns), rows in zip(jobs, starts):
             with open(path, "wb") as fh:
                 fh.write(header.encode() + b"\n")
                 for start in rows:
                     if i % p:
-                        _copy_block(workers[i % p - 1], fh)
+                        fh.write(workers[i % p - 1].recv())
                     else:
                         fh.write(_format_block(columns, start))
                     i += 1

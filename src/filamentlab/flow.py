@@ -19,7 +19,7 @@ builds its slices below the box's faithful horizon from its reference
 profile instead of integrating them; ``reconstruct_flow`` integrates all.
 
 The stability experiment's two independent halves run at once where that
-pays: its Schrodinger stage, in a forked worker (``dataio._Worker``) when
+pays: its Schrodinger stage, in a forked worker (``dataio._beside``) when
 this process may run on two CPUs and the stage has at least
 ``_MIN_STAGE_SIZE`` step-points (n_steps + 1) N, and its reference side
 (the profile G_a, its evaluation on every slice node, A+/-) in this
@@ -29,19 +29,17 @@ its artifacts are bit-identical either way.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import dataio, errors, nls, selfsimilar
+from . import dataio, nls, selfsimilar
 from .errors import (
     AliasingDetected,
     ConstraintViolated,
     CurvatureVanishes,
-    FilamentError,
     GridTooCoarse,
     InsufficientTimeRange,
     InvalidParameter,
@@ -470,62 +468,6 @@ def _schrodinger_stage(problem, v0, n_steps, slice_ids, s_grid):
     return origin, cmat, taumat, min_abs, boundary_w
 
 
-def _send_stage(args, fd):
-    """The stage worker's task: run ``_schrodinger_stage(*args)`` and send
-    an 8-byte length, then either that many bytes, "Class: message" of the
-    FilamentError that stopped the stage, or, at length 0, the raw bytes of
-    ``origin``, ``cmat``, ``taumat`` and (``min_abs``, ``boundary_w``)."""
-    try:
-        *arrays, min_abs, boundary_w = _schrodinger_stage(*args)
-    except FilamentError as exc:
-        line = f"{type(exc).__name__}: {exc}".encode()
-        dataio._send(fd, len(line).to_bytes(8, "little") + line)
-        return
-    dataio._send(fd, bytes(8))
-    for x in (*arrays, np.array([min_abs, boundary_w])):
-        dataio._send(fd, x)
-
-
-def _read_stage(worker, n_steps, n_rows, n_nodes):
-    """What ``_send_stage`` sent, read into arrays of the planned shapes; a
-    FilamentError of the stage is raised here, as the same class."""
-    n = int.from_bytes(worker.readinto(bytearray(8)), "little")
-    if n:
-        name, _, message = worker.readinto(bytearray(n)).decode().partition(": ")
-        worker.reap()
-        raise getattr(errors, name)(message)
-    origin = worker.readinto(np.empty((n_steps + 1, 3), dtype=complex))
-    cmat = worker.readinto(np.empty((n_rows, n_nodes)))
-    taumat = worker.readinto(np.empty_like(cmat))
-    min_abs, boundary_w = worker.readinto(np.empty(2)).tolist()
-    worker.reap()
-    return origin, cmat, taumat, min_abs, boundary_w
-
-
-@contextlib.contextmanager
-def _stage(problem, v0, n_steps, slice_ids, s_grid):
-    """Yield a callable that returns ``_schrodinger_stage``'s result.
-
-    With two CPUs (``dataio._fork_cpus``) and at least ``_MIN_STAGE_SIZE``
-    step-points (n_steps + 1) N, the stage starts in a forked worker on
-    entry and the callable reads its arrays back through the pipe;
-    otherwise the callable runs the stage in this process.  A worker still
-    running when the context exits, on a failure, is killed; it is always
-    reaped.
-    """
-    args = (problem, v0, n_steps, slice_ids, s_grid)
-    if (n_steps + 1) * v0.n_points < _MIN_STAGE_SIZE or dataio._fork_cpus() < 2:
-        yield functools.partial(_schrodinger_stage, *args)
-        return
-    worker = dataio._Worker("stability stage worker",
-                            functools.partial(_send_stage, args))
-    try:
-        yield functools.partial(_read_stage, worker, n_steps, len(slice_ids),
-                                len(s_grid))
-    finally:
-        worker.reap(kill=True)  # a no-op once the stage has been read
-
-
 def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
                          ds=0.01, n_steps=2000, n_slices=40):
     """Drive the perturbed corner pipeline end to end.
@@ -549,7 +491,7 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     (AliasingDetected) and a run whose interior times all lie below t_clean
     (InsufficientTimeRange) are rejected before the Schrodinger stage.
 
-    Where ``_stage`` forks (two CPUs, at least ``_MIN_STAGE_SIZE``
+    Where ``dataio._beside`` forks (two CPUs, at least ``_MIN_STAGE_SIZE``
     step-points), the Schrodinger stage runs in a worker process, and this
     process meanwhile builds the reference profile, evaluates it on every
     slice node and reads A+/-; the origin series, the origin track, the
@@ -596,7 +538,10 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     # amplitude O(||u_plus|| sqrt(t))): the first n_prof slices continue
     # with the unperturbed fields, and the stage reads only the others
     n_prof = int(np.sum(t_slices < t_clean))
-    with _stage(problem, v0, n_steps, slice_ids[n_prof:], s_grid) as stage:
+    with dataio._beside("stability stage worker",
+                        functools.partial(_schrodinger_stage, problem, v0, n_steps,
+                                          slice_ids[n_prof:], s_grid),
+                        (n_steps + 1) * v0.n_points >= _MIN_STAGE_SIZE) as stage:
         # the unperturbed reference needs nothing of the stage: G_a, its
         # frames and points on every slice node (sigma = s/sqrt(t)), which
         # give the slices below t_clean and the reference tangent, and A+/-

@@ -237,10 +237,12 @@ def _strang(problem, v0, n_steps):
     with np.errstate(over="ignore"):
         xi2 = v0.xi()[:m] ** 2
         top = xi2[-1] * np.max(np.abs(half_dt))
-    if not np.isfinite(top):
+    # from 1/eps radians on, rounding the phase alone exceeds a radian
+    if not top < 1 / sys.float_info.epsilon:
         raise InvalidParameter(
-            f"half-step phase xi^2 dt/2 overflows on the grid step "
-            f"{v0.domain_length / n:g}")
+            f"half-step phase xi^2 dt/2 = {top:.3g} rad overflows a float's "
+            f"radian resolution (grid step {v0.domain_length / n:g}, "
+            f"largest time step {2 * np.max(np.abs(half_dt)):.3g})")
     gp = problem.potential == "gp"
     a2 = problem.background_a**2 if gp else 0.0
     # cubic phase per unit |v|^2; the 1/t coefficient integrates to log(t_{k+1}/t_k)

@@ -23,7 +23,7 @@ The rotating profile has no mirror symmetry, so its two sides of s = 0 are
 two independent runs.  ``spiral_profile`` plans and checks both, then, when
 this process may run on two CPUs and each side has at least
 ``_MIN_SIDE_STEPS`` fine steps (about one fork round trip), integrates the
-s <= 0 side in one forked worker (``dataio._Worker``) while it integrates
+s <= 0 side in one forked worker (``dataio._beside``) while it integrates
 the s >= 0 side itself.  The result is bit-identical to the serial run.
 The mirrored ``selfsimilar.profile`` and the stability slices of ``flow``
 call ``integrators.two_sided`` directly and fork nothing.
@@ -249,36 +249,23 @@ def _sides(params, s_lo, s_hi, cfg):
 
     Both sides are planned and checked before either runs.  With two CPUs
     and at least ``_MIN_SIDE_STEPS`` fine steps on each side, the s <= 0
-    side runs in a forked worker (``dataio._Worker``) while this process
-    runs the s >= 0 side, and comes back through the pipe as the raw bytes
-    of its block-end array, whose shape the plan gives.  The two runs do
-    the same arithmetic as the serial one, so the result is bit-identical.
+    side runs in a forked worker (``dataio._beside``) while this process
+    runs the s >= 0 side.  The two runs do the same arithmetic as the
+    serial one, so the result is bit-identical.
     """
     y0 = (*params.G0.tolist(), *params.T0.tolist())
     plans = {end: _fixed_step(_PROFILE, (params.mu,), y0, 0.0, end, cfg)
              for end in (s_hi, s_lo) if end != 0}
     steps = [(len(s) - 1) * int(cfg.renorm_every) for s, _ in plans.values()]
-    worker = None
-    if (len(plans) == 2 and min(steps) >= _MIN_SIDE_STEPS
-            and dataio._fork_cpus() >= 2):
-        minus = plans[s_lo][1]
-        worker = dataio._Worker("spiral side worker",
-                                lambda fd: dataio._send(fd, minus()))
+    with dataio._beside("spiral side worker", lambda: plans[s_lo][1](),
+                        len(plans) == 2 and min(steps) >= _MIN_SIDE_STEPS) as minus:
 
-    def run(end):
-        s, integrate = plans[end]
-        if worker is not None and end == s_lo:
-            out = worker.readinto(np.empty((len(s), 6)))
-            worker.reap()
-        else:
-            out = integrate()
-        return s, out[:, :3], out[:, 3:]
+        def run(end):
+            s, integrate = plans[end]
+            out = minus() if end == s_lo else integrate()
+            return s, out[:, :3], out[:, 3:]
 
-    try:
         return two_sided(run, s_lo, s_hi)
-    finally:
-        if worker is not None:
-            worker.reap(kill=True)  # a no-op once its side has been read
 
 
 def spiral_profile(params, s_span, cfg=None):

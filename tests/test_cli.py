@@ -222,12 +222,19 @@ def test_selfcheck_exit_code_follows_checks(tmp_path, monkeypatch, all_ok, code)
 
 
 SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
+# the split step's time step, not the datum, is what a huge time scale breaks
+PHASE = "half-step phase xi^2 dt/2 = 3.23e+301 rad overflows"
 # failed-run rows whose one line must also name what is wrong
 FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
                  ("stability", "--smax", "0.5"): "the cone defect reads |s| >= 1",
                  ("profile", "--a", "1e300"): "propagator became non-finite",
                  ("profile", "--smax", "1e154", "--step", "1e-160"): "inf steps needed",
-                 ("nls", "--length", "1e300", *SMALL_GRID): "narrower than the grid step"}
+                 ("nls", "--length", "1e300", *SMALL_GRID): "narrower than the grid step",
+                 ("nls", "--t0", "inf", *SMALL_GRID, "--length", "100"): "must be finite",
+                 ("nls", "--t1", "inf", *SMALL_GRID, "--length", "100"): "must be finite",
+                 ("nls", "--t0", "1e300", *SMALL_GRID, "--length", "100"): PHASE,
+                 ("nls", "--t1", "1e300", *SMALL_GRID, "--length", "100"): PHASE,
+                 ("nls", "--t1", "1e300", "--n-steps", "10000"): "2.72e+301 rad overflows"}
 
 
 @pytest.mark.parametrize("args", [
@@ -238,7 +245,7 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
     ["angle", "--smax", "inf"],
     ["profile", "--smax", "1e300"],
     ["angle", "--smax", "1e300"],
-    ["nls", "--t1", "inf", *SMALL_GRID],
+    ["nls", "--t1", "inf", *SMALL_GRID, "--length", "100"],
     ["nls", "--uplus-norm", "inf", *SMALL_GRID],
     ["stability", "--width", "0", *SMALL_GRID, "--n-slices", "8"],
     ["stability", "--t0", "0", *SMALL_GRID, "--n-slices", "8"],
@@ -247,7 +254,7 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
     ["stability", "--smax=inf", *SMALL_GRID, "--n-slices", "8"],
     ["stability", "--ds=-inf", *SMALL_GRID, "--n-slices", "8"],
     ["nls", "--length=-inf", *SMALL_GRID],
-    ["nls", "--t0", "inf", *SMALL_GRID],
+    ["nls", "--t0", "inf", *SMALL_GRID, "--length", "100"],
     ["nls", "--uplus-norm", "-0.01", *SMALL_GRID],
     ["profile", "--step", "nan"],
     ["profile", "--step", "-1"],
@@ -277,6 +284,9 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
     ["angle", "--a", "1e300"],
     ["nls", "--length", "1e300", *SMALL_GRID],
     ["profile", "--smax", "1e154", "--step", "1e-160"],
+    ["nls", "--t0", "1e300", *SMALL_GRID, "--length", "100"],
+    ["nls", "--t1", "1e300", *SMALL_GRID, "--length", "100"],
+    ["nls", "--t1", "1e300", "--n-steps", "10000"],
 ], ids=["spiral-negative-smax", "spiral-over-step-limit",
         "profile-inf-step", "profile-inf-smax", "angle-inf-smax",
         "profile-huge-smax", "angle-huge-smax", "nls-inf-t1",
@@ -295,7 +305,8 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
         "nls-huge-uplus-norm", "spiral-huge-mu", "nls-huge-a",
         "stability-no-node-at-zero", "stability-smax-below-cone-floor",
         "profile-huge-a", "spiral-huge-a", "angle-huge-a", "nls-huge-length",
-        "profile-step-count-beyond-float"])
+        "profile-step-count-beyond-float", "nls-huge-t0", "nls-huge-t1",
+        "nls-huge-t1-many-steps"])
 def test_failed_run_leaves_no_directory(tmp_path_factory, tmp_path, capsys, args):
     bad_config = tmp_path_factory.mktemp("config") / "bad.cfg"
     bad_config.write_text("a = abc\n")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from test_properties import curves
 
-from filamentlab import cli, dataio, flow, nls, selfsimilar, spiral
+from filamentlab import cli, dataio, errors, flow, nls, selfsimilar, spiral
 from filamentlab.errors import CurvatureVanishes
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
@@ -207,6 +207,27 @@ def test_worker_exits_when_its_reader_has_gone():
     assert worker.reap() == 1
     _assert_no_child()
 
+
+
+FILAMENT_ERRORS = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, errors.FilamentError)]
+
+
+@pytest.mark.parametrize("cls", FILAMENT_ERRORS, ids=lambda c: c.__name__)
+def test_filament_error_in_a_worker_is_raised_as_itself(monkeypatch, cls):
+    def fail():
+        raise cls(f"{cls.__name__} in process {os.getpid()}")
+
+    _cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(cls) as caught:
+        with dataio._beside("test worker", fail, True) as result:
+            result()
+    assert type(caught.value) is cls
+    pid = int(str(caught.value).rpartition(" ")[2])
+    assert str(caught.value) == f"{cls.__name__} in process {pid}" and pid != os.getpid()
+    assert forks == [1]
+    _assert_no_child()
 
 # --- the spiral profile: its s <= 0 side in a forked worker ---
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -235,6 +236,24 @@ def test_validation_errors():
     with pytest.raises(AliasingDetected):
         evolve(problem, f, 10)
 
+
+
+@pytest.mark.parametrize("factor, rejected", [(0.999, False), (1.001, True)])
+def test_half_step_phase_is_bounded_by_float_resolution(factor, rejected):
+    # one free step whose Nyquist phase xi^2 dt/2 is just below or above
+    # 1/eps radians, where rounding the phase alone exceeds a radian; a
+    # constant field keeps its one mode, so the step is otherwise harmless
+    field = ComplexField(100.0, 256, np.ones(256, dtype=complex))
+    xi_max = math.pi * 256 / 100.0
+    dt = factor * 2 / (sys.float_info.epsilon * xi_max**2)
+    problem = NlsProblem(sign=1, background_a=0.0, potential="none", t_span=(0.0, dt))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if rejected:
+            with pytest.raises(InvalidParameter, match="radian resolution"):
+                evolve(problem, field, 1)
+        else:
+            assert evolve(problem, field, 1).times[-1] == dt
 
 def test_alias_gate_sees_perturbation_under_background():
     # grid step 1.95 against width 2: the bump is under-resolved, and a

@@ -22,9 +22,11 @@ The stability experiment's two independent halves run at once where that
 pays: its Schrodinger stage, in a forked worker (``dataio._beside``) when
 this process may run on two CPUs and the stage has at least
 ``_MIN_STAGE_SIZE`` step-points (n_steps + 1) N, and its reference side
-(the profile G_a, its evaluation on every slice node, A+/-) in this
-process meanwhile.  The arithmetic is the serial run's, so the report and
-its artifacts are bit-identical either way.
+(G_a sampled on every slice node, and A+/-) in this process meanwhile.  The
+arithmetic is the serial run's, so the report and its artifacts are
+bit-identical either way.  The reference is ``selfsimilar.sample``: one run
+over the profile's span that keeps only the nodes the slices read, so its
+memory is those nodes and one kernel piece, not the span.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import dataio, nls, selfsimilar
+from . import dataio, integrators, nls, selfsimilar
 from .errors import (
     AliasingDetected,
     ConstraintViolated,
@@ -57,12 +59,17 @@ _CONE_FLOOR = 1.0      # the cone defect reads the nodes with |s| at or above it
 # Planned bytes of a stability run per time step (time grid, origin series,
 # origin-frame ODE), per box point (the stepper's buffers, the spectral
 # weights, the upsampled slice), per slice node (the (c, tau) rows and the
-# curves) and per node of the reference profile.  The tracemalloc peak grows
-# by 790, 265, 385 and 200 bytes per unit of each; these round those up.
+# curves), per slice node again for the reference profile sampled there
+# (sigma, frame and point, 104 bytes, kept while the slices are built; the
+# sampling's scratch, 360 bytes per node, is freed before) and per fine step
+# of one piece of the frame kernel (integrators._CHUNK).  The tracemalloc
+# peak grows by 790, 265, 375 (slice and reference node together) and 245
+# bytes per unit; these round those up.
 _BYTES_PER_STEP = 1000
 _BYTES_PER_POINT = 400
 _BYTES_PER_NODE = 500
-_BYTES_PER_PROFILE_NODE = 250
+_BYTES_PER_REFERENCE_NODE = 120
+_BYTES_PER_PIECE_STEP = 250
 # Range of the time scales t0 and t_min of a stability run: the pipeline's
 # time derivatives and Magnus steps carry up to t^3, a normal float in here
 _TIME_SCALES = (1e-100, 1e100)
@@ -188,18 +195,16 @@ def _frame_ode_backward(series):
     return out[::-1]
 
 
-def _profile_slice(prof, s, tk, Fk, pk, ref=None):
+def _profile_slice(a, s, tk, Fk, pk, ref):
     """Slice of the fields c = a/sqrt(t), tau = s/2t built from the profile.
 
     With sigma = s/sqrt(t) the Frenet system in s is the profile system in
     sigma, so the frame is F_G(sigma) @ Fk and the point
-    pk + sqrt(t) (G(sigma) - G(0)) @ Fk.  ``ref`` is (F_G, G) at those
-    sigma when the caller has evaluated them already.
+    pk + sqrt(t) (G(sigma) - G(0)) @ Fk, with G(0) = (0, 0, 2a).  ``ref``
+    is (F_G, G) at those sigma (``selfsimilar.sample``).
     """
-    rt = math.sqrt(tk)
-    F, G = selfsimilar.evaluate(prof, s / rt) if ref is None else ref
-    G0 = prof.curve.points[np.searchsorted(prof.curve.s_grid, 0.0)]
-    return Curve(s, pk + rt * (G - G0) @ Fk, F @ Fk)
+    F, G = ref
+    return Curve(s, pk + math.sqrt(tk) * (G - np.array([0.0, 0.0, 2 * a])) @ Fk, F @ Fk)
 
 
 def _check_times(t, name):
@@ -322,9 +327,9 @@ class StabilityReport:
     The ``profile_slices`` slices with t < ``t_clean`` carry the unperturbed
     fields and are built from the reference profile; on them
     ``sup_T_defect`` measures only the perturbation of the origin frame.
-    The reference tangent is evaluated on each slice's nodes by
-    ``selfsimilar.evaluate``, as the built slices are, so the figure does
-    not depend on the profile's grid.  ``min_v_over_a`` is the least |v|/a
+    The reference tangent is sampled on each slice's nodes by
+    ``selfsimilar.sample``, as the built slices are, so the figure does not
+    depend on the profile's grid.  ``min_v_over_a`` is the least |v|/a
     over the box samples of the stepper's mid-step fields, one per Strang
     step (the datum excluded); the run stops with CurvatureVanishes once it
     falls below 1/2.
@@ -355,7 +360,7 @@ class StabilityReport:
 def _reference_span(sig_max):
     """Span of the reference profile: the largest sigma = s/sqrt(t) that a
     slice node reaches, plus one output spacing, and at least 50;
-    selfsimilar.evaluate still rejects a node beyond it."""
+    selfsimilar.sample still rejects a node beyond it."""
     cfg = selfsimilar._default_cfg(sig_max)
     return max(sig_max + cfg.step * cfg.renorm_every, 50.0)
 
@@ -366,8 +371,11 @@ def check_scales(t0, t_min_factor, s_max, ds, n_points, n_steps, n_slices):
     t_min_factor above the trace's 1e-2 (InsufficientTimeRange), a t0 or
     t_min outside ``_TIME_SCALES``, a curve grid whose node count
     2 s_max/ds overflows, a reference profile whose span s_max/sqrt(t_min)
-    overflows, and a run whose largest arrays would exceed
-    ``MemoryBudgetExceeded.BUDGET``."""
+    overflows or needs more than ``SolverConfig.max_steps`` fine steps
+    (StepLimitExceeded), and a run whose largest arrays would exceed
+    ``MemoryBudgetExceeded.BUDGET``; returns the planned bytes.  The
+    reference profile costs its requested nodes, one per slice node, and
+    one piece of the frame kernel, not its span."""
     t_min = t0 * t_min_factor
     for name, v in (("t0", t0), ("t_min_factor", t_min_factor), ("s_max", s_max),
                     ("ds", ds), ("t0 * t_min_factor", t_min)):
@@ -391,10 +399,13 @@ def check_scales(t0, t_min_factor, s_max, ds, n_points, n_steps, n_slices):
             "the reference profile span s_max/sqrt(t0 * t_min_factor) is infinite")
     span = _reference_span(sig_max)
     cfg = selfsimilar._default_cfg(span)
+    integrators._blocks(0.0, span, cfg.step, cfg.renorm_every, cfg.max_steps)
+    nodes = n_slices * (2 * s_max / ds + 1)
     need = (_BYTES_PER_STEP * (n_steps + 1) + _BYTES_PER_POINT * n_points
-            + _BYTES_PER_NODE * n_slices * (2 * s_max / ds + 1)
-            + _BYTES_PER_PROFILE_NODE * 2 * span / (cfg.step * cfg.renorm_every))
+            + (_BYTES_PER_NODE + _BYTES_PER_REFERENCE_NODE) * nodes
+            + _BYTES_PER_PIECE_STEP * integrators._CHUNK)
     MemoryBudgetExceeded.check(need, "stability run")
+    return need
 
 
 def _schrodinger_stage(problem, v0, n_steps, slice_ids, s_grid):
@@ -493,9 +504,9 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
 
     Where ``dataio._beside`` forks (two CPUs, at least ``_MIN_STAGE_SIZE``
     step-points), the Schrodinger stage runs in a worker process, and this
-    process meanwhile builds the reference profile, evaluates it on every
-    slice node and reads A+/-; the origin series, the origin track, the
-    slices and the defects follow here once the stage's arrays are back.
+    process meanwhile samples the reference profile on every slice node and
+    reads A+/-; the origin series, the origin track, the slices and the
+    defects follow here once the stage's arrays are back.
     Otherwise all of it runs here.  The report is bit-identical either way;
     a FilamentError of the stage is raised as the same class, a worker
     that dies is OSError, and no worker outlives the call.
@@ -542,14 +553,15 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
                         functools.partial(_schrodinger_stage, problem, v0, n_steps,
                                           slice_ids[n_prof:], s_grid),
                         (n_steps + 1) * v0.n_points >= _MIN_STAGE_SIZE) as stage:
-        # the unperturbed reference needs nothing of the stage: G_a, its
+        # the unperturbed reference needs nothing of the stage: G_a's
         # frames and points on every slice node (sigma = s/sqrt(t)), which
         # give the slices below t_clean and the reference tangent, and A+/-
         sig_max = float(np.max(np.abs(s_grid))) / math.sqrt(t_slices[0])
-        prof = selfsimilar.profile(a, _reference_span(sig_max))
         sig = (s_grid[None] / np.sqrt(t_slices)[:, None]).ravel()
-        F_ref, G_ref = selfsimilar.evaluate(prof, sig)
-        sA = selfsimilar.chi(prof, s_grid, 0.0)
+        F_ref, G_ref, A_plus, A_minus = selfsimilar.sample(a, _reference_span(sig_max),
+                                                           sig)
+        # the V-shape trace s A+/- of the unperturbed flow
+        sA = np.where(s_grid[:, None] >= 0, A_plus, A_minus) * s_grid[:, None]
         origin, cmat, taumat, min_abs, boundary_w = stage()
 
     # u-side origin series (t = 1/T, ascending in t).  The frame ODE is run
@@ -591,7 +603,7 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     point0 = np.array([0.0, 0.0, 2 * a * math.sqrt(t_max)])
     frames, chi = _origin_track(series, np.eye(3), point0, t_slices)
     refs = zip(F_ref.reshape(n_slices, -1, 3, 3), G_ref.reshape(n_slices, -1, 3))
-    curves = [_profile_slice(prof, s_grid, *row) for row in
+    curves = [_profile_slice(a, s_grid, *row) for row in
               zip(t_slices[:n_prof], frames, chi, refs)]
     curves += [_integrated_slice(s_grid, *row) for row in
                zip(cmat, taumat, frames[n_prof:], chi[n_prof:])]

@@ -132,8 +132,9 @@ class SolverConfig:
     of ``spiral``, which is 12 right-hand-side evaluations.
 
     ``max_steps`` is a time budget, not a memory budget.  The working arrays
-    of a run are capped at ``integrators._CHUNK`` fine steps, but its output
-    holds max_steps/renorm_every + 1 nodes.  At renorm_every = 1 and the
+    of a run are one piece of ``integrators._CHUNK`` (16 384) fine steps,
+    about 4 MB for the frame kernel, but its output holds
+    max_steps/renorm_every + 1 nodes.  At renorm_every = 1 and the
     default 5e7 steps, a frame run with positions (104 bytes per node: s,
     frame and point) may allocate 5.2 GB per side.
     """

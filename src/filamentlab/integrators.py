@@ -15,9 +15,13 @@ elementwise in the scan and turned into matrices only at output nodes.  The
 2-dim complex systems use a closed-form 2x2 exponential and the same scan
 with ``matmul``.
 
-``_plan`` lays every fixed-step run on whole output blocks; it also plans
-the fused fixed-step DOP853 driver of the nonlinear profile ODEs
-(``spiral._fixed_step``).
+``_blocks`` lays every fixed-step run on whole output blocks (``_plan``
+adds the block ends as output nodes); it also plans the fused fixed-step
+DOP853 driver of the nonlinear profile ODEs (``spiral._fixed_step``).  The
+Magnus kernels run on one chunk loop, ``_sweep``, in pieces of ``_CHUNK``
+fine steps that keep only the requested states: every block end for
+``propagate_frame`` and ``propagate_linear2``, any sorted set of fine steps
+for ``frame_states``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .errors import InvalidParameter, NonFiniteCoefficient, StepLimitExceeded
 GAUSS_C1 = 0.5 - np.sqrt(3.0) / 6.0
 GAUSS_C2 = 0.5 + np.sqrt(3.0) / 6.0
 
-_CHUNK = 200_000  # fine steps per vectorized chunk; caps peak memory
+_CHUNK = 16_384   # fine steps per vectorized piece; caps peak memory
 _SCAN_ROW = 32     # elements per row of the two-level prefix scan
 
 
@@ -187,13 +191,11 @@ def _stage_coeffs(fn, s):
     return vals
 
 
-def _plan(s0, s1, step, out_every, max_steps):
+def _blocks(s0, s1, step, out_every, max_steps):
     """Uniform fine grid over [s0, s1] in whole output blocks.
 
-    Returns (h, m, s_out, chunks): the fine step, the fine steps per output
-    block, the output nodes and an iterator of (b0, bc, sk), the first block,
-    the block count and the fine-step start points of each chunk of at most
-    ``_CHUNK`` steps.
+    Returns (h, m, n_blocks): the fine step, the fine steps per output block
+    and the block count, so the grid has n_blocks * m steps.
     """
     span = s1 - s0
     if not (math.isfinite(span) and span != 0.0):
@@ -210,22 +212,82 @@ def _plan(s0, s1, step, out_every, max_steps):
     if abs(r - n_blocks) > 1e-9 * r:
         n_blocks = math.ceil(r)
     n_blocks = max(1, n_blocks)
-    n_steps = n_blocks * m
-    if max_steps is not None and n_steps > max_steps:
+    if max_steps is not None and n_blocks * m > max_steps:
         # as a float, inf beyond its range: the int may have 300 digits
         raise StepLimitExceeded(
             f"{float(n_blocks) * m:.3g} steps needed for span {span:g} at step {step:g}"
         )
-    h = span / n_steps
-    s_out = s0 + h * m * np.arange(n_blocks + 1)
-    blocks_per_chunk = max(1, _CHUNK // m)
+    return span / (n_blocks * m), m, n_blocks
 
-    def chunks():
-        for b0 in range(0, n_blocks, blocks_per_chunk):
-            bc = min(blocks_per_chunk, n_blocks - b0)
-            yield b0, bc, s0 + (b0 * m + np.arange(bc * m)) * h
 
-    return h, m, s_out, chunks()
+def _plan(s0, s1, step, out_every, max_steps):
+    """``_blocks`` with its output nodes: returns (h, m, s_out, n), n the
+    fine-step count and s_out the n/m + 1 block ends, s_out[0] = s0."""
+    h, m, n_blocks = _blocks(s0, s1, step, out_every, max_steps)
+    return h, m, s0 + h * m * np.arange(n_blocks + 1), n_blocks * m
+
+
+def _sweep(piece, s0, h, n, at, state):
+    """The one chunk loop of the kernels: the states after the fine steps ``at``.
+
+    The n fine steps of size h from s0 run in pieces of at most ``_CHUNK``
+    steps.  ``at`` holds the requested states as sorted, distinct step
+    counts in [0, n], 0 being the initial ``state`` (a tuple of arrays).
+    ``piece(sk, ends, *state)`` advances ``state`` over the steps that start
+    at ``sk`` and returns the tuple of states after the piece-local steps
+    ``ends``: the requested ones, then the piece's last step, whose state
+    starts the next piece.  Returns one array per state component, with a
+    row per requested state.
+    """
+    outs = tuple(np.empty((len(at),) + x.shape, dtype=x.dtype) for x in state)
+    for o, x in zip(outs, state):
+        o[at == 0] = x
+    for k0 in range(0, n, _CHUNK):
+        kc = min(_CHUNK, n - k0)
+        lo, hi = np.searchsorted(at, (k0 + 1, k0 + kc + 1))
+        ends = at[lo:hi] - (k0 + 1)
+        if hi == lo or ends[-1] != kc - 1:
+            ends = np.append(ends, kc - 1)
+        xs = piece(s0 + (k0 + np.arange(kc)) * h, ends, *state)
+        for o, x in zip(outs, xs):
+            o[lo:hi] = x[: hi - lo]
+        state = tuple(x[-1] for x in xs)
+    return outs
+
+
+def frame_states(c_fn, tau_fn, s0, h, n, at, frame0, position0=None):
+    """Frames, and points when ``position0`` is given, of the Frenet frame
+    system after the fine steps ``at`` (sorted, distinct, in [0, n]) of n
+    steps of size h from s0, as (frames, points); points is None without
+    ``position0``.  Only the requested states are kept: the working arrays
+    hold one piece of ``_CHUNK`` steps (see ``_sweep``).
+    """
+
+    def piece(sk, ends, F, G=None):
+        sg1, sg2 = sk + GAUSS_C1 * h, sk + GAUSS_C2 * h
+        c1, c2 = _stage_coeffs(c_fn, sg1), _stage_coeffs(c_fn, sg2)
+        t1, t2 = _stage_coeffs(tau_fn, sg1), _stage_coeffs(tau_fn, sg2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q, wV = magnus_frame_step(c1, c2, t1, t2, h)
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(wV))):
+            raise NonFiniteCoefficient("propagator became non-finite")
+        P = _scan(q, _qmul, _Q_ONE)
+        frames = _rotation(P[ends]) @ F
+        if G is None:
+            return (frames,)
+        # step k adds wV_k @ R(P_{k-1}) @ F, with P_{-1} the identity
+        wV[1:] = _unrotate(P[:-1], wV[1:])
+        rows = np.add.reduceat(wV, np.concatenate(([0], ends[:-1] + 1))) @ F
+        # one running sum from G: a point is rounded once per row, as if
+        # the run were one piece
+        rows[0] += G
+        return frames, np.cumsum(rows, axis=0)
+
+    state = [np.array(frame0, dtype=float)]
+    if position0 is not None:
+        state.append(np.array(position0, dtype=float))
+    out = _sweep(piece, s0, h, n, np.asarray(at), state)
+    return out[0], (out[1] if position0 is not None else None)
 
 
 def propagate_frame(c_fn, tau_fn, s0, s1, frame0, *, step, out_every,
@@ -238,33 +300,9 @@ def propagate_frame(c_fn, tau_fn, s0, s1, frame0, *, step, out_every,
     steps, s_out[0] = s0.  Every step is an exact rotation, so the frames
     stay orthonormal to roundoff without renormalization.
     """
-    h, m, s_out, chunks = _plan(s0, s1, step, out_every, max_steps)
-    F = np.array(frame0, dtype=float)
-    G = None if position0 is None else np.array(position0, dtype=float)
-    frames = np.empty((len(s_out), 3, 3))
-    frames[0] = F
-    points = None
-    if G is not None:
-        points = np.empty((len(s_out), 3))
-        points[0] = G
-
-    for b0, bc, sk in chunks:
-        sg1, sg2 = sk + GAUSS_C1 * h, sk + GAUSS_C2 * h
-        c1, c2 = _stage_coeffs(c_fn, sg1), _stage_coeffs(c_fn, sg2)
-        t1, t2 = _stage_coeffs(tau_fn, sg1), _stage_coeffs(tau_fn, sg2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            q, wV = magnus_frame_step(c1, c2, t1, t2, h)
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(wV))):
-            raise NonFiniteCoefficient("propagator became non-finite")
-        P = _scan(q, _qmul, _Q_ONE)
-        frames[b0 + 1 : b0 + bc + 1] = _rotation(P[m - 1 :: m]) @ F
-        if G is not None:
-            # step k adds wV_k @ R(P_{k-1}) @ F, with P_{-1} the identity
-            wV[1:] = _unrotate(P[:-1], wV[1:])
-            rows = wV.reshape(bc, m, 3).sum(axis=1)
-            points[b0 + 1 : b0 + bc + 1] = G + np.cumsum(rows @ F, axis=0)
-            G = points[b0 + bc]
-        F = frames[b0 + bc]
+    h, m, s_out, n = _plan(s0, s1, step, out_every, max_steps)
+    frames, points = frame_states(c_fn, tau_fn, s0, h, n, m * np.arange(len(s_out)),
+                                  frame0, position0)
     return s_out, frames, points
 
 
@@ -274,21 +312,19 @@ def propagate_linear2(afn, s0, s1, y0, *, step, out_every, max_steps=None):
     ``afn(s_array) -> (N,2,2)`` complex.  Returns (s_out, Y) with Y[k] the
     state at s_out[k]; outputs every ``out_every`` fine steps.
     """
-    h, m, s_out, chunks = _plan(s0, s1, step, out_every, max_steps)
-    y = np.array(y0, dtype=complex)
-    out = np.empty((len(s_out), 2), dtype=complex)
-    out[0] = y
-    for b0, bc, sk in chunks:
+    h, m, s_out, n = _plan(s0, s1, step, out_every, max_steps)
+
+    def piece(sk, ends, y):
         A1 = afn(sk + GAUSS_C1 * h)
         A2 = afn(sk + GAUSS_C2 * h)
         with np.errstate(over="ignore", invalid="ignore"):
             P = expm2(magnus_omega(A1, A2, h))
         if not np.all(np.isfinite(P.view(float))):
             raise NonFiniteCoefficient("propagator became non-finite")
-        Pblk = _scan(P, np.matmul, np.eye(2))[m - 1 :: m]
-        out[b0 + 1 : b0 + bc + 1] = np.einsum("bij,j->bi", Pblk, y)
-        y = out[b0 + bc]
-    return s_out, out
+        return (np.einsum("bij,j->bi", _scan(P, np.matmul, np.eye(2))[ends], y),)
+
+    y0 = np.array(y0, dtype=complex)
+    return s_out, _sweep(piece, s0, h, n, m * np.arange(len(s_out)), (y0,))[0]
 
 
 def two_sided(run, s_lo, s_hi):

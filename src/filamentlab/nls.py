@@ -234,15 +234,10 @@ def _strang(problem, v0, n_steps):
     n = v0.n_points
     m = n // 2 + 1
     half_dt = np.diff(ts) / -2  # the half-step phase is xi^2 * half_dt
-    with np.errstate(over="ignore"):
-        xi2 = v0.xi()[:m] ** 2
-        top = xi2[-1] * np.max(np.abs(half_dt))
-    # from 1/eps radians on, rounding the phase alone exceeds a radian
-    if not top < 1 / sys.float_info.epsilon:
-        raise InvalidParameter(
-            f"half-step phase xi^2 dt/2 = {top:.3g} rad overflows a float's "
-            f"radian resolution (grid step {v0.domain_length / n:g}, "
-            f"largest time step {2 * np.max(np.abs(half_dt)):.3g})")
+    dt_max = np.max(np.abs(half_dt))
+    _check_free_phase(v0, dt_max, "half-step phase xi^2 dt/2",
+                      f"largest time step {2 * dt_max:.3g}")
+    xi2 = v0.xi()[:m] ** 2
     gp = problem.potential == "gp"
     a2 = problem.background_a**2 if gp else 0.0
     # cubic phase per unit |v|^2; the 1/t coefficient integrates to log(t_{k+1}/t_k)
@@ -340,8 +335,22 @@ def pseudo_conformal_inverse(u_slice, t):
                         v, s0=float(u_slice.s0 / t))
 
 
+def _check_free_phase(field, dt, name, step):
+    """Reject a free phase xi^2 dt on ``field``'s grid whose largest value,
+    at the Nyquist wavenumber, reaches 1/eps radians, where rounding the
+    phase alone exceeds a radian (an xi^2 that overflows included), as
+    InvalidParameter naming the phase ``name`` and the time ``step``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = field.xi()[field.n_points // 2] ** 2 * abs(dt)
+    if not top < 1 / sys.float_info.epsilon:
+        raise InvalidParameter(
+            f"{name} = {top:.3g} rad overflows a float's radian resolution "
+            f"(grid step {field.domain_length / field.n_points:g}, {step})")
+
+
 def free_evolution(field, t):
     """exp(i t d^2/ds^2) applied spectrally."""
+    _check_free_phase(field, t, "free phase xi^2 t", f"time {t:.3g}")
     return field.copy_with(
         np.fft.ifft(np.fft.fft(field.values) * np.exp(-1j * field.xi() ** 2 * t))
     )

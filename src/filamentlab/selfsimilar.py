@@ -3,7 +3,9 @@
 The profile G solves the frame system with constant curvature a and torsion
 s/2, from G(0) = 2a e3, T(0) = e1, n(0) = e2, b(0) = e3.  The flow is
 chi(s,t) = sqrt(t) G(s/sqrt(t)); at t = 0 it traces the V-shape s A+/- whose
-half-angle satisfies sin(gamma/2) = exp(-pi a^2 / 2).
+half-angle satisfies sin(gamma/2) = exp(-pi a^2 / 2).  ``profile`` keeps G
+on a grid of output nodes; ``sample`` gives G at chosen abscissae and keeps
+nothing else.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from .geometry import Curve, SolverConfig
 from .integrators import (
     GAUSS_C1,
     GAUSS_C2,
+    _blocks,
     _rotation,
+    frame_states,
     magnus_frame_step,
     propagate_frame,
     two_sided,
@@ -68,11 +72,14 @@ _POINT_PARITY = np.array([-1.0, 1.0, 1.0])
 _FRAME_PARITY = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
 
 
+def _coefficients(a):
+    """Curvature a and torsion s/2 of G_a, as functions of s."""
+    return lambda s: np.full(np.shape(s), float(a)), lambda s: s / 2
+
+
 def _half(a, end, cfg):
     """(s, frames, points) of G_a from s = 0 to ``end``."""
-    c_fn = lambda s: np.full(np.shape(s), float(a))
-    tau_fn = lambda s: s / 2
-    return propagate_frame(c_fn, tau_fn, 0.0, end, np.eye(3), step=cfg.step,
+    return propagate_frame(*_coefficients(a), 0.0, end, np.eye(3), step=cfg.step,
                            out_every=cfg.renorm_every,
                            position0=np.array([0.0, 0.0, 2 * a]),
                            max_steps=cfg.max_steps)
@@ -85,6 +92,19 @@ def _mirror(s, frames, points):
     run gives (a = 0 has zero frame entries).
     """
     return -s, frames * _FRAME_PARITY + 0.0, points * _POINT_PARITY + 0.0
+
+
+def _check_family(a, s_max):
+    """Reject a member a or span s_max of the family that is not finite,
+    a < 0 or s_max <= 0."""
+    if not (math.isfinite(a) and math.isfinite(s_max)) or a < 0 or s_max <= 0:
+        raise InvalidParameter("need finite a >= 0 and s_max > 0")
+
+
+def _limits(a, S, end):
+    """A+/- read off G(S) = ``end`` and its mirror G(-S) (see ``profile``)."""
+    r = S + 2 * a * a / S
+    return end / r, (end * _POINT_PARITY + 0.0) / -r
 
 
 def profile(a, s_max, cfg=None):
@@ -112,17 +132,14 @@ def profile(a, s_max, cfg=None):
     the remainder is the tail of T, not the integration.  The bound above
     holds either way.
     """
-    if not (math.isfinite(a) and math.isfinite(s_max)) or a < 0 or s_max <= 0:
-        raise InvalidParameter("need finite a >= 0 and s_max > 0")
+    _check_family(a, s_max)
     cfg = cfg or _default_cfg(s_max)
     half = _half(a, float(s_max), cfg)
     s, frames, pts = two_sided(lambda end: half if end > 0 else _mirror(*half),
                                -float(s_max), float(s_max))
     curve = Curve(s, pts, frames)
     S = s[-1]
-    r = S + 2 * a * a / S
-    A_plus = pts[-1] / r
-    A_minus = pts[0] / -r
+    A_plus, A_minus = _limits(a, S, pts[-1])
     return SelfSimilarProfile(
         a=float(a), s_max=float(S), curve=curve,
         A_plus=A_plus, A_minus=A_minus,
@@ -180,12 +197,49 @@ def evaluate(prof, sigma):
             f"sigma = {reach:g} lies beyond the profile's s_max = {prof.s_max:g}")
     j = np.clip(np.searchsorted(grid, sigma), 1, len(grid) - 1)
     j -= sigma - grid[j - 1] < grid[j] - sigma
-    h = sigma - grid[j]
-    c = np.full_like(h, prof.a)
-    q, wV = magnus_frame_step(c, c, (grid[j] + GAUSS_C1 * h) / 2,
-                              (grid[j] + GAUSS_C2 * h) / 2, h)
-    Fj = frames[j]
-    return _rotation(q) @ Fj, points[j] + np.einsum("ni,nij->nj", wV, Fj)
+    return _step_from(prof.a, grid[j], frames[j], points[j], sigma)
+
+
+def _step_from(a, s, frames, points, sigma):
+    """Frames and points of G_a at ``sigma``: one Magnus-4 step (c = a,
+    tau = sigma/2) from the nodes ``s`` that carry ``frames`` and ``points``."""
+    h = sigma - s
+    c = np.full_like(h, a)
+    q, wV = magnus_frame_step(c, c, (s + GAUSS_C1 * h) / 2, (s + GAUSS_C2 * h) / 2, h)
+    return _rotation(q) @ frames, points + np.einsum("ni,nij->nj", wV, frames)
+
+
+def sample(a, s_max, sigma, cfg=None):
+    """G_a at the abscissae ``sigma`` (a 1-d array) and its limit
+    directions, without the profile's nodes: (frames, points, A+, A-).
+
+    Agrees with ``evaluate(profile(a, s_max, cfg), sigma)`` and that
+    profile's A+/- to roundoff.  One run from 0 to s_max on the profile's
+    fine grid keeps only the fine nodes nearest to |sigma| and the end node
+    (``integrators.frame_states``); each sigma then takes one Magnus-4 step
+    from its node, as in ``evaluate``, and sigma < 0 is the mirror image of
+    -sigma by parity.  Memory is O(len(sigma)) plus one piece of
+    ``integrators._CHUNK`` steps, whatever s_max.  |sigma| may pass s_max
+    by a relative 1e-12; beyond that it is OutOfProfileRange.
+    """
+    _check_family(a, s_max)
+    cfg = cfg or _default_cfg(s_max)
+    h, m, n_blocks = _blocks(0.0, float(s_max), cfg.step, cfg.renorm_every, cfg.max_steps)
+    n, S = n_blocks * m, h * m * n_blocks  # S as the profile's last node
+    sigma = np.asarray(sigma, dtype=float)
+    x = np.abs(sigma)
+    reach = float(np.max(x, initial=0.0))
+    if reach > S * (1 + 1e-12):
+        raise OutOfProfileRange(
+            f"sigma = {reach:g} lies beyond the profile's s_max = {S:g}")
+    k = np.minimum(np.rint(x / h), n).astype(np.int64)
+    nodes, row = np.unique(np.append(k, n), return_inverse=True)
+    frames, points = frame_states(*_coefficients(a), 0.0, h, n, nodes, np.eye(3),
+                                  np.array([0.0, 0.0, 2 * a]))
+    F, G = _step_from(a, k * h, frames[row[:-1]], points[row[:-1]], x)
+    neg = sigma < 0
+    _, F[neg], G[neg] = _mirror(x[neg], F[neg], G[neg])
+    return (F, G) + _limits(a, S, points[-1])
 
 
 def chi(prof, s, t):

@@ -222,19 +222,26 @@ def test_selfcheck_exit_code_follows_checks(tmp_path, monkeypatch, all_ok, code)
 
 
 SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
-# the split step's time step, not the datum, is what a huge time scale breaks
+# a huge t1 breaks the split step's time step, not the datum
 PHASE = "half-step phase xi^2 dt/2 = 3.23e+301 rad overflows"
 # failed-run rows whose one line must also name what is wrong
 FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
+                 # the reference span sigma = 5000 fits the plan, but at 4096
+                 # points the box's grid step, 2.5, exceeds the datum's width 2
+                 ("stability", "--tmin-factor", "1e-6"): "narrower than the grid step",
                  ("stability", "--smax", "0.5"): "the cone defect reads |s| >= 1",
                  ("profile", "--a", "1e300"): "propagator became non-finite",
                  ("profile", "--smax", "1e154", "--step", "1e-160"): "inf steps needed",
                  ("nls", "--length", "1e300", *SMALL_GRID): "narrower than the grid step",
                  ("nls", "--t0", "inf", *SMALL_GRID, "--length", "100"): "must be finite",
                  ("nls", "--t1", "inf", *SMALL_GRID, "--length", "100"): "must be finite",
-                 ("nls", "--t0", "1e300", *SMALL_GRID, "--length", "100"): PHASE,
+                 # the datum's free evolution to t0 loses its phase before a step does
+                 ("nls", "--t0", "1e300", *SMALL_GRID, "--length", "100"):
+                     "free phase xi^2 t = 6.47e+301 rad overflows",
                  ("nls", "--t1", "1e300", *SMALL_GRID, "--length", "100"): PHASE,
-                 ("nls", "--t1", "1e300", "--n-steps", "10000"): "2.72e+301 rad overflows"}
+                 ("nls", "--t1", "1e300", "--n-steps", "10000"): "2.72e+301 rad overflows",
+                 ("nls", "--length", "1e-300", "--n-points", "64", "--n-steps", "4"):
+                     "free phase xi^2 t = inf rad overflows"}
 
 
 @pytest.mark.parametrize("args", [
@@ -287,6 +294,7 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
     ["nls", "--t0", "1e300", *SMALL_GRID, "--length", "100"],
     ["nls", "--t1", "1e300", *SMALL_GRID, "--length", "100"],
     ["nls", "--t1", "1e300", "--n-steps", "10000"],
+    ["nls", "--length", "1e-300", "--n-points", "64", "--n-steps", "4"],
 ], ids=["spiral-negative-smax", "spiral-over-step-limit",
         "profile-inf-step", "profile-inf-smax", "angle-inf-smax",
         "profile-huge-smax", "angle-huge-smax", "nls-inf-t1",
@@ -306,7 +314,7 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
         "stability-no-node-at-zero", "stability-smax-below-cone-floor",
         "profile-huge-a", "spiral-huge-a", "angle-huge-a", "nls-huge-length",
         "profile-step-count-beyond-float", "nls-huge-t0", "nls-huge-t1",
-        "nls-huge-t1-many-steps"])
+        "nls-huge-t1-many-steps", "nls-tiny-length"])
 def test_failed_run_leaves_no_directory(tmp_path_factory, tmp_path, capsys, args):
     bad_config = tmp_path_factory.mktemp("config") / "bad.cfg"
     bad_config.write_text("a = abc\n")

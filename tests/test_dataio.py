@@ -432,10 +432,10 @@ def test_parent_failure_kills_and_reaps_the_stage_worker(monkeypatch):
     _cpus(monkeypatch, 2)
     _stage_in_worker(monkeypatch, "sleep")
 
-    def failing_profile(a, s_max, cfg=None):
-        raise RuntimeError("profile failed in the parent")
+    def failing_sample(a, s_max, sigma, cfg=None):
+        raise RuntimeError("reference profile failed in the parent")
 
-    monkeypatch.setattr(selfsimilar, "profile", failing_profile)
+    monkeypatch.setattr(selfsimilar, "sample", failing_sample)
     forks = _count_forks(monkeypatch)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="in the parent"):

@@ -14,6 +14,7 @@ from filamentlab.errors import (
     InvalidParameter,
     MemoryBudgetExceeded,
     OutOfProfileRange,
+    StepLimitExceeded,
 )
 from filamentlab.geometry import IntrinsicData, SolverConfig
 from filamentlab.integrators import _rotation
@@ -85,11 +86,13 @@ def test_profile_built_slices_match_direct_integration():
     s = -s_max + ds * np.arange(2 * n_half + 1)
     frame0 = _rotation(np.array([[0.6 + 0.3j, -0.2 + 0.7j]]))[0]
     point0 = np.array([0.3, -1.2, 2 * a * math.sqrt(t[-1])])
-    prof = selfsimilar.profile(a, 1.5 * s_max / math.sqrt(t[0]))
-    for tk in t:
+    F, G, *_ = selfsimilar.sample(a, 1.5 * s_max / math.sqrt(t[0]),
+                                  (s[None] / np.sqrt(t)[:, None]).ravel())
+    refs = zip(F.reshape(len(t), -1, 3, 3), G.reshape(len(t), -1, 3))
+    for tk, ref in zip(t, refs):
         direct = flow._integrated_slice(s, np.full(len(s), a / math.sqrt(tk)),
                                         s / (2 * tk), frame0, point0)
-        built = flow._profile_slice(prof, s, tk, frame0, point0)
+        built = flow._profile_slice(a, s, tk, frame0, point0, ref)
         assert np.array_equal(direct.s_grid, built.s_grid)
         assert np.max(np.abs(direct.frames - built.frames)) <= 1e-9
         assert np.max(np.abs(direct.points - built.points)) <= 1e-9
@@ -98,9 +101,10 @@ def test_profile_built_slices_match_direct_integration():
 
 def test_profile_slice_beyond_the_profile_rejected():
     s = np.linspace(-2.0, 2.0, 81)
-    prof = selfsimilar.profile(0.5, 10.0)  # sigma reaches 2/sqrt(1e-2) = 20
     with pytest.raises(OutOfProfileRange):
-        flow._profile_slice(prof, s, 1e-2, np.eye(3), np.zeros(3))
+        # sigma reaches 2/sqrt(1e-2) = 20, past the span 10
+        ref = selfsimilar.sample(0.5, 10.0, s / math.sqrt(1e-2))[:2]
+        flow._profile_slice(0.5, s, 1e-2, np.eye(3), np.zeros(3), ref)
 
 
 def test_steady_circle_data_translates():
@@ -381,15 +385,16 @@ def test_default_box_hides_the_perturbation_past_the_horizon():
 
 
 def test_sup_T_defect_does_not_depend_on_the_reference_span(monkeypatch):
-    # the reference tangent is evaluated on the slice nodes, not interpolated
-    # between profile nodes, so a wider profile (other nodes) gives the same
-    # figure; linear interpolation moved it by 6e-8 here
+    # the reference tangent is sampled on the slice nodes, not interpolated
+    # between profile nodes, so a wider profile (another fine grid) gives the
+    # same figure; linear interpolation moved it by 6e-8 here
     up = nls.gaussian_field(1100.0, 4096, 5e-3, width=2.0)
     kw = dict(t_min_factor=1e-4, s_max=4.0, ds=0.02, n_steps=700, n_slices=25)
     base = flow.stability_experiment(0.5, up, 1.0, **kw)
     assert 0 < base.profile_slices < 25
-    profile = selfsimilar.profile
-    monkeypatch.setattr(flow.selfsimilar, "profile", lambda a, S: profile(a, 1.5 * S))
+    sample = selfsimilar.sample
+    monkeypatch.setattr(flow.selfsimilar, "sample",
+                        lambda a, S, sigma: sample(a, 1.5 * S, sigma))
     wide = flow.stability_experiment(0.5, up, 1.0, **kw)
     assert abs(wide.sup_T_defect - base.sup_T_defect) <= 1e-12
 
@@ -583,9 +588,38 @@ def test_stability_keeps_no_full_box_slices(monkeypatch):
                                  {"n_slices": 10**6}, {"ds": 1e-9},
                                  {"t_min_factor": 1e-9}])
 def test_stability_plans_its_memory(big):
-    # the last case is the reference profile: 1.3e9 nodes to sigma = 31623
+    # the last case is the reference profile: its memory no longer grows
+    # with its span, but 6.4e8 fine steps to sigma = 31623 exceed the step
+    # budget, and that is rejected before the run starts
     args = {"t0": 1.0, "t_min_factor": 1e-2, "s_max": 1.0, "ds": 0.05,
             "n_points": 256, "n_steps": 20, "n_slices": 8}
     flow.check_scales(*args.values())
-    with pytest.raises(MemoryBudgetExceeded, match="budget"):
+    error, match = ((StepLimitExceeded, "steps needed") if "t_min_factor" in big
+                    else (MemoryBudgetExceeded, "budget"))
+    with pytest.raises(error, match=match):
         flow.check_scales(*{**args, **big}.values())
+
+
+def test_stability_admits_a_small_tmin_on_a_fine_box():
+    # the reference profile to sigma = 5000 costs its 40 040 sampled nodes
+    # and one kernel piece, not the 2.5 million nodes of its span
+    assert flow.check_scales(1.0, 1e-6, 5.0, 0.01, 16384, 1400, 40) < 2**26
+
+
+def test_stability_at_small_tmin_stays_inside_its_plan(monkeypatch):
+    # tracemalloc sees this process only: the stage runs here on one CPU
+    monkeypatch.setattr(flow.dataio, "_fork_cpus", lambda: 1)
+    t_min_factor = 1e-5
+    up = nls.gaussian_field(8.0 * (2.0 + math.sqrt(1 / t_min_factor)) * 1.3, 4096,
+                            1e-2, width=2.0)
+    plan = flow.check_scales(1.0, t_min_factor, 5.0, 0.01, 4096, 1400, 40)
+    tracemalloc.start()
+    try:
+        flow.stability_experiment(0.5, up, 1.0, t_min_factor=t_min_factor,
+                                  n_steps=1400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # numpy reports its allocations to tracemalloc; a dense reference
+    # profile to sigma = 1581 would hold 3.2 million nodes (330 MB)
+    assert peak <= plan

@@ -131,6 +131,31 @@ def test_evaluate_range_check_allows_roundoff():
         selfsimilar.evaluate(prof, np.array([S * (1 + 1e-11)]))
 
 
+@settings(max_examples=15, deadline=None)
+@given(a=st.floats(0.0, 2.0), span=st.floats(200.0, 400.0), data=st.data())
+def test_sample_matches_the_dense_profile(a, span, data):
+    # the stability run's reference, against evaluate on the dense profile.
+    # Below a span of about 200 the profile's nodes lie up to 16 fine steps
+    # apart, and evaluate's one long Magnus step, not the sampling, errs by
+    # up to 4e-10 (a = 2, span 60)
+    prof = profile(a, span)
+    S = prof.s_max
+    drawn = data.draw(st.lists(st.floats(-S, S), min_size=1, max_size=40))
+    sigma = np.array(data.draw(st.permutations(drawn + drawn[:3] + [0.0, S, -S, 0.0])))
+    F, G, A_plus, A_minus = selfsimilar.sample(a, span, sigma)
+    F0, G0 = selfsimilar.evaluate(prof, sigma)
+    assert np.max(np.abs(F - F0)) <= 1e-10
+    # |G| = sqrt(sigma^2 + 4 a^2): the points agree relative to their size
+    size = np.maximum(1.0, np.abs(sigma))[:, None]
+    assert np.max(np.abs(G - G0) / size) <= 1e-10
+    assert np.max(np.abs(A_plus - prof.A_plus)) <= 1e-10
+    assert np.max(np.abs(A_minus - prof.A_minus)) <= 1e-10
+    zero = sigma == 0
+    assert np.all(F[zero] == np.eye(3)) and np.all(G[zero] == [0.0, 0.0, 2 * a])
+    with pytest.raises(OutOfProfileRange):
+        selfsimilar.sample(a, span, np.append(sigma, -S * (1 + 1e-11)))
+
+
 def test_default_cfg_with_step():
     # a given step keeps the default output spacing of the span
     cfg = selfsimilar._default_cfg(100.0, 1e-3)

@@ -75,7 +75,7 @@ def _emit(outdir, summary):
 # ---------------------------------------------------------------- commands
 
 SPECS = {
-    "profile": {"a": (float, 0.5), "smax": (float, 20.0), "step": (float, 0.0)},
+    "profile": {"a": (float, 0.5), "smax": (float, 20.0)},
     "angle": {"a": (float, 0.5), "smax": (float, 400.0)},
     "nls": {
         "a": (float, 0.5), "uplus_norm": (float, 1e-2), "width": (float, 2.0),
@@ -94,15 +94,9 @@ SPECS = {
 
 
 def _run_profile(params, outdir):
-    a, smax = params["a"], params["smax"]
-    if a < 0 or smax <= 0:
-        raise FilamentError("profile needs a >= 0 and smax > 0")
-    # --step 0 keeps the default step; a given step keeps the default
-    # spacing, and one above that spacing is rejected
-    cfg = selfsimilar._default_cfg(smax, params["step"]) if params["step"] != 0 else None
-    prof = selfsimilar.profile(a, smax, cfg)
+    prof = selfsimilar.profile(params["a"], params["smax"])
     prof.curve.write_csv(outdir / "profile.csv")
-    inter = selfsimilar.self_intersections(prof) if a > 0 else np.array([])
+    inter = selfsimilar.self_intersections(prof) if prof.a > 0 else np.array([])
     return {
         "a": prof.a,
         "s_max": prof.s_max,

@@ -26,7 +26,8 @@ this process may run on two CPUs and the stage has at least
 arithmetic is the serial run's, so the report and its artifacts are
 bit-identical either way.  The reference is ``selfsimilar.sample``: one run
 over the profile's span that keeps only the nodes the slices read, so its
-memory is those nodes and one kernel piece, not the span.
+memory is those nodes and one kernel piece, not the span; its plan is
+``selfsimilar.sample_plan``'s and its cone ``selfsimilar.v_shape``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import dataio, integrators, nls, selfsimilar
+from . import dataio, nls, selfsimilar
 from .errors import (
     AliasingDetected,
     ConstraintViolated,
@@ -58,18 +59,12 @@ _UPSAMPLE = 4          # spectral upsampling of a slice before its interpolation
 _CONE_FLOOR = 1.0      # the cone defect reads the nodes with |s| at or above it
 # Planned bytes of a stability run per time step (time grid, origin series,
 # origin-frame ODE), per box point (the stepper's buffers, the spectral
-# weights, the upsampled slice), per slice node (the (c, tau) rows and the
-# curves), per slice node again for the reference profile sampled there
-# (sigma, frame and point, 104 bytes, kept while the slices are built; the
-# sampling's scratch, 360 bytes per node, is freed before) and per fine step
-# of one piece of the frame kernel (integrators._CHUNK).  The tracemalloc
-# peak grows by 790, 265, 375 (slice and reference node together) and 245
-# bytes per unit; these round those up.
+# weights, the upsampled slice) and per slice node (the (c, tau) rows and the
+# curves), besides the reference's own plan.  The tracemalloc peak grows by
+# 790, 265 and 375 (slice and reference node) bytes per unit, rounded up.
 _BYTES_PER_STEP = 1000
 _BYTES_PER_POINT = 400
 _BYTES_PER_NODE = 500
-_BYTES_PER_REFERENCE_NODE = 120
-_BYTES_PER_PIECE_STEP = 250
 # Range of the time scales t0 and t_min of a stability run: the pipeline's
 # time derivatives and Magnus steps carry up to t^3, a normal float in here
 _TIME_SCALES = (1e-100, 1e100)
@@ -357,14 +352,6 @@ class StabilityReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "flow"}
 
 
-def _reference_span(sig_max):
-    """Span of the reference profile: the largest sigma = s/sqrt(t) that a
-    slice node reaches, plus one output spacing, and at least 50;
-    selfsimilar.sample still rejects a node beyond it."""
-    cfg = selfsimilar._default_cfg(sig_max)
-    return max(sig_max + cfg.step * cfg.renorm_every, 50.0)
-
-
 def check_scales(t0, t_min_factor, s_max, ds, n_points, n_steps, n_slices):
     """Reject stability-run scales that are not finite and positive, an
     s_max below ``_CONE_FLOOR`` (the cone defect would read no node), a
@@ -374,8 +361,8 @@ def check_scales(t0, t_min_factor, s_max, ds, n_points, n_steps, n_slices):
     overflows or needs more than ``SolverConfig.max_steps`` fine steps
     (StepLimitExceeded), and a run whose largest arrays would exceed
     ``MemoryBudgetExceeded.BUDGET``; returns the planned bytes.  The
-    reference profile costs its requested nodes, one per slice node, and
-    one piece of the frame kernel, not its span."""
+    reference profile's span, step check and bytes are
+    ``selfsimilar.sample_plan``'s, one node per slice node."""
     t_min = t0 * t_min_factor
     for name, v in (("t0", t0), ("t_min_factor", t_min_factor), ("s_max", s_max),
                     ("ds", ds), ("t0 * t_min_factor", t_min)):
@@ -397,13 +384,10 @@ def check_scales(t0, t_min_factor, s_max, ds, n_points, n_steps, n_slices):
     if not math.isfinite(sig_max):
         raise InvalidParameter(
             "the reference profile span s_max/sqrt(t0 * t_min_factor) is infinite")
-    span = _reference_span(sig_max)
-    cfg = selfsimilar._default_cfg(span)
-    integrators._blocks(0.0, span, cfg.step, cfg.renorm_every, cfg.max_steps)
     nodes = n_slices * (2 * s_max / ds + 1)
+    _, reference = selfsimilar.sample_plan(sig_max, nodes)
     need = (_BYTES_PER_STEP * (n_steps + 1) + _BYTES_PER_POINT * n_points
-            + (_BYTES_PER_NODE + _BYTES_PER_REFERENCE_NODE) * nodes
-            + _BYTES_PER_PIECE_STEP * integrators._CHUNK)
+            + _BYTES_PER_NODE * nodes + reference)
     MemoryBudgetExceeded.check(need, "stability run")
     return need
 
@@ -558,10 +542,9 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
         # give the slices below t_clean and the reference tangent, and A+/-
         sig_max = float(np.max(np.abs(s_grid))) / math.sqrt(t_slices[0])
         sig = (s_grid[None] / np.sqrt(t_slices)[:, None]).ravel()
-        F_ref, G_ref, A_plus, A_minus = selfsimilar.sample(a, _reference_span(sig_max),
-                                                           sig)
-        # the V-shape trace s A+/- of the unperturbed flow
-        sA = np.where(s_grid[:, None] >= 0, A_plus, A_minus) * s_grid[:, None]
+        span, _ = selfsimilar.sample_plan(sig_max, len(sig))
+        F_ref, G_ref, A_plus, A_minus = selfsimilar.sample(a, span, sig)
+        sA = selfsimilar.v_shape(A_plus, A_minus, s_grid)
         origin, cmat, taumat, min_abs, boundary_w = stage()
 
     # u-side origin series (t = 1/T, ascending in t).  The frame ODE is run

@@ -131,12 +131,9 @@ class SolverConfig:
     frame and theta propagators, or a DOP853 step of the scalar profile ODEs
     of ``spiral``, which is 12 right-hand-side evaluations.
 
-    ``max_steps`` is a time budget, not a memory budget.  The working arrays
-    of a run are one piece of ``integrators._CHUNK`` (16 384) fine steps,
-    about 4 MB for the frame kernel, but its output holds
-    max_steps/renorm_every + 1 nodes.  At renorm_every = 1 and the
-    default 5e7 steps, a frame run with positions (104 bytes per node: s,
-    frame and point) may allocate 5.2 GB per side.
+    ``max_steps`` is a time budget.  A run holds one piece of
+    ``integrators._CHUNK`` (16 384) fine steps, about 4 MB for the frame
+    kernel, and its output nodes, which ``integrators._plan`` bounds.
     """
 
     step: float = 1e-3

@@ -30,7 +30,8 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameter, NonFiniteCoefficient, StepLimitExceeded
+from .errors import (InvalidParameter, MemoryBudgetExceeded, NonFiniteCoefficient,
+                     StepLimitExceeded)
 
 # Gauss-Legendre 2-point nodes on [0, 1]
 GAUSS_C1 = 0.5 - np.sqrt(3.0) / 6.0
@@ -38,6 +39,9 @@ GAUSS_C2 = 0.5 + np.sqrt(3.0) / 6.0
 
 _CHUNK = 16_384   # fine steps per vectorized piece; caps peak memory
 _SCAN_ROW = 32     # elements per row of the two-level prefix scan
+# Planned bytes per output node of a dense run (``_plan``), rounded up from the
+# tracemalloc peak: 416 per node of a profile's half, 850 of a spiral's side
+_BYTES_PER_OUTPUT_NODE = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +226,11 @@ def _blocks(s0, s1, step, out_every, max_steps):
 
 def _plan(s0, s1, step, out_every, max_steps):
     """``_blocks`` with its output nodes: returns (h, m, s_out, n), n the
-    fine-step count and s_out the n/m + 1 block ends, s_out[0] = s0."""
+    fine-step count and s_out the n/m + 1 block ends, s_out[0] = s0; nodes
+    over the memory budget are MemoryBudgetExceeded."""
     h, m, n_blocks = _blocks(s0, s1, step, out_every, max_steps)
+    MemoryBudgetExceeded.check((n_blocks + 1) * _BYTES_PER_OUTPUT_NODE,
+                               f"fixed-step run over [{s0:g}, {s1:g}]")
     return h, m, s0 + h * m * np.arange(n_blocks + 1), n_blocks * m
 
 

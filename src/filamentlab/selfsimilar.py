@@ -2,10 +2,10 @@
 
 The profile G solves the frame system with constant curvature a and torsion
 s/2, from G(0) = 2a e3, T(0) = e1, n(0) = e2, b(0) = e3.  The flow is
-chi(s,t) = sqrt(t) G(s/sqrt(t)); at t = 0 it traces the V-shape s A+/- whose
-half-angle satisfies sin(gamma/2) = exp(-pi a^2 / 2).  ``profile`` keeps G
-on a grid of output nodes; ``sample`` gives G at chosen abscissae and keeps
-nothing else.
+chi(s,t) = sqrt(t) G(s/sqrt(t)); at t = 0 it traces the V-shape s A+/-
+(``v_shape``) whose half-angle satisfies sin(gamma/2) = exp(-pi a^2 / 2).
+``profile`` keeps G on its output nodes, ``sample`` (planned by
+``sample_plan``) at chosen abscissae only; G's grid is decided here alone.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, OutOfProfileRange, StepLimitExceeded
+from .errors import InvalidParameter, OutOfProfileRange
 from .geometry import Curve, SolverConfig
 from .integrators import (
     GAUSS_C1,
     GAUSS_C2,
+    _CHUNK,
     _blocks,
     _rotation,
     frame_states,
@@ -44,26 +45,22 @@ class SelfSimilarProfile:
         return float(np.arccos(np.clip(-np.dot(self.A_plus, self.A_minus), -1, 1)))
 
 
-def _default_cfg(s_max, step=None):
+def _default_cfg(s_max):
     """The configuration of G_a on [-s_max, s_max].  The target spacing
     dso = min(0.032, pi/(2 s_max)) resolves the fastest frame rotation
-    (tau = s/2); the fine step is ``step`` or by default the smaller of
-    2e-3 and dso, and a node falls every round(dso/step) fine steps, so the
-    output spacing is round(dso/step) * step, not dso (4e-3 against
-    dso = 3.1e-3 at s_max = 500).  A given step above dso is
-    InvalidParameter: the nodes would be one step apart, too coarse for the
-    rotation."""
+    (tau = s/2); the fine step is the smaller of 2e-3 and dso, and a node
+    falls every round(dso/step) fine steps, so the output spacing is
+    round(dso/step) * step, not dso (4e-3 against dso = 3.1e-3 at
+    s_max = 500)."""
     dso = min(0.032, math.pi / (2 * max(s_max, 1.0)))
-    cfg = SolverConfig(step=min(2e-3, dso) if step is None else step)
-    if cfg.step > dso:
-        raise InvalidParameter(
-            f"step {cfg.step:g} exceeds the output spacing {dso:g} of s_max = {s_max:g}")
-    per_node = dso / cfg.step
-    if per_node > cfg.max_steps:  # also an overflow to inf
-        raise StepLimitExceeded(
-            f"step {cfg.step:g} needs {per_node:g} steps per output spacing {dso:g}")
-    cfg.renorm_every = max(1, int(round(per_node)))
-    return cfg
+    step = min(2e-3, dso)
+    return SolverConfig(step=step, renorm_every=max(1, int(round(dso / step))))
+
+
+def _grid(s_max):
+    """(h, m, n_blocks) of G_a's fine grid on [0, s_max] (``_blocks``)."""
+    cfg = _default_cfg(s_max)
+    return _blocks(0.0, float(s_max), cfg.step, cfg.renorm_every, cfg.max_steps)
 
 
 # parity of G_a: x is odd and y, z are even, so T = G' keeps its x and flips
@@ -209,22 +206,21 @@ def _step_from(a, s, frames, points, sigma):
     return _rotation(q) @ frames, points + np.einsum("ni,nij->nj", wV, frames)
 
 
-def sample(a, s_max, sigma, cfg=None):
+def sample(a, s_max, sigma):
     """G_a at the abscissae ``sigma`` (a 1-d array) and its limit
     directions, without the profile's nodes: (frames, points, A+, A-).
 
-    Agrees with ``evaluate(profile(a, s_max, cfg), sigma)`` and that
-    profile's A+/- to roundoff.  One run from 0 to s_max on the profile's
-    fine grid keeps only the fine nodes nearest to |sigma| and the end node
-    (``integrators.frame_states``); each sigma then takes one Magnus-4 step
-    from its node, as in ``evaluate``, and sigma < 0 is the mirror image of
-    -sigma by parity.  Memory is O(len(sigma)) plus one piece of
-    ``integrators._CHUNK`` steps, whatever s_max.  |sigma| may pass s_max
-    by a relative 1e-12; beyond that it is OutOfProfileRange.
+    Agrees with ``evaluate(profile(a, s_max), sigma)`` and that profile's
+    A+/- to roundoff.  One run from 0 to s_max on the profile's fine grid
+    (``_grid``) keeps only the fine nodes nearest to |sigma| and the end
+    node (``integrators.frame_states``); each sigma then takes one Magnus-4
+    step from its node, as in ``evaluate``, and sigma < 0 is the mirror
+    image of -sigma by parity.  Memory is O(len(sigma)) plus one piece of
+    ``integrators._CHUNK`` steps, whatever s_max (``sample_plan``).  |sigma|
+    may pass s_max by a relative 1e-12; beyond that it is OutOfProfileRange.
     """
     _check_family(a, s_max)
-    cfg = cfg or _default_cfg(s_max)
-    h, m, n_blocks = _blocks(0.0, float(s_max), cfg.step, cfg.renorm_every, cfg.max_steps)
+    h, m, n_blocks = _grid(s_max)
     n, S = n_blocks * m, h * m * n_blocks  # S as the profile's last node
     sigma = np.asarray(sigma, dtype=float)
     x = np.abs(sigma)
@@ -236,10 +232,36 @@ def sample(a, s_max, sigma, cfg=None):
     nodes, row = np.unique(np.append(k, n), return_inverse=True)
     frames, points = frame_states(*_coefficients(a), 0.0, h, n, nodes, np.eye(3),
                                   np.array([0.0, 0.0, 2 * a]))
-    F, G = _step_from(a, k * h, frames[row[:-1]], points[row[:-1]], x)
+    # block end k = j m is the profile's node (h m) j, which k h can miss by an ulp
+    node = np.where(k % m == 0, h * m * (k // m), k * h)
+    F, G = _step_from(a, node, frames[row[:-1]], points[row[:-1]], x)
     neg = sigma < 0
     _, F[neg], G[neg] = _mirror(x[neg], F[neg], G[neg])
     return (F, G) + _limits(a, S, points[-1])
+
+
+# Planned bytes of a ``sample`` run per abscissa (sigma, frame and point,
+# 104, kept by the caller) and per fine step of its one kernel piece,
+# rounded up from the tracemalloc peak of the stability run (245 per step)
+_BYTES_PER_SIGMA = 120
+_BYTES_PER_PIECE_STEP = 250
+
+
+def sample_plan(sig_max, n_sigma):
+    """(span, planned bytes) of a ``sample`` run for ``n_sigma`` abscissae
+    with |sigma| up to ``sig_max``: the span is sig_max plus one output
+    spacing, and at least 50; past ``SolverConfig.max_steps`` fine steps
+    its grid (``_grid``) is StepLimitExceeded."""
+    cfg = _default_cfg(sig_max)
+    span = max(sig_max + cfg.step * cfg.renorm_every, 50.0)
+    _grid(span)
+    return span, _BYTES_PER_SIGMA * n_sigma + _BYTES_PER_PIECE_STEP * _CHUNK
+
+
+def v_shape(A_plus, A_minus, s):
+    """The t = 0 trace of the flow on the 1-d array ``s``: a row s A+ where
+    s >= 0 and s A- elsewhere."""
+    return np.where(s[:, None] >= 0, A_plus, A_minus) * s[:, None]
 
 
 def chi(prof, s, t):
@@ -249,12 +271,8 @@ def chi(prof, s, t):
     s = np.atleast_1d(s)
     if t < 0:
         raise InvalidParameter("t must be nonnegative")
-    if t == 0:
-        out = np.where(s[:, None] >= 0, s[:, None] * prof.A_plus[None],
-                       s[:, None] * prof.A_minus[None])
-        return out[0] if scalar else out
     rt = math.sqrt(t)
-    out = rt * evaluate(prof, s / rt)[1]
+    out = v_shape(prof.A_plus, prof.A_minus, s) if t == 0 else rt * evaluate(prof, s / rt)[1]
     return out[0] if scalar else out
 
 

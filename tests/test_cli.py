@@ -115,10 +115,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ["angle", "--method", "both"],
     ["evolve"],
     ["evolve", "--problem", "gp"],
-], ids=["theta-subcommand", "angle-method", "evolve-subcommand", "evolve-problem"])
+    ["profile", "--step", "1e-3"],
+], ids=["theta-subcommand", "angle-method", "evolve-subcommand", "evolve-problem",
+        "profile-step"])
 def test_retired_entry_points_are_usage_errors(tmp_path, capsys, args):
     # one subcommand per figure: angle is the one way to the angle-law
-    # figure, nls the one way onto the split-step stepper
+    # figure, nls the one way onto the split-step stepper; the profile's
+    # grid is selfsimilar's alone, so profile takes no step
     assert run_cli(args, tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error[usage]:") and err.count("\n") == 1
@@ -231,7 +234,11 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
                  ("stability", "--tmin-factor", "1e-6"): "narrower than the grid step",
                  ("stability", "--smax", "0.5"): "the cone defect reads |s| >= 1",
                  ("profile", "--a", "1e300"): "propagator became non-finite",
-                 ("profile", "--smax", "1e154", "--step", "1e-160"): "inf steps needed",
+                 # a finite block count whose step count, two per block, overflows
+                 ("spiral", "--smax", "1e306"): "inf steps needed",
+                 ("profile", "--smax", "6000"): "MiB budget",
+                 ("angle", "--smax", "6000"): "MiB budget",
+                 ("spiral", "--smax", "1e5"): "MiB budget",
                  ("nls", "--length", "1e300", *SMALL_GRID): "narrower than the grid step",
                  ("nls", "--t0", "inf", *SMALL_GRID, "--length", "100"): "must be finite",
                  ("nls", "--t1", "inf", *SMALL_GRID, "--length", "100"): "must be finite",
@@ -290,11 +297,14 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
     ["spiral", "--a", "1e300"],
     ["angle", "--a", "1e300"],
     ["nls", "--length", "1e300", *SMALL_GRID],
-    ["profile", "--smax", "1e154", "--step", "1e-160"],
+    ["spiral", "--smax", "1e306"],
     ["nls", "--t0", "1e300", *SMALL_GRID, "--length", "100"],
     ["nls", "--t1", "1e300", *SMALL_GRID, "--length", "100"],
     ["nls", "--t1", "1e300", "--n-steps", "10000"],
     ["nls", "--length", "1e-300", "--n-points", "64", "--n-steps", "4"],
+    ["profile", "--smax", "6000"],
+    ["angle", "--smax", "6000"],
+    ["spiral", "--smax", "1e5"],
 ], ids=["spiral-negative-smax", "spiral-over-step-limit",
         "profile-inf-step", "profile-inf-smax", "angle-inf-smax",
         "profile-huge-smax", "angle-huge-smax", "nls-inf-t1",
@@ -314,13 +324,15 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
         "stability-no-node-at-zero", "stability-smax-below-cone-floor",
         "profile-huge-a", "spiral-huge-a", "angle-huge-a", "nls-huge-length",
         "profile-step-count-beyond-float", "nls-huge-t0", "nls-huge-t1",
-        "nls-huge-t1-many-steps", "nls-tiny-length"])
+        "nls-huge-t1-many-steps", "nls-tiny-length", "profile-over-memory-budget",
+        "angle-over-memory-budget", "spiral-over-memory-budget"])
 def test_failed_run_leaves_no_directory(tmp_path_factory, tmp_path, capsys, args):
     bad_config = tmp_path_factory.mktemp("config") / "bad.cfg"
     bad_config.write_text("a = abc\n")
     args = [str(bad_config) if x == "{bad_config}" else x for x in args]
-    # a config value is parsed like its flag: a bad one is a usage error
-    kind = "usage" if "--config" in args else "validation"
+    # a config value is parsed like its flag: a bad one is a usage error,
+    # as is the retired profile --step, whatever its value
+    kind = "usage" if "--config" in args or "--step" in args else "validation"
     named = FAILURE_NAMES.get(tuple(args), "")
     # exactly one stderr line, and no numpy warning on the way to it
     with warnings.catch_warnings(record=True) as caught:
@@ -378,17 +390,19 @@ SWEEP_BASE = {
                   "--tmin-factor", "1e-2"],
     "evolve": ["--n-points", "256", "--n-steps", "10"],
 }
-# the numeric options of the retired evolve subcommand: an old invocation
-# with any of them stays a usage error, whatever value it passes
+# the numeric options of the retired evolve subcommand and the retired
+# profile --step: an old invocation with any of them stays a usage error,
+# whatever value it passes
 RETIRED_SPECS = {
     "evolve": {key: (kind, None) for key, kind in (
         ("sign", int), ("a", float), ("t0", float), ("t1", float),
         ("n_steps", int), ("n_points", int), ("length", float),
         ("amp", float), ("width", float), ("seed", int),
         ("store_every", int), ("coeff", float))},
+    "profile": {"step": (float, None)},
 }
 SWEEP = [(sub, key.replace("_", "-"), value)
-         for sub, spec in {**cli.SPECS, **RETIRED_SPECS}.items()
+         for specs in (cli.SPECS, RETIRED_SPECS) for sub, spec in specs.items()
          for key, (kind, _default) in spec.items() if kind in (int, float)
          for value in (("nan", "inf", "-inf", "5e-324", "1e300") if kind is float
                        else (str(2**40),)) + ("0", "-1")]
@@ -403,7 +417,7 @@ def test_numeric_flag_sweep(tmp_path, capsys, sub, flag, value):
         rc = run_cli([sub, *SWEEP_BASE[sub], f"--{flag}={value}"], tmp_path)
     err = capsys.readouterr().err
     assert not caught, [str(w.message) for w in caught]
-    if sub in RETIRED_SPECS:
+    if flag.replace("-", "_") in RETIRED_SPECS.get(sub, {}):
         assert rc == 2 and err.startswith("error[usage]:"), err
     if rc == 0:
         assert err == ""

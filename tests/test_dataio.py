@@ -432,7 +432,7 @@ def test_parent_failure_kills_and_reaps_the_stage_worker(monkeypatch):
     _cpus(monkeypatch, 2)
     _stage_in_worker(monkeypatch, "sleep")
 
-    def failing_sample(a, s_max, sigma, cfg=None):
+    def failing_sample(a, s_max, sigma):
         raise RuntimeError("reference profile failed in the parent")
 
     monkeypatch.setattr(selfsimilar, "sample", failing_sample)

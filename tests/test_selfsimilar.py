@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from filamentlab import selfsimilar
-from filamentlab.errors import InvalidParameter, OutOfProfileRange, StepLimitExceeded
+from filamentlab.errors import InvalidParameter, OutOfProfileRange
 from filamentlab.geometry import SolverConfig
 from filamentlab.integrators import propagate_frame
 from filamentlab.selfsimilar import chi, corner_angle, profile, self_intersections
@@ -53,7 +53,7 @@ def _direct_left_half(a, s_max, cfg):
 @pytest.mark.parametrize("a, s_max, cfg", [
     *((a, s_max, None) for a in (0.0, 0.1, 0.5, 1.0, 2.0)
       for s_max in (20.0, 100.0, 400.0, 500.0, 750.0)),
-    (0.5, 100.0, selfsimilar._default_cfg(100.0, 1e-3)),
+    (0.5, 100.0, SolverConfig(step=1e-3, renorm_every=16)),
 ])
 def test_mirrored_half_equals_direct_run_bit_for_bit(a, s_max, cfg):
     prof = profile(a, s_max, cfg)
@@ -67,7 +67,7 @@ def test_mirrored_half_equals_direct_run_bit_for_bit(a, s_max, cfg):
 
 def test_mirror_defect_measures_the_direct_run():
     assert selfsimilar.mirror_defect(0.5, 60.0) == 0.0
-    assert selfsimilar.mirror_defect(0.5, 100.0, selfsimilar._default_cfg(100.0, 1e-3)) == 0.0
+    assert selfsimilar.mirror_defect(0.5, 100.0, SolverConfig(step=1e-3, renorm_every=16)) == 0.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -156,24 +156,22 @@ def test_sample_matches_the_dense_profile(a, span, data):
         selfsimilar.sample(a, span, np.append(sigma, -S * (1 + 1e-11)))
 
 
-def test_default_cfg_with_step():
-    # a given step keeps the default output spacing of the span
-    cfg = selfsimilar._default_cfg(100.0, 1e-3)
-    assert (cfg.step, cfg.renorm_every) == (1e-3, 16)
-    cfg = selfsimilar._default_cfg(20.0, 1e-3)
-    assert (cfg.step, cfg.renorm_every) == (1e-3, 32)
-    # one output spacing would need more steps than the budget (inf here)
-    for step in (1e-320, 5e-324):
-        with pytest.raises(StepLimitExceeded):
-            selfsimilar._default_cfg(100.0, step)
-    with pytest.raises(InvalidParameter):
-        selfsimilar._default_cfg(100.0, -1.0)
-    # a step up to the output spacing (0.032 on [-20, 20]) gives one step
-    # per node; a longer one would space the nodes by the step: rejected
-    assert selfsimilar._default_cfg(20.0, 0.032).renorm_every == 1
-    for step in (0.0320001, 10.0):
-        with pytest.raises(InvalidParameter):
-            selfsimilar._default_cfg(20.0, step)
+@settings(max_examples=8, deadline=None)
+@given(a=st.floats(0.0, 2.0), span=st.floats(10.0, 900.0))
+@example(0.0, 20.0)
+@example(0.3, 15.0)
+@example(2.0, 60.0)
+@example(0.5, 500.004)
+def test_sample_on_the_profile_nodes_is_the_profile(a, span):
+    # the two routes to G_a share one grid (selfsimilar._grid): on the
+    # profile's own nodes, a node every 16 fine steps at spans below 50,
+    # every fine step beyond 785, the sampling reproduces the profile and
+    # its A+/- bit for bit, signs of zero included
+    prof = profile(a, span)
+    F, G, A_plus, A_minus = selfsimilar.sample(a, span, prof.curve.s_grid)
+    for got, want in ((F, prof.curve.frames), (G, prof.curve.points),
+                      (A_plus, prof.A_plus), (A_minus, prof.A_minus)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_third_order_ode_residual_second_order():

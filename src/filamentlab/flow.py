@@ -47,6 +47,7 @@ from .errors import (
     InsufficientTimeRange,
     InvalidParameter,
     MemoryBudgetExceeded,
+    NonFiniteCoefficient,
 )
 from .geometry import (Curve, SolverConfig, _checked_frame, _cumulative_simpson,
                        _nonuniform_dt, _uniform_step, propagate_frame)
@@ -181,9 +182,12 @@ def _frame_ode_backward(series):
         A[:, 1, 0], A[:, 0, 2], A[:, 1, 2] = ct, cs, g
         return A - A.swapaxes(1, 2)
 
-    Om = magnus_omega(coeffs(start + GAUSS_C1 * h), coeffs(start + GAUSS_C2 * h),
-                      h[:, None, None])
-    q, _, _ = rodrigues_phi1(np.stack([Om[:, 2, 1], Om[:, 0, 2], Om[:, 1, 0]], axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        Om = magnus_omega(coeffs(start + GAUSS_C1 * h), coeffs(start + GAUSS_C2 * h),
+                          h[:, None, None])
+        q, _, _ = rodrigues_phi1(np.stack([Om[:, 2, 1], Om[:, 0, 2], Om[:, 1, 0]], axis=1))
+    if not np.all(np.isfinite(q.view(float))):
+        raise NonFiniteCoefficient("origin propagator became non-finite")
     out = np.empty((len(t), 3, 3))
     out[0] = np.eye(3)
     out[1:] = _rotation(_scan(q, _qmul, _Q_ONE)[m - 1 :: m])

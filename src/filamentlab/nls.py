@@ -11,10 +11,10 @@ Evolution is Strang splitting, one stepper (``_strang``) shared by ``evolve``
 and ``flow.stability_experiment``: the Fourier half-step is exact for the free
 part and the (possibly 1/t-weighted) cubic phase is integrated in closed form
 over each step, so mass is conserved to roundoff; a step costs one FFT pair,
-two real cos/sin pairs (the half-step's on N/2 + 1 frequencies only) and no
-allocation of the field's size.  Each step yields the spectrum at its end and
-the physical-space field at its middle, both buffers that the next step
-overwrites.
+two unit phases of one ``tan`` each (the half-step's on N/2 + 1 frequencies
+only) and no allocation of the field's size.  Each step yields the spectrum
+at its end and the physical-space field at its middle, both buffers that the
+next step overwrites.
 """
 
 from __future__ import annotations
@@ -208,6 +208,28 @@ class EvolveResult:
         return float(drift / self.mass[0] if self.mass[0] else drift)
 
 
+def _unit_phase(h, out):
+    """Write e^{2ih} into the complex array ``out``; ``h`` is overwritten.
+
+    With t = tan h, cos 2h = 2/(1 + t^2) - 1 and sin 2h = 2t/(1 + t^2), so
+    the phase costs one ``tan`` and five elementwise passes into the real and
+    imaginary views of ``out``.  numpy dispatches float64 ``tan`` to its
+    SIMD loops where the CPU has them, while float64 ``cos`` and ``sin`` are
+    scalar libm calls.  A relative error d in t moves the angle 2h by
+    sin(2h) d, so the result is within a few eps of exp(2ih) and of modulus
+    1 (the bound is pinned in tests/test_properties.py).
+    No double lies within 1e-18 of pi/2 + k pi, so t is finite and t^2
+    does not overflow; h = +-0 gives exactly 1.
+    """
+    t = np.tan(h, out=h)
+    c, s = out.real, out.imag
+    np.multiply(t, t, out=c)
+    np.add(c, 1, out=c)
+    np.divide(2, c, out=c)
+    np.multiply(t, c, out=s)
+    np.subtract(c, 1, out=c)
+
+
 def _strang(problem, v0, n_steps):
     """Yield (k, t_k, vhat_k, v_k) for Strang steps k = 1..n_steps.
 
@@ -221,28 +243,30 @@ def _strang(problem, v0, n_steps):
     next step: a caller reads them (or copies them) before asking for step
     k + 1.
 
-    Both exponents are purely imaginary, so exp(i y) is written as cos y and
-    sin y into the real and imaginary views of preallocated buffers (bit for
-    bit glibc's cexp).  xi^2 is mirror-symmetric bit for bit, x2[j] ==
-    x2[N - j], so L is evaluated on the N/2 + 1 distinct frequencies and
-    mirrored.  Every ufunc and both FFTs write with ``out=`` (numpy >= 2.0);
-    a step allocates nothing of the field's size.
+    Both exponents are purely imaginary, so each factor is a unit phase
+    written by ``_unit_phase`` from its half-angle; the 1/2 is folded into
+    the per-step coefficients, which halves them exactly.  xi^2 is
+    mirror-symmetric bit for bit, x2[j] == x2[N - j], so L is evaluated on
+    the N/2 + 1 distinct frequencies and mirrored.  Every ufunc and both
+    FFTs write with ``out=`` (numpy >= 2.0); a step allocates nothing of the
+    field's size.
     """
     if n_steps < 1:
         raise InvalidParameter(f"n_steps must be >= 1, got {n_steps}")
     ts = time_grid(problem, n_steps)
     n = v0.n_points
     m = n // 2 + 1
-    half_dt = np.diff(ts) / -2  # the half-step phase is xi^2 * half_dt
-    dt_max = np.max(np.abs(half_dt))
-    _check_free_phase(v0, dt_max, "half-step phase xi^2 dt/2",
-                      f"largest time step {2 * dt_max:.3g}")
+    dt = np.diff(ts)
+    dt_max = np.max(np.abs(dt))
+    _check_free_phase(v0, dt_max / 2, "half-step phase xi^2 dt/2",
+                      f"largest time step {dt_max:.3g}")
+    quarter_dt = dt / -4  # the half-step's half-angle is xi^2 * quarter_dt
     xi2 = v0.xi()[:m] ** 2
     gp = problem.potential == "gp"
     a2 = problem.background_a**2 if gp else 0.0
     # cubic phase per unit |v|^2; the 1/t coefficient integrates to log(t_{k+1}/t_k)
-    dw = np.log(ts[1:] / ts[:-1]) if gp else np.diff(ts)
-    weight = problem.sign * problem.coeff * dw
+    dw = np.log(ts[1:] / ts[:-1]) if gp else dt
+    half_weight = problem.sign * problem.coeff * dw / 2
     vhat = np.fft.fft(v0.values)
     v = np.empty_like(vhat)
     half = np.empty_like(vhat)
@@ -250,18 +274,16 @@ def _strang(problem, v0, n_steps):
     y = np.empty(m)
     p = np.empty(n)
     for k in range(n_steps):
-        np.multiply(xi2, half_dt[k], out=y)
-        np.cos(y, out=half.real[:m])
-        np.sin(y, out=half.imag[:m])
+        np.multiply(xi2, quarter_dt[k], out=y)
+        _unit_phase(y, half[:m])
         half[m:] = half[m - 2:0:-1]
         np.multiply(vhat, half, out=phase)
         np.fft.ifft(phase, out=v)
         np.abs(v, out=p)
         np.multiply(p, p, out=p)
         np.subtract(p, a2, out=p)
-        np.multiply(p, weight[k], out=p)
-        np.cos(p, out=phase.real)
-        np.sin(p, out=phase.imag)
+        np.multiply(p, half_weight[k], out=p)
+        _unit_phase(p, phase)
         np.multiply(v, phase, out=v)
         np.fft.fft(v, out=vhat)
         np.multiply(vhat, half, out=vhat)

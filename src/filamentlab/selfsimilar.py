@@ -202,7 +202,9 @@ def _step_from(a, s, frames, points, sigma):
     tau = sigma/2) from the nodes ``s`` that carry ``frames`` and ``points``."""
     h = sigma - s
     c = np.full_like(h, a)
-    q, wV = magnus_frame_step(c, c, (s + GAUSS_C1 * h) / 2, (s + GAUSS_C2 * h) / 2, h)
+    # at a large a the small-angle branch that rodrigues_phi1 discards overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, wV = magnus_frame_step(c, c, (s + GAUSS_C1 * h) / 2, (s + GAUSS_C2 * h) / 2, h)
     return _rotation(q) @ frames, points + np.einsum("ni,nij->nj", wV, frames)
 
 

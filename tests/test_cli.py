@@ -234,6 +234,9 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
                  ("stability", "--tmin-factor", "1e-6"): "narrower than the grid step",
                  ("stability", "--smax", "0.5"): "the cone defect reads |s| >= 1",
                  ("profile", "--a", "1e300"): "propagator became non-finite",
+                 # a^2 is finite, but the origin frame's Magnus exponent is not
+                 ("stability", "--a", "1e150", *SMALL_GRID, "--n-slices", "8",
+                  "--tmin-factor", "1e-2"): "origin propagator became non-finite",
                  # a finite block count whose step count, two per block, overflows
                  ("spiral", "--smax", "1e306"): "inf steps needed",
                  ("profile", "--smax", "6000"): "MiB budget",
@@ -294,6 +297,7 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
     ["stability", "--ds", "0.3"],
     ["stability", "--smax", "0.5"],
     ["profile", "--a", "1e300"],
+    ["stability", "--a", "1e150", *SMALL_GRID, "--n-slices", "8", "--tmin-factor", "1e-2"],
     ["spiral", "--a", "1e300"],
     ["angle", "--a", "1e300"],
     ["nls", "--length", "1e300", *SMALL_GRID],
@@ -322,7 +326,7 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
         "stability-huge-t0", "stability-huge-tmin-factor", "stability-huge-uplus-norm",
         "nls-huge-uplus-norm", "spiral-huge-mu", "nls-huge-a",
         "stability-no-node-at-zero", "stability-smax-below-cone-floor",
-        "profile-huge-a", "spiral-huge-a", "angle-huge-a", "nls-huge-length",
+        "profile-huge-a", "stability-huge-a", "spiral-huge-a", "angle-huge-a", "nls-huge-length",
         "profile-step-count-beyond-float", "nls-huge-t0", "nls-huge-t1",
         "nls-huge-t1-many-steps", "nls-tiny-length", "profile-over-memory-budget",
         "angle-over-memory-budget", "spiral-over-memory-budget"])

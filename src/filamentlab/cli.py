@@ -95,7 +95,7 @@ SPECS = {
 
 def _run_profile(params, outdir):
     prof = selfsimilar.profile(params["a"], params["smax"])
-    prof.curve.write_csv(outdir / "profile.csv")
+    dataio.write_csvs([prof.csv_job(outdir / "profile.csv")])
     inter = selfsimilar.self_intersections(prof) if prof.a > 0 else np.array([])
     return {
         "a": prof.a,

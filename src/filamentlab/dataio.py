@@ -14,13 +14,23 @@ callers use it:
 
 * The CSV writer.  It formats 4096 rows per ``%`` operation, and that
   formatting holds the interpreter lock, so a batch of CSVs is spread over
-  P processes.  Its blocks, taken file by file in order, are dealt
-  round-robin: the parent formats blocks 0, P, 2P, ... straight into the
-  files, and worker k sends blocks k, P + k, ..., one message each, which
-  the parent writes to its file when it reaches that block.  A worker thus
-  runs at most about one block ahead of the parent.  P is capped so that
-  each process formats at least ``_MIN_SHARE`` floats and one block; at
-  P = 1 nothing is forked.
+  P processes.  Its blocks, taken file by file in the order they are
+  written, are dealt round-robin: the parent formats blocks 0, P, 2P, ...
+  straight into the files, and worker k sends blocks k, P + k, ..., one
+  message each, which the parent writes to its file when it reaches that
+  block.  A worker thus runs at most about one block ahead of the parent.
+  P is capped so that each process formats at least ``_MIN_SHARE`` floats
+  and one block; at P = 1 nothing is forked.
+
+  A mirrored job is a curve with a parity, such as the self-similar
+  profile: it gives only the rows from its mirror node s = 0 upward, and
+  the rows of s < 0 are ``parity * row + 0.0`` in reverse order.  One
+  ``%`` per block formats the given rows with a marker before each odd
+  field; dropping the markers gives the s >= 0 lines, and turning them
+  into sign flips gives the s < 0 lines, which are written first, last
+  block first.  The s >= 0 text waits meanwhile in an unlinked spill file
+  beside the CSV, one block at a time, and is copied back in block order
+  once the s < 0 rows are written.
 * ``spiral.spiral_profile`` and ``flow.stability_experiment``, through
   ``_beside``: each runs one independent half of its work in a worker
   (the profile's s <= 0 side, the stability run's Schrodinger stage) while
@@ -38,6 +48,7 @@ import hashlib
 import os
 import pickle
 import signal
+import tempfile
 
 import numpy as np
 
@@ -108,11 +119,32 @@ def _n_rows(columns):
     return lengths.pop()
 
 
-def _format_block(columns, start):
-    """Rows ``start:start + _CSV_BLOCK`` of ``columns`` as %.17g CSV lines."""
+def _mirror_text(text, start, zeros, nans):
+    """The s < 0 lines of a mirrored block's marked ``text`` (rows from
+    ``start``): each marked field negated, -0 and -nan printed as 0 and nan
+    as ``+ 0.0`` gives, and the lines reversed, without the node at s = 0."""
+    text = text.replace(b"~-", b"").replace(b"~", b"-")
+    if zeros:
+        text = text.replace(b"-0,", b"0,").replace(b"-0\n", b"0\n")
+    if nans:
+        text = text.replace(b"-nan", b"nan")
+    lines = text[:-1].split(b"\n")[not start:]
+    lines.reverse()
+    return b"\n".join(lines) + b"\n" if lines else b""
+
+
+def _format_block(job, start):
+    """Rows ``start:start + _CSV_BLOCK`` of a job's columns as %.17g CSV
+    lines; of a mirrored job, the pair (its s < 0 lines, its lines)."""
+    columns = job[2]
+    parity = job[3] if len(job) > 3 else [1] * len(columns)
     block = np.column_stack([c[start : start + _CSV_BLOCK] for c in columns])
-    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
-    return ((row * len(block)) % tuple(block.ravel().tolist())).encode()
+    row = ",".join("~%.17g" if p < 0 else "%.17g" for p in parity) + "\n"
+    text = ((row * len(block)) % tuple(block.ravel().tolist())).encode()
+    if len(job) == 3:
+        return text
+    return (_mirror_text(text, start, not block.all(), np.isnan(block).any()),
+            text.replace(b"~", b""))
 
 
 class _Worker:
@@ -227,26 +259,57 @@ def _send_blocks(jobs, blocks, send):
     """A CSV worker's task: send each (job index, first row) block of
     ``blocks``, formatted, as one message, in order."""
     for j, start in blocks:
-        send(_format_block(jobs[j][2], start))
+        send(_format_block(jobs[j], start))
 
 
 def _n_processes(n_floats, n_blocks):
     return max(1, min(_fork_cpus(), n_floats // _MIN_SHARE, n_blocks))
 
 
-def write_csvs(jobs):
-    """Write one CSV per ``(path, header, columns)`` job: the header line,
-    then one row per index with one %.17g field per array in ``columns``.
+def _starts(job):
+    """The first rows of a job's blocks, in the order they are written."""
+    if len(job) > 3 and len(job[3]) != len(job[2]):
+        raise ValueError("a mirrored CSV needs one parity per column")
+    starts = range(0, _n_rows(job[2]), _CSV_BLOCK)
+    return starts[::-1] if len(job) > 3 else starts
 
-    The rows are formatted by up to one process per CPU, as the module
-    docstring describes; the files are the same bytes whatever that count.
-    A worker that fails or is killed before it has sent its blocks raises
-    OSError, and no worker outlives the call.
+
+def _write_mirrored(fh, texts, n):
+    """Write a mirrored job's ``n`` blocks, the next of ``texts`` each,
+    given last block first as (s < 0 lines, s >= 0 lines): every s < 0
+    text, then the s >= 0 texts, which wait in an unlinked spill file beside
+    ``fh``, in block order."""
+    with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(fh.name))) as spill:
+        sizes = []
+        for _ in range(n):
+            minus, plus = next(texts)
+            fh.write(minus)
+            sizes.append(spill.write(plus))
+            del minus, plus  # freed before the next block is formatted
+        end = spill.tell()
+        for size in reversed(sizes):
+            end -= size
+            spill.seek(end)
+            fh.write(spill.read(size))
+
+
+def write_csvs(jobs):
+    """Write one CSV per job: the header line, then one row per index with
+    one %.17g field per array in ``columns``.
+
+    A job is ``(path, header, columns)`` or a mirrored ``(path, header,
+    columns, parity)``, whose columns hold the rows from the mirror node
+    s = 0 upward and whose file also holds the rows of s < 0 first, each
+    ``parity * row + 0.0`` with one +-1 per column (see the module
+    docstring).  The rows are formatted by up to one process per CPU; the
+    files are the same bytes whatever that count.  A worker that fails or
+    is killed before it has sent its blocks raises OSError, and no worker
+    outlives the call.
     """
     jobs = list(jobs)
-    starts = [range(0, _n_rows(columns), _CSV_BLOCK) for _, _, columns in jobs]
+    starts = [_starts(job) for job in jobs]
     blocks = [(j, start) for j, rows in enumerate(starts) for start in rows]
-    n_floats = sum(np.size(c) for _, _, columns in jobs for c in columns)
+    n_floats = sum(np.size(c) for job in jobs for c in job[2])
     p = _n_processes(n_floats, len(blocks))
     workers = []
     try:
@@ -254,16 +317,16 @@ def write_csvs(jobs):
             workers.append(_Worker(
                 "CSV worker", functools.partial(_send_blocks, jobs, blocks[k::p]),
                 [w.pipe.fileno() for w in workers]))
-        i = 0
-        for (path, header, columns), rows in zip(jobs, starts):
-            with open(path, "wb") as fh:
-                fh.write(header.encode() + b"\n")
-                for start in rows:
-                    if i % p:
-                        fh.write(workers[i % p - 1].recv())
-                    else:
-                        fh.write(_format_block(columns, start))
-                    i += 1
+        texts = (workers[i % p - 1].recv() if i % p else _format_block(jobs[j], start)
+                 for i, (j, start) in enumerate(blocks))
+        for job, rows in zip(jobs, starts):
+            with open(job[0], "wb") as fh:
+                fh.write(job[1].encode() + b"\n")
+                if len(job) > 3:
+                    _write_mirrored(fh, texts, len(rows))
+                else:
+                    for _ in rows:
+                        fh.write(next(texts))
     finally:
         for w in workers:
             w.reap()

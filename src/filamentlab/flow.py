@@ -51,8 +51,8 @@ from .errors import (
 )
 from .geometry import (Curve, SolverConfig, _checked_frame, _cumulative_simpson,
                        _nonuniform_dt, _uniform_step, propagate_frame)
-from .integrators import (GAUSS_C1, GAUSS_C2, _Q_ONE, _qmul, _rotation, _scan,
-                          magnus_omega, rodrigues_phi1, two_sided)
+from .integrators import (GAUSS_C1, GAUSS_C2, _Q_ONE, _check_angle, _qmul, _rotation,
+                          _scan, magnus_omega, rodrigues_phi1, two_sided)
 
 _ORIGIN_SUBSTEPS = 2  # uniform frame-ODE steps per origin-series interval
 _SLICE_STEP = 1e-3     # fine-step bound of the Frenet integration in s
@@ -185,9 +185,12 @@ def _frame_ode_backward(series):
     with np.errstate(over="ignore", invalid="ignore"):
         Om = magnus_omega(coeffs(start + GAUSS_C1 * h), coeffs(start + GAUSS_C2 * h),
                           h[:, None, None])
-        q, _, _ = rodrigues_phi1(np.stack([Om[:, 2, 1], Om[:, 0, 2], Om[:, 1, 0]], axis=1))
+        omega = np.stack([Om[:, 2, 1], Om[:, 0, 2], Om[:, 1, 0]], axis=1)
+        q, _, _ = rodrigues_phi1(omega)
+        angle = math.sqrt(np.max(np.sum(omega * omega, axis=1), initial=0.0))
     if not np.all(np.isfinite(q.view(float))):
         raise NonFiniteCoefficient("origin propagator became non-finite")
+    _check_angle(angle, "origin frame rotation angle |Omega|")
     out = np.empty((len(t), 3, 3))
     out[0] = np.eye(3)
     out[1:] = _rotation(_scan(q, _qmul, _Q_ONE)[m - 1 :: m])

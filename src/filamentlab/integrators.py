@@ -186,6 +186,15 @@ def magnus_frame_step(c1, c2, t1, t2, h):
     return q, wV
 
 
+def _check_angle(angle, name):
+    """Reject a rotation angle per step that reaches 1/eps radians, where
+    rounding the angle alone exceeds a radian, as InvalidParameter naming
+    the angle ``name``."""
+    if not angle < 1 / np.finfo(float).eps:
+        raise InvalidParameter(
+            f"{name} = {angle:.3g} rad per step overflows a float's radian resolution")
+
+
 def _stage_coeffs(fn, s):
     vals = np.asarray(fn(s), dtype=float)
     if vals.ndim == 0:
@@ -278,6 +287,8 @@ def frame_states(c_fn, tau_fn, s0, h, n, at, frame0, position0=None):
             q, wV = magnus_frame_step(c1, c2, t1, t2, h)
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(wV))):
             raise NonFiniteCoefficient("propagator became non-finite")
+        _check_angle(abs(h) * max(np.max(np.abs(x)) for x in (c1, c2, t1, t2)),
+                     "frame rotation angle h max(|c|, |tau|)")
         P = _scan(q, _qmul, _Q_ONE)
         frames = _rotation(P[ends]) @ F
         if G is None:

@@ -44,6 +44,15 @@ class SelfSimilarProfile:
         """Angle between A+ and -A- read off the computed directions."""
         return float(np.arccos(np.clip(-np.dot(self.A_plus, self.A_minus), -1, 1)))
 
+    def csv_job(self, path):
+        """The mirrored ``(path, header, columns, parity)`` job of the
+        curve's CSV for :func:`dataio.write_csvs`: the columns of
+        ``Curve.csv_job`` from the node s = 0 up, as views, with G_a's
+        parity, by which ``profile`` builds the rows of s < 0."""
+        path, header, columns = self.curve.csv_job(path)
+        zero = len(self.curve.s_grid) // 2
+        return path, header, [c[zero:] for c in columns], _CSV_PARITY
+
 
 def _default_cfg(s_max):
     """The configuration of G_a on [-s_max, s_max].  The target spacing
@@ -67,6 +76,8 @@ def _grid(s_max):
 # y, z, while n and b (whose Frenet equations carry the odd torsion) flip x
 _POINT_PARITY = np.array([-1.0, 1.0, 1.0])
 _FRAME_PARITY = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
+# the same per column of the profile's CSV (s, x, y, z, Tx, ..., bz); s is odd
+_CSV_PARITY = (-1.0, *_POINT_PARITY, *_FRAME_PARITY.ravel())
 
 
 def _coefficients(a):
@@ -183,9 +194,10 @@ def modulus_defect(prof):
 def evaluate(prof, sigma):
     """Frames and points of G_a at the abscissae ``sigma`` (a 1-d array).
 
-    A node between two profile nodes takes one Magnus-4 step (c = a,
-    tau = sigma/2) from the nearest one.  |sigma| may pass s_max by a
-    relative 1e-12; beyond that it is OutOfProfileRange.
+    A node between two profile nodes takes ceil(m/2) equal Magnus-4 steps
+    (c = a, tau = sigma/2) from the nearest one, where the nodes lie m fine
+    steps apart (``_grid``): each step is at most one fine step.  |sigma|
+    may pass s_max by a relative 1e-12; beyond that it is OutOfProfileRange.
     """
     grid, frames, points = prof.curve.s_grid, prof.curve.frames, prof.curve.points
     reach = float(np.max(np.abs(sigma), initial=0.0))
@@ -194,18 +206,24 @@ def evaluate(prof, sigma):
             f"sigma = {reach:g} lies beyond the profile's s_max = {prof.s_max:g}")
     j = np.clip(np.searchsorted(grid, sigma), 1, len(grid) - 1)
     j -= sigma - grid[j - 1] < grid[j] - sigma
-    return _step_from(prof.a, grid[j], frames[j], points[j], sigma)
+    m = _grid(prof.s_max)[1]
+    return _step_from(prof.a, grid[j], frames[j], points[j], sigma, -(-m // 2))
 
 
-def _step_from(a, s, frames, points, sigma):
-    """Frames and points of G_a at ``sigma``: one Magnus-4 step (c = a,
-    tau = sigma/2) from the nodes ``s`` that carry ``frames`` and ``points``."""
-    h = sigma - s
+def _step_from(a, s, frames, points, sigma, n=1):
+    """Frames and points of G_a at ``sigma``: ``n`` equal Magnus-4 steps
+    (c = a, tau = sigma/2) from the nodes ``s`` that carry ``frames`` and
+    ``points``."""
+    h = (sigma - s) / n
     c = np.full_like(h, a)
-    # at a large a the small-angle branch that rodrigues_phi1 discards overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        q, wV = magnus_frame_step(c, c, (s + GAUSS_C1 * h) / 2, (s + GAUSS_C2 * h) / 2, h)
-    return _rotation(q) @ frames, points + np.einsum("ni,nij->nj", wV, frames)
+    for i in range(n):
+        s_i = s + i * h
+        # at a large a the small-angle branch that rodrigues_phi1 discards overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            q, wV = magnus_frame_step(c, c, (s_i + GAUSS_C1 * h) / 2,
+                                      (s_i + GAUSS_C2 * h) / 2, h)
+        frames, points = _rotation(q) @ frames, points + np.einsum("ni,nij->nj", wV, frames)
+    return frames, points
 
 
 def sample(a, s_max, sigma):

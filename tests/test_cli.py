@@ -225,6 +225,7 @@ def test_selfcheck_exit_code_follows_checks(tmp_path, monkeypatch, all_ok, code)
 
 
 SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
+SWEEP_GRID = ["--n-points", "256", "--n-steps", "20", "--n-slices", "8", "--tmin-factor", "1e-2"]
 # a huge t1 breaks the split step's time step, not the datum
 PHASE = "half-step phase xi^2 dt/2 = 3.23e+301 rad overflows"
 # failed-run rows whose one line must also name what is wrong
@@ -234,9 +235,15 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
                  ("stability", "--tmin-factor", "1e-6"): "narrower than the grid step",
                  ("stability", "--smax", "0.5"): "the cone defect reads |s| >= 1",
                  ("profile", "--a", "1e300"): "propagator became non-finite",
-                 # a^2 is finite, but the origin frame's Magnus exponent is not
+                 # a^2 is finite, but the reference profile's step turns the
+                 # frame by h a = 2e147 rad, before the origin frame's Magnus
+                 # exponent overflows (test_flow pins that message)
                  ("stability", "--a", "1e150", *SMALL_GRID, "--n-slices", "8",
-                  "--tmin-factor", "1e-2"): "origin propagator became non-finite",
+                  "--tmin-factor", "1e-2"): "h max(|c|, |tau|) = 2e+147 rad per step",
+                 # finite frames whose rotation angles round to noise
+                 ("stability", "--a", "1e30", *SWEEP_GRID): "= 2e+27 rad per step overflows",
+                 ("stability", "--a", "1e60", *SWEEP_GRID): "= 2e+57 rad per step overflows",
+                 ("profile", "--a", "1e150", "--smax", "20"): "= 2e+147 rad per step overflows",
                  # a finite block count whose step count, two per block, overflows
                  ("spiral", "--smax", "1e306"): "inf steps needed",
                  ("profile", "--smax", "6000"): "MiB budget",
@@ -298,6 +305,9 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
     ["stability", "--smax", "0.5"],
     ["profile", "--a", "1e300"],
     ["stability", "--a", "1e150", *SMALL_GRID, "--n-slices", "8", "--tmin-factor", "1e-2"],
+    ["stability", "--a", "1e30", *SWEEP_GRID],
+    ["stability", "--a", "1e60", *SWEEP_GRID],
+    ["profile", "--a", "1e150", "--smax", "20"],
     ["spiral", "--a", "1e300"],
     ["angle", "--a", "1e300"],
     ["nls", "--length", "1e300", *SMALL_GRID],
@@ -326,7 +336,8 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
         "stability-huge-t0", "stability-huge-tmin-factor", "stability-huge-uplus-norm",
         "nls-huge-uplus-norm", "spiral-huge-mu", "nls-huge-a",
         "stability-no-node-at-zero", "stability-smax-below-cone-floor",
-        "profile-huge-a", "stability-huge-a", "spiral-huge-a", "angle-huge-a", "nls-huge-length",
+        "profile-huge-a", "stability-huge-a", "stability-a-1e30", "stability-a-1e60",
+        "profile-a-1e150", "spiral-huge-a", "angle-huge-a", "nls-huge-length",
         "profile-step-count-beyond-float", "nls-huge-t0", "nls-huge-t1",
         "nls-huge-t1-many-steps", "nls-tiny-length", "profile-over-memory-budget",
         "angle-over-memory-budget", "spiral-over-memory-budget"])
@@ -390,8 +401,7 @@ SWEEP_BASE = {
     # does not, and the alias gate would reject every run)
     "nls": ["--n-points", "256", "--n-steps", "10", "--length", "100"],
     "spiral": ["--smax", "5"],
-    "stability": ["--n-points", "256", "--n-steps", "20", "--n-slices", "8",
-                  "--tmin-factor", "1e-2"],
+    "stability": SWEEP_GRID,
     "evolve": ["--n-points", "256", "--n-steps", "10"],
 }
 # the numeric options of the retired evolve subcommand and the retired

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from test_properties import curves
@@ -207,6 +207,94 @@ def test_worker_exits_when_its_reader_has_gone():
     assert worker.reap() == 1
     _assert_no_child()
 
+
+
+# --- mirrored jobs: the s < 0 rows written from the s >= 0 text by parity ---
+
+def _full_columns(columns, parity):
+    """A mirrored job's whole curve: parity * row + 0.0 for the rows above
+    the mirror node, last first, then the rows."""
+    return [np.concatenate([p * c[:0:-1] + 0.0, c]) for c, p in zip(columns, parity)]
+
+
+def _assert_only(directory, names):
+    # the spill file was unlinked from the start: nothing of it is left
+    assert sorted(os.listdir(directory)) == sorted(names)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(0.0, 2.0), st.floats(10.0, 900.0), st.sampled_from([1, 3]),
+       st.integers(1, 5))
+@example(0.0, 51.0, 1, 1)
+@example(0.0, 51.0, 3, 4)
+def test_mirrored_profile_matches_the_serial_writer_of_the_curve(tmp_path_factory, a,
+                                                                 span, cpus, block):
+    # exact zeros and -0.0 fill the frame columns at a = 0; a half of more
+    # than 2000 rows is thinned to about 40, every stride-th row from s = 0
+    out, ref = tmp_path_factory.mktemp("out"), tmp_path_factory.mktemp("ref")
+    prof = selfsimilar.profile(a, span)
+    path, header, half, parity = prof.csv_job(out / "profile.csv")
+    full = prof.curve.csv_job(None)[2]
+    zero, n_half = len(full[0]) // 2, len(half[0])
+    stride = 1 if n_half <= 2000 else n_half // 40
+    k = (n_half - 1) // stride
+    with pytest.MonkeyPatch.context() as mp:
+        _split(mp, cpus, block)
+        dataio.write_csvs([(path, header, [c[::stride] for c in half], parity)])
+    _previous_write(ref / "profile.csv", header,
+                    [c[zero - stride * k : zero + stride * k + 1 : stride] for c in full])
+    assert path.read_bytes() == (ref / "profile.csv").read_bytes()
+    _assert_only(out, ["profile.csv"])
+    _assert_no_child()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 25).flatmap(lambda rows: st.lists(
+           st.tuples(arrays(float, rows, elements=_floats), st.sampled_from([-1.0, 1.0])),
+           min_size=1, max_size=4)),
+       st.sampled_from([1, 3]), st.integers(1, 5))
+def test_mirrored_special_floats_match_the_serial_writer(tmp_path_factory, cols, cpus,
+                                                         block):
+    # nan prints as nan whatever its sign, and -0.0 mirrors to +0.0 in every
+    # column; such a value is written exactly, never rejected
+    out, ref = tmp_path_factory.mktemp("out"), tmp_path_factory.mktemp("ref")
+    columns, parity = [c for c, _ in cols], [p for _, p in cols]
+    with pytest.MonkeyPatch.context() as mp:
+        _split(mp, cpus, block)
+        dataio.write_csvs([(out / "m.csv", "h", columns, parity)])
+    _previous_write(ref / "m.csv", "h", _full_columns(columns, parity))
+    assert (out / "m.csv").read_bytes() == (ref / "m.csv").read_bytes()
+    _assert_only(out, ["m.csv"])
+    _assert_no_child()
+
+
+def test_mirrored_job_needs_one_parity_per_column(tmp_path):
+    with pytest.raises(ValueError, match="one parity per column"):
+        dataio.write_csvs([(tmp_path / "m.csv", "h", [np.arange(3.0)] * 2, [1.0])])
+    _assert_only(tmp_path, [])
+
+
+def test_mirrored_job_forks_for_the_floats_it_formats(tmp_path, monkeypatch):
+    # 11 000 rows of 13 columns are 2 shares of floats formatted, not the 4
+    # of the whole curve, so 4 CPUs fork one worker
+    _cpus(monkeypatch, 4)
+    forks = _count_forks(monkeypatch)
+    rows = np.random.default_rng(2).normal(size=(11_000, 13))
+    dataio.write_csvs([(tmp_path / "m.csv", "h", list(rows.T), [1.0, -1.0] * 6 + [1.0])])
+    assert forks == [1]
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("how, code", [("raise", "code 1"), ("kill", "code -9")])
+def test_failed_worker_on_a_mirrored_job_leaves_no_spill(tmp_path, monkeypatch, how,
+                                                        code):
+    _split(monkeypatch, 3, block=4)
+    _failing_formatter(monkeypatch, how)
+    job = (tmp_path / "m.csv", "h", [np.arange(30.0), np.arange(30.0)], [-1.0, 1.0])
+    with pytest.raises(OSError, match=code):
+        dataio.write_csvs([job])
+    _assert_only(tmp_path, ["m.csv"])
+    _assert_no_child()
 
 
 FILAMENT_ERRORS = [c for c in vars(errors).values()

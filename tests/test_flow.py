@@ -13,6 +13,7 @@ from filamentlab.errors import (
     InsufficientTimeRange,
     InvalidParameter,
     MemoryBudgetExceeded,
+    NonFiniteCoefficient,
     OutOfProfileRange,
     StepLimitExceeded,
 )
@@ -275,6 +276,19 @@ def test_origin_frame_ode_matches_dop853(monkeypatch, make_series):
     assert np.max(np.abs(ref[0] - np.eye(3))) > 1e-2  # the frame does turn
     assert np.max(np.abs(F - ref)) <= 1e-12
     assert np.max(np.abs(F @ F.swapaxes(1, 2) - np.eye(3))) <= 1e-14
+
+
+@pytest.mark.parametrize("entry, error, message", [
+    (1e300, NonFiniteCoefficient, "origin propagator became non-finite"),
+    (1e30, InvalidParameter, "|Omega| = 2.5e+29 rad per step overflows"),
+])
+def test_origin_frame_rejects_an_unresolved_rotation(entry, error, message):
+    # the origin frame's Magnus exponent overflows, or stays finite but turns
+    # the frame by h g = 0.25 g rad per step, far more than a float resolves
+    t = np.array([0.5, 1.0])
+    series = flow.OriginSeries(t, 0 * t, 0 * t, np.full(2, entry), np.ones(2))
+    with pytest.raises(error, match=re.escape(message)):
+        flow._frame_ode_backward(series)
 
 
 def test_trace_at_zero_selfsimilar():

@@ -132,12 +132,13 @@ def test_evaluate_range_check_allows_roundoff():
 
 
 @settings(max_examples=15, deadline=None)
-@given(a=st.floats(0.0, 2.0), span=st.floats(200.0, 400.0), data=st.data())
+@given(a=st.floats(0.0, 2.0), span=st.floats(10.0, 400.0), data=st.data())
 def test_sample_matches_the_dense_profile(a, span, data):
     # the stability run's reference, against evaluate on the dense profile.
     # Below a span of about 200 the profile's nodes lie up to 16 fine steps
-    # apart, and evaluate's one long Magnus step, not the sampling, errs by
-    # up to 4e-10 (a = 2, span 60)
+    # apart; evaluate steps from the nearest one in steps of at most one
+    # fine step, as sample does (one long step erred by 7.6e-10 at a = 2,
+    # span 50)
     prof = profile(a, span)
     S = prof.s_max
     drawn = data.draw(st.lists(st.floats(-S, S), min_size=1, max_size=40))
@@ -154,6 +155,20 @@ def test_sample_matches_the_dense_profile(a, span, data):
     assert np.all(F[zero] == np.eye(3)) and np.all(G[zero] == [0.0, 0.0, 2 * a])
     with pytest.raises(OutOfProfileRange):
         selfsimilar.sample(a, span, np.append(sigma, -S * (1 + 1e-11)))
+
+
+@pytest.mark.parametrize("a, span", [(2.0, 50.0), (2.0, 60.0), (1.0, 10.0)])
+def test_evaluate_between_short_span_nodes_matches_sample(a, span):
+    # the profile's nodes lie 13 to 16 fine steps apart here; the midpoints
+    # are the farthest points from a node (one Magnus step there: 9.1e-10)
+    prof = profile(a, span)
+    g = prof.curve.s_grid
+    assert selfsimilar._grid(prof.s_max)[1] >= 13
+    sigma = np.concatenate([(g[:-1] + g[1:]) / 2, g[:-1] + 0.3 * np.diff(g)])
+    F, G = selfsimilar.sample(a, span, sigma)[:2]
+    F0, G0 = selfsimilar.evaluate(prof, sigma)
+    assert np.max(np.abs(F - F0)) <= 1e-11
+    assert np.max(np.abs(G - G0) / np.maximum(1.0, np.abs(sigma))[:, None]) <= 1e-11
 
 
 @settings(max_examples=8, deadline=None)

@@ -32,10 +32,13 @@ callers use it:
   beside the CSV, one block at a time, and is copied back in block order
   once the s < 0 rows are written.
 * ``spiral.spiral_profile`` and ``flow.stability_experiment``, through
-  ``_beside``: each runs one independent half of its work in a worker
-  (the profile's s <= 0 side, the stability run's Schrodinger stage) while
-  it does the other half, and gets the worker's result, or the
-  FilamentError it raised, back as one message.
+  ``_beside``: each runs one independent part of its work in a worker
+  while it does the rest, and reads the items the worker's generator
+  yields as they come, one message each, then the FilamentError it raised,
+  if any.  The spiral profile's s <= 0 side is one item; the stability
+  run's Schrodinger stage yields two, its slices' (c, tau) rows once they
+  are all read and its origin series at the end, and the caller integrates
+  the slices in between.
 
 The bytes written do not depend on the number of processes.
 """
@@ -191,7 +194,7 @@ class _Worker:
             return pickle.load(self.pipe)
         except (EOFError, pickle.UnpicklingError):
             raise OSError(f"{self.name} {self.pid} exited with code {self.reap()} "
-                          "before sending its rows") from None
+                          "before its last message") from None
 
     def reap(self, kill=False):
         """Close the pipe, wait for the process and return its exit code
@@ -214,45 +217,51 @@ def _fork_cpus():
     return len(os.sched_getaffinity(0))
 
 
-def _send_result(fn, send):
-    """A ``_beside`` worker's task: send (True, ``fn()``), or (False, the
-    FilamentError that ``fn`` raised)."""
+def _send_items(fn, send):
+    """A ``_beside`` worker's task: send (True, item) for each item of
+    ``fn()`` as soon as it is made, then (False, None); or, once ``fn``
+    raises a FilamentError, (False, that error)."""
     try:
-        value = fn()
+        for item in fn():
+            send((True, item))
     except FilamentError as exc:
         send((False, exc))
     else:
-        send((True, value))
+        send((False, None))
 
 
 @contextlib.contextmanager
 def _beside(name, fn, worth_forking):
-    """Yield a callable that returns ``fn()``.
+    """Yield an iterator over the items of ``fn()``, a generator.
 
     Where ``worth_forking`` holds and this process may run on two CPUs,
-    ``fn`` starts at once in a worker named ``name``, and the callable
-    waits for its result: a FilamentError that ``fn`` raised there is
-    raised here as itself, and any other failure ends the worker with code
-    1, an OSError here.  Otherwise the callable runs ``fn`` here.  A worker
-    still running when the context exits, on a failure, is killed; it is
-    always reaped.
+    ``fn`` starts at once in a worker named ``name``, which sends each item
+    as soon as it is made, and the iterator waits for each in turn: a
+    FilamentError that ``fn`` raised there is raised here as itself, after
+    the items sent before it, and any other failure ends the worker with
+    code 1, an OSError here.  Otherwise the iterator is ``fn()`` itself,
+    which makes each item here when it is asked for.  A worker still
+    running when the context exits, on a failure or before its items are
+    all read, is killed; it is always reaped.
     """
     if not worth_forking or _fork_cpus() < 2:
-        yield fn
+        yield fn()
         return
-    worker = _Worker(name, functools.partial(_send_result, fn))
+    worker = _Worker(name, functools.partial(_send_items, fn))
 
-    def result():
+    def items():
         ok, value = worker.recv()
+        while ok:
+            yield value
+            ok, value = worker.recv()
         worker.reap()
-        if not ok:
+        if value is not None:
             raise value
-        return value
 
     try:
-        yield result
+        yield items()
     finally:
-        worker.reap(kill=True)  # a no-op once the result has been read
+        worker.reap(kill=True)  # a no-op once every item has been read
 
 
 def _send_blocks(jobs, blocks, send):

@@ -12,22 +12,30 @@ with |chi(s,t) - chi0(s)| <= C a sqrt(t); the stability experiment drives
 the whole chain from a perturbed filament function built on the
 Schrodinger side.
 
-A slice that carries the unperturbed fields c = a/sqrt(t), tau = s/2t is
-the self-similar profile rescaled, chi = sqrt(t) G(s/sqrt(t)), turned and
-moved by the origin frame and point of that slice: the stability experiment
-builds its slices below the box's faithful horizon from its reference
-profile instead of integrating them; ``reconstruct_flow`` integrates all.
+The Frenet system in s is linear in its initial state, so every slice is
+integrated once from the identity frame and the point 0 at s = 0
+(``_integrated_slice``) and then turned and moved to its origin frame and
+point (``_placed``); ``reconstruct_flow`` and the stability experiment share
+that one slice path.  A slice that carries the unperturbed fields
+c = a/sqrt(t), tau = s/2t is the self-similar profile rescaled,
+chi = sqrt(t) G(s/sqrt(t)), turned and moved the same way: the stability
+experiment builds its slices below the box's faithful horizon from its
+reference profile instead of integrating them.
 
-The stability experiment's two independent halves run at once where that
-pays: its Schrodinger stage, in a forked worker (``dataio._beside``) when
-this process may run on two CPUs and the stage has at least
-``_MIN_STAGE_SIZE`` step-points (n_steps + 1) N, and its reference side
-(G_a sampled on every slice node, and A+/-) in this process meanwhile.  The
-arithmetic is the serial run's, so the report and its artifacts are
-bit-identical either way.  The reference is ``selfsimilar.sample``: one run
-over the profile's span that keeps only the nodes the slices read, so its
-memory is those nodes and one kernel piece, not the span; its plan is
-``selfsimilar.sample_plan``'s and its cone ``selfsimilar.v_shape``.
+The stability experiment's independent parts run at once where that pays:
+its Schrodinger stage runs in a forked worker (``dataio._beside``) when this
+process may run on two CPUs and the stage has at least ``_MIN_STAGE_SIZE``
+step-points (n_steps + 1) N.  The stage sends two messages: the (c, tau)
+rows of the slices past the horizon as soon as their last step k_c is done,
+and the origin series once the run ends.  Meanwhile this process samples
+the reference (G_a on every slice node, and A+/-), then integrates the
+slices from those rows while the stage steps on to its end; they are placed
+once the origin track is known.  The arithmetic is the serial run's, so the
+report and its artifacts are bit-identical either way.  The reference is
+``selfsimilar.sample``: one run over the profile's span that keeps only the
+nodes the slices read, so its memory is those nodes and one kernel piece,
+not the span; its plan is ``selfsimilar.sample_plan``'s and its cone
+``selfsimilar.v_shape``.
 """
 
 from __future__ import annotations
@@ -71,7 +79,8 @@ _BYTES_PER_NODE = 500
 _TIME_SCALES = (1e-100, 1e100)
 # step-points (n_steps + 1) N of the Schrodinger stage at least before it
 # runs in a forked worker: a fork, pipe and reap round trip costs about
-# 3 ms, some 40 000 step-points at the stage's 80 ns each
+# 2.5 ms, some 40 000 step-points at the stage's 60 ns each (the default
+# stage, 5.7 million step-points, takes 0.33-0.40 s on a 2-vCPU Xeon)
 _MIN_STAGE_SIZE = 40_000
 
 
@@ -197,16 +206,18 @@ def _frame_ode_backward(series):
     return out[::-1]
 
 
-def _profile_slice(a, s, tk, Fk, pk, ref):
-    """Slice of the fields c = a/sqrt(t), tau = s/2t built from the profile.
+def _profile_slice(a, s, tk, ref):
+    """Slice of the fields c = a/sqrt(t), tau = s/2t built from the profile,
+    from the identity frame and the point 0 at s = 0 (``_placed`` turns and
+    moves it).
 
     With sigma = s/sqrt(t) the Frenet system in s is the profile system in
-    sigma, so the frame is F_G(sigma) @ Fk and the point
-    pk + sqrt(t) (G(sigma) - G(0)) @ Fk, with G(0) = (0, 0, 2a).  ``ref``
-    is (F_G, G) at those sigma (``selfsimilar.sample``).
+    sigma, so the frame is F_G(sigma) and the point
+    sqrt(t) (G(sigma) - G(0)), with G(0) = (0, 0, 2a).  ``ref`` is (F_G, G)
+    at those sigma (``selfsimilar.sample``).
     """
     F, G = ref
-    return Curve(s, pk + math.sqrt(tk) * (G - np.array([0.0, 0.0, 2 * a])) @ Fk, F @ Fk)
+    return Curve(s, math.sqrt(tk) * (G - np.array([0.0, 0.0, 2 * a])), F)
 
 
 def _check_times(t, name):
@@ -232,21 +243,36 @@ def _slice_grid(s):
     return i0
 
 
-def _integrated_slice(s, c_row, tau_row, Fk, pk):
-    """Slice of the fields (c_row, tau_row) on ``s``, integrated from the
-    origin frame Fk and point pk at a step <= _SLICE_STEP, 0.25/max|tau|."""
-    ds = s[1] - s[0]
+def _slice_steps(s, tau_row):
+    """Fine steps per node interval of a slice on ``s`` with torsion
+    ``tau_row``: a fine step <= _SLICE_STEP, 0.25/max|tau|."""
     target = min(_SLICE_STEP, 0.25 / max(1.0, float(np.max(np.abs(tau_row)))))
-    m = max(1, int(math.ceil(ds / target)))
+    return max(1, int(math.ceil((s[1] - s[0]) / target)))
+
+
+def _integrated_slice(s, c_row, tau_row):
+    """Slice of the fields (c_row, tau_row) on ``s``, integrated in
+    ``_slice_steps`` fine steps per node interval from the identity frame
+    and the point 0 at s = 0; ``_placed`` turns and moves it."""
+    m = _slice_steps(s, tau_row)
     c_fn = lambda x: np.interp(x, s, c_row)
     tau_fn = lambda x: np.interp(x, s, tau_row)
     _, FF, GG = two_sided(
-        lambda end: propagate_frame(c_fn, tau_fn, 0.0, end, Fk, step=ds / m,
-                                    out_every=m, position0=pk,
+        lambda end: propagate_frame(c_fn, tau_fn, 0.0, end, np.eye(3),
+                                    step=(s[1] - s[0]) / m, out_every=m,
+                                    position0=np.zeros(3),
                                     max_steps=SolverConfig.max_steps),
         float(s[0]), float(s[-1]),
     )
     return Curve(s, GG, FF)
+
+
+def _placed(curve, Fk, pk):
+    """``curve``, integrated from the identity frame and the point 0, as
+    integrated from the frame Fk and the point pk: the Frenet system is
+    linear in its initial state, so its frames are turned, F @ Fk, and its
+    points moved, pk + G @ Fk."""
+    return Curve(curve.s_grid, pk + curve.points @ Fk, curve.frames @ Fk)
 
 
 def _origin_track(series, frame0, point0, t_grid):
@@ -288,7 +314,8 @@ def reconstruct_flow(data, frame0, point0, *, origin_series=None):
         raise GridTooCoarse("need >= 2 time slices")
     series = origin_series or _origin_series_from_data(data, i0)
     frames, chi = _origin_track(series, _checked_frame(frame0), point0, data.t_grid)
-    curves = [_integrated_slice(s, *row) for row in zip(data.c, data.tau, frames, chi)]
+    curves = [_placed(_integrated_slice(s, c, tau), F, p)
+              for c, tau, F, p in zip(data.c, data.tau, frames, chi)]
     return FlowResult(np.asarray(data.t_grid, dtype=float), curves, frames, chi)
 
 
@@ -329,6 +356,9 @@ class StabilityReport:
     The ``profile_slices`` slices with t < ``t_clean`` carry the unperturbed
     fields and are built from the reference profile; on them
     ``sup_T_defect`` measures only the perturbation of the origin frame.
+    The others are integrated: ``horizon_step`` is the Strang step k_c of
+    the last of them, after which the stage reads only the origin series,
+    and ``slice_fine_steps`` their fine steps in s, all slices together.
     The reference tangent is sampled on each slice's nodes by
     ``selfsimilar.sample``, as the built slices are, so the figure does not
     depend on the profile's grid.  ``min_v_over_a`` is the least |v|/a
@@ -352,6 +382,8 @@ class StabilityReport:
     boundary_w_max: float
     t_clean: float
     profile_slices: int
+    horizon_step: int
+    slice_fine_steps: int
     vertex: np.ndarray
     flow: FlowResult = field(repr=False)
 
@@ -400,18 +432,21 @@ def check_scales(t0, t_min_factor, s_max, ds, n_points, n_steps, n_slices):
 
 
 def _schrodinger_stage(problem, v0, n_steps, slice_ids, s_grid):
-    """Run the 1/t equation from ``v0`` and read what the pipeline uses of it.
+    """Run the 1/t equation from ``v0`` and yield what the pipeline reads of it.
 
-    Returns ``(origin, cmat, taumat, min_abs, boundary_w)``:
+    Yields two items:
 
-    - ``origin[k]`` is (v, v_x, v_xx) at x = 0 after step k (row 0: the
-      datum), one (3, N) weight matrix times the spectrum;
-    - ``cmat``, ``taumat`` are the (c, tau) rows on ``s_grid`` of the slice
-      steps ``slice_ids`` (given in ascending t = 1/T), each built when its
-      step is reached: its v and v_x zero-padded from the spectrum to
-      ``_UPSAMPLE`` N points and interpolated onto the nodes s/t;
-    - ``min_abs`` is the least |v| over the stepper's mid-step fields;
-    - ``boundary_w`` is the largest |v - a| at the box ends over the slices.
+    - ``(cmat, taumat)``, the (c, tau) rows on ``s_grid`` of the slice
+      steps ``slice_ids`` (given in ascending t = 1/T, so the first is the
+      last slice step k_c), as soon as step k_c is done, or before the
+      first step when k_c = 0.  Each row is built when its step is
+      reached: its v and v_x zero-padded from the spectrum to ``_UPSAMPLE``
+      N points and interpolated onto the nodes s/t;
+    - ``(origin, min_abs, boundary_w)`` once all ``n_steps`` are done:
+      ``origin[k]`` is (v, v_x, v_xx) at x = 0 after step k (row 0: the
+      datum), one (3, N) weight matrix times the spectrum; ``min_abs`` is
+      the least |v| over the stepper's mid-step fields; ``boundary_w`` is
+      the largest |v - a| at the box ends over the slices.
     """
     a = problem.background_a
     N, L, x0 = v0.n_points, v0.domain_length, v0.s0
@@ -457,7 +492,10 @@ def _schrodinger_stage(problem, v0, n_steps, slice_ids, s_grid):
         taumat[row] = s_grid / (2 * tk) - np.imag(vxq / vq) / tk
         return edge
 
+    k_c = int(slice_ids[0])
     boundary_w = read(0, problem.t_span[0], np.fft.fft(v0.values))
+    if k_c == 0:
+        yield cmat, taumat
     min_abs = np.inf
     p = np.empty(N)
     for k, T, vhat, v in nls._strang(problem, v0, n_steps):
@@ -467,7 +505,9 @@ def _schrodinger_stage(problem, v0, n_steps, slice_ids, s_grid):
                 f"filament function dipped to {min_abs:g} < 0.5 a; perturbation too large"
             )
         boundary_w = max(boundary_w, read(k, T, vhat))
-    return origin, cmat, taumat, min_abs, boundary_w
+        if k == k_c:
+            yield cmat, taumat
+    yield origin, min_abs, boundary_w
 
 
 def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
@@ -496,11 +536,14 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     Where ``dataio._beside`` forks (two CPUs, at least ``_MIN_STAGE_SIZE``
     step-points), the Schrodinger stage runs in a worker process, and this
     process meanwhile samples the reference profile on every slice node and
-    reads A+/-; the origin series, the origin track, the slices and the
-    defects follow here once the stage's arrays are back.
-    Otherwise all of it runs here.  The report is bit-identical either way;
-    a FilamentError of the stage is raised as the same class, a worker
-    that dies is OSError, and no worker outlives the call.
+    reads A+/-.  The stage sends the integrated slices' (c, tau) rows right
+    after its step k_c (``horizon_step``), and this process integrates them
+    from the identity frame while the stage steps on for the origin series;
+    the origin track, the placed slices and the defects follow once the
+    series is back.  Otherwise all of it runs here, in the same order.  The
+    report is bit-identical either way; a FilamentError of the stage,
+    before or after its rows, is raised as the same class, a worker that
+    dies is OSError, and no worker outlives the call.
     """
     if a <= 0:
         raise InvalidParameter("a must be positive")
@@ -540,6 +583,7 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     # amplitude O(||u_plus|| sqrt(t))): the first n_prof slices continue
     # with the unperturbed fields, and the stage reads only the others
     n_prof = int(np.sum(t_slices < t_clean))
+    k_c = int(slice_ids[n_prof])
     with dataio._beside("stability stage worker",
                         functools.partial(_schrodinger_stage, problem, v0, n_steps,
                                           slice_ids[n_prof:], s_grid),
@@ -552,7 +596,13 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
         span, _ = selfsimilar.sample_plan(sig_max, len(sig))
         F_ref, G_ref, A_plus, A_minus = selfsimilar.sample(a, span, sig)
         sA = selfsimilar.v_shape(A_plus, A_minus, s_grid)
-        origin, cmat, taumat, min_abs, boundary_w = stage()
+        # the slices at or past t_clean need only their (c, tau) rows: they
+        # are integrated from the identity frame while the stage steps on
+        # for the origin series, and placed once the origin track is known;
+        # reading the stage to its end reaps its worker
+        cmat, taumat = next(stage)
+        slices = [_integrated_slice(s_grid, *rows) for rows in zip(cmat, taumat)]
+        [(origin, min_abs, boundary_w)] = stage
 
     # u-side origin series (t = 1/T, ascending in t).  The frame ODE is run
     # in the gauge n~ + i b~ = e^{i phi/2}(n + i b), whose coupling entry
@@ -588,15 +638,13 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     clean = t_u[1:-1] >= t_clean
     extra_defect = float(np.max((extra * t_u[1:-1] / a2)[clean]))
 
-    # slices past t_clean from the reference, turned and moved by the
-    # origin track; the others integrated
+    # slices below t_clean from the reference, the others integrated; all
+    # turned and moved by the origin track
     point0 = np.array([0.0, 0.0, 2 * a * math.sqrt(t_max)])
     frames, chi = _origin_track(series, np.eye(3), point0, t_slices)
     refs = zip(F_ref.reshape(n_slices, -1, 3, 3), G_ref.reshape(n_slices, -1, 3))
-    curves = [_profile_slice(a, s_grid, *row) for row in
-              zip(t_slices[:n_prof], frames, chi, refs)]
-    curves += [_integrated_slice(s_grid, *row) for row in
-               zip(cmat, taumat, frames[n_prof:], chi[n_prof:])]
+    built = [_profile_slice(a, s_grid, *row) for row in zip(t_slices[:n_prof], refs)]
+    curves = [_placed(*row) for row in zip(built + slices, frames, chi)]
     result = FlowResult(t_slices, curves, frames, chi)
     trace, const = trace_at_zero(result)
 
@@ -623,5 +671,7 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
         gamma_closed_form=gamma_cf, trace_constant=const,
         sup_T_defect=sup_T, extra_identity_defect=extra_defect,
         min_v_over_a=float(min_abs / a), boundary_w_max=boundary_w,
-        t_clean=float(t_clean), profile_slices=n_prof, vertex=vertex, flow=result,
+        t_clean=float(t_clean), profile_slices=n_prof, horizon_step=k_c,
+        slice_fine_steps=n_s * sum(_slice_steps(s_grid, row) for row in taumat),
+        vertex=vertex, flow=result,
     )

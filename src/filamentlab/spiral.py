@@ -250,19 +250,24 @@ def _sides(params, s_lo, s_hi, cfg):
     Both sides are planned and checked before either runs.  With two CPUs
     and at least ``_MIN_SIDE_STEPS`` fine steps on each side, the s <= 0
     side runs in a forked worker (``dataio._beside``) while this process
-    runs the s >= 0 side.  The two runs do the same arithmetic as the
+    runs the s >= 0 side; the worker's generator yields its one item, the
+    side's block-end array.  The two runs do the same arithmetic as the
     serial one, so the result is bit-identical.
     """
     y0 = (*params.G0.tolist(), *params.T0.tolist())
     plans = {end: _fixed_step(_PROFILE, (params.mu,), y0, 0.0, end, cfg)
              for end in (s_hi, s_lo) if end != 0}
     steps = [(len(s) - 1) * int(cfg.renorm_every) for s, _ in plans.values()]
-    with dataio._beside("spiral side worker", lambda: plans[s_lo][1](),
+
+    def minus_side():
+        yield plans[s_lo][1]()
+
+    with dataio._beside("spiral side worker", minus_side,
                         len(plans) == 2 and min(steps) >= _MIN_SIDE_STEPS) as minus:
 
         def run(end):
             s, integrate = plans[end]
-            out = minus() if end == s_lo else integrate()
+            [out] = minus if end == s_lo else [integrate()]
             return s, out[:, :3], out[:, 3:]
 
         return two_sided(run, s_lo, s_hi)

@@ -309,8 +309,8 @@ def test_filament_error_in_a_worker_is_raised_as_itself(monkeypatch, cls):
     _cpus(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
     with pytest.raises(cls) as caught:
-        with dataio._beside("test worker", fail, True) as result:
-            result()
+        with dataio._beside("test worker", fail, True) as items:
+            list(items)
     assert type(caught.value) is cls
     pid = int(str(caught.value).rpartition(" ")[2])
     assert str(caught.value) == f"{cls.__name__} in process {pid}" and pid != os.getpid()
@@ -513,6 +513,74 @@ def test_killed_stage_worker_is_one_io_error_line(tmp_path, monkeypatch, capsys)
     assert "code -9" in err
     assert not list(tmp_path.iterdir())
     _assert_no_child()
+
+
+def _stage_failing_after_rows(monkeypatch, fail):
+    """Make the Schrodinger stage call ``fail`` in every process but this
+    one once it has sent its (c, tau) rows; returns the list to which each
+    slice integrated in this process appends."""
+    parent, original = os.getpid(), flow._schrodinger_stage
+
+    def stage(*args):
+        items = original(*args)
+        if os.getpid() != parent:
+            yield next(items)
+            fail()
+        yield from items
+
+    integrated, integrate = [], flow._integrated_slice
+
+    def counted(*args):
+        integrated.append(os.getpid())
+        return integrate(*args)
+
+    monkeypatch.setattr(flow, "_schrodinger_stage", stage)
+    monkeypatch.setattr(flow, "_integrated_slice", counted)
+    return integrated
+
+
+def test_stage_worker_killed_after_its_rows_raises_oserror(monkeypatch):
+    _cpus(monkeypatch, 2)
+    integrated = _stage_failing_after_rows(
+        monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(OSError, match=r"^stability stage worker \d+ exited with code -9 "
+                                      "before its last message$"):
+        _stability()
+    # the rows came: their slices were integrated here before the failure
+    assert integrated and set(integrated) == {os.getpid()}
+    _assert_no_child()
+
+
+def test_curvature_vanishes_after_the_rows_reaches_the_parent_as_itself(monkeypatch):
+    def fail():
+        raise CurvatureVanishes(f"filament function dipped in process {os.getpid()}")
+
+    _cpus(monkeypatch, 2)
+    integrated = _stage_failing_after_rows(monkeypatch, fail)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(CurvatureVanishes) as caught:
+        _stability()
+    assert type(caught.value) is CurvatureVanishes
+    assert int(str(caught.value).rpartition(" ")[2]) not in (os.getpid(), 0)
+    assert integrated and forks == [1]
+    _assert_no_child()
+
+
+def test_stage_whose_only_integrated_slice_is_the_datum_is_bit_identical(monkeypatch):
+    # t_clean = 0.82 lies between the slice times 0.66 and 0.95 (step 1):
+    # every slice but the datum is built from the reference, so k_c = 0 and
+    # the stage sends its rows before its first step
+    up = nls.gaussian_field(20.0, 512, 1e-2, width=1.0)
+    reports = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        forks = _count_forks(monkeypatch)
+        rep = flow.stability_experiment(0.5, up, 1.0, **STAGE)
+        assert len(forks) == cpus - 1
+        reports.append(_report_bytes(rep))
+        _assert_no_child()
+    assert rep.horizon_step == 0 and rep.profile_slices == STAGE["n_slices"] - 1
+    assert reports[0] == reports[1]
 
 
 def test_parent_failure_kills_and_reaps_the_stage_worker(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, solve_ivp
 
-from filamentlab import flow, geometry, nls, selfsimilar
+from filamentlab import flow, geometry, integrators, nls, selfsimilar
 from filamentlab.errors import (
     ConstraintViolated,
     CurvatureVanishes,
@@ -91,9 +91,9 @@ def test_profile_built_slices_match_direct_integration():
                                   (s[None] / np.sqrt(t)[:, None]).ravel())
     refs = zip(F.reshape(len(t), -1, 3, 3), G.reshape(len(t), -1, 3))
     for tk, ref in zip(t, refs):
-        direct = flow._integrated_slice(s, np.full(len(s), a / math.sqrt(tk)),
-                                        s / (2 * tk), frame0, point0)
-        built = flow._profile_slice(a, s, tk, frame0, point0, ref)
+        direct = flow._placed(flow._integrated_slice(s, np.full(len(s), a / math.sqrt(tk)),
+                                                     s / (2 * tk)), frame0, point0)
+        built = flow._placed(flow._profile_slice(a, s, tk, ref), frame0, point0)
         assert np.array_equal(direct.s_grid, built.s_grid)
         assert np.max(np.abs(direct.frames - built.frames)) <= 1e-9
         assert np.max(np.abs(direct.points - built.points)) <= 1e-9
@@ -105,7 +105,44 @@ def test_profile_slice_beyond_the_profile_rejected():
     with pytest.raises(OutOfProfileRange):
         # sigma reaches 2/sqrt(1e-2) = 20, past the span 10
         ref = selfsimilar.sample(0.5, 10.0, s / math.sqrt(1e-2))[:2]
-        flow._profile_slice(0.5, s, 1e-2, np.eye(3), np.zeros(3), ref)
+        flow._profile_slice(0.5, s, 1e-2, ref)
+
+
+def _slice_from(s, c_row, tau_row, Fk, pk):
+    """Reference: a slice integrated from the frame Fk and the point pk."""
+    m = flow._slice_steps(s, tau_row)
+    c_fn = lambda x: np.interp(x, s, c_row)
+    tau_fn = lambda x: np.interp(x, s, tau_row)
+    _, F, G = integrators.two_sided(
+        lambda end: geometry.propagate_frame(c_fn, tau_fn, 0.0, end, Fk,
+                                             step=(s[1] - s[0]) / m, out_every=m,
+                                             position0=pk),
+        float(s[0]), float(s[-1]))
+    return F, G
+
+
+@pytest.mark.parametrize("tk", [1e-2, 1e-3])
+def test_placed_slice_matches_the_slice_integrated_from_its_origin(tk):
+    # the Frenet system is linear in its initial state: the slice from the
+    # identity frame and the point 0, turned by Fk and moved by pk, is the
+    # slice from (Fk, pk).  Within one kernel piece the frames are the same
+    # products; the points are summed in another order
+    s = -5.0 + 0.01 * np.arange(1001)
+    c = 0.5 / math.sqrt(tk) * (1 + 0.1 * np.cos(3 * s))
+    tau = s / (2 * tk) + 2.0 * np.sin(s)
+    Fk = _rotation(np.array([[0.3 - 0.5j, 0.7 + 0.2j]]))[0]
+    pk = np.array([0.7, -1.3, 0.4])
+    placed = flow._placed(flow._integrated_slice(s, c, tau), Fk, pk)
+    F, G = _slice_from(s, c, tau, Fk, pk)
+    assert np.array_equal(placed.s_grid, s)
+    one_piece = 500 * flow._slice_steps(s, tau) <= integrators._CHUNK
+    assert one_piece == (tk == 1e-2)
+    if one_piece:
+        assert np.array_equal(placed.frames, F)
+    else:
+        assert np.max(np.abs(placed.frames - F)) <= 1e-13
+    assert np.max(np.abs(placed.points - G)) <= 1e-13
+    assert np.max(np.abs(F[:, 0] - Fk[0])) > 0.5  # T turns
 
 
 def test_steady_circle_data_translates():
@@ -474,7 +511,9 @@ def _previous_stage(problem, v0, n_steps, slice_ids, s_grid):
 
     An inverse FFT after every step gives v(0) and the step-end min |v|;
     every slice keeps its full-box (v, v_x) and is upsampled through an FFT
-    pair before the interpolation.
+    pair before the interpolation.  It runs every step before it yields the
+    streamed stage's two items, (cmat, taumat) and (origin, min_abs,
+    boundary_w).
     """
     a = problem.background_a
     N = v0.n_points
@@ -524,20 +563,21 @@ def _previous_stage(problem, v0, n_steps, slice_ids, s_grid):
                + 1j * np.interp(xq, x_fine, vxf.imag, left=0.0, right=0.0))
         cmat[row] = np.abs(vq) / math.sqrt(tk)
         taumat[row] = s_grid / (2 * tk) - np.imag(vxq / vq) / tk
-    return np.array(origin), cmat, taumat, min_abs, boundary_w
+    yield cmat, taumat
+    yield np.array(origin), min_abs, boundary_w
 
 
 def _small_stability(stage=None):
     """A 100-step run at N = 512 whose slices lie on both sides of t_clean;
-    also returns the stage's inputs and outputs, recorded on one CPU, where
-    the stage runs in this process."""
+    also returns the stage's inputs and its two items, recorded on one CPU,
+    where the stage runs in this process."""
     seen = []
     run_stage = stage or flow._schrodinger_stage
 
     def recording(*args):
-        out = run_stage(*args)
-        seen.append((args, out))
-        return out
+        items = list(run_stage(*args))
+        seen.append((args, items))
+        return iter(items)
 
     up = nls.gaussian_field(125.0, 512, 1e-2, width=2.0)
     up = up.copy_with(up.values * np.exp(0.4j * up.grid()))  # v_x(0) != 0
@@ -556,16 +596,59 @@ def _rel(got, want):
 def test_stability_stage_matches_previous_stage():
     rep, (args, out) = _small_stability()
     assert 0 < rep.profile_slices < 12
-    origin, cmat, taumat, min_abs, boundary_w = out
-    ref = _previous_stage(*args)
+    (cmat, taumat), (origin, min_abs, boundary_w) = out
+    (ref_c, ref_tau), (ref_origin, ref_min, ref_w) = _previous_stage(*args)
     for col in range(3):  # v, v_x, v_xx at x = 0
-        assert _rel(origin[:, col], ref[0][:, col]) <= 1e-12
-    assert _rel(cmat, ref[1]) <= 1e-12
-    assert _rel(taumat, ref[2]) <= 1e-12
+        assert _rel(origin[:, col], ref_origin[:, col]) <= 1e-12
+    assert _rel(cmat, ref_c) <= 1e-12
+    assert _rel(taumat, ref_tau) <= 1e-12
     assert boundary_w > 0
-    assert abs(boundary_w - ref[4]) <= 1e-12 * ref[4]
+    assert abs(boundary_w - ref_w) <= 1e-12 * ref_w
     # mid-step against step-end samples of the same run
-    assert abs(min_abs - ref[3]) <= 1e-2 * ref[3]
+    assert abs(min_abs - ref_min) <= 1e-2 * ref_min
+
+
+def test_stability_reports_its_horizon_step_and_slice_fine_steps(monkeypatch):
+    # both are counts of what the run did: the step of the last integrated
+    # slice, and the fine steps the frame kernel took over those slices
+    taken = []
+    propagate = flow.propagate_frame
+
+    def counting(*args, out_every, **kwargs):
+        s_out, F, G = propagate(*args, out_every=out_every, **kwargs)
+        taken.append((len(s_out) - 1) * out_every)
+        return s_out, F, G
+
+    monkeypatch.setattr(flow, "propagate_frame", counting)
+    rep, (args, _) = _small_stability()
+    n_int = 12 - rep.profile_slices
+    assert len(taken) == 2 * n_int  # both sides of each integrated slice
+    assert rep.slice_fine_steps == sum(taken)
+    assert rep.t_grid[rep.profile_slices] >= rep.t_clean > rep.t_grid[rep.profile_slices - 1]
+    assert rep.horizon_step == max(args[3])
+    assert isinstance(rep.horizon_step, int) and isinstance(rep.slice_fine_steps, int)
+
+
+def test_stability_stage_sends_its_rows_after_the_last_slice_step(monkeypatch):
+    # the rows come right after step k_c = horizon_step, the origin series
+    # after the last step
+    rep, (args, _) = _small_stability()
+    k_c = rep.horizon_step
+    assert 0 < k_c < args[2] and k_c == args[3][0]
+    steps = []
+    strang = nls._strang
+
+    def counting(*a):
+        for item in strang(*a):
+            steps.append(item[0])
+            yield item
+
+    monkeypatch.setattr(nls, "_strang", counting)
+    items = flow._schrodinger_stage(*args)
+    next(items)
+    assert steps[-1] == k_c
+    next(items)
+    assert steps[-1] == args[2]
 
 
 def test_stability_report_matches_previous_stage():

@@ -2,25 +2,28 @@
 writer for curves, config hashing for run directories, and the package's
 one forked worker.
 
-``_Worker`` forks a process that runs one task with ``send``, which
-pickles each object it is given (protocol 5: arrays travel as their raw
-bytes) into a pipe; the parent loads them in order with ``recv``.  A
-worker that exits before it has sent all it owes raises OSError, and every
-caller reaps its workers before it returns or raises.  A caller forks at
+The worker protocol is one for every caller.  ``_beside`` runs a generator
+function beside the caller: in a forked ``_Worker`` where that pays, else
+in this process when its items are asked for.  A worker sends each item as
+one protocol-5 pickle (arrays travel as their raw bytes) as soon as it is
+made, then an end message that carries the FilamentError the generator
+raised, if any, which the parent raises as itself.  A worker that exits
+before its last message raises OSError, and one that is still running when
+its context exits is killed; every worker is reaped.  A caller forks at
 most one process per CPU this process may run on (``_fork_cpus``:
 ``os.sched_getaffinity``, 1 where ``os.fork`` does not exist), and only for
-work that outweighs a fork round trip of a few milliseconds.  Three
-callers use it:
+work that outweighs a fork round trip of a few milliseconds.  The items
+are:
 
-* The CSV writer.  It formats 4096 rows per ``%`` operation, and that
-  formatting holds the interpreter lock, so a batch of CSVs is spread over
-  P processes.  Its blocks, taken file by file in the order they are
+* The CSV writer's blocks.  It formats 4096 rows per ``%`` operation, and
+  that formatting holds the interpreter lock, so a batch of CSVs is spread
+  over P processes.  Its blocks, taken file by file in the order they are
   written, are dealt round-robin: the parent formats blocks 0, P, 2P, ...
-  straight into the files, and worker k sends blocks k, P + k, ..., one
-  message each, which the parent writes to its file when it reaches that
-  block.  A worker thus runs at most about one block ahead of the parent.
-  P is capped so that each process formats at least ``_MIN_SHARE`` floats
-  and one block; at P = 1 nothing is forked.
+  straight into the files, and worker k yields blocks k, P + k, ..., which
+  the parent writes to its file when it reaches that block.  A worker thus
+  runs at most about one block ahead of the parent.  P is capped so that
+  each process formats at least ``_MIN_SHARE`` floats and one block; at
+  P = 1 nothing is forked.
 
   A mirrored job is a curve with a parity, such as the self-similar
   profile: it gives only the rows from its mirror node s = 0 upward, and
@@ -31,14 +34,12 @@ callers use it:
   block first.  The s >= 0 text waits meanwhile in an unlinked spill file
   beside the CSV, one block at a time, and is copied back in block order
   once the s < 0 rows are written.
-* ``spiral.spiral_profile`` and ``flow.stability_experiment``, through
-  ``_beside``: each runs one independent part of its work in a worker
-  while it does the rest, and reads the items the worker's generator
-  yields as they come, one message each, then the FilamentError it raised,
-  if any.  The spiral profile's s <= 0 side is one item; the stability
-  run's Schrodinger stage yields two, its slices' (c, tau) rows once they
-  are all read and its origin series at the end, and the caller integrates
-  the slices in between.
+* The independent part of ``spiral.spiral_profile`` and of
+  ``flow.stability_experiment``, which each caller reads while it does the
+  rest of its work.  The spiral profile's s <= 0 side is one item; the
+  stability run's Schrodinger stage yields two, its slices' (c, tau) rows
+  once they are all read and its origin series at the end, and the caller
+  integrates the slices in between.
 
 The bytes written do not depend on the number of processes.
 """
@@ -151,13 +152,14 @@ def _format_block(job, start):
 
 
 class _Worker:
-    """A forked process that runs ``task(send)`` and exits 0 when it
-    returns; ``send(obj)`` pickles ``obj`` into a pipe whose read end the
-    parent holds, and ``recv`` loads the objects in the order sent."""
+    """A forked process that runs ``fn()``, a generator, and sends each
+    item it yields as (True, item), then (False, None), or (False, exc) once
+    ``fn`` raised the FilamentError ``exc``: one protocol-5 pickle each, so
+    arrays travel as their raw bytes.  Iterating the worker in the parent
+    gives the items in order and raises that error after them."""
 
-    def __init__(self, name, task, inherited=()):
-        """Fork; ``name`` names the worker in errors and ``inherited`` are
-        the parent's read ends that the child closes."""
+    def __init__(self, name, fn):
+        """Fork; ``name`` names the worker in errors."""
         self.name, self.code = name, None
         r, w = os.pipe()
         try:
@@ -171,35 +173,45 @@ class _Worker:
             self.pipe = open(r, "rb")
             return
         # the child never returns: it leaves by os._exit, without running
-        # the parent's handlers or flushing its buffers; a write to a
-        # pipe whose reader has gone fails with EPIPE and ends it too
+        # the parent's handlers or flushing its buffers; any other failure,
+        # such as EPIPE once its reader has gone, ends it with code 1
         code = 1
         try:
-            for fd in (r, *inherited):
-                os.close(fd)
+            os.close(r)
             out = open(w, "wb")
-
-            def send(obj):
-                pickle.dump(obj, out, protocol=5)
-                out.flush()
-
-            task(send)
+            try:
+                for item in fn():
+                    pickle.dump((True, item), out, protocol=5)
+                    out.flush()
+                end = (False, None)
+            except FilamentError as exc:
+                end = (False, exc)
+            pickle.dump(end, out, protocol=5)
+            out.flush()
             code = 0
         finally:
             os._exit(code)
 
-    def recv(self):
-        """The next object the worker sent; OSError if it ended first."""
-        try:
-            return pickle.load(self.pipe)
-        except (EOFError, pickle.UnpicklingError):
-            raise OSError(f"{self.name} {self.pid} exited with code {self.reap()} "
-                          "before its last message") from None
+    def __iter__(self):
+        """The items in the order sent; OSError if the worker ended before
+        its last message."""
+        while True:
+            try:
+                ok, value = pickle.load(self.pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise OSError(f"{self.name} {self.pid} exited with code {self.reap()} "
+                              "before its last message") from None
+            if not ok:
+                break
+            yield value
+        self.reap()
+        if value is not None:
+            raise value
 
     def reap(self, kill=False):
         """Close the pipe, wait for the process and return its exit code
         (-signal if a signal ended it); ``kill`` sends SIGKILL first, for
-        a caller that is failing and will not read the rest."""
+        a caller that will not read the rest."""
         if self.code is None:
             self.pipe.close()
             if kill:
@@ -217,58 +229,33 @@ def _fork_cpus():
     return len(os.sched_getaffinity(0))
 
 
-def _send_items(fn, send):
-    """A ``_beside`` worker's task: send (True, item) for each item of
-    ``fn()`` as soon as it is made, then (False, None); or, once ``fn``
-    raises a FilamentError, (False, that error)."""
-    try:
-        for item in fn():
-            send((True, item))
-    except FilamentError as exc:
-        send((False, exc))
-    else:
-        send((False, None))
-
-
 @contextlib.contextmanager
 def _beside(name, fn, worth_forking):
     """Yield an iterator over the items of ``fn()``, a generator.
 
     Where ``worth_forking`` holds and this process may run on two CPUs,
-    ``fn`` starts at once in a worker named ``name``, which sends each item
-    as soon as it is made, and the iterator waits for each in turn: a
-    FilamentError that ``fn`` raised there is raised here as itself, after
-    the items sent before it, and any other failure ends the worker with
-    code 1, an OSError here.  Otherwise the iterator is ``fn()`` itself,
-    which makes each item here when it is asked for.  A worker still
-    running when the context exits, on a failure or before its items are
-    all read, is killed; it is always reaped.
+    ``fn`` starts at once in a ``_Worker`` named ``name``, and the iterator
+    is that worker: a FilamentError that ``fn`` raised there is raised here
+    as itself, after the items sent before it, and any other failure ends
+    the worker with code 1, an OSError here.  Otherwise the iterator is
+    ``fn()`` itself, which makes each item here when it is asked for.  A
+    worker still running when the context exits, on a failure or before its
+    items are all read, is killed; it is always reaped.
     """
     if not worth_forking or _fork_cpus() < 2:
         yield fn()
         return
-    worker = _Worker(name, functools.partial(_send_items, fn))
-
-    def items():
-        ok, value = worker.recv()
-        while ok:
-            yield value
-            ok, value = worker.recv()
-        worker.reap()
-        if value is not None:
-            raise value
-
+    worker = _Worker(name, fn)
     try:
-        yield items()
+        yield iter(worker)
     finally:
-        worker.reap(kill=True)  # a no-op once every item has been read
+        worker.reap(kill=True)  # a no-op once its end message has been read
 
 
-def _send_blocks(jobs, blocks, send):
-    """A CSV worker's task: send each (job index, first row) block of
-    ``blocks``, formatted, as one message, in order."""
+def _formatted(jobs, blocks):
+    """The (job index, first row) blocks of ``blocks``, formatted, in order."""
     for j, start in blocks:
-        send(_format_block(jobs[j], start))
+        yield _format_block(jobs[j], start)
 
 
 def _n_processes(n_floats, n_blocks):
@@ -320,13 +307,11 @@ def write_csvs(jobs):
     blocks = [(j, start) for j, rows in enumerate(starts) for start in rows]
     n_floats = sum(np.size(c) for job in jobs for c in job[2])
     p = _n_processes(n_floats, len(blocks))
-    workers = []
-    try:
-        for k in range(1, p):
-            workers.append(_Worker(
-                "CSV worker", functools.partial(_send_blocks, jobs, blocks[k::p]),
-                [w.pipe.fileno() for w in workers]))
-        texts = (workers[i % p - 1].recv() if i % p else _format_block(jobs[j], start)
+    with contextlib.ExitStack() as stack:
+        workers = [stack.enter_context(_beside(
+                       "CSV worker", functools.partial(_formatted, jobs, blocks[k::p]), True))
+                   for k in range(1, p)]
+        texts = (next(workers[i % p - 1]) if i % p else _format_block(jobs[j], start)
                  for i, (j, start) in enumerate(blocks))
         for job, rows in zip(jobs, starts):
             with open(job[0], "wb") as fh:
@@ -336,14 +321,6 @@ def write_csvs(jobs):
                 else:
                     for _ in rows:
                         fh.write(next(texts))
-    finally:
-        for w in workers:
-            w.reap()
-
-
-def write(path, header, columns):
-    """One CSV: the one-job case of :func:`write_csvs`."""
-    write_csvs([(path, header, columns)])
 
 
 def config_hash(params):

@@ -57,7 +57,7 @@ from .errors import (
     MemoryBudgetExceeded,
     NonFiniteCoefficient,
 )
-from .geometry import (Curve, SolverConfig, _checked_frame, _cumulative_simpson,
+from .geometry import (Curve, _checked_frame, _cumulative_simpson,
                        _nonuniform_dt, _uniform_step, propagate_frame)
 from .integrators import (GAUSS_C1, GAUSS_C2, _Q_ONE, _check_angle, _qmul, _rotation,
                           _scan, magnus_omega, rodrigues_phi1, two_sided)
@@ -260,8 +260,7 @@ def _integrated_slice(s, c_row, tau_row):
     _, FF, GG = two_sided(
         lambda end: propagate_frame(c_fn, tau_fn, 0.0, end, np.eye(3),
                                     step=(s[1] - s[0]) / m, out_every=m,
-                                    position0=np.zeros(3),
-                                    max_steps=SolverConfig.max_steps),
+                                    position0=np.zeros(3)),
         float(s[0]), float(s[-1]),
     )
     return Curve(s, GG, FF)
@@ -397,7 +396,7 @@ def check_scales(t0, t_min_factor, s_max, ds, n_points, n_steps, n_slices):
     t_min_factor above the trace's 1e-2 (InsufficientTimeRange), a t0 or
     t_min outside ``_TIME_SCALES``, a curve grid whose node count
     2 s_max/ds overflows, a reference profile whose span s_max/sqrt(t_min)
-    overflows or needs more than ``SolverConfig.max_steps`` fine steps
+    overflows or needs more than ``integrators._MAX_STEPS`` fine steps
     (StepLimitExceeded), and a run whose largest arrays would exceed
     ``MemoryBudgetExceeded.BUDGET``; returns the planned bytes.  The
     reference profile's span, step check and bytes are

@@ -102,7 +102,7 @@ class Curve:
         return path, header, cols
 
     def write_csv(self, path):
-        dataio.write(*self.csv_job(path))
+        dataio.write_csvs([self.csv_job(path)])
 
     @staticmethod
     def read_csv(path):
@@ -123,21 +123,19 @@ class Curve:
 class SolverConfig:
     """Fixed-step integrator knobs.
 
-    ``step`` bounds the fine step, ``max_steps`` caps the fine steps of one
-    run (one side of a two-sided run), and ``renorm_every`` is the number of
+    ``step`` bounds the fine step, and ``renorm_every`` is the number of
     fine steps per output node: it sets the output spacing of trajectories,
     since states are materialized exactly at those nodes.  A fine step is
     one step of the run's method, whatever its cost: a Magnus step of the
     frame and theta propagators, or a DOP853 step of the scalar profile ODEs
-    of ``spiral``, which is 12 right-hand-side evaluations.
-
-    ``max_steps`` is a time budget.  A run holds one piece of
+    of ``spiral``, which is 12 right-hand-side evaluations.  One run (one
+    side of a two-sided run) takes at most ``integrators._MAX_STEPS``
+    (50 million) fine steps, a time budget: it holds one piece of
     ``integrators._CHUNK`` (16 384) fine steps, about 4 MB for the frame
     kernel, and its output nodes, which ``integrators._plan`` bounds.
     """
 
     step: float = 1e-3
-    max_steps: int = 50_000_000
     renorm_every: int = 16
 
     def __post_init__(self):
@@ -148,8 +146,6 @@ class SolverConfig:
             raise InvalidParameter(
                 f"renorm_every must be an integer >= 1, got {self.renorm_every!r}"
             )
-        if not self.max_steps >= 1:
-            raise InvalidParameter(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 @dataclass
@@ -259,7 +255,7 @@ def frenet_integrate(c, tau, frame0, s_span, cfg=None, *, position0=None):
     s_out, frames, points = propagate_frame(
         c, tau, float(s_span[0]), float(s_span[1]), F0,
         step=cfg.step, out_every=cfg.renorm_every,
-        position0=position0, max_steps=cfg.max_steps,
+        position0=position0,
     )
     return FrameTrajectory(s_out, frames, points)
 

@@ -38,6 +38,9 @@ GAUSS_C1 = 0.5 - np.sqrt(3.0) / 6.0
 GAUSS_C2 = 0.5 + np.sqrt(3.0) / 6.0
 
 _CHUNK = 16_384   # fine steps per vectorized piece; caps peak memory
+# fine steps of one planned run (one side of a two-sided run) at most: a
+# time budget, since a run holds one piece of _CHUNK steps whatever its length
+_MAX_STEPS = 50_000_000
 _SCAN_ROW = 32     # elements per row of the two-level prefix scan
 # Planned bytes per output node of a dense run (``_plan``), rounded up from the
 # tracemalloc peak: 416 per node of a profile's half, 850 of a spiral's side
@@ -204,11 +207,12 @@ def _stage_coeffs(fn, s):
     return vals
 
 
-def _blocks(s0, s1, step, out_every, max_steps):
+def _blocks(s0, s1, step, out_every):
     """Uniform fine grid over [s0, s1] in whole output blocks.
 
     Returns (h, m, n_blocks): the fine step, the fine steps per output block
-    and the block count, so the grid has n_blocks * m steps.
+    and the block count, so the grid has n_blocks * m steps; more than
+    ``_MAX_STEPS`` of them are StepLimitExceeded.
     """
     span = s1 - s0
     if not (math.isfinite(span) and span != 0.0):
@@ -225,7 +229,7 @@ def _blocks(s0, s1, step, out_every, max_steps):
     if abs(r - n_blocks) > 1e-9 * r:
         n_blocks = math.ceil(r)
     n_blocks = max(1, n_blocks)
-    if max_steps is not None and n_blocks * m > max_steps:
+    if n_blocks * m > _MAX_STEPS:
         # as a float, inf beyond its range: the int may have 300 digits
         raise StepLimitExceeded(
             f"{float(n_blocks) * m:.3g} steps needed for span {span:g} at step {step:g}"
@@ -233,11 +237,11 @@ def _blocks(s0, s1, step, out_every, max_steps):
     return span / (n_blocks * m), m, n_blocks
 
 
-def _plan(s0, s1, step, out_every, max_steps):
+def _plan(s0, s1, step, out_every):
     """``_blocks`` with its output nodes: returns (h, m, s_out, n), n the
     fine-step count and s_out the n/m + 1 block ends, s_out[0] = s0; nodes
     over the memory budget are MemoryBudgetExceeded."""
-    h, m, n_blocks = _blocks(s0, s1, step, out_every, max_steps)
+    h, m, n_blocks = _blocks(s0, s1, step, out_every)
     MemoryBudgetExceeded.check((n_blocks + 1) * _BYTES_PER_OUTPUT_NODE,
                                f"fixed-step run over [{s0:g}, {s1:g}]")
     return h, m, s0 + h * m * np.arange(n_blocks + 1), n_blocks * m
@@ -309,7 +313,7 @@ def frame_states(c_fn, tau_fn, s0, h, n, at, frame0, position0=None):
 
 
 def propagate_frame(c_fn, tau_fn, s0, s1, frame0, *, step, out_every,
-                    position0=None, max_steps=None):
+                    position0=None):
     """Propagate the Frenet frame system, optionally with the curve point.
 
     State rows are (T, n, b) (and G when position0 is given); the system is
@@ -318,19 +322,19 @@ def propagate_frame(c_fn, tau_fn, s0, s1, frame0, *, step, out_every,
     steps, s_out[0] = s0.  Every step is an exact rotation, so the frames
     stay orthonormal to roundoff without renormalization.
     """
-    h, m, s_out, n = _plan(s0, s1, step, out_every, max_steps)
+    h, m, s_out, n = _plan(s0, s1, step, out_every)
     frames, points = frame_states(c_fn, tau_fn, s0, h, n, m * np.arange(len(s_out)),
                                   frame0, position0)
     return s_out, frames, points
 
 
-def propagate_linear2(afn, s0, s1, y0, *, step, out_every, max_steps=None):
+def propagate_linear2(afn, s0, s1, y0, *, step, out_every):
     """Propagate a 2-dim complex linear system y' = A(s) y.
 
     ``afn(s_array) -> (N,2,2)`` complex.  Returns (s_out, Y) with Y[k] the
     state at s_out[k]; outputs every ``out_every`` fine steps.
     """
-    h, m, s_out, n = _plan(s0, s1, step, out_every, max_steps)
+    h, m, s_out, n = _plan(s0, s1, step, out_every)
 
     def piece(sk, ends, y):
         A1 = afn(sk + GAUSS_C1 * h)

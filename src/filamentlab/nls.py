@@ -433,15 +433,24 @@ def long_range_comparison(a, u_plus, sign, t_span, n_steps, *, coeff=1.0):
 
     Snapshots are checked about 24 times over the run.  Returns a dict with
     the endpoint defects, their ratio, and fitted log-log decay slopes of
-    ||v - v1|| and its derivative.
+    ||v - v1|| and its derivative; the later half of the stored times, through
+    which the slopes are fitted, must be distinct in log t.
     """
     if n_steps < 2:
         # the slopes are fitted through the later half of >= 2 stored times
         raise InvalidParameter(f"n_steps must be >= 2, got {n_steps}")
     problem = NlsProblem(sign=sign, background_a=a, potential="gp",
                          t_span=tuple(t_span), coeff=coeff)
+    # the steps ``evolve`` stores: 0, every store-th one and the last
+    store = _long_range_store(n_steps)
+    k = np.append(np.arange(0, n_steps, store), n_steps)
+    lt = np.log(time_grid(problem, n_steps)[k[len(k) // 2:]])
+    if np.any(lt[1:] == lt[:-1]):  # monotone in k, so a repeat is a neighbour
+        raise InvalidParameter(
+            f"t_span {problem.t_span}: the later half of the stored times is not "
+            "distinct in log t, so no decay slope can be fitted")
     v0 = long_range_ansatz(u_plus, a, sign, problem.t_span[0], coeff)
-    res = evolve(problem, v0, n_steps, store_every=_long_range_store(n_steps))
+    res = evolve(problem, v0, n_steps, store_every=store)
     d_phase, d_free, d_deriv = [], [], []
     for t, f in zip(res.times, res.fields):
         # the ansatz with and without its log phase share one free evolution
@@ -452,7 +461,6 @@ def long_range_comparison(a, u_plus, sign, t_span, n_steps, *, coeff=1.0):
         d_deriv.append(diff.derivative().l2_norm())
     d_phase, d_free, d_deriv = map(np.array, (d_phase, d_free, d_deriv))
     half = len(res.times) // 2
-    lt = np.log(res.times[half:])
 
     def slope(d):
         y = np.log(np.maximum(d[half:], 1e-300))

@@ -69,7 +69,7 @@ def _default_cfg(s_max):
 def _grid(s_max):
     """(h, m, n_blocks) of G_a's fine grid on [0, s_max] (``_blocks``)."""
     cfg = _default_cfg(s_max)
-    return _blocks(0.0, float(s_max), cfg.step, cfg.renorm_every, cfg.max_steps)
+    return _blocks(0.0, float(s_max), cfg.step, cfg.renorm_every)
 
 
 # parity of G_a: x is odd and y, z are even, so T = G' keeps its x and flips
@@ -89,8 +89,7 @@ def _half(a, end, cfg):
     """(s, frames, points) of G_a from s = 0 to ``end``."""
     return propagate_frame(*_coefficients(a), 0.0, end, np.eye(3), step=cfg.step,
                            out_every=cfg.renorm_every,
-                           position0=np.array([0.0, 0.0, 2 * a]),
-                           max_steps=cfg.max_steps)
+                           position0=np.array([0.0, 0.0, 2 * a]))
 
 
 def _mirror(s, frames, points):
@@ -138,21 +137,28 @@ def profile(a, s_max, cfg=None):
     and 2.1e-6), not at large a: at a = 2 it is 7.6e-6 and 7.6e-8 against
     6.1e-6 and 1.7e-8, and it does not move when the step is refined, so
     the remainder is the tail of T, not the integration.  The bound above
-    holds either way.
+    holds either way; where it is not finite (S^2 underflows, or 2a/S or
+    2a^2 overflows) the profile is InvalidParameter, before it runs.
     """
     _check_family(a, s_max)
     cfg = cfg or _default_cfg(s_max)
+    h, m, n_blocks = _blocks(0.0, float(s_max), cfg.step, cfg.renorm_every)
+    S = np.float64(h * m * n_blocks)  # the run's last node s[-1], bit for bit
+    with np.errstate(all="ignore"):
+        bound = float(2 * a / S + 2 * a * a / (S * S))
+    if not math.isfinite(bound):
+        raise InvalidParameter(f"s_max = {S:g} is too small for a = {a:g}: the A+ "
+                               "error bound 2a/S + 2a^2/S^2 is not finite")
     half = _half(a, float(s_max), cfg)
     s, frames, pts = two_sided(lambda end: half if end > 0 else _mirror(*half),
                                -float(s_max), float(s_max))
     curve = Curve(s, pts, frames)
-    S = s[-1]
     A_plus, A_minus = _limits(a, S, pts[-1])
     return SelfSimilarProfile(
         a=float(a), s_max=float(S), curve=curve,
         A_plus=A_plus, A_minus=A_minus,
         a1_estimate=float(A_plus[0]),
-        a1_error_bound=float(2 * a / S + 2 * a * a / (S * S)),
+        a1_error_bound=bound,
     )
 
 
@@ -270,7 +276,7 @@ _BYTES_PER_PIECE_STEP = 250
 def sample_plan(sig_max, n_sigma):
     """(span, planned bytes) of a ``sample`` run for ``n_sigma`` abscissae
     with |sigma| up to ``sig_max``: the span is sig_max plus one output
-    spacing, and at least 50; past ``SolverConfig.max_steps`` fine steps
+    spacing, and at least 50; past ``integrators._MAX_STEPS`` fine steps
     its grid (``_grid``) is StepLimitExceeded."""
     cfg = _default_cfg(sig_max)
     span = max(sig_max + cfg.step * cfg.renorm_every, 50.0)

@@ -12,7 +12,7 @@ All three ODEs (``spiral_profile``, ``yh_evolve``, ``f_solve``) run on one
 fixed-step driver, ``_fixed_step``, with the 12-stage 8th-order
 Dormand-Prince tableau (DOP853) and no step control.  It plans whole output
 blocks with the package's one planner, ``integrators._plan`` (which
-validates the span and the step budget ``SolverConfig.max_steps``) and
+validates the span and the step budget ``integrators._MAX_STEPS``) and
 checks the initial state at once; the run it returns calls the equation's
 step body once per block.  Each body is a fused loop on local floats,
 generated once on first use (``_body``) from the tableau and a short
@@ -218,7 +218,7 @@ def _fixed_step(rhs, params, y0, s0, s1, cfg):
     ``out``: the state at every block end in its rows, row 0 the initial
     state.
     """
-    h, m, s_nodes, _ = _plan(s0, s1, cfg.step, cfg.renorm_every, cfg.max_steps)
+    h, m, s_nodes, _ = _plan(s0, s1, cfg.step, cfg.renorm_every)
     y0 = np.asarray(y0)
     if not np.all(np.isfinite(y0)):
         raise InvalidParameter("initial state must be finite")

@@ -79,7 +79,7 @@ def theta_solve(c, tau, init, s_span, cfg=None):
     s_out, W = propagate_linear2(
         afn, s0, float(s_span[1]),
         np.array([init.theta / 2, init.theta_prime / cval(s0)], dtype=complex),
-        step=cfg.step, out_every=cfg.renorm_every, max_steps=cfg.max_steps,
+        step=cfg.step, out_every=cfg.renorm_every,
     )
     return ThetaTrajectory(s_out, 2 * W[:, 0], cval(s_out) * W[:, 1])
 

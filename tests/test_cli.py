@@ -234,7 +234,9 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
                  # points the box's grid step, 2.5, exceeds the datum's width 2
                  ("stability", "--tmin-factor", "1e-6"): "narrower than the grid step",
                  ("stability", "--smax", "0.5"): "the cone defect reads |s| >= 1",
-                 ("profile", "--a", "1e300"): "propagator became non-finite",
+                 # 2 a^2 overflows, so the A+ error bound is inf: rejected
+                 # before the frame kernel's non-finite check is reached
+                 ("profile", "--a", "1e300"): "s_max = 20 is too small for a = 1e+300",
                  # a^2 is finite, but the reference profile's step turns the
                  # frame by h a = 2e147 rad, before the origin frame's Magnus
                  # exponent overflows (test_flow pins that message)
@@ -258,7 +260,17 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
                  ("nls", "--t1", "1e300", *SMALL_GRID, "--length", "100"): PHASE,
                  ("nls", "--t1", "1e300", "--n-steps", "10000"): "2.72e+301 rad overflows",
                  ("nls", "--length", "1e-300", "--n-points", "64", "--n-steps", "4"):
-                     "free phase xi^2 t = inf rad overflows"}
+                     "free phase xi^2 t = inf rad overflows",
+                 # the A+ error bound's S^2 underflows (0/0 at a = 0) or 2a/S
+                 # overflows: the run would report it as inf or nan
+                 ("profile", "--smax", "1e-300"): "s_max = 1e-300 is too small",
+                 ("profile", "--a", "0", "--smax", "1e-300"): "s_max = 1e-300 is too small",
+                 ("angle", "--smax", "1e-300"): "s_max = 1e-300 is too small",
+                 ("profile", "--a", "1e10", "--smax", "1e-150"): "s_max = 1e-150 is too small",
+                 # t1 = t0 (10 by default) or an ulp above it: every later
+                 # stored time has one log, so no decay slope can be fitted
+                 ("nls", "--t1", "10"): "not distinct in log t",
+                 ("nls", "--t1", "10.000000000000002"): "not distinct in log t"}
 
 
 @pytest.mark.parametrize("args", [
@@ -319,6 +331,12 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
     ["profile", "--smax", "6000"],
     ["angle", "--smax", "6000"],
     ["spiral", "--smax", "1e5"],
+    ["profile", "--smax", "1e-300"],
+    ["profile", "--a", "0", "--smax", "1e-300"],
+    ["angle", "--smax", "1e-300"],
+    ["profile", "--a", "1e10", "--smax", "1e-150"],
+    ["nls", "--t1", "10"],
+    ["nls", "--t1", "10.000000000000002"],
 ], ids=["spiral-negative-smax", "spiral-over-step-limit",
         "profile-inf-step", "profile-inf-smax", "angle-inf-smax",
         "profile-huge-smax", "angle-huge-smax", "nls-inf-t1",
@@ -340,7 +358,9 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
         "profile-a-1e150", "spiral-huge-a", "angle-huge-a", "nls-huge-length",
         "profile-step-count-beyond-float", "nls-huge-t0", "nls-huge-t1",
         "nls-huge-t1-many-steps", "nls-tiny-length", "profile-over-memory-budget",
-        "angle-over-memory-budget", "spiral-over-memory-budget"])
+        "angle-over-memory-budget", "spiral-over-memory-budget",
+        "profile-tiny-smax", "profile-a-0-tiny-smax", "angle-tiny-smax",
+        "profile-huge-a-tiny-smax", "nls-empty-span", "nls-span-of-one-ulp"])
 def test_failed_run_leaves_no_directory(tmp_path_factory, tmp_path, capsys, args):
     bad_config = tmp_path_factory.mktemp("config") / "bad.cfg"
     bad_config.write_text("a = abc\n")
@@ -378,7 +398,7 @@ def test_failed_run_removes_its_partial_files(tmp_path, monkeypatch, capsys,
     capsys.readouterr()
 
     def fails_after_writing(params, outdir):
-        dataio.write(outdir / "profile.csv", "s", [np.arange(3.0)])
+        dataio.write_csvs([(outdir / "profile.csv", "s", [np.arange(3.0)])])
         raise FilamentError("failed after writing")
 
     monkeypatch.setitem(cli.RUNNERS, "profile", fails_after_writing)

@@ -196,17 +196,54 @@ def test_parent_failure_reaps_workers(tmp_path, monkeypatch):
     _assert_no_child()
 
 
+def test_parent_failure_kills_workers_blocked_on_a_full_pipe(tmp_path, monkeypatch):
+    # each worker's first block, 4096 rows of 13 columns, is more than a
+    # pipe holds, so both are blocked writing it when the second file
+    # cannot be opened; the second worker also holds the first one's read
+    # end, so only a kill ends the first one at once
+    monkeypatch.setattr(dataio, "_fork_cpus", lambda: 3)
+    monkeypatch.setattr(dataio, "_MIN_SHARE", 1)
+    parent, original = os.getpid(), dataio._format_block
+
+    def slow_in_parent(job, start):
+        if os.getpid() == parent:
+            time.sleep(0.5)
+        return original(job, start)
+
+    monkeypatch.setattr(dataio, "_format_block", slow_in_parent)
+    data = np.random.default_rng(3).normal(size=(4096, 13))
+    columns = [data[:, k] for k in range(13)]
+    jobs = [(tmp_path / "a.csv", "h", columns),
+            (tmp_path / "missing" / "b.csv", "h", [np.tile(c, 3) for c in columns])]
+    assert dataio._n_processes(4 * data.size, 4) == 3
+    forks = _count_forks(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(FileNotFoundError):
+        dataio.write_csvs(jobs)
+    assert time.monotonic() - start < 10
+    assert forks == [1, 1]
+    _assert_no_child()
+
+
 def test_worker_exits_when_its_reader_has_gone():
     # three 4096-row blocks are more than a pipe holds, so the worker is
     # still writing when the pipe's read end closes: it ends on EPIPE
     data = np.random.default_rng(1).normal(size=(3 * 4096, 13))
     jobs = [(None, "h", [data[:, k] for k in range(13)])]
     blocks = [(0, 0), (0, 4096), (0, 8192)]
-    worker = dataio._Worker("CSV worker",
-                            functools.partial(dataio._send_blocks, jobs, blocks))
+    worker = dataio._Worker("CSV worker", functools.partial(dataio._formatted, jobs, blocks))
     assert worker.reap() == 1
     _assert_no_child()
 
+
+def test_worker_read_to_its_end_message_exits_with_code_0():
+    # a None item is an item, not the end; the array is more than a pipe holds
+    items = [np.arange(20_000.0), None, "last"]
+    worker = dataio._Worker("test worker", lambda: iter(items))
+    got = list(worker)
+    assert got[1:] == items[1:] and np.array_equal(got[0], items[0])
+    assert worker.code == 0 and worker.reap() == 0
+    _assert_no_child()
 
 
 # --- mirrored jobs: the s < 0 rows written from the s >= 0 text by parity ---

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -291,9 +292,11 @@ def test_empty_span_rejected():
 def test_step_limit_enforced():
     from filamentlab.errors import StepLimitExceeded
 
-    cfg = SolverConfig(step=1e-6, renorm_every=4, max_steps=1000)
+    # 1e8 fine steps, twice the budget: rejected when planned, before the
+    # 2.5e7 output nodes are allocated
+    cfg = SolverConfig(step=1e-6, renorm_every=4)
     with pytest.raises(StepLimitExceeded):
-        frenet_integrate(ONES, ZERO, FrenetFrame.identity(), (0, 10.0), cfg)
+        frenet_integrate(ONES, ZERO, FrenetFrame.identity(), (0, 100.0), cfg)
 
 
 def test_frame_validation():
@@ -332,8 +335,9 @@ def test_curve_csv_roundtrip(tmp_path):
 
 def test_solver_config_validation():
     for bad in ({"step": -1.0}, {"step": 0.0}, {"step": np.inf}, {"step": np.nan},
-                {"renorm_every": 0}, {"renorm_every": 1.5}, {"renorm_every": 2.0},
-                {"max_steps": 0}, {"max_steps": np.nan}):
+                {"renorm_every": 0}, {"renorm_every": 1.5}, {"renorm_every": 2.0}):
         with pytest.raises(InvalidParameter):
             SolverConfig(**bad)
-    SolverConfig(step=1e-3, renorm_every=np.int64(4), max_steps=1)
+    SolverConfig(step=1e-3, renorm_every=np.int64(4))
+    # the fine-step budget is the planner's constant, not a knob
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["step", "renorm_every"]

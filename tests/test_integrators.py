@@ -140,11 +140,11 @@ def test_plan_whole_span_gets_exact_block_count():
             for n_blocks in (1, 2, 7, 300, 500, 1500, 2000):
                 s_end = ds * n_blocks
                 for s1 in (s_end, -s_end):
-                    h, mm, s_out, _ = integrators._plan(0.0, s1, ds / m, m, None)
+                    h, mm, s_out, _ = integrators._plan(0.0, s1, ds / m, m)
                     assert len(s_out) == n_blocks + 1, (ds, m, n_blocks)
                     assert mm == m
     # a span just past a whole number of blocks still gets one more
-    h, m, s_out, _ = integrators._plan(0.0, 1.0 + 1e-6, 0.1, 1, None)
+    h, m, s_out, _ = integrators._plan(0.0, 1.0 + 1e-6, 0.1, 1)
     assert len(s_out) == 12
 
 
@@ -152,13 +152,13 @@ def test_plan_whole_span_gets_exact_block_count():
 @given(s0_rel=st.floats(-100.0, 100.0),
        span=st.floats(1e-3, 1e3).flatmap(lambda x: st.sampled_from((x, -x))),
        blocks=st.floats(1e-6, 1e4), out_every=st.integers(1, 64),
-       max_steps=st.integers(1, 10**6))
-def test_plan_properties(s0_rel, span, blocks, out_every, max_steps):
+       over=st.floats(1.001, 100.0))
+def test_plan_properties(s0_rel, span, blocks, out_every, over):
     s0 = s0_rel * abs(span)
     s1 = s0 + span
     span = s1 - s0  # the span the planner sees
     step = abs(span) / (blocks * out_every)
-    h, m, s_out, _ = integrators._plan(s0, s1, step, out_every, None)
+    h, m, s_out, _ = integrators._plan(s0, s1, step, out_every)
     n_blocks = len(s_out) - 1
     assert m == out_every and n_blocks >= 1
     assert s_out[0] == s0
@@ -168,21 +168,24 @@ def test_plan_properties(s0_rel, span, blocks, out_every, max_steps):
     assert abs(h) <= step * (1 + 1e-9)
     if n_blocks > 1:
         assert abs(span) / ((n_blocks - 1) * m) > step * (1 - 1e-9)
-    if n_blocks * m > max_steps:
-        with pytest.raises(StepLimitExceeded):
-            integrators._plan(s0, s1, step, out_every, max_steps)
-    else:
-        assert len(integrators._plan(s0, s1, step, out_every, max_steps)[2]) == len(s_out)
+    # ``over`` budgets of fine steps take at least over * _MAX_STEPS - m/2 of
+    # them: rejected when planned, before the output nodes are allocated;
+    # whole blocks of the budget itself are planned
+    budget = integrators._MAX_STEPS
+    with pytest.raises(StepLimitExceeded):
+        integrators._plan(s0, s1, abs(span) / (over * budget), out_every)
+    at = budget // out_every
+    assert integrators._blocks(s0, s1, abs(span) / (at * out_every), out_every)[2] == at
 
 
 @pytest.mark.parametrize("s0, s1", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan),
                                     (math.inf, math.inf), (1.5, 1.5)])
 def test_plan_rejects_non_finite_or_empty_span(s0, s1):
     with pytest.raises(InvalidParameter, match="span"):
-        integrators._plan(s0, s1, 0.1, 4, None)
+        integrators._plan(s0, s1, 0.1, 4)
 
 
 @pytest.mark.parametrize("out_every", [0, -3, 0.5])
 def test_plan_rejects_out_every_below_one(out_every):
     with pytest.raises(InvalidParameter, match="out_every"):
-        integrators._plan(0.0, 1.0, 0.1, out_every, None)
+        integrators._plan(0.0, 1.0, 0.1, out_every)

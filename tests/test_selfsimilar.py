@@ -46,8 +46,7 @@ def _direct_left_half(a, s_max, cfg):
     return propagate_frame(lambda s: np.full(np.shape(s), float(a)), lambda s: s / 2,
                            0.0, -float(s_max), np.eye(3), step=cfg.step,
                            out_every=cfg.renorm_every,
-                           position0=np.array([0.0, 0.0, 2 * a]),
-                           max_steps=cfg.max_steps)
+                           position0=np.array([0.0, 0.0, 2 * a]))
 
 
 @pytest.mark.parametrize("a, s_max, cfg", [

@@ -10,7 +10,7 @@ from filamentlab.errors import (
     StepLimitExceeded,
 )
 from filamentlab.geometry import SolverConfig
-from filamentlab.integrators import _plan
+from filamentlab.integrators import _MAX_STEPS, _plan
 from filamentlab.spiral import (
     SpiralParams,
     f_energy,
@@ -290,16 +290,16 @@ def test_f_solve_matches_plain_dop853():
 def test_default_output_nodes_keep_the_rk4_spacing():
     # the defaults take fewer, larger steps than the old RK4 defaults
     # (3e-4 x 32, 2e-4 x 50, 2.5e-4 x 64) on the same output nodes
-    lo, hi = _plan(0.0, -5.0, 3e-4, 32, None)[2], _plan(0.0, 7.3, 3e-4, 32, None)[2]
+    lo, hi = _plan(0.0, -5.0, 3e-4, 32)[2], _plan(0.0, 7.3, 3e-4, 32)[2]
     res = spiral_profile(make_params(0.4, 0.5), (-5.0, 7.3))
     assert np.array_equal(res.curve.s_grid, np.concatenate([lo[:0:-1], hi]))
     for span in ((0.0, 7.3), (1.5, -2.01)):
         assert np.array_equal(f_solve(1.0, 0.3j, 0.5, span)[0],
-                              _plan(*span, 2.5e-4, 64, None)[2])
+                              _plan(*span, 2.5e-4, 64)[2])
         # the old block length 50 is no power of two, so its node spacing
         # (h 50) could round an ulp away from the one-step block's h
         s = yh_evolve(0.0, 0.0, -0.25, 0.0, span, x0=0.25)[0]
-        old = _plan(*span, 2e-4, 50, None)[2]
+        old = _plan(*span, 2e-4, 50)[2]
         assert len(s) == len(old) and np.max(np.abs(s - old)) <= 1e-14
 
 
@@ -318,16 +318,18 @@ def test_spiral_profile_global_error_against_adaptive_dop853():
 
 
 def test_scalar_solvers_enforce_max_steps():
-    cfg = SolverConfig(step=1e-3, renorm_every=10, max_steps=1000)
+    # 1.01 budgets of fine steps per side: rejected when planned, before
+    # any block runs
+    cfg = SolverConfig(step=1e-3, renorm_every=1000)
+    over = 1.01e-3 * _MAX_STEPS
     with pytest.raises(StepLimitExceeded):
-        f_solve(1.0, 0.3j, 0.5, (0.0, 2.0), cfg)
+        f_solve(1.0, 0.3j, 0.5, (0.0, over), cfg)
     with pytest.raises(StepLimitExceeded):
-        yh_evolve(0.0, 0.0, -0.25, 0.0, (0.0, -2.0), cfg, x0=0.25)
+        yh_evolve(0.0, 0.0, -0.25, 0.0, (0.0, -over), cfg, x0=0.25)
     with pytest.raises(StepLimitExceeded):
-        spiral_profile(make_params(0.3, 0.5), (-2.0, 2.0), cfg)
-    # at the limit itself the run goes through
-    s, f, fp = f_solve(1.0, 0.3j, 0.5, (0.0, 1.0), cfg)
-    assert len(s) == 101
+        spiral_profile(make_params(0.3, 0.5), (-over, over), cfg)
+    # at the budget itself the run is planned: 50 000 blocks of 1000 steps
+    assert len(_plan(0.0, 1e-3 * _MAX_STEPS, cfg.step, cfg.renorm_every)[2]) == 50_001
 
 
 def test_scalar_solvers_reject_empty_span():

@@ -15,15 +15,18 @@ most one process per CPU this process may run on (``_fork_cpus``:
 work that outweighs a fork round trip of a few milliseconds.  The items
 are:
 
-* The CSV writer's blocks.  It formats 4096 rows per ``%`` operation, and
-  that formatting holds the interpreter lock, so a batch of CSVs is spread
-  over P processes.  Its blocks, taken file by file in the order they are
-  written, are dealt round-robin: the parent formats blocks 0, P, 2P, ...
-  straight into the files, and worker k yields blocks k, P + k, ..., which
-  the parent writes to its file when it reaches that block.  A worker thus
-  runs at most about one block ahead of the parent.  P is capped so that
-  each process formats at least ``_MIN_SHARE`` floats and one block; at
-  P = 1 nothing is forked.
+* The sizes of the CSV writer's texts.  It formats 4096 rows per ``%``
+  operation, and that formatting holds the interpreter lock, so a batch of
+  CSVs is spread over P processes.  Its blocks, taken file by file in the
+  order they are written, are cut into P contiguous shares.  The parent
+  formats share 0 straight into the files.  Worker k formats share k into
+  its own unlinked spill file, opened beside the first CSV before the
+  fork, and yields one item, the sizes of the texts it wrote there; so it
+  runs to the end of its share without waiting for the parent, and no text
+  goes through a pipe.  Once the parent has written the shares before it,
+  it reads that item and copies the worker's texts from the spill into the
+  files, one block at a time.  P is capped so that each process formats at
+  least ``_MIN_SHARE`` floats and one block; at P = 1 nothing is forked.
 
   A mirrored job is a curve with a parity, such as the self-similar
   profile: it gives only the rows from its mirror node s = 0 upward, and
@@ -49,6 +52,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import itertools
 import os
 import pickle
 import signal
@@ -127,7 +131,7 @@ def _mirror_text(text, start, zeros, nans):
     """The s < 0 lines of a mirrored block's marked ``text`` (rows from
     ``start``): each marked field negated, -0 and -nan printed as 0 and nan
     as ``+ 0.0`` gives, and the lines reversed, without the node at s = 0."""
-    text = text.replace(b"~-", b"").replace(b"~", b"-")
+    text = b"".join(text.split(b"~-")).replace(b"~", b"-")
     if zeros:
         text = text.replace(b"-0,", b"0,").replace(b"-0\n", b"0\n")
     if nans:
@@ -138,15 +142,16 @@ def _mirror_text(text, start, zeros, nans):
 
 
 def _format_block(job, start):
-    """Rows ``start:start + _CSV_BLOCK`` of a job's columns as %.17g CSV
-    lines; of a mirrored job, the pair (its s < 0 lines, its lines)."""
+    """The texts of rows ``start:start + _CSV_BLOCK`` of a job's columns, in
+    the order written: their %.17g CSV lines, or of a mirrored job, its
+    s < 0 lines and its lines."""
     columns = job[2]
     parity = job[3] if len(job) > 3 else [1] * len(columns)
     block = np.column_stack([c[start : start + _CSV_BLOCK] for c in columns])
     row = ",".join("~%.17g" if p < 0 else "%.17g" for p in parity) + "\n"
     text = ((row * len(block)) % tuple(block.ravel().tolist())).encode()
     if len(job) == 3:
-        return text
+        return (text,)
     return (_mirror_text(text, start, not block.all(), np.isnan(block).any()),
             text.replace(b"~", b""))
 
@@ -252,10 +257,26 @@ def _beside(name, fn, worth_forking):
         worker.reap(kill=True)  # a no-op once its end message has been read
 
 
-def _formatted(jobs, blocks):
-    """The (job index, first row) blocks of ``blocks``, formatted, in order."""
-    for j, start in blocks:
-        yield _format_block(jobs[j], start)
+def _format_share(jobs, blocks, spill):
+    """Write the texts of ``blocks``, (job index, first row) pairs, to
+    ``spill`` in order, then yield their sizes, one list per block."""
+    sizes = [[spill.write(text) for text in _format_block(jobs[j], start)]
+             for j, start in blocks]
+    spill.flush()
+    yield sizes
+
+
+def _spilled(spill, worker):
+    """The texts of a worker's share, block by block, read back from its
+    ``spill`` once ``worker`` has sent their sizes and ended."""
+    (sizes,) = worker
+    offset = 0
+    for block in sizes:
+        texts = []
+        for size in block:
+            texts.append(os.pread(spill.fileno(), size, offset))
+            offset += size
+        yield texts
 
 
 def _n_processes(n_floats, n_blocks):
@@ -297,22 +318,26 @@ def write_csvs(jobs):
     columns, parity)``, whose columns hold the rows from the mirror node
     s = 0 upward and whose file also holds the rows of s < 0 first, each
     ``parity * row + 0.0`` with one +-1 per column (see the module
-    docstring).  The rows are formatted by up to one process per CPU; the
-    files are the same bytes whatever that count.  A worker that fails or
-    is killed before it has sent its blocks raises OSError, and no worker
-    outlives the call.
+    docstring).  The rows are formatted in contiguous shares by up to one
+    process per CPU, a worker's share through an unlinked spill file beside
+    the first CSV; the files are the same bytes whatever that count.  A
+    worker that fails or is killed before it has sent the sizes of its
+    texts raises OSError, and no worker outlives the call.
     """
     jobs = list(jobs)
     starts = [_starts(job) for job in jobs]
     blocks = [(j, start) for j, rows in enumerate(starts) for start in rows]
     n_floats = sum(np.size(c) for job in jobs for c in job[2])
     p = _n_processes(n_floats, len(blocks))
+    cuts = [len(blocks) * k // p for k in range(p + 1)]
     with contextlib.ExitStack() as stack:
-        workers = [stack.enter_context(_beside(
-                       "CSV worker", functools.partial(_formatted, jobs, blocks[k::p]), True))
-                   for k in range(1, p)]
-        texts = (next(workers[i % p - 1]) if i % p else _format_block(jobs[j], start)
-                 for i, (j, start) in enumerate(blocks))
+        shares = [(_format_block(jobs[j], start) for j, start in blocks[:cuts[1]])]
+        for k in range(1, p):
+            spill = stack.enter_context(
+                tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(jobs[0][0]))))
+            share = functools.partial(_format_share, jobs, blocks[cuts[k]:cuts[k + 1]], spill)
+            shares.append(_spilled(spill, stack.enter_context(_beside("CSV worker", share, True))))
+        texts = itertools.chain.from_iterable(shares)
         for job, rows in zip(jobs, starts):
             with open(job[0], "wb") as fh:
                 fh.write(job[1].encode() + b"\n")
@@ -320,7 +345,7 @@ def write_csvs(jobs):
                     _write_mirrored(fh, texts, len(rows))
                 else:
                     for _ in rows:
-                        fh.write(next(texts))
+                        fh.writelines(next(texts))
 
 
 def config_hash(params):

@@ -434,7 +434,8 @@ def long_range_comparison(a, u_plus, sign, t_span, n_steps, *, coeff=1.0):
     Snapshots are checked about 24 times over the run.  Returns a dict with
     the endpoint defects, their ratio, and fitted log-log decay slopes of
     ||v - v1|| and its derivative; the later half of the stored times, through
-    which the slopes are fitted, must be distinct in log t.
+    which the slopes are fitted, must be distinct in log t to within the
+    rank tolerance of ``np.polyfit``.
     """
     if n_steps < 2:
         # the slopes are fitted through the later half of >= 2 stored times
@@ -445,10 +446,14 @@ def long_range_comparison(a, u_plus, sign, t_span, n_steps, *, coeff=1.0):
     store = _long_range_store(n_steps)
     k = np.append(np.arange(0, n_steps, store), n_steps)
     lt = np.log(time_grid(problem, n_steps)[k[len(k) // 2:]])
-    if np.any(lt[1:] == lt[:-1]):  # monotone in k, so a repeat is a neighbour
+    # lt is monotone in k, so a repeat is a neighbour; distinct log t still
+    # fit at full rank only if np.polyfit's scaled Vandermonde matrix keeps
+    # its rank at the tolerance len(lt) * eps (rank is the third of full=True)
+    if np.any(lt[1:] == lt[:-1]) or np.polyfit(lt, lt, 1, full=True)[2] < 2:
         raise InvalidParameter(
             f"t_span {problem.t_span}: the later half of the stored times is not "
-            "distinct in log t, so no decay slope can be fitted")
+            "distinct in log t to within np.polyfit's rank tolerance, so no decay "
+            "slope can be fitted")
     v0 = long_range_ansatz(u_plus, a, sign, problem.t_span[0], coeff)
     res = evolve(problem, v0, n_steps, store_every=store)
     d_phase, d_free, d_deriv = [], [], []

@@ -270,7 +270,9 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
                  # t1 = t0 (10 by default) or an ulp above it: every later
                  # stored time has one log, so no decay slope can be fitted
                  ("nls", "--t1", "10"): "not distinct in log t",
-                 ("nls", "--t1", "10.000000000000002"): "not distinct in log t"}
+                 ("nls", "--t1", "10.000000000000002"): "not distinct in log t",
+                 # distinct log t, but too close for np.polyfit's rank tolerance
+                 ("nls", "--t1", "10.0000000000002"): "np.polyfit's rank tolerance"}
 
 
 @pytest.mark.parametrize("args", [
@@ -337,6 +339,7 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
     ["profile", "--a", "1e10", "--smax", "1e-150"],
     ["nls", "--t1", "10"],
     ["nls", "--t1", "10.000000000000002"],
+    ["nls", "--t1", "10.0000000000002"],
 ], ids=["spiral-negative-smax", "spiral-over-step-limit",
         "profile-inf-step", "profile-inf-smax", "angle-inf-smax",
         "profile-huge-smax", "angle-huge-smax", "nls-inf-t1",
@@ -360,7 +363,8 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
         "nls-huge-t1-many-steps", "nls-tiny-length", "profile-over-memory-budget",
         "angle-over-memory-budget", "spiral-over-memory-budget",
         "profile-tiny-smax", "profile-a-0-tiny-smax", "angle-tiny-smax",
-        "profile-huge-a-tiny-smax", "nls-empty-span", "nls-span-of-one-ulp"])
+        "profile-huge-a-tiny-smax", "nls-empty-span", "nls-span-of-one-ulp",
+        "nls-span-below-fit-rank"])
 def test_failed_run_leaves_no_directory(tmp_path_factory, tmp_path, capsys, args):
     bad_config = tmp_path_factory.mktemp("config") / "bad.cfg"
     bad_config.write_text("a = abc\n")

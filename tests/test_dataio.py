@@ -3,11 +3,11 @@ side and the stability run's Schrodinger stage give the same bytes as the
 serial code whatever the process count, and leave no child process behind,
 on success or failure."""
 
-import functools
 import json
 import math
 import os
 import signal
+import tempfile
 import time
 
 import numpy as np
@@ -197,10 +197,9 @@ def test_parent_failure_reaps_workers(tmp_path, monkeypatch):
 
 
 def test_parent_failure_kills_workers_blocked_on_a_full_pipe(tmp_path, monkeypatch):
-    # each worker's first block, 4096 rows of 13 columns, is more than a
-    # pipe holds, so both are blocked writing it when the second file
-    # cannot be opened; the second worker also holds the first one's read
-    # end, so only a kill ends the first one at once
+    # each worker's share, 4096-row blocks of 13 columns, is more than a
+    # pipe holds; when the second file cannot be opened, every worker is
+    # killed if it still runs, and all are reaped at once
     monkeypatch.setattr(dataio, "_fork_cpus", lambda: 3)
     monkeypatch.setattr(dataio, "_MIN_SHARE", 1)
     parent, original = os.getpid(), dataio._format_block
@@ -226,13 +225,46 @@ def test_parent_failure_kills_workers_blocked_on_a_full_pipe(tmp_path, monkeypat
 
 
 def test_worker_exits_when_its_reader_has_gone():
-    # three 4096-row blocks are more than a pipe holds, so the worker is
-    # still writing when the pipe's read end closes: it ends on EPIPE
-    data = np.random.default_rng(1).normal(size=(3 * 4096, 13))
-    jobs = [(None, "h", [data[:, k] for k in range(13)])]
-    blocks = [(0, 0), (0, 4096), (0, 8192)]
-    worker = dataio._Worker("CSV worker", functools.partial(dataio._formatted, jobs, blocks))
+    # three 1 MB items are more than a pipe holds, so the worker is still
+    # writing when the pipe's read end closes: it ends on EPIPE
+    worker = dataio._Worker("test worker", lambda: (bytes(1 << 20) for _ in range(3)))
     assert worker.reap() == 1
+    _assert_no_child()
+
+
+def test_worker_formats_its_whole_share_without_the_parent(tmp_path, monkeypatch):
+    # two one-block files over two processes: the worker's share is the
+    # second file, 4096 rows of 13 columns, more than a pipe holds.  The
+    # parent's first block waits until the worker's spill holds all of it,
+    # which a worker that sends its texts to the parent never reaches
+    _split(monkeypatch, 2)
+    rng = np.random.default_rng(5)
+    jobs = [(tmp_path / f"f{j}.csv", "h", list(rng.normal(size=(13, 4096))))
+            for j in range(2)]
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    _previous_write(ref / "f1.csv", "h", jobs[1][2])
+    share = (ref / "f1.csv").stat().st_size - len("h\n")
+    spills, opened = [], tempfile.TemporaryFile
+
+    def recorded(**kwargs):
+        spills.append(opened(**kwargs))
+        return spills[-1]
+
+    parent, original = os.getpid(), dataio._format_block
+
+    def waiting_in_parent(job, start):
+        deadline = time.monotonic() + 10
+        while os.getpid() == parent and not any(
+                os.fstat(f.fileno()).st_size == share for f in spills):
+            assert time.monotonic() < deadline, "the worker's spill never held its share"
+            time.sleep(0.01)
+        return original(job, start)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+    monkeypatch.setattr(dataio, "_format_block", waiting_in_parent)
+    dataio.write_csvs(jobs)
+    _same_files(jobs, ref)
     _assert_no_child()
 
 
@@ -302,6 +334,30 @@ def test_mirrored_special_floats_match_the_serial_writer(tmp_path_factory, cols,
     _previous_write(ref / "m.csv", "h", _full_columns(columns, parity))
     assert (out / "m.csv").read_bytes() == (ref / "m.csv").read_bytes()
     _assert_only(out, ["m.csv"])
+    _assert_no_child()
+
+
+def test_batch_in_two_directories_with_shares_cut_inside_files(tmp_path, monkeypatch):
+    # two files of three 4-row blocks over three processes: the shares are
+    # blocks 0-1, 2-3 and 4-5, so a cut falls inside each file.  The
+    # workers' spills sit beside the first file, the mirrored job's own
+    # beside its file, and each directory keeps only its CSV
+    _split(monkeypatch, 3, block=4)
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    x = np.linspace(0.0, 2.0, 12)
+    columns, parity = [x, np.cos(x), x ** 3], [-1.0, 1.0, -1.0]
+    assert dataio._n_processes(2 * 3 * 12, 6) == 3
+    dataio.write_csvs([(a / "f.csv", "s,c,q", columns), (b / "m.csv", "s,c,q", columns, parity)])
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    _previous_write(ref / "f.csv", "s,c,q", columns)
+    _previous_write(ref / "m.csv", "s,c,q", _full_columns(columns, parity))
+    assert (a / "f.csv").read_bytes() == (ref / "f.csv").read_bytes()
+    assert (b / "m.csv").read_bytes() == (ref / "m.csv").read_bytes()
+    _assert_only(a, ["f.csv"])
+    _assert_only(b, ["m.csv"])
     _assert_no_child()
 
 

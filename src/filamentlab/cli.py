@@ -139,7 +139,7 @@ def _run_spiral(params, outdir):
     sp = spiral.SpiralParams(params["mu"], np.array([0.0, 0.0, 2 * a]),
                              np.array([1.0, 0.0, 0.0]))
     res = spiral.spiral_profile(sp, (-params["smax"], params["smax"]))
-    res.curve.write_csv(outdir / "spiral.csv")
+    dataio.write_csvs([res.curve.csv_job(outdir / "spiral.csv")])
     return {"mu": sp.mu, "nu": sp.nu, "E0": sp.E0, "a": a,
             "rotation_invariant_defect": res.rotation_invariant_defect(),
             "unit_speed_defect": res.unit_speed_defect()}

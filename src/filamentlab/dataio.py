@@ -18,14 +18,15 @@ are:
 * The sizes of the CSV writer's texts.  It formats 4096 rows per ``%``
   operation, and that formatting holds the interpreter lock, so a batch of
   CSVs is spread over P processes.  Its blocks, taken file by file in the
-  order they are written, are cut into P contiguous shares.  The parent
-  formats share 0 straight into the files.  Worker k formats share k into
-  its own unlinked spill file, opened beside the first CSV before the
-  fork, and yields one item, the sizes of the texts it wrote there; so it
-  runs to the end of its share without waiting for the parent, and no text
-  goes through a pipe.  Once the parent has written the shares before it,
-  it reads that item and copies the worker's texts from the spill into the
-  files, one block at a time.  P is capped so that each process formats at
+  order they are written, are cut into P contiguous shares.  Each share is
+  one ``_format_share`` generator over its own unlinked spill file, opened
+  beside the first CSV before any fork: it formats its share into the
+  spill and yields one item, the sizes of the texts it wrote there.  Share
+  0 runs in this process and each other share in a worker, so a worker
+  runs to the end of its share without waiting for the parent, and no
+  text goes through a pipe.  Once the parent has written the shares before one, it
+  reads that share's item and copies its texts from the spill into the
+  files, one text at a time.  P is capped so that each process formats at
   least ``_MIN_SHARE`` floats and one block; at P = 1 nothing is forked.
 
   A mirrored job is a curve with a parity, such as the self-similar
@@ -34,9 +35,9 @@ are:
   ``%`` per block formats the given rows with a marker before each odd
   field; dropping the markers gives the s >= 0 lines, and turning them
   into sign flips gives the s < 0 lines, which are written first, last
-  block first.  The s >= 0 text waits meanwhile in an unlinked spill file
-  beside the CSV, one block at a time, and is copied back in block order
-  once the s < 0 rows are written.
+  block first.  The s >= 0 texts stay in their shares' spills meanwhile
+  and are copied in block order once the s < 0 rows are written, so every
+  text goes through one spill, once.
 * The independent part of ``spiral.spiral_profile`` and of
   ``flow.stability_experiment``, which each caller reads while it does the
   rest of its work.  The spiral profile's s <= 0 side is one item; the
@@ -266,17 +267,22 @@ def _format_share(jobs, blocks, spill):
     yield sizes
 
 
-def _spilled(spill, worker):
-    """The texts of a worker's share, block by block, read back from its
-    ``spill`` once ``worker`` has sent their sizes and ended."""
-    (sizes,) = worker
+def _spilled(spill, share):
+    """The places of a share's texts in its ``spill``, block by block, each
+    (spill, offset, size), once ``share`` has given their sizes and ended."""
+    (sizes,) = share
     offset = 0
     for block in sizes:
-        texts = []
+        places = []
         for size in block:
-            texts.append(os.pread(spill.fileno(), size, offset))
+            places.append((spill, offset, size))
             offset += size
-        yield texts
+        yield places
+
+
+def _copy(fh, spill, offset, size):
+    spill.seek(offset)
+    fh.write(spill.read(size))
 
 
 def _n_processes(n_floats, n_blocks):
@@ -291,25 +297,6 @@ def _starts(job):
     return starts[::-1] if len(job) > 3 else starts
 
 
-def _write_mirrored(fh, texts, n):
-    """Write a mirrored job's ``n`` blocks, the next of ``texts`` each,
-    given last block first as (s < 0 lines, s >= 0 lines): every s < 0
-    text, then the s >= 0 texts, which wait in an unlinked spill file beside
-    ``fh``, in block order."""
-    with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(fh.name))) as spill:
-        sizes = []
-        for _ in range(n):
-            minus, plus = next(texts)
-            fh.write(minus)
-            sizes.append(spill.write(plus))
-            del minus, plus  # freed before the next block is formatted
-        end = spill.tell()
-        for size in reversed(sizes):
-            end -= size
-            spill.seek(end)
-            fh.write(spill.read(size))
-
-
 def write_csvs(jobs):
     """Write one CSV per job: the header line, then one row per index with
     one %.17g field per array in ``columns``.
@@ -318,34 +305,42 @@ def write_csvs(jobs):
     columns, parity)``, whose columns hold the rows from the mirror node
     s = 0 upward and whose file also holds the rows of s < 0 first, each
     ``parity * row + 0.0`` with one +-1 per column (see the module
-    docstring).  The rows are formatted in contiguous shares by up to one
-    process per CPU, a worker's share through an unlinked spill file beside
-    the first CSV; the files are the same bytes whatever that count.  A
+    docstring).  The blocks are cut into contiguous shares, one per
+    process, up to one per CPU; each share is formatted into its own
+    unlinked spill file beside the first CSV, this process's share here
+    and every other in a forked worker, and copied from there into the
+    files.  The files are the same bytes whatever the process count.  A
     worker that fails or is killed before it has sent the sizes of its
     texts raises OSError, and no worker outlives the call.
     """
     jobs = list(jobs)
+    if not jobs:
+        return
     starts = [_starts(job) for job in jobs]
     blocks = [(j, start) for j, rows in enumerate(starts) for start in rows]
     n_floats = sum(np.size(c) for job in jobs for c in job[2])
     p = _n_processes(n_floats, len(blocks))
     cuts = [len(blocks) * k // p for k in range(p + 1)]
     with contextlib.ExitStack() as stack:
-        shares = [(_format_block(jobs[j], start) for j, start in blocks[:cuts[1]])]
-        for k in range(1, p):
+        shares = []
+        for k in range(p):
             spill = stack.enter_context(
                 tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(jobs[0][0]))))
             share = functools.partial(_format_share, jobs, blocks[cuts[k]:cuts[k + 1]], spill)
-            shares.append(_spilled(spill, stack.enter_context(_beside("CSV worker", share, True))))
-        texts = itertools.chain.from_iterable(shares)
+            shares.append(_spilled(spill, stack.enter_context(_beside("CSV worker", share, k > 0))))
+        places = itertools.chain.from_iterable(shares)
         for job, rows in zip(jobs, starts):
             with open(job[0], "wb") as fh:
                 fh.write(job[1].encode() + b"\n")
-                if len(job) > 3:
-                    _write_mirrored(fh, texts, len(rows))
-                else:
-                    for _ in rows:
-                        fh.writelines(next(texts))
+                # a block's first text goes in at once; a mirrored block's
+                # s >= 0 lines follow the s < 0 lines, in block order
+                kept = []
+                for _ in rows:
+                    first, *rest = next(places)
+                    _copy(fh, *first)
+                    kept += rest
+                for place in reversed(kept):
+                    _copy(fh, *place)
 
 
 def config_hash(params):

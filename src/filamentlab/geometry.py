@@ -15,7 +15,6 @@ from .errors import (
     GridTooCoarse,
     InvalidParameter,
 )
-from . import dataio
 from .integrators import propagate_frame
 
 TOL_UNIT = 1e-9
@@ -100,9 +99,6 @@ class Curve:
             for r in range(3):
                 cols += [self.frames[:, r, j] for j in range(3)]
         return path, header, cols
-
-    def write_csv(self, path):
-        dataio.write_csvs([self.csv_job(path)])
 
     @staticmethod
     def read_csv(path):

@@ -105,7 +105,7 @@ def test_curves_match_the_serial_writer(tmp_path_factory, curve):
     out, ref = tmp_path_factory.mktemp("out"), tmp_path_factory.mktemp("ref")
     with pytest.MonkeyPatch.context() as mp:
         _split(mp, 3, block=2)
-        curve.write_csv(out / "curve.csv")
+        dataio.write_csvs([curve.csv_job(out / "curve.csv")])
     _same_files([curve.csv_job(out / "curve.csv")], ref)
 
 
@@ -339,9 +339,9 @@ def test_mirrored_special_floats_match_the_serial_writer(tmp_path_factory, cols,
 
 def test_batch_in_two_directories_with_shares_cut_inside_files(tmp_path, monkeypatch):
     # two files of three 4-row blocks over three processes: the shares are
-    # blocks 0-1, 2-3 and 4-5, so a cut falls inside each file.  The
-    # workers' spills sit beside the first file, the mirrored job's own
-    # beside its file, and each directory keeps only its CSV
+    # blocks 0-1, 2-3 and 4-5, so a cut falls inside each file.  Every
+    # share's spill sits beside the first file, and each directory keeps
+    # only its CSV
     _split(monkeypatch, 3, block=4)
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir()
@@ -358,6 +358,56 @@ def test_batch_in_two_directories_with_shares_cut_inside_files(tmp_path, monkeyp
     assert (b / "m.csv").read_bytes() == (ref / "m.csv").read_bytes()
     _assert_only(a, ["f.csv"])
     _assert_only(b, ["m.csv"])
+    _assert_no_child()
+
+
+def test_without_fork_and_pread_one_process_writes_the_serial_bytes(tmp_path, monkeypatch):
+    # where os.fork does not exist the whole batch is this process's share,
+    # read back from its spill through the file object; os.pread is Unix only
+    _split(monkeypatch, 3, block=4)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.delattr(os, "pread")
+    dataio.write_csvs([])
+    x = np.linspace(0.0, 2.0, 12)
+    columns, parity = [x, np.cos(x), x ** 3], [-1.0, 1.0, -1.0]
+    dataio.write_csvs([(tmp_path / "f.csv", "s,c,q", columns),
+                       (tmp_path / "m.csv", "s,c,q", columns, parity)])
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    _previous_write(ref / "f.csv", "s,c,q", columns)
+    _previous_write(ref / "m.csv", "s,c,q", _full_columns(columns, parity))
+    assert (tmp_path / "f.csv").read_bytes() == (ref / "f.csv").read_bytes()
+    assert (tmp_path / "m.csv").read_bytes() == (ref / "m.csv").read_bytes()
+    _assert_only(tmp_path, ["f.csv", "m.csv", "ref"])
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_every_text_goes_through_one_spill_once(tmp_path, monkeypatch, cpus):
+    # a spill is only appended to, so its size is the bytes written to it:
+    # together the spills hold each CSV body once, this process's share and
+    # the mirrored job's s >= 0 lines included
+    _split(monkeypatch, cpus, block=4)
+    fds, opened = [], tempfile.TemporaryFile
+
+    def recorded(**kwargs):
+        spill = opened(**kwargs)
+        fds.append(os.dup(spill.fileno()))  # keeps the unlinked file to measure
+        return spill
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+    forks = _count_forks(monkeypatch)
+    x = np.linspace(0.0, 2.0, 12)
+    columns, parity = [x, np.cos(x), x ** 3], [-1.0, 1.0, -1.0]
+    jobs = [(tmp_path / "f.csv", "s,c,q", columns),
+            (tmp_path / "m.csv", "s,c,q", columns, parity)]
+    dataio.write_csvs(jobs)
+    try:
+        spilled = sum(os.fstat(fd).st_size for fd in fds)
+    finally:
+        for fd in fds:
+            os.close(fd)
+    assert len(forks) == cpus - 1
+    assert spilled == sum(job[0].stat().st_size - len("s,c,q\n") for job in jobs)
     _assert_no_child()
 
 

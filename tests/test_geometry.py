@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import cumulative_simpson
 
-from filamentlab import geometry
+from filamentlab import dataio, geometry
 from filamentlab.errors import (
     GridMismatch,
     GridNonUniform,
@@ -326,7 +326,7 @@ def test_curve_csv_roundtrip(tmp_path):
     frames[-5:, 2, 1] = SPECIAL_FLOATS
     for curve in (Curve(traj.s, traj.points, traj.frames), Curve(s, points, frames)):
         path = tmp_path / "curve.csv"
-        curve.write_csv(path)
+        dataio.write_csvs([curve.csv_job(path)])
         back = Curve.read_csv(path)
         assert back.s_grid.tobytes() == curve.s_grid.tobytes()
         assert back.points.tobytes() == curve.points.tobytes()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from filamentlab import flow, nls, selfsimilar
-from filamentlab.dataio import dumps_json
+from filamentlab.dataio import dumps_json, write_csvs
 from filamentlab.geometry import Curve, IntrinsicData
 from filamentlab.integrators import _rotation
 
@@ -188,7 +188,7 @@ def curves(draw):
 @given(curves())
 def test_curve_csv_round_trip(tmp_path_factory, curve):
     path = tmp_path_factory.mktemp("csv") / "curve.csv"
-    curve.write_csv(path)
+    write_csvs([curve.csv_job(path)])
     back = Curve.read_csv(path)
     assert back.s_grid.tobytes() == curve.s_grid.tobytes()
     assert back.points.tobytes() == curve.points.tobytes()

@@ -13,7 +13,7 @@ sweeps parallelize trivially.
 
 from . import flow, geometry, nls, selfsimilar, spiral, theta
 from .errors import FilamentError
-from .geometry import Curve, FrenetFrame, IntrinsicData, SolverConfig
+from .geometry import Curve, FrenetFrame, IntrinsicData
 
 __all__ = [
     "flow",
@@ -26,7 +26,6 @@ __all__ = [
     "Curve",
     "FrenetFrame",
     "IntrinsicData",
-    "SolverConfig",
 ]
 
 __version__ = "0.1.0"

@@ -172,11 +172,10 @@ def _run_selfcheck(params, outdir):
         checks.append((name, ok, value, bound))
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {value:.3e} (bound {bound:g})")
 
-    cfg = geometry.SolverConfig(step=1e-3, renorm_every=16)
     circ = geometry.frenet_integrate(lambda s: np.ones(np.shape(s)),
                                      lambda s: np.zeros(np.shape(s)),
                                      geometry.FrenetFrame.identity(),
-                                     (0.0, 2 * math.pi), cfg)
+                                     (0.0, 2 * math.pi), step=1e-3, out_every=16)
     check("geometry.circle_closure", float(np.linalg.norm(circ.T[-1] - circ.T[0])), 1e-6)
     check("geometry.orthonormality", geometry.frame_orthonormality_defect(circ.frames), 1e-8)
 

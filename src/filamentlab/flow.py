@@ -157,19 +157,6 @@ def _gauge_rotation(phi):
     return R
 
 
-def _spectral_support(field):
-    """Frequency radius holding all but 1e-8 of the spectral energy."""
-    spec = np.abs(np.fft.fft(field.values)) ** 2
-    tot = spec.sum()
-    if tot == 0:
-        return 0.0
-    xi = np.abs(field.xi())
-    order = np.argsort(xi)
-    cum = np.cumsum(spec[order])
-    k = int(np.searchsorted(cum, (1 - 1e-8) * tot))
-    return float(xi[order[min(k, len(xi) - 1)]])
-
-
 def _frame_ode_backward(series):
     """Propagators of the s=0 frame ODE from max(t) down to every series node.
 
@@ -569,8 +556,7 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     # slice steps in ascending t = 1/T
     slice_ids = np.round(np.linspace(0, n_steps, n_slices)).astype(int)[::-1]
     t_slices = 1.0 / Ts[slice_ids]
-    xi_cut = _spectral_support(u_plus)
-    t_clean = 4.0 * xi_cut / u_plus.domain_length
+    t_clean = nls.faithful_horizon(u_plus)
     n_s = int(round(2 * s_max / ds))
     s_grid = -s_max + ds * np.arange(n_s + 1)
     _slice_grid(s_grid)

@@ -1,10 +1,9 @@
 """Core 3-vector and frame types, Frenet integration, curve reconstruction,
-and binormal-flow residual diagnostics."""
+and binormal-flow residual diagnostics.  ``frenet_integrate`` takes the
+``step`` and ``out_every`` keywords of ``integrators.propagate_frame``."""
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,35 +115,6 @@ class Curve:
 
 
 @dataclass
-class SolverConfig:
-    """Fixed-step integrator knobs.
-
-    ``step`` bounds the fine step, and ``renorm_every`` is the number of
-    fine steps per output node: it sets the output spacing of trajectories,
-    since states are materialized exactly at those nodes.  A fine step is
-    one step of the run's method, whatever its cost: a Magnus step of the
-    frame and theta propagators, or a DOP853 step of the scalar profile ODEs
-    of ``spiral``, which is 12 right-hand-side evaluations.  One run (one
-    side of a two-sided run) takes at most ``integrators._MAX_STEPS``
-    (50 million) fine steps, a time budget: it holds one piece of
-    ``integrators._CHUNK`` (16 384) fine steps, about 4 MB for the frame
-    kernel, and its output nodes, which ``integrators._plan`` bounds.
-    """
-
-    step: float = 1e-3
-    renorm_every: int = 16
-
-    def __post_init__(self):
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise InvalidParameter(f"step must be finite and positive, got {self.step}")
-        if not (isinstance(self.renorm_every, numbers.Integral)
-                and self.renorm_every >= 1):
-            raise InvalidParameter(
-                f"renorm_every must be an integer >= 1, got {self.renorm_every!r}"
-            )
-
-
-@dataclass
 class FrameTrajectory:
     """Frames (rows T,n,b) sampled along s; points present when integrated."""
 
@@ -236,22 +206,22 @@ def _cumulative_simpson(y, x):
     return np.concatenate([np.zeros_like(y[:1]), np.cumsum(panels, axis=0) + 0.0])
 
 
-def frenet_integrate(c, tau, frame0, s_span, cfg=None, *, position0=None):
+def frenet_integrate(c, tau, frame0, s_span, *, step=1e-3, out_every=16,
+                     position0=None):
     """Integrate T' = c n, n' = -c T + tau b, b' = -tau n over s_span.
 
     ``c`` and ``tau`` are scalar functions accepting ndarray arguments.
-    Every fine step is a Magnus-4 exact rotation, so the frame needs no
-    renormalization; output nodes land every ``cfg.renorm_every`` fine
-    steps.  When ``position0`` is given the curve point (chi' = T) is
-    carried in the same linear system.  A raw ``frame0`` matrix must be
-    orthonormal and right-handed, as a FrenetFrame is.
+    Every fine step, of at most ``step``, is a Magnus-4 exact rotation, so
+    the frame needs no renormalization; output nodes land every
+    ``out_every`` fine steps (``integrators.propagate_frame``).  When
+    ``position0`` is given the curve point (chi' = T) is carried in the same
+    linear system.  A raw ``frame0`` matrix must be orthonormal and
+    right-handed, as a FrenetFrame is.
     """
-    cfg = cfg or SolverConfig()
     F0 = frame0.matrix() if isinstance(frame0, FrenetFrame) else _checked_frame(frame0)
     s_out, frames, points = propagate_frame(
         c, tau, float(s_span[0]), float(s_span[1]), F0,
-        step=cfg.step, out_every=cfg.renorm_every,
-        position0=position0,
+        step=step, out_every=out_every, position0=position0,
     )
     return FrameTrajectory(s_out, frames, points)
 

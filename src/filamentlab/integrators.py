@@ -17,8 +17,12 @@ with ``matmul``.
 
 ``_blocks`` lays every fixed-step run on whole output blocks (``_plan``
 adds the block ends as output nodes); it also plans the fused fixed-step
-DOP853 driver of the nonlinear profile ODEs (``spiral._fixed_step``).  The
-Magnus kernels run on one chunk loop, ``_sweep``, in pieces of ``_CHUNK``
+DOP853 driver of the nonlinear profile ODEs (``spiral._fixed_step``), and it
+alone validates a run's ``step`` and ``out_every``.  A fine step is a Magnus
+step, or a DOP853 step of 12 right-hand sides.  One run (one side of a
+two-sided run) takes at most ``_MAX_STEPS`` fine steps, a time budget: it
+holds one piece of ``_CHUNK`` fine steps, about 4 MB for the frame kernel,
+and its output nodes, which ``_plan`` bounds.  The Magnus kernels run on one chunk loop, ``_sweep``, in pieces of ``_CHUNK``
 fine steps that keep only the requested states: every block end for
 ``propagate_frame`` and ``propagate_linear2``, any sorted set of fine steps
 for ``frame_states``.
@@ -27,6 +31,7 @@ for ``frame_states``.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -38,9 +43,7 @@ GAUSS_C1 = 0.5 - np.sqrt(3.0) / 6.0
 GAUSS_C2 = 0.5 + np.sqrt(3.0) / 6.0
 
 _CHUNK = 16_384   # fine steps per vectorized piece; caps peak memory
-# fine steps of one planned run (one side of a two-sided run) at most: a
-# time budget, since a run holds one piece of _CHUNK steps whatever its length
-_MAX_STEPS = 50_000_000
+_MAX_STEPS = 50_000_000  # fine steps of one planned run at most (module docstring)
 _SCAN_ROW = 32     # elements per row of the two-level prefix scan
 # Planned bytes per output node of a dense run (``_plan``), rounded up from the
 # tracemalloc peak: 416 per node of a profile's half, 850 of a spiral's side
@@ -208,17 +211,22 @@ def _stage_coeffs(fn, s):
 
 
 def _blocks(s0, s1, step, out_every):
-    """Uniform fine grid over [s0, s1] in whole output blocks.
+    """Uniform fine grid over [s0, s1] in whole output blocks of
+    ``out_every`` fine steps of at most ``step``.
 
     Returns (h, m, n_blocks): the fine step, the fine steps per output block
     and the block count, so the grid has n_blocks * m steps; more than
-    ``_MAX_STEPS`` of them are StepLimitExceeded.
+    ``_MAX_STEPS`` of them are StepLimitExceeded.  A step not finite and > 0,
+    an ``out_every`` not an integer >= 1 and an empty span are InvalidParameter.
     """
+    # written so that a NaN fails
+    if not 0 < step < math.inf:
+        raise InvalidParameter(f"step must be finite and positive, got {step!r}")
+    if not (isinstance(out_every, numbers.Integral) and out_every >= 1):
+        raise InvalidParameter(f"out_every must be an integer >= 1, got {out_every!r}")
     span = s1 - s0
     if not (math.isfinite(span) and span != 0.0):
         raise InvalidParameter(f"span [{s0:g}, {s1:g}] must be finite and nonempty")
-    if out_every < 1:
-        raise InvalidParameter(f"out_every must be >= 1, got {out_every}")
     m = int(out_every)
     # a span that is a whole number of blocks up to roundoff gets exactly
     # that many; ceil alone would add a spurious block

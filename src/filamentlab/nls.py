@@ -392,9 +392,11 @@ def _log_phase(a, sign, coeff, t):
 
 
 def gp_energy(v, t, a, sign, coeff=1.0):
-    """E(t) = (1/2) int |v_s|^2 - sign*coeff/(4t) int (|v|^2-a^2)^2."""
-    if t <= 0:
-        raise InvalidParameter("t must be positive")
+    """E(t) = (1/2) int |v_s|^2 - sign*coeff/(4t) int (|v|^2-a^2)^2; a t that
+    is not finite and positive is InvalidParameter."""
+    # written so that a NaN fails
+    if not 0 < t < math.inf:
+        raise InvalidParameter(f"t must be finite and positive, got {t!r}")
     vs = v.derivative().values
     L = v.domain_length
     kin = 0.5 * L * np.mean(np.abs(vs) ** 2)
@@ -421,6 +423,23 @@ def galilean_transform(field, m, t):
     shifted = np.fft.ifft(np.fft.fft(field.values) * np.exp(-1j * xi * 2 * N * t))
     s = field.grid()
     return field.copy_with(np.exp(1j * (N * s - t * N * N)) * shifted)
+
+
+def faithful_horizon(u_plus):
+    """t_clean = 4 xi_cut / L, below which the box of ``u_plus`` (length L)
+    no longer stands for the line in a 1/t run from it: by T = 1/t_clean
+    the content up to xi_cut, the frequency radius holding all but 1e-8 of
+    the spectral energy, has crossed half the box at group speed 2 xi_cut.
+    A datum of zero energy gives 0."""
+    spec = np.abs(np.fft.fft(u_plus.values)) ** 2
+    tot = spec.sum()
+    if tot == 0:
+        return 0.0
+    xi = np.abs(u_plus.xi())
+    order = np.argsort(xi)
+    cum = np.cumsum(spec[order])
+    k = int(np.searchsorted(cum, (1 - 1e-8) * tot))
+    return 4.0 * float(xi[order[min(k, len(xi) - 1)]]) / u_plus.domain_length
 
 
 def _long_range_store(n_steps):

@@ -5,7 +5,8 @@ s/2, from G(0) = 2a e3, T(0) = e1, n(0) = e2, b(0) = e3.  The flow is
 chi(s,t) = sqrt(t) G(s/sqrt(t)); at t = 0 it traces the V-shape s A+/-
 (``v_shape``) whose half-angle satisfies sin(gamma/2) = exp(-pi a^2 / 2).
 ``profile`` keeps G on its output nodes, ``sample`` (planned by
-``sample_plan``) at chosen abscissae only; G's grid is decided here alone.
+``sample_plan``) at chosen abscissae only.  G's grid is decided here alone
+(``_spacing``), so ``evaluate`` steps on the grid every profile ran on.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, OutOfProfileRange
-from .geometry import Curve, SolverConfig
+from .geometry import Curve
 from .integrators import (
     GAUSS_C1,
     GAUSS_C2,
@@ -54,22 +55,21 @@ class SelfSimilarProfile:
         return path, header, [c[zero:] for c in columns], _CSV_PARITY
 
 
-def _default_cfg(s_max):
-    """The configuration of G_a on [-s_max, s_max].  The target spacing
+def _spacing(s_max):
+    """(step, m) of G_a on [-s_max, s_max]: the bound on the fine step and
+    the fine steps between output nodes.  The target spacing
     dso = min(0.032, pi/(2 s_max)) resolves the fastest frame rotation
     (tau = s/2); the fine step is the smaller of 2e-3 and dso, and a node
-    falls every round(dso/step) fine steps, so the output spacing is
-    round(dso/step) * step, not dso (4e-3 against dso = 3.1e-3 at
-    s_max = 500)."""
+    falls every m = round(dso/step) fine steps, so the output spacing is
+    m * step, not dso (4e-3 against dso = 3.1e-3 at s_max = 500)."""
     dso = min(0.032, math.pi / (2 * max(s_max, 1.0)))
     step = min(2e-3, dso)
-    return SolverConfig(step=step, renorm_every=max(1, int(round(dso / step))))
+    return step, max(1, int(round(dso / step)))
 
 
 def _grid(s_max):
     """(h, m, n_blocks) of G_a's fine grid on [0, s_max] (``_blocks``)."""
-    cfg = _default_cfg(s_max)
-    return _blocks(0.0, float(s_max), cfg.step, cfg.renorm_every)
+    return _blocks(0.0, float(s_max), *_spacing(s_max))
 
 
 # parity of G_a: x is odd and y, z are even, so T = G' keeps its x and flips
@@ -85,11 +85,11 @@ def _coefficients(a):
     return lambda s: np.full(np.shape(s), float(a)), lambda s: s / 2
 
 
-def _half(a, end, cfg):
-    """(s, frames, points) of G_a from s = 0 to ``end``."""
-    return propagate_frame(*_coefficients(a), 0.0, end, np.eye(3), step=cfg.step,
-                           out_every=cfg.renorm_every,
-                           position0=np.array([0.0, 0.0, 2 * a]))
+def _half(a, end):
+    """(s, frames, points) of G_a from s = 0 to ``end`` on its grid."""
+    step, m = _spacing(abs(end))
+    return propagate_frame(*_coefficients(a), 0.0, end, np.eye(3), step=step,
+                           out_every=m, position0=np.array([0.0, 0.0, 2 * a]))
 
 
 def _mirror(s, frames, points):
@@ -114,7 +114,7 @@ def _limits(a, S, end):
     return end / r, (end * _POINT_PARITY + 0.0) / -r
 
 
-def profile(a, s_max, cfg=None):
+def profile(a, s_max):
     """Compute G_a on [-s_max, s_max] with frames and limit directions.
 
     One frame propagation runs from 0 to S; the left half is its mirror
@@ -141,15 +141,14 @@ def profile(a, s_max, cfg=None):
     2a^2 overflows) the profile is InvalidParameter, before it runs.
     """
     _check_family(a, s_max)
-    cfg = cfg or _default_cfg(s_max)
-    h, m, n_blocks = _blocks(0.0, float(s_max), cfg.step, cfg.renorm_every)
+    h, m, n_blocks = _grid(s_max)
     S = np.float64(h * m * n_blocks)  # the run's last node s[-1], bit for bit
     with np.errstate(all="ignore"):
         bound = float(2 * a / S + 2 * a * a / (S * S))
     if not math.isfinite(bound):
         raise InvalidParameter(f"s_max = {S:g} is too small for a = {a:g}: the A+ "
                                "error bound 2a/S + 2a^2/S^2 is not finite")
-    half = _half(a, float(s_max), cfg)
+    half = _half(a, float(s_max))
     s, frames, pts = two_sided(lambda end: half if end > 0 else _mirror(*half),
                                -float(s_max), float(s_max))
     curve = Curve(s, pts, frames)
@@ -162,16 +161,15 @@ def profile(a, s_max, cfg=None):
     )
 
 
-def mirror_defect(a, s_max, cfg=None):
+def mirror_defect(a, s_max):
     """Max difference between a direct run of G_a from 0 to -s_max and the
     mirror of the run from 0 to s_max that ``profile`` returns instead.
 
     Zero in exact arithmetic by parity, and zero in floating point as long
     as the elementwise kernels are exact under sign flips.
     """
-    cfg = cfg or _default_cfg(s_max)
-    mirrored = _mirror(*_half(a, float(s_max), cfg))
-    direct = _half(a, -float(s_max), cfg)
+    mirrored = _mirror(*_half(a, float(s_max)))
+    direct = _half(a, -float(s_max))
     return max(float(np.max(np.abs(m - d))) for m, d in zip(mirrored, direct))
 
 
@@ -202,18 +200,27 @@ def evaluate(prof, sigma):
 
     A node between two profile nodes takes ceil(m/2) equal Magnus-4 steps
     (c = a, tau = sigma/2) from the nearest one, where the nodes lie m fine
-    steps apart (``_grid``): each step is at most one fine step.  |sigma|
-    may pass s_max by a relative 1e-12; beyond that it is OutOfProfileRange.
+    steps apart on G_a's one grid (``_grid``): each step is at most one fine
+    step.  A sigma that is not finite is InvalidParameter; |sigma| may pass
+    s_max by a relative 1e-12, and beyond that it is OutOfProfileRange.
     """
     grid, frames, points = prof.curve.s_grid, prof.curve.frames, prof.curve.points
-    reach = float(np.max(np.abs(sigma), initial=0.0))
-    if reach > prof.s_max * (1 + 1e-12):
-        raise OutOfProfileRange(
-            f"sigma = {reach:g} lies beyond the profile's s_max = {prof.s_max:g}")
+    _check_reach(sigma, prof.s_max)
     j = np.clip(np.searchsorted(grid, sigma), 1, len(grid) - 1)
     j -= sigma - grid[j - 1] < grid[j] - sigma
     m = _grid(prof.s_max)[1]
     return _step_from(prof.a, grid[j], frames[j], points[j], sigma, -(-m // 2))
+
+
+def _check_reach(x, S=math.inf):
+    """Reject abscissae ``x`` that are not finite (InvalidParameter) or whose
+    |x| passes S by more than a relative 1e-12 (OutOfProfileRange)."""
+    reach = float(np.max(np.abs(x), initial=0.0))
+    # written so that a NaN fails
+    if not reach < math.inf:
+        raise InvalidParameter(f"abscissae must be finite, got max |x| = {reach}")
+    if reach > S * (1 + 1e-12):
+        raise OutOfProfileRange(f"sigma = {reach:g} lies beyond the profile's s_max = {S:g}")
 
 
 def _step_from(a, s, frames, points, sigma, n=1):
@@ -242,18 +249,16 @@ def sample(a, s_max, sigma):
     node (``integrators.frame_states``); each sigma then takes one Magnus-4
     step from its node, as in ``evaluate``, and sigma < 0 is the mirror
     image of -sigma by parity.  Memory is O(len(sigma)) plus one piece of
-    ``integrators._CHUNK`` steps, whatever s_max (``sample_plan``).  |sigma|
-    may pass s_max by a relative 1e-12; beyond that it is OutOfProfileRange.
+    ``integrators._CHUNK`` steps, whatever s_max (``sample_plan``).  A sigma
+    that is not finite is InvalidParameter; |sigma| may pass s_max by a
+    relative 1e-12, and beyond that it is OutOfProfileRange.
     """
     _check_family(a, s_max)
     h, m, n_blocks = _grid(s_max)
     n, S = n_blocks * m, h * m * n_blocks  # S as the profile's last node
     sigma = np.asarray(sigma, dtype=float)
     x = np.abs(sigma)
-    reach = float(np.max(x, initial=0.0))
-    if reach > S * (1 + 1e-12):
-        raise OutOfProfileRange(
-            f"sigma = {reach:g} lies beyond the profile's s_max = {S:g}")
+    _check_reach(x, S)
     k = np.minimum(np.rint(x / h), n).astype(np.int64)
     nodes, row = np.unique(np.append(k, n), return_inverse=True)
     frames, points = frame_states(*_coefficients(a), 0.0, h, n, nodes, np.eye(3),
@@ -278,8 +283,8 @@ def sample_plan(sig_max, n_sigma):
     with |sigma| up to ``sig_max``: the span is sig_max plus one output
     spacing, and at least 50; past ``integrators._MAX_STEPS`` fine steps
     its grid (``_grid``) is StepLimitExceeded."""
-    cfg = _default_cfg(sig_max)
-    span = max(sig_max + cfg.step * cfg.renorm_every, 50.0)
+    step, m = _spacing(sig_max)
+    span = max(sig_max + step * m, 50.0)
     _grid(span)
     return span, _BYTES_PER_SIGMA * n_sigma + _BYTES_PER_PIECE_STEP * _CHUNK
 
@@ -291,12 +296,15 @@ def v_shape(A_plus, A_minus, s):
 
 
 def chi(prof, s, t):
-    """Evaluate chi(s,t) = sqrt(t) G(s/sqrt(t)); at t = 0 the V-shape trace."""
+    """Evaluate chi(s,t) = sqrt(t) G(s/sqrt(t)); at t = 0 the V-shape trace.
+    An s or t that is not finite, or a t < 0, is InvalidParameter."""
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
-    if t < 0:
-        raise InvalidParameter("t must be nonnegative")
+    # written so that a NaN fails
+    if not 0 <= t < math.inf:
+        raise InvalidParameter(f"t must be finite and nonnegative, got {t!r}")
+    _check_reach(s)
     rt = math.sqrt(t)
     out = v_shape(prof.A_plus, prof.A_minus, s) if t == 0 else rt * evaluate(prof, s / rt)[1]
     return out[0] if scalar else out

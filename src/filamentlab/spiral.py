@@ -12,10 +12,10 @@ All three ODEs (``spiral_profile``, ``yh_evolve``, ``f_solve``) run on one
 fixed-step driver, ``_fixed_step``, with the 12-stage 8th-order
 Dormand-Prince tableau (DOP853) and no step control.  It plans whole output
 blocks with the package's one planner, ``integrators._plan`` (which
-validates the span and the step budget ``integrators._MAX_STEPS``) and
-checks the initial state at once; the run it returns calls the equation's
-step body once per block.  Each body is a fused loop on local floats,
-generated once on first use (``_body``) from the tableau and a short
+validates the step, the block, the span and the step budget) and checks the
+initial state at once; the run it returns calls the equation's step body
+once per block.  ``spiral_profile`` runs on the one grid ``_GRID``, which
+``spiral_chi`` steps on.  Each body is a fused loop on local floats, generated once on first use (``_body``) from the tableau and a short
 right-hand-side template: the twelve stages are written out, with no
 right-hand-side call and no tuple per stage.
 
@@ -40,13 +40,14 @@ import numpy as np
 
 from . import dataio
 from .errors import ConstraintViolated, InvalidParameter, OutOfProfileRange
-from .geometry import Curve, SolverConfig
+from .geometry import Curve
 from .integrators import _plan, two_sided
 
 CONSTRAINT_TOL = 1e-10
 # fine steps per side at least before the two sides run at once: a fork,
 # pipe and reap round trip costs about 2.4 ms, some 150 DOP853 steps
 _MIN_SIDE_STEPS = 150
+_GRID = (4.8e-3, 2)  # (step, out_every) of every rotating profile
 
 
 def _amatrix(mu):
@@ -207,18 +208,18 @@ def _body(rhs):
     return scope["block"]
 
 
-def _fixed_step(rhs, params, y0, s0, s1, cfg):
+def _fixed_step(rhs, params, y0, s0, s1, step, out_every):
     """Fixed-step DOP853 driver shared by the scalar solvers of this module.
 
     Plans the fine steps over [s0, s1] with ``integrators._plan``, in output
-    blocks of m = ``cfg.renorm_every`` steps of at most ``cfg.step``, and
+    blocks of m = ``out_every`` steps of at most ``step``, and
     checks that ``y0`` is finite, at once.  Returns (s_nodes, integrate),
     where ``integrate()`` runs the fused block of ``rhs`` (see ``_body``) with
     ``params`` once per block, from that block's start node, and returns
     ``out``: the state at every block end in its rows, row 0 the initial
     state.
     """
-    h, m, s_nodes, _ = _plan(s0, s1, cfg.step, cfg.renorm_every)
+    h, m, s_nodes, _ = _plan(s0, s1, step, out_every)
     y0 = np.asarray(y0)
     if not np.all(np.isfinite(y0)):
         raise InvalidParameter("initial state must be finite")
@@ -243,7 +244,7 @@ _PROFILE = ("mu", "gx gy gz tx ty tz",
              "my * tz - mz * ty", "mz * tx - mx * tz", "mx * ty - my * tx"))
 
 
-def _sides(params, s_lo, s_hi, cfg):
+def _sides(params, s_lo, s_hi):
     """Integrate (G, T) from s = 0 to both ends; returns (s, G, T) on one
     ascending grid, stitched by ``integrators.two_sided``.
 
@@ -255,9 +256,9 @@ def _sides(params, s_lo, s_hi, cfg):
     serial one, so the result is bit-identical.
     """
     y0 = (*params.G0.tolist(), *params.T0.tolist())
-    plans = {end: _fixed_step(_PROFILE, (params.mu,), y0, 0.0, end, cfg)
+    plans = {end: _fixed_step(_PROFILE, (params.mu,), y0, 0.0, end, *_GRID)
              for end in (s_hi, s_lo) if end != 0}
-    steps = [(len(s) - 1) * int(cfg.renorm_every) for s, _ in plans.values()]
+    steps = [(len(s) - 1) * _GRID[1] for s, _ in plans.values()]
 
     def minus_side():
         yield plans[s_lo][1]()
@@ -273,8 +274,8 @@ def _sides(params, s_lo, s_hi, cfg):
         return two_sided(run, s_lo, s_hi)
 
 
-def spiral_profile(params, s_span, cfg=None):
-    """Integrate the profile equation over s_span (must contain 0).
+def spiral_profile(params, s_span):
+    """Integrate the profile equation over s_span (must contain 0) on ``_GRID``.
 
     Frames are assembled algebraically: n = T'/|T'|, b = T x n with
     T' = (1/2)(I+A)G x T evaluated pointwise.  The two sides of s = 0 run
@@ -285,8 +286,7 @@ def spiral_profile(params, s_span, cfg=None):
     s_lo, s_hi = float(s_span[0]), float(s_span[1])
     if s_lo > 0 or s_hi < 0:
         raise InvalidParameter("s_span must contain 0 (initial data lives there)")
-    cfg = cfg or SolverConfig(step=4.8e-3, renorm_every=2)
-    s, G, T = _sides(params, s_lo, s_hi, cfg)
+    s, G, T = _sides(params, s_lo, s_hi)
     mu = params.mu
     IA = np.eye(3) + _amatrix(mu)
     mvec = 0.5 * (G @ IA.T)
@@ -317,18 +317,18 @@ _YH = ("nu, E0", "x y hh", (),
        ("y", "s * hh + (2.0 * E0 - (3.0 * x + nu) * (x + nu) / 2.0)", "-(s / 4.0) * y"))
 
 
-def yh_evolve(y0, h0, nu, E0, s_span, cfg=None, *, x0):
+def yh_evolve(y0, h0, nu, E0, s_span, *, x0, step=1e-2, out_every=1):
     """Reduced system x' = y, y' = s h + g(x), h' = -(s/4) y from s_span[0].
 
     ``x0`` supplies |T'|^2 at the starting point (the system only sees its
-    derivative y, so the level must be given).  Returns (s, x, y, h) arrays.
+    derivative y, so the level must be given).  Returns (s, x, y, h) arrays
+    on the nodes every ``out_every`` fine steps of at most ``step``.
     """
-    cfg = cfg or SolverConfig(step=1e-2, renorm_every=1)
     nu, E0 = float(nu), float(E0)
     if not (math.isfinite(nu) and math.isfinite(E0)):
         raise InvalidParameter("nu and E0 must be finite")
     s, integrate = _fixed_step(_YH, (nu, E0), (float(x0), float(y0), float(h0)),
-                               float(s_span[0]), float(s_span[1]), cfg)
+                               float(s_span[0]), float(s_span[1]), step, out_every)
     out = integrate()
     return s, out[:, 0], out[:, 1], out[:, 2]
 
@@ -337,18 +337,18 @@ def yh_evolve(y0, h0, nu, E0, s_span, cfg=None, *, x0):
 _F = ("nu", "f g", (), ("g", "-0.5j * s * g - 0.5 * f * (abs(f) ** 2 + nu)"))
 
 
-def f_solve(f0, f0_prime, nu, s_span, cfg=None):
+def f_solve(f0, f0_prime, nu, s_span, *, step=1.6e-2 / 3, out_every=3):
     """Complex profile equation f'' + i(s/2) f' + (f/2)(|f|^2 + nu) = 0.
 
-    Initial data at s_span[0]; returns (s, f, f') arrays.  The conserved
-    energy is |f'|^2 + (|f|^2 + nu)^2 / 4.
+    Initial data at s_span[0]; returns (s, f, f') arrays on the nodes every
+    ``out_every`` fine steps of at most ``step``.  The conserved energy is
+    |f'|^2 + (|f|^2 + nu)^2 / 4.
     """
-    cfg = cfg or SolverConfig(step=1.6e-2 / 3, renorm_every=3)
     nu = float(nu)
     if not math.isfinite(nu):
         raise InvalidParameter("nu must be finite")
     s, integrate = _fixed_step(_F, (nu,), (complex(f0), complex(f0_prime)),
-                               float(s_span[0]), float(s_span[1]), cfg)
+                               float(s_span[0]), float(s_span[1]), step, out_every)
     out = integrate()
     return s, out[:, 0], out[:, 1]
 
@@ -369,15 +369,20 @@ def spiral_chi(params, profile_curve, s, t):
 
     G between the profile's nodes takes one DOP853 step (the block that
     ``spiral_profile`` runs) from the nearest node, as
-    ``selfsimilar.evaluate`` takes one Magnus step.
+    ``selfsimilar.evaluate`` takes one Magnus step: on ``_GRID`` it is at
+    most one fine step.  A non-finite t or s/sqrt(t), or a t <= 0, is
+    InvalidParameter.
     """
-    if t <= 0:
-        raise InvalidParameter("t must be positive")
+    # written so that a NaN fails
+    if not 0 < t < math.inf:
+        raise InvalidParameter(f"t must be finite and positive, got {t!r}")
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
     rt = math.sqrt(t)
     sigma = s / rt
+    if not np.max(np.abs(sigma), initial=0.0) < math.inf:
+        raise InvalidParameter("s/sqrt(t) must be finite")
     grid = profile_curve.s_grid
     if sigma.min() < grid[0] - 1e-12 or sigma.max() > grid[-1] + 1e-12:
         raise OutOfProfileRange("s/sqrt(t) outside the computed profile span")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurvatureVanishes, EnergyDegenerate, GridMismatch, InvalidParameter
-from .geometry import SolverConfig, FrameTrajectory
+from .geometry import FrameTrajectory
 from .integrators import propagate_linear2
 
 TOL_C = 1e-6
@@ -54,13 +54,14 @@ def energy_drift(traj, c):
     return float(np.max(np.abs(E - E[0])) / abs(E[0]))
 
 
-def theta_solve(c, tau, init, s_span, cfg=None):
+def theta_solve(c, tau, init, s_span, *, step=1e-3, out_every=16):
     """Integrate the reduction over s_span from ``init`` at s_span[0].
 
-    Runs on w = (theta/2, theta'/c) and returns theta = 2 w_1 and
-    theta' = c w_2 on the output nodes; ``c`` must stay positive on the span.
+    Runs on w = (theta/2, theta'/c) in fine steps of at most ``step`` and
+    returns theta = 2 w_1 and theta' = c w_2 on the output nodes, every
+    ``out_every`` fine steps (``integrators.propagate_linear2``); ``c`` must
+    stay positive on the span.
     """
-    cfg = cfg or SolverConfig()
 
     def cval(s):
         cv = np.asarray(c(s), dtype=float)
@@ -79,7 +80,7 @@ def theta_solve(c, tau, init, s_span, cfg=None):
     s_out, W = propagate_linear2(
         afn, s0, float(s_span[1]),
         np.array([init.theta / 2, init.theta_prime / cval(s0)], dtype=complex),
-        step=cfg.step, out_every=cfg.renorm_every,
+        step=step, out_every=out_every,
     )
     return ThetaTrajectory(s_out, 2 * W[:, 0], cval(s_out) * W[:, 1])
 
@@ -138,8 +139,7 @@ def a1_from_theta(a, s_max):
         lambda s: np.full(np.shape(s), float(a)),
         lambda s: s / 2,
         ThetaState(0.0, a / np.sqrt(2.0)),
-        (0.0, float(s_max)),
-        SolverConfig(step=4e-3, renorm_every=8),
+        (0.0, float(s_max)), step=4e-3, out_every=8,
     )
     T1 = 1 - np.abs(traj.theta) ** 2
     win = traj.s >= s_max / 2

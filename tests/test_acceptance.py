@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from filamentlab import cli, flow, geometry, nls, selfsimilar, spiral, theta
-from filamentlab.geometry import FrenetFrame, IntrinsicData, SolverConfig
+from filamentlab.geometry import FrenetFrame, IntrinsicData
 
 
 def _report(n, msg, t0, limit):
@@ -65,11 +65,11 @@ def test_criterion_4_conserved_quantities():
     t0 = time.time()
     a = 0.5
     c_fn = lambda s: np.full(np.shape(s), a)
-    cfg = SolverConfig(step=4e-3, renorm_every=25)
+    grid = dict(step=4e-3, out_every=25)
     theta_drift = 0.0
     for st in theta.canonical_initial_data(a):
         for s_end in (400.0, -400.0):
-            traj = theta.theta_solve(c_fn, lambda s: s / 2, st, (0.0, s_end), cfg)
+            traj = theta.theta_solve(c_fn, lambda s: s / 2, st, (0.0, s_end), **grid)
             theta_drift = max(theta_drift, theta.energy_drift(traj, c_fn))
     assert theta_drift <= 1e-8
 
@@ -103,20 +103,20 @@ def test_criterion_5_cross_oracles():
     a = 0.5
     c_fn = lambda s: np.full(np.shape(s), a)
     tau_fn = lambda s: s / 2
-    cfg_t = SolverConfig(step=1e-3, renorm_every=20)
-    trajs = [theta.theta_solve(c_fn, tau_fn, st, (0.0, 50.0), cfg_t)
+    grid_t = dict(step=1e-3, out_every=20)
+    trajs = [theta.theta_solve(c_fn, tau_fn, st, (0.0, 50.0), **grid_t)
              for st in theta.canonical_initial_data(a)]
     fr_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
     fr = geometry.frenet_integrate(c_fn, tau_fn, FrenetFrame.identity(),
                                    (0.0, 50.0),
-                                   SolverConfig(step=2.5e-4, renorm_every=80))
+                                   step=2.5e-4, out_every=80)
     d_routes = float(np.max(np.abs(fr.T - fr_theta.frames[:, 0])))
     assert d_routes <= 1e-6
 
     params = spiral.SpiralParams(0.0, np.array([0.0, 0.0, 2 * a]),
                                  np.array([1.0, 0.0, 0.0]))
     res = spiral.spiral_profile(params, (-20.0, 20.0))
-    prof = selfsimilar.profile(a, 20.0, SolverConfig(step=1e-3, renorm_every=8))
+    prof = selfsimilar.profile(a, 20.0)
     pts = selfsimilar.evaluate(prof, res.curve.s_grid)[1]
     d_spiral = float(np.max(np.linalg.norm(res.curve.points - pts, axis=1)))
     assert d_spiral <= 1e-6
@@ -138,7 +138,7 @@ def test_criterion_6_reconstruction_fidelity():
     tg = 0.05 * 20.0 ** (np.arange(21) / 20)
     data = _selfsimilar_data(a, tg, 5.0, 0.01)
     res = flow.reconstruct_flow(data, np.eye(3), np.array([0.0, 0.0, 2 * a]))
-    prof = selfsimilar.profile(a, 25.0, SolverConfig(step=1e-3, renorm_every=8))
+    prof = selfsimilar.profile(a, 25.0)
     worst = 0.0
     for k, tk in enumerate(res.t_grid):
         exact = selfsimilar.chi(prof, res.curves[k].s_grid, tk)

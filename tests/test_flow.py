@@ -17,7 +17,7 @@ from filamentlab.errors import (
     OutOfProfileRange,
     StepLimitExceeded,
 )
-from filamentlab.geometry import IntrinsicData, SolverConfig
+from filamentlab.geometry import IntrinsicData
 from filamentlab.integrators import _rotation
 
 
@@ -57,7 +57,7 @@ def test_reconstruct_selfsimilar_fidelity_small():
     data = selfsimilar_data(a, 0.25, 1.0, 13, 3.0, 0.02)
     point0 = np.array([0.0, 0.0, 2 * a])
     res = flow.reconstruct_flow(data, np.eye(3), point0)
-    prof = selfsimilar.profile(a, 8.0, SolverConfig(step=1e-3, renorm_every=8))
+    prof = selfsimilar.profile(a, 8.0)
     worst = 0.0
     for k, tk in enumerate(res.t_grid):
         exact = selfsimilar.chi(prof, res.curves[k].s_grid, tk)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +14,7 @@ from filamentlab.errors import (
     InvalidParameter,
     NonFiniteCoefficient,
 )
-from filamentlab.geometry import Curve, FrenetFrame, SolverConfig, frenet_integrate
+from filamentlab.geometry import Curve, FrenetFrame, frenet_integrate
 
 ONES = lambda s: np.ones(np.shape(s))
 ZERO = lambda s: np.zeros(np.shape(s))
@@ -33,34 +32,32 @@ def helix_curve(s):
 
 
 def test_circle_closes():
-    cfg = SolverConfig(step=1e-3, renorm_every=16)
-    traj = frenet_integrate(ONES, ZERO, FrenetFrame.identity(), (0, 2 * np.pi), cfg)
+    traj = frenet_integrate(ONES, ZERO, FrenetFrame.identity(), (0, 2 * np.pi),
+                            step=1e-3, out_every=16)
     assert np.linalg.norm(traj.T[-1] - traj.T[0]) < 1e-6
     assert traj.s[0] == 0.0
 
 
 def test_zero_coefficients_freeze_frame():
-    cfg = SolverConfig(step=1e-2, renorm_every=8)
-    traj = frenet_integrate(ZERO, ZERO, FrenetFrame.identity(), (0, 5.0), cfg)
+    traj = frenet_integrate(ZERO, ZERO, FrenetFrame.identity(), (0, 5.0),
+                            step=1e-2, out_every=8)
     assert np.max(np.abs(traj.frames - np.eye(3)[None])) < 1e-14
 
 
 def test_helix_matches_closed_form():
-    cfg = SolverConfig(step=5e-4, renorm_every=16)
     half = lambda s: 0.5 * np.ones(np.shape(s))
     frame0 = FrenetFrame(
         helix_tangent(np.array([0.0]))[0],
         np.array([-1.0, 0.0, 0.0]),
         np.cross(helix_tangent(np.array([0.0]))[0], [-1.0, 0.0, 0.0]),
     )
-    traj = frenet_integrate(half, half, frame0, (0, 12.0), cfg)
+    traj = frenet_integrate(half, half, frame0, (0, 12.0), step=5e-4, out_every=16)
     assert np.max(np.abs(traj.T - helix_tangent(traj.s))) < 1e-6
 
 
 def test_orthonormality_long_span():
-    cfg = SolverConfig(step=1e-3, renorm_every=16)
     traj = frenet_integrate(lambda s: 1 + 0.3 * np.sin(s), lambda s: s / 2,
-                            FrenetFrame.identity(), (0, 100.0), cfg)
+                            FrenetFrame.identity(), (0, 100.0), step=1e-3, out_every=16)
     assert geometry.frame_orthonormality_defect(traj.frames) <= 1e-8
 
 
@@ -71,8 +68,8 @@ def test_rk4_convergence_order_at_least_4():
     frame0 = FrenetFrame.identity()
 
     def final_frame(step):
-        cfg = SolverConfig(step=step, renorm_every=1)
-        return frenet_integrate(c_fn, tau_fn, frame0, (0, 2 * np.pi), cfg).frames[-1]
+        return frenet_integrate(c_fn, tau_fn, frame0, (0, 2 * np.pi),
+                                step=step, out_every=1).frames[-1]
 
     ref = final_frame(1e-3)
     errs = [np.max(np.abs(final_frame(step) - ref)) for step in (4e-2, 2e-2)]
@@ -96,12 +93,11 @@ def test_curve_from_tangent_line_and_circle():
 def test_curve_from_tangent_reproduces_profile():
     from filamentlab import selfsimilar
 
-    prof = selfsimilar.profile(0.7, 20.0, SolverConfig(step=1e-3, renorm_every=8))
-    sg = prof.curve.s_grid
-    pos = sg >= 0
-    rebuilt = geometry.curve_from_tangent((sg[pos], prof.curve.frames[pos, 0]),
-                                          np.array([0.0, 0.0, 1.4]))
-    assert np.max(np.linalg.norm(rebuilt.points - prof.curve.points[pos], axis=1)) < 1e-5
+    # G_a read at the spacing 8e-3, off the profile's own grid
+    sg = 8e-3 * np.arange(2501)
+    F, G, _, _ = selfsimilar.sample(0.7, 20.0, sg)
+    rebuilt = geometry.curve_from_tangent((sg, F[:, 0]), np.array([0.0, 0.0, 1.4]))
+    assert np.max(np.linalg.norm(rebuilt.points - G, axis=1)) < 1e-5
 
 
 def test_curve_from_tangent_rejects_nonuniform():
@@ -205,8 +201,9 @@ def test_curvature_torsion_circle_and_helix():
 def test_curvature_torsion_selfsimilar_slice():
     from filamentlab import selfsimilar
 
-    prof = selfsimilar.profile(0.8, 5.0, SolverConfig(step=5e-4, renorm_every=8))
-    out = geometry.curvature_torsion_from_curve(prof.curve)
+    # G_a read at the spacing 4e-3, off the profile's own grid
+    s = 4e-3 * np.arange(-1250, 1251)
+    out = geometry.curvature_torsion_from_curve(Curve(s, selfsimilar.sample(0.8, 5.0, s)[1]))
     assert np.max(np.abs(out.c - 0.8)) < 1e-4
     assert np.max(np.abs(out.tau - out.s_grid / 2)) < 1e-4
 
@@ -224,9 +221,8 @@ def test_inversion_round_trip_second_order():
     tau_fn = lambda s: 0.5 * np.cos(s)
     errs = []
     for m in (8, 4):
-        cfg = SolverConfig(step=2.5e-4, renorm_every=m)
-        traj = frenet_integrate(c_fn, tau_fn, FrenetFrame.identity(), (0, 10.0), cfg,
-                                position0=np.zeros(3))
+        traj = frenet_integrate(c_fn, tau_fn, FrenetFrame.identity(), (0, 10.0),
+                                step=2.5e-4, out_every=m, position0=np.zeros(3))
         curve = Curve(traj.s, traj.points)
         out = geometry.curvature_torsion_from_curve(curve)
         errs.append(max(np.max(np.abs(out.c - c_fn(out.s_grid))),
@@ -273,10 +269,10 @@ def test_bf_residual_grid_mismatch():
 
 
 def test_nonfinite_coefficient_raises():
-    cfg = SolverConfig(step=1e-2, renorm_every=4)
     bad = lambda s: np.where(s > 1, np.inf, 1.0)
     with pytest.raises(NonFiniteCoefficient):
-        frenet_integrate(bad, ZERO, FrenetFrame.identity(), (0, 2.0), cfg)
+        frenet_integrate(bad, ZERO, FrenetFrame.identity(), (0, 2.0),
+                         step=1e-2, out_every=4)
 
 
 def test_empty_span_rejected():
@@ -294,9 +290,9 @@ def test_step_limit_enforced():
 
     # 1e8 fine steps, twice the budget: rejected when planned, before the
     # 2.5e7 output nodes are allocated
-    cfg = SolverConfig(step=1e-6, renorm_every=4)
     with pytest.raises(StepLimitExceeded):
-        frenet_integrate(ONES, ZERO, FrenetFrame.identity(), (0, 100.0), cfg)
+        frenet_integrate(ONES, ZERO, FrenetFrame.identity(), (0, 100.0),
+                         step=1e-6, out_every=4)
 
 
 def test_frame_validation():
@@ -313,9 +309,8 @@ SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
 
 
 def test_curve_csv_roundtrip(tmp_path):
-    cfg = SolverConfig(step=1e-3, renorm_every=16)
-    traj = frenet_integrate(ONES, ZERO, FrenetFrame.identity(), (0, 3.0), cfg,
-                            position0=np.array([0.0, -1.0, 0.0]))
+    traj = frenet_integrate(ONES, ZERO, FrenetFrame.identity(), (0, 3.0),
+                            step=1e-3, out_every=16, position0=np.array([0.0, -1.0, 0.0]))
     # several 4096-row write blocks plus a partial one, with special values
     n = 2 * 4096 + 1000
     rng = np.random.default_rng(0)
@@ -331,13 +326,3 @@ def test_curve_csv_roundtrip(tmp_path):
         assert back.s_grid.tobytes() == curve.s_grid.tobytes()
         assert back.points.tobytes() == curve.points.tobytes()
         assert back.frames.tobytes() == curve.frames.tobytes()
-
-
-def test_solver_config_validation():
-    for bad in ({"step": -1.0}, {"step": 0.0}, {"step": np.inf}, {"step": np.nan},
-                {"renorm_every": 0}, {"renorm_every": 1.5}, {"renorm_every": 2.0}):
-        with pytest.raises(InvalidParameter):
-            SolverConfig(**bad)
-    SolverConfig(step=1e-3, renorm_every=np.int64(4))
-    # the fine-step budget is the planner's constant, not a knob
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["step", "renorm_every"]

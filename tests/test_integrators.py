@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from filamentlab import integrators
+from filamentlab import geometry, integrators, spiral, theta
 from filamentlab.errors import InvalidParameter, StepLimitExceeded
 from filamentlab.integrators import (
     _Q_ONE,
@@ -23,6 +23,7 @@ from filamentlab.integrators import (
     expm2,
     magnus_frame_step,
     propagate_frame,
+    propagate_linear2,
     rodrigues_phi1,
 )
 
@@ -189,3 +190,39 @@ def test_plan_rejects_non_finite_or_empty_span(s0, s1):
 def test_plan_rejects_out_every_below_one(out_every):
     with pytest.raises(InvalidParameter, match="out_every"):
         integrators._plan(0.0, 1.0, 0.1, out_every)
+
+
+ONE = lambda s: np.ones(np.shape(s))
+
+# every fixed-step solver, over [0, 1] with the given step keywords; each
+# returns its output nodes
+FIXED_STEP_SOLVERS = {
+    "propagate_frame": lambda **kw: propagate_frame(ONE, ONE, 0.0, 1.0, np.eye(3), **kw)[0],
+    "propagate_linear2": lambda **kw: propagate_linear2(
+        lambda s: np.zeros((len(s), 2, 2), complex), 0.0, 1.0, [1.0, 0.0], **kw)[0],
+    "frenet_integrate": lambda **kw: geometry.frenet_integrate(
+        ONE, ONE, geometry.FrenetFrame.identity(), (0.0, 1.0), **kw).s,
+    "theta_solve": lambda **kw: theta.theta_solve(
+        ONE, ONE, theta.ThetaState(0.0, 1.0), (0.0, 1.0), **kw).s,
+    "yh_evolve": lambda **kw: spiral.yh_evolve(0.0, 0.0, -0.25, 0.0, (0.0, 1.0),
+                                               x0=0.25, **kw)[0],
+    "f_solve": lambda **kw: spiral.f_solve(1.0, 0.3j, 0.5, (0.0, 1.0), **kw)[0],
+}
+
+
+@pytest.mark.parametrize("solver", sorted(FIXED_STEP_SOLVERS))
+@pytest.mark.parametrize("bad", [{"step": -1.0}, {"step": 0.0}, {"step": math.inf},
+                                 {"step": math.nan}, {"out_every": 0},
+                                 {"out_every": 1.5}, {"out_every": 2.0}], ids=str)
+def test_planner_rejects_bad_step_or_block_in_every_solver(solver, bad):
+    # the one planner validates every fixed-step run: a negative step is not
+    # read as one block, a zero step does not divide, a float block is not
+    # truncated
+    with pytest.raises(InvalidParameter):
+        FIXED_STEP_SOLVERS[solver](**{"step": 1e-2, "out_every": 4, **bad})
+
+
+@pytest.mark.parametrize("solver", sorted(FIXED_STEP_SOLVERS))
+def test_planner_takes_a_numpy_integer_block(solver):
+    # 25 blocks of 4 steps of 1e-2
+    assert len(FIXED_STEP_SOLVERS[solver](step=1e-2, out_every=np.int64(4))) == 26

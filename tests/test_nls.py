@@ -465,3 +465,15 @@ def test_evolve_fft_count(monkeypatch):
     assert len(out.fields) == 4
     assert len(calls) <= 2 * n_steps + 2 * len(out.fields)
 
+
+@pytest.mark.parametrize("L, N", [(100.0, 1024), (400.0, 4096)])
+def test_faithful_horizon_reads_the_spectral_support(L, N):
+    # t_clean = 4 xi_cut / L, xi_cut the least radius outside which lies at
+    # most 1e-8 of the spectral energy
+    f = gaussian_field(L, N, 1e-2)
+    xi_cut = nls.faithful_horizon(f) * L / 4
+    spec = np.abs(np.fft.fft(f.values)) ** 2
+    xi = np.abs(f.xi())
+    assert spec[xi > xi_cut * (1 + 1e-12)].sum() <= 1e-8 * spec.sum()
+    assert spec[xi >= xi_cut * (1 - 1e-12)].sum() > 1e-8 * spec.sum()
+    assert nls.faithful_horizon(ComplexField(L, N, np.zeros(N, dtype=complex))) == 0.0

@@ -1,13 +1,14 @@
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from filamentlab import selfsimilar
+from filamentlab import nls, selfsimilar, spiral
 from filamentlab.errors import InvalidParameter, OutOfProfileRange
-from filamentlab.geometry import SolverConfig
 from filamentlab.integrators import propagate_frame
 from filamentlab.selfsimilar import chi, corner_angle, profile, self_intersections
 
@@ -41,22 +42,21 @@ def test_angle_law_frenet_route():
     assert abs(prof.a1_estimate - 0.6752) < 1e-3
 
 
-def _direct_left_half(a, s_max, cfg):
-    """G_a integrated from 0 to -s_max, as profile() did before it mirrored."""
+def _direct_run(a, end, step, out_every):
+    """G_a integrated from 0 to ``end`` on a grid of the caller's choice."""
     return propagate_frame(lambda s: np.full(np.shape(s), float(a)), lambda s: s / 2,
-                           0.0, -float(s_max), np.eye(3), step=cfg.step,
-                           out_every=cfg.renorm_every,
+                           0.0, end, np.eye(3), step=step, out_every=out_every,
                            position0=np.array([0.0, 0.0, 2 * a]))
 
 
-@pytest.mark.parametrize("a, s_max, cfg", [
-    *((a, s_max, None) for a in (0.0, 0.1, 0.5, 1.0, 2.0)
-      for s_max in (20.0, 100.0, 400.0, 500.0, 750.0)),
-    (0.5, 100.0, SolverConfig(step=1e-3, renorm_every=16)),
-])
-def test_mirrored_half_equals_direct_run_bit_for_bit(a, s_max, cfg):
-    prof = profile(a, s_max, cfg)
-    s, frames, points = _direct_left_half(a, s_max, cfg or selfsimilar._default_cfg(s_max))
+# ids "<a>-<s_max>-None" keep the names this test has long run under
+@pytest.mark.parametrize("a, s_max", [
+    pytest.param(a, s_max, id=f"{a}-{s_max}-None") for a in (0.0, 0.1, 0.5, 1.0, 2.0)
+    for s_max in (20.0, 100.0, 400.0, 500.0, 750.0)])
+def test_mirrored_half_equals_direct_run_bit_for_bit(a, s_max):
+    # the left half run directly, on the profile's grid
+    prof = profile(a, s_max)
+    s, frames, points = _direct_run(a, -s_max, *selfsimilar._spacing(s_max))
     n = len(s)
     assert len(prof.curve.s_grid) == 2 * n - 1
     for got, want in ((prof.curve.s_grid, s), (prof.curve.frames, frames),
@@ -66,7 +66,6 @@ def test_mirrored_half_equals_direct_run_bit_for_bit(a, s_max, cfg):
 
 def test_mirror_defect_measures_the_direct_run():
     assert selfsimilar.mirror_defect(0.5, 60.0) == 0.0
-    assert selfsimilar.mirror_defect(0.5, 100.0, SolverConfig(step=1e-3, renorm_every=16)) == 0.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -112,10 +111,10 @@ def test_modulus_law_and_parity():
 
 
 def test_evaluate_between_nodes_matches_a_direct_run():
-    a, cfg = 2.0, SolverConfig(step=1e-4, renorm_every=1)
+    a = 2.0
     prof = profile(a, 30.0)
     for end in (0.123456, -7.654321, 29.9999):
-        s, frames, points = selfsimilar._half(a, end, cfg)
+        s, frames, points = _direct_run(a, end, 1e-4, 1)
         F, G = selfsimilar.evaluate(prof, np.array([end]))
         assert np.max(np.abs(G[0] - points[-1])) <= 1e-10
         assert np.max(np.abs(F[0] - frames[-1])) <= 1e-10
@@ -192,18 +191,17 @@ def test_third_order_ode_residual_second_order():
     # G''' + (a^2 + s^2/4) G' - (s/4) G = 0 via finite differences
     a = 0.6
 
-    def residual(step):
-        prof = profile(a, 8.0, SolverConfig(step=step, renorm_every=8))
-        s = prof.curve.s_grid
-        h = s[1] - s[0]
-        G = prof.curve.points
+    def residual(h):
+        # G_a read at the nodes of spacing h, off the profile's own grid
+        s = h * np.arange(-round(8.0 / h), round(8.0 / h) + 1)
+        G = selfsimilar.sample(a, 8.0, s)[1]
         d1 = (G[2:] - G[:-2]) / (2 * h)
         d3 = (G[4:] - 2 * G[3:-1] + 2 * G[1:-3] - G[:-4]) / (2 * h**3)
         coef = (a * a + s[2:-2] ** 2 / 4)[:, None]
         res = d3 + coef * d1[1:-1] - (s[2:-2] / 4)[:, None] * G[2:-2]
         return np.max(np.linalg.norm(res, axis=1))
 
-    r1, r2 = residual(1e-3), residual(5e-4)
+    r1, r2 = residual(8e-3), residual(4e-3)
     assert r1 / r2 > 3.0
     assert r2 < 2e-4
 
@@ -277,7 +275,7 @@ def test_self_intersections_dichotomy():
     # x really vanishes there: a direct run that ends at each root, apart
     # from the evaluator that found it
     for r in roots[:5]:
-        _, _, points = selfsimilar._half(2.0, r, SolverConfig(step=1e-4, renorm_every=1))
+        _, _, points = _direct_run(2.0, r, 1e-4, 1)
         assert abs(points[-1, 0]) < 1e-9
 
 
@@ -286,3 +284,43 @@ def test_small_a_first_zero_matches_sin_asymptotics():
     prof = profile(2.0, 20.0)
     roots = self_intersections(prof)
     assert abs(roots[0] - math.pi / 2) < 0.2
+
+
+@functools.cache
+def _g():
+    return profile(0.5, 20.0)
+
+
+@functools.cache
+def _rotating():
+    params = spiral.SpiralParams(0.4, np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+    return params, spiral.spiral_profile(params, (-0.5, 0.5)).curve
+
+
+NAN, INF = math.nan, math.inf
+NON_FINITE_CALLS = {
+    "sample sigma nan": lambda: selfsimilar.sample(0.5, 20.0, [NAN, 1.0]),
+    "sample sigma -inf": lambda: selfsimilar.sample(0.5, 20.0, [-INF]),
+    "evaluate sigma nan": lambda: selfsimilar.evaluate(_g(), np.array([NAN, 1.0])),
+    "evaluate sigma inf": lambda: selfsimilar.evaluate(_g(), np.array([INF])),
+    "chi s nan": lambda: chi(_g(), NAN, 1.0),
+    "chi s nan at t 0": lambda: chi(_g(), np.array([1.0, NAN]), 0.0),
+    "chi t nan": lambda: chi(_g(), 1.0, NAN),
+    "chi t inf": lambda: chi(_g(), 1.0, INF),
+    "spiral_chi s nan": lambda: spiral.spiral_chi(*_rotating(), np.array([NAN, 0.1]), 1.0),
+    "spiral_chi t nan": lambda: spiral.spiral_chi(*_rotating(), 0.1, NAN),
+    "spiral_chi t inf": lambda: spiral.spiral_chi(*_rotating(), 0.1, INF),
+    "gp_energy t nan": lambda: nls.gp_energy(
+        nls.ComplexField(10.0, 16, np.full(16, 0.5 + 0j)), NAN, 0.5, 1),
+    "gp_energy t inf": lambda: nls.gp_energy(
+        nls.ComplexField(10.0, 16, np.full(16, 0.5 + 0j)), INF, 0.5, 1),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+def test_evaluators_reject_non_finite_abscissae_and_times(call):
+    # rejected at the boundary: no numpy warning, no NaN row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameter):
+            NON_FINITE_CALLS[call]()

@@ -9,7 +9,6 @@ from filamentlab.errors import (
     InvalidParameter,
     StepLimitExceeded,
 )
-from filamentlab.geometry import SolverConfig
 from filamentlab.integrators import _MAX_STEPS, _plan
 from filamentlab.spiral import (
     SpiralParams,
@@ -102,14 +101,12 @@ def test_bridge_f_to_yh():
     # conj(f) f' = y/2 + i h maps f-trajectories onto the reduced system
     nu = 0.4
     f0, fp0 = 1.0, 0.25j
-    s, f, fp = f_solve(f0, fp0, nu, (0.0, 25.0),
-                       SolverConfig(step=1e-2, renorm_every=1))
+    s, f, fp = f_solve(f0, fp0, nu, (0.0, 25.0), step=1e-2, out_every=1)
     prod = np.conj(f) * fp
     y_f, h_f = 2 * np.real(prod), np.imag(prod)
     E0 = float(f_energy(f0, fp0, nu))
-    s2, x, y, h = yh_evolve(y_f[0], h_f[0], nu, E0, (0.0, 25.0),
-                            SolverConfig(step=1e-2, renorm_every=1),
-                            x0=abs(f0) ** 2)
+    s2, x, y, h = yh_evolve(y_f[0], h_f[0], nu, E0, (0.0, 25.0), x0=abs(f0) ** 2,
+                            step=1e-2, out_every=1)
     assert np.max(np.abs(s - s2)) < 1e-12
     assert np.max(np.abs(y - y_f)) < 1e-5
     assert np.max(np.abs(h - h_f)) < 1e-5
@@ -118,11 +115,12 @@ def test_bridge_f_to_yh():
 
 def test_profile_consistent_with_yh():
     p = make_params(0.35, 0.5)
-    res = spiral_profile(p, (0.0, 25.0), SolverConfig(step=4e-3, renorm_every=2))
+    res = spiral_profile(p, (0.0, 25.0))
     s = res.curve.s_grid
     ds = s[1] - s[0]
-    s2, x, y, h = yh_evolve(p.y0, p.h0, p.nu, p.E0, (0.0, 25.0),
-                            SolverConfig(step=4e-3, renorm_every=2), x0=p.c0_sq)
+    # on the profile's own nodes
+    s2, x, y, h = yh_evolve(p.y0, p.h0, p.nu, p.E0, (0.0, 25.0), x0=p.c0_sq,
+                            step=4.8e-3, out_every=2)
     y_on = np.interp(s, s2, y)
     x_on = np.interp(s, s2, x)
     assert np.max(np.abs(x_on - res.c_sq)) < 1e-5
@@ -260,14 +258,14 @@ def test_spiral_profile_matches_plain_dop853():
 
 def test_yh_evolve_matches_plain_dop853():
     nu, E0 = 0.4, 0.3
-    cfg = SolverConfig(step=1e-2, renorm_every=5)
+    grid = dict(step=1e-2, out_every=5)
 
     def rhs(s, v):
         x, y, h = v
         return [y, s * h + g_of(x, nu, E0), -(s / 4) * y]
 
     for span in ((0.0, 10.0), (2.0, -6.0)):
-        s, x, y, h = yh_evolve(0.1, 0.2, nu, E0, span, cfg, x0=0.7)
+        s, x, y, h = yh_evolve(0.1, 0.2, nu, E0, span, x0=0.7, **grid)
         s_ref, ref = _dop853_plain(rhs, [0.7, 0.1, 0.2], *span, 1e-2, 5)
         assert np.array_equal(s, s_ref)
         assert _rel(np.stack([x, y, h], axis=1), ref) <= 1e-13
@@ -320,16 +318,17 @@ def test_spiral_profile_global_error_against_adaptive_dop853():
 def test_scalar_solvers_enforce_max_steps():
     # 1.01 budgets of fine steps per side: rejected when planned, before
     # any block runs
-    cfg = SolverConfig(step=1e-3, renorm_every=1000)
+    grid = dict(step=1e-3, out_every=1000)
     over = 1.01e-3 * _MAX_STEPS
     with pytest.raises(StepLimitExceeded):
-        f_solve(1.0, 0.3j, 0.5, (0.0, over), cfg)
+        f_solve(1.0, 0.3j, 0.5, (0.0, over), **grid)
     with pytest.raises(StepLimitExceeded):
-        yh_evolve(0.0, 0.0, -0.25, 0.0, (0.0, -over), cfg, x0=0.25)
+        yh_evolve(0.0, 0.0, -0.25, 0.0, (0.0, -over), x0=0.25, **grid)
+    over = 1.01 * spiral._GRID[0] * _MAX_STEPS
     with pytest.raises(StepLimitExceeded):
-        spiral_profile(make_params(0.3, 0.5), (-over, over), cfg)
+        spiral_profile(make_params(0.3, 0.5), (-over, over))
     # at the budget itself the run is planned: 50 000 blocks of 1000 steps
-    assert len(_plan(0.0, 1e-3 * _MAX_STEPS, cfg.step, cfg.renorm_every)[2]) == 50_001
+    assert len(_plan(0.0, 1e-3 * _MAX_STEPS, **grid)[2]) == 50_001
 
 
 def test_scalar_solvers_reject_empty_span():

@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 from filamentlab import geometry, theta
 from filamentlab.errors import CurvatureVanishes, EnergyDegenerate, InvalidParameter
-from filamentlab.geometry import FrenetFrame, SolverConfig, frenet_integrate
+from filamentlab.geometry import FrenetFrame, frenet_integrate
 from filamentlab.theta import ThetaState, canonical_initial_data, theta_solve
 
 CONST_A = lambda a: (lambda s: np.full(np.shape(s), float(a)))
@@ -17,9 +17,9 @@ ZERO = lambda s: np.zeros(np.shape(s))
 
 def test_circle_closed_form():
     # c = 1, tau = 0: theta'' + theta/4 = 0, theta(0)=0, theta'(0)=1/sqrt2
-    cfg = SolverConfig(step=1e-3, renorm_every=10)
+    grid = dict(step=1e-3, out_every=10)
     traj = theta_solve(CONST_A(1.0), ZERO, ThetaState(0.0, 1 / math.sqrt(2)),
-                       (0.0, 12.0), cfg)
+                       (0.0, 12.0), **grid)
     exact = math.sqrt(2) * np.sin(traj.s / 2)
     assert np.max(np.abs(traj.theta - exact)) < 1e-9
     # 1 - |theta|^2 = cos s (first tangent component of the circle)
@@ -27,8 +27,8 @@ def test_circle_closed_form():
 
 
 def test_zero_data_stays_zero():
-    cfg = SolverConfig(step=1e-2, renorm_every=4)
-    traj = theta_solve(CONST_A(1.0), HALF_S, ThetaState(0.0, 0.0), (0.0, 5.0), cfg)
+    grid = dict(step=1e-2, out_every=4)
+    traj = theta_solve(CONST_A(1.0), HALF_S, ThetaState(0.0, 0.0), (0.0, 5.0), **grid)
     assert np.max(np.abs(traj.theta)) == 0.0
     assert np.max(np.abs(traj.theta_prime)) == 0.0
 
@@ -43,11 +43,11 @@ def test_canonical_data_have_energy_half():
 @pytest.mark.parametrize("a", [0.25, 0.5, 1.0])
 def test_energy_conserved_selfsimilar_long_span(a):
     # all three canonical data, |s| <= 400, relative drift <= 1e-8
-    cfg = SolverConfig(step=4e-3, renorm_every=25)
+    grid = dict(step=4e-3, out_every=25)
     c = CONST_A(a)
     for st in canonical_initial_data(a):
         for s_end in (400.0, -400.0):
-            traj = theta_solve(c, HALF_S, st, (0.0, s_end), cfg)
+            traj = theta_solve(c, HALF_S, st, (0.0, s_end), **grid)
             assert theta.energy_drift(traj, c) <= 1e-8
 
 
@@ -61,16 +61,16 @@ def test_energy_conserved_to_roundoff_for_varying_curvature(c0, r1, omega, phi,
     # only by roundoff, however c varies
     c = lambda s: c0 + r1 * c0 * np.sin(omega * s + phi)
     tau = lambda s: tau0 + tau1 * np.cos(omega * s) + s / 2
-    cfg = SolverConfig(step=1e-3, renorm_every=20)
+    grid = dict(step=1e-3, out_every=20)
     for init in canonical_initial_data(float(c(0.0))):
-        traj = theta_solve(c, tau, init, (0.0, s_end), cfg)
+        traj = theta_solve(c, tau, init, (0.0, s_end), **grid)
         assert theta.energy_drift(traj, c) <= 1e-12
 
 
 def test_frame_from_theta_circle_components():
-    cfg = SolverConfig(step=1e-3, renorm_every=10)
+    grid = dict(step=1e-3, out_every=10)
     c = CONST_A(1.0)
-    trajs = [theta_solve(c, ZERO, st, (0.0, 12.0), cfg)
+    trajs = [theta_solve(c, ZERO, st, (0.0, 12.0), **grid)
              for st in canonical_initial_data(1.0)]
     fr = theta.frame_from_theta(*trajs, c=c, E0=0.5)
     n1 = fr.frames[:, 1, 0]
@@ -88,12 +88,12 @@ def test_frame_from_theta_circle_components():
     ],
 )
 def test_tangent_cross_oracle_theta_vs_frenet(c_fn, tau_fn, span):
-    cfg_t = SolverConfig(step=1e-3, renorm_every=20)
-    trajs = [theta_solve(c_fn, tau_fn, st, (0.0, span), cfg_t)
+    grid_t = dict(step=1e-3, out_every=20)
+    trajs = [theta_solve(c_fn, tau_fn, st, (0.0, span), **grid_t)
              for st in canonical_initial_data(float(np.asarray(c_fn(0.0))))]
     fr_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
-    cfg_f = SolverConfig(step=2.5e-4, renorm_every=80)
-    fr = frenet_integrate(c_fn, tau_fn, FrenetFrame.identity(), (0.0, span), cfg_f)
+    grid_f = dict(step=2.5e-4, out_every=80)
+    fr = frenet_integrate(c_fn, tau_fn, FrenetFrame.identity(), (0.0, span), **grid_f)
     assert np.max(np.abs(fr.s - fr_theta.s)) < 1e-9
     assert np.max(np.abs(fr.T - fr_theta.frames[:, 0])) <= 1e-12
 
@@ -101,12 +101,12 @@ def test_tangent_cross_oracle_theta_vs_frenet(c_fn, tau_fn, span):
 def test_full_frame_cross_oracle_smooth_coefficients():
     c_fn = lambda s: 1.2 + 0.5 * np.sin(0.7 * s)
     tau_fn = lambda s: 0.4 - 0.2 * np.cos(s)
-    cfg = SolverConfig(step=5e-4, renorm_every=40)
-    trajs = [theta_solve(c_fn, tau_fn, st, (0.0, 20.0), cfg)
+    grid = dict(step=5e-4, out_every=40)
+    trajs = [theta_solve(c_fn, tau_fn, st, (0.0, 20.0), **grid)
              for st in canonical_initial_data(1.2)]
     fr_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
     fr = frenet_integrate(c_fn, tau_fn, FrenetFrame.identity(), (0.0, 20.0),
-                          SolverConfig(step=2.5e-4, renorm_every=80))
+                          step=2.5e-4, out_every=80)
     assert np.max(np.abs(fr.frames - fr_theta.frames)) <= 1e-12
 
 
@@ -133,8 +133,8 @@ def test_rk4_method_agrees_on_short_span():
 
     c = CONST_A(0.8)
     st = canonical_initial_data(0.8)[0]
-    cfg = SolverConfig(step=2e-4, renorm_every=50)
-    t1 = theta_solve(c, HALF_S, st, (0.0, 10.0), cfg)
+    grid = dict(step=2e-4, out_every=50)
+    t1 = theta_solve(c, HALF_S, st, (0.0, 10.0), **grid)
     # theta'' = -i (s/2) theta' - (c^2/4) theta with c' = 0
     ref = solve_ivp(lambda s, y: [y[1], -0.5j * s * y[1] - 0.16 * y[0]], (0.0, 10.0),
                     np.array([st.theta, st.theta_prime], dtype=complex),
@@ -144,10 +144,10 @@ def test_rk4_method_agrees_on_short_span():
 
 
 def test_errors():
-    cfg = SolverConfig(step=1e-2, renorm_every=4)
+    grid = dict(step=1e-2, out_every=4)
     with pytest.raises(CurvatureVanishes):
         theta_solve(lambda s: np.maximum(1 - s, 0.0), ZERO, ThetaState(0, 1),
-                    (0.0, 3.0), cfg)
+                    (0.0, 3.0), **grid)
     with pytest.raises(InvalidParameter):
         theta.a1_from_theta(0.0, 10.0)
     with pytest.raises(InvalidParameter):
@@ -156,6 +156,6 @@ def test_errors():
         with pytest.raises(InvalidParameter, match="s_max"):
             theta.a1_from_theta(0.5, s_max)
     c = CONST_A(1.0)
-    tr = theta_solve(c, ZERO, ThetaState(0.0, 1.0), (0.0, 1.0), cfg)
+    tr = theta_solve(c, ZERO, ThetaState(0.0, 1.0), (0.0, 1.0), **grid)
     with pytest.raises(EnergyDegenerate):
         theta.frame_from_theta(tr, tr, tr, c=c, E0=0.0)

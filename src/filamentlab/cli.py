@@ -184,10 +184,12 @@ def _run_selfcheck(params, outdir):
     # holds by construction: measure the mirror against a direct run instead
     check("selfsimilar.parity", selfsimilar.mirror_defect(0.5, 60.0), 1e-8)
     check("selfsimilar.modulus_law", selfsimilar.modulus_defect(prof), 1e-6)
+    # read on the half: by parity the distance to the cone at -s is the one
+    # at s, component for component up to sign
     t = 0.25
-    sig = prof.curve.s_grid
-    keep = np.abs(sig) <= 5.0 / math.sqrt(t)
-    chi_v = math.sqrt(t) * prof.curve.points[keep]
+    sig = prof.half.s_grid
+    keep = sig <= 5.0 / math.sqrt(t)
+    chi_v = math.sqrt(t) * prof.half.points[keep]
     sA = selfsimilar.chi(prof, sig[keep] * math.sqrt(t), 0.0)
     check("selfsimilar.corner_bound",
           float(np.max(np.linalg.norm(chi_v - sA, axis=1)) / (2 * 0.5 * math.sqrt(t))),

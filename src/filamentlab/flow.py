@@ -33,9 +33,12 @@ slices from those rows while the stage steps on to its end; they are placed
 once the origin track is known.  The arithmetic is the serial run's, so the
 report and its artifacts are bit-identical either way.  The reference is
 ``selfsimilar.sample``: one run over the profile's span that keeps only the
-nodes the slices read, so its memory is those nodes and one kernel piece,
-not the span; its plan is ``selfsimilar.sample_plan``'s and its cone
-``selfsimilar.v_shape``.
+nodes the slices read, then read at the slice nodes in fixed pieces, so its
+memory is its outputs, those nodes and one kernel piece, not the span; its
+plan is ``selfsimilar.sample_plan``'s and its cone ``selfsimilar.v_shape``.
+The slices are placed one at a time, each unplaced copy dropped as its
+placed one is made, and ``sup_T_defect`` is read slice by slice, so no
+array of every slice node is built besides the reference and the curves.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ _CONE_FLOOR = 1.0      # the cone defect reads the nodes with |s| at or above it
 # origin-frame ODE), per box point (the stepper's buffers, the spectral
 # weights, the upsampled slice) and per slice node (the (c, tau) rows and the
 # curves), besides the reference's own plan.  The tracemalloc peak grows by
-# 790, 265 and 375 (slice and reference node) bytes per unit, rounded up.
+# 790, 265 and 172 (slice and reference node) bytes per unit, rounded up.
 _BYTES_PER_STEP = 1000
 _BYTES_PER_POINT = 400
 _BYTES_PER_NODE = 500
@@ -623,19 +626,22 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     clean = t_u[1:-1] >= t_clean
     extra_defect = float(np.max((extra * t_u[1:-1] / a2)[clean]))
 
-    # slices below t_clean from the reference, the others integrated; all
-    # turned and moved by the origin track
+    # slices below t_clean from the reference, the others integrated; each
+    # turned and moved by the origin track in turn, its unplaced copy
+    # dropped, and its tangent read against the reference tangent
     point0 = np.array([0.0, 0.0, 2 * a * math.sqrt(t_max)])
     frames, chi = _origin_track(series, np.eye(3), point0, t_slices)
-    refs = zip(F_ref.reshape(n_slices, -1, 3, 3), G_ref.reshape(n_slices, -1, 3))
-    built = [_profile_slice(a, s_grid, *row) for row in zip(t_slices[:n_prof], refs)]
-    curves = [_placed(*row) for row in zip(built + slices, frames, chi)]
+    F_ref, G_ref = F_ref.reshape(n_slices, -1, 3, 3), G_ref.reshape(n_slices, -1, 3)
+    curves, defects = [], []
+    for k in range(n_slices):
+        unplaced = (_profile_slice(a, s_grid, t_slices[k], (F_ref[k], G_ref[k]))
+                    if k < n_prof else slices.pop(0))
+        curves.append(_placed(unplaced, frames[k], chi[k]))
+        T = curves[k].frames[:, 0]
+        defects.append(np.max(np.linalg.norm(T - F_ref[k, :, 0], axis=1)))
+    sup_T = float(np.max(defects))
     result = FlowResult(t_slices, curves, frames, chi)
     trace, const = trace_at_zero(result)
-
-    # every slice's tangent against the reference tangent
-    T = np.concatenate([c.frames[:, 0] for c in curves])
-    sup_T = float(np.max(np.linalg.norm(T - F_ref[:, 0], axis=1)))
 
     # vertex from the sqrt(t) law at s = 0, then cone defect vs A+/-
     r1, r2 = math.sqrt(t_slices[0]), math.sqrt(t_slices[1])

@@ -46,7 +46,7 @@ _CHUNK = 16_384   # fine steps per vectorized piece; caps peak memory
 _MAX_STEPS = 50_000_000  # fine steps of one planned run at most (module docstring)
 _SCAN_ROW = 32     # elements per row of the two-level prefix scan
 # Planned bytes per output node of a dense run (``_plan``), rounded up from the
-# tracemalloc peak: 416 per node of a profile's half, 850 of a spiral's side
+# tracemalloc peak: 162 per node of a profile's half, 850 of a spiral's side
 _BYTES_PER_OUTPUT_NODE = 1000
 
 
@@ -248,11 +248,12 @@ def _blocks(s0, s1, step, out_every):
 def _plan(s0, s1, step, out_every):
     """``_blocks`` with its output nodes: returns (h, m, s_out, n), n the
     fine-step count and s_out the n/m + 1 block ends, s_out[0] = s0; nodes
-    over the memory budget are MemoryBudgetExceeded."""
+    over the memory budget are MemoryBudgetExceeded.  Block end j is labelled
+    s0 + h (m j), the abscissa of the fine step m j that the kernels take."""
     h, m, n_blocks = _blocks(s0, s1, step, out_every)
     MemoryBudgetExceeded.check((n_blocks + 1) * _BYTES_PER_OUTPUT_NODE,
                                f"fixed-step run over [{s0:g}, {s1:g}]")
-    return h, m, s0 + h * m * np.arange(n_blocks + 1), n_blocks * m
+    return h, m, s0 + h * (m * np.arange(n_blocks + 1)), n_blocks * m
 
 
 def _sweep(piece, s0, h, n, at, state):

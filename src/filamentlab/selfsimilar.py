@@ -4,9 +4,13 @@ The profile G solves the frame system with constant curvature a and torsion
 s/2, from G(0) = 2a e3, T(0) = e1, n(0) = e2, b(0) = e3.  The flow is
 chi(s,t) = sqrt(t) G(s/sqrt(t)); at t = 0 it traces the V-shape s A+/-
 (``v_shape``) whose half-angle satisfies sin(gamma/2) = exp(-pi a^2 / 2).
-``profile`` keeps G on its output nodes, ``sample`` (planned by
-``sample_plan``) at chosen abscissae only.  G's grid is decided here alone
-(``_spacing``), so ``evaluate`` steps on the grid every profile ran on.
+G has a parity: x is odd in s, y and z are even, so its s < 0 half is the
+mirror image of its s >= 0 half.  ``profile`` keeps G once, as that half on
+its output nodes, and ``sample`` (planned by ``sample_plan``) keeps only the
+fine nodes nearest to chosen abscissae.  Both are read through one path,
+``_read``: from the nearest node, Magnus-4 steps, and the parity for
+sigma < 0, in pieces of ``_PIECE`` abscissae.  G's grid is decided here
+alone (``_spacing``), so ``evaluate`` steps on the grid every profile ran on.
 """
 
 from __future__ import annotations
@@ -27,19 +31,33 @@ from .integrators import (
     frame_states,
     magnus_frame_step,
     propagate_frame,
-    two_sided,
 )
 
 
 @dataclass
 class SelfSimilarProfile:
+    """G_a on [-s_max, s_max], held as its s >= 0 half: G_a's parity (x odd
+    in s, y and z even) gives the s < 0 half, and every reader of the
+    profile (``csv_job``, ``evaluate``, ``modulus_defect``,
+    ``self_intersections``) reads the half alone."""
+
     a: float
     s_max: float
-    curve: Curve                # symmetric grid [-s_max, s_max], frames attached
+    half: Curve                 # nodes 0 <= s <= s_max, frames attached
     A_plus: np.ndarray
     A_minus: np.ndarray
     a1_estimate: float
     a1_error_bound: float
+
+    @property
+    def curve(self):
+        """The two-sided curve on [-s_max, s_max]: the half and its mirror
+        (``_mirror``), built anew on each read; nothing in the package
+        reads it."""
+        half = self.half.s_grid, self.half.frames, self.half.points
+        s, frames, points = (np.concatenate([m[:0:-1], p])
+                             for m, p in zip(_mirror(*half), half))
+        return Curve(s, points, frames)
 
     def gamma_measured(self):
         """Angle between A+ and -A- read off the computed directions."""
@@ -47,12 +65,10 @@ class SelfSimilarProfile:
 
     def csv_job(self, path):
         """The mirrored ``(path, header, columns, parity)`` job of the
-        curve's CSV for :func:`dataio.write_csvs`: the columns of
-        ``Curve.csv_job`` from the node s = 0 up, as views, with G_a's
-        parity, by which ``profile`` builds the rows of s < 0."""
-        path, header, columns = self.curve.csv_job(path)
-        zero = len(self.curve.s_grid) // 2
-        return path, header, [c[zero:] for c in columns], _CSV_PARITY
+        profile's CSV for :func:`dataio.write_csvs`: the columns of
+        ``Curve.csv_job`` of the half, with G_a's parity, by which the
+        writer builds the rows of s < 0."""
+        return (*self.half.csv_job(path), _CSV_PARITY)
 
 
 def _spacing(s_max):
@@ -117,10 +133,12 @@ def _limits(a, S, end):
 def profile(a, s_max):
     """Compute G_a on [-s_max, s_max] with frames and limit directions.
 
-    One frame propagation runs from 0 to S; the left half is its mirror
-    image (``_mirror``), which equals a direct run from 0 to -S bit for bit
-    (``mirror_defect``), as every step of that run is the negated step of
-    this one.
+    One frame propagation runs from 0 to S, and the profile holds that half
+    alone.  The left half is its mirror image (``_mirror``), which equals a
+    direct run from 0 to -S bit for bit (``mirror_defect``), as every step
+    of that run is the negated step of this one; the readers of the profile
+    apply the parity where they need the left half, and no array of s < 0
+    is built.
 
     A+/- are read through the modulus law |G|^2 = s^2 + 4 a^2 as
     G(+-S)/(+-(S + 2 a^2/S)), which is G/|G| to O(S^-4).  The reported
@@ -142,19 +160,16 @@ def profile(a, s_max):
     """
     _check_family(a, s_max)
     h, m, n_blocks = _grid(s_max)
-    S = np.float64(h * m * n_blocks)  # the run's last node s[-1], bit for bit
+    S = np.float64(h * m * n_blocks)  # the run's span, its last node s[-1] to an ulp
     with np.errstate(all="ignore"):
         bound = float(2 * a / S + 2 * a * a / (S * S))
     if not math.isfinite(bound):
         raise InvalidParameter(f"s_max = {S:g} is too small for a = {a:g}: the A+ "
                                "error bound 2a/S + 2a^2/S^2 is not finite")
-    half = _half(a, float(s_max))
-    s, frames, pts = two_sided(lambda end: half if end > 0 else _mirror(*half),
-                               -float(s_max), float(s_max))
-    curve = Curve(s, pts, frames)
-    A_plus, A_minus = _limits(a, S, pts[-1])
+    s, frames, points = _half(a, float(s_max))
+    A_plus, A_minus = _limits(a, S, points[-1])
     return SelfSimilarProfile(
-        a=float(a), s_max=float(S), curve=curve,
+        a=float(a), s_max=float(S), half=Curve(s, points, frames),
         A_plus=A_plus, A_minus=A_minus,
         a1_estimate=float(A_plus[0]),
         a1_error_bound=bound,
@@ -182,21 +197,23 @@ def corner_angle(a):
 
 
 def modulus_defect(prof):
-    """Max relative violation of |G|^2 = s^2 + 4 a^2.
+    """Max relative violation of |G|^2 = s^2 + 4 a^2, read on the half (the
+    mirror has the same s^2 and the same squared components).
 
     At a = 0 the law reads 0 = 0 at s = 0, where G(0) = 0 exactly: that
     node counts as no violation, not as 0/0.
     """
-    s = prof.curve.s_grid
+    s = prof.half.s_grid
     target = s * s + 4 * prof.a * prof.a
-    got = np.sum(prof.curve.points**2, axis=1)
+    got = np.sum(prof.half.points**2, axis=1)
     rel = np.divide(np.abs(got - target), target, out=np.zeros_like(target),
                     where=target > 0)
     return float(np.max(rel))
 
 
 def evaluate(prof, sigma):
-    """Frames and points of G_a at the abscissae ``sigma`` (a 1-d array).
+    """Frames and points of G_a at the abscissae ``sigma`` (a 1-d array),
+    read off the profile's half (``_read``).
 
     A node between two profile nodes takes ceil(m/2) equal Magnus-4 steps
     (c = a, tau = sigma/2) from the nearest one, where the nodes lie m fine
@@ -204,12 +221,10 @@ def evaluate(prof, sigma):
     step.  A sigma that is not finite is InvalidParameter; |sigma| may pass
     s_max by a relative 1e-12, and beyond that it is OutOfProfileRange.
     """
-    grid, frames, points = prof.curve.s_grid, prof.curve.frames, prof.curve.points
+    sigma = np.asarray(sigma, dtype=float)
     _check_reach(sigma, prof.s_max)
-    j = np.clip(np.searchsorted(grid, sigma), 1, len(grid) - 1)
-    j -= sigma - grid[j - 1] < grid[j] - sigma
-    m = _grid(prof.s_max)[1]
-    return _step_from(prof.a, grid[j], frames[j], points[j], sigma, -(-m // 2))
+    half = prof.half.s_grid, prof.half.frames, prof.half.points
+    return _read(prof.a, half, sigma, -(-_grid(prof.s_max)[1] // 2))
 
 
 def _check_reach(x, S=math.inf):
@@ -221,6 +236,19 @@ def _check_reach(x, S=math.inf):
         raise InvalidParameter(f"abscissae must be finite, got max |x| = {reach}")
     if reach > S * (1 + 1e-12):
         raise OutOfProfileRange(f"sigma = {reach:g} lies beyond the profile's s_max = {S:g}")
+
+
+def _sigma(s, t):
+    """The profile abscissae sigma = s/sqrt(t) of the abscissae ``s`` (a 1-d
+    array) at a time 0 < t < inf.  An s that is not finite is
+    InvalidParameter; a finite s whose sigma overflows lies beyond every
+    profile, OutOfProfileRange."""
+    _check_reach(s)
+    with np.errstate(over="ignore"):
+        sigma = s / math.sqrt(t)
+    if not np.max(np.abs(sigma), initial=0.0) < math.inf:
+        raise OutOfProfileRange(f"s/sqrt(t) overflows at t = {t:g}")
+    return sigma
 
 
 def _step_from(a, s, frames, points, sigma, n=1):
@@ -239,41 +267,70 @@ def _step_from(a, s, frames, points, sigma, n=1):
     return frames, points
 
 
+# abscissae per piece of ``_read``: its working arrays take up to 390 bytes
+# per abscissa (tracemalloc), so one piece (1.6 MB) stays below a kernel
+# piece of ``_CHUNK`` steps (4 MB)
+_PIECE = 4096
+
+
+def _read(a, half, sigma, n):
+    """Frames and points of G_a at the abscissae ``sigma`` (a 1-d array)
+    from ``half``, the (s, frames, points) of G_a on nodes 0 <= s, ascending:
+    each |sigma| takes ``n`` equal Magnus-4 steps from its nearest node, and
+    sigma < 0 is the mirror image of -sigma by parity.
+
+    The one reader of ``evaluate`` and ``sample``.  It works through sigma
+    in pieces of ``_PIECE`` abscissae and writes into the outputs it
+    allocates, so its working arrays are one piece, whatever len(sigma).
+    """
+    s, frames, points = half
+    F, G = np.empty((len(sigma), 3, 3)), np.empty((len(sigma), 3))
+    for lo in range(0, len(sigma), _PIECE):
+        piece, f, g = sigma[lo:lo + _PIECE], F[lo:lo + _PIECE], G[lo:lo + _PIECE]
+        x = np.abs(piece)
+        j = np.clip(np.searchsorted(s, x), 1, len(s) - 1)
+        j -= x - s[j - 1] < s[j] - x
+        f[:], g[:] = _step_from(a, s[j], frames[j], points[j], x, n)
+        neg = piece < 0
+        _, f[neg], g[neg] = _mirror(x[neg], f[neg], g[neg])
+    return F, G
+
+
 def sample(a, s_max, sigma):
     """G_a at the abscissae ``sigma`` (a 1-d array) and its limit
     directions, without the profile's nodes: (frames, points, A+, A-).
 
     Agrees with ``evaluate(profile(a, s_max), sigma)`` and that profile's
     A+/- to roundoff.  One run from 0 to s_max on the profile's fine grid
-    (``_grid``) keeps only the fine nodes nearest to |sigma| and the end
-    node (``integrators.frame_states``); each sigma then takes one Magnus-4
-    step from its node, as in ``evaluate``, and sigma < 0 is the mirror
-    image of -sigma by parity.  Memory is O(len(sigma)) plus one piece of
-    ``integrators._CHUNK`` steps, whatever s_max (``sample_plan``).  A sigma
-    that is not finite is InvalidParameter; |sigma| may pass s_max by a
-    relative 1e-12, and beyond that it is OutOfProfileRange.
+    (``_grid``) keeps only the fine nodes nearest to |sigma|, node 0 and the
+    end node (``integrators.frame_states``); ``_read`` then takes one
+    Magnus-4 step from each sigma's node, as ``evaluate`` does from the
+    profile's, and reads sigma < 0 by parity.  Memory is the outputs, the
+    kept nodes and one piece of ``integrators._CHUNK`` steps, whatever
+    s_max (``sample_plan``).  A sigma that is not finite is
+    InvalidParameter; |sigma| may pass s_max by a relative 1e-12, and beyond
+    that it is OutOfProfileRange.
     """
     _check_family(a, s_max)
     h, m, n_blocks = _grid(s_max)
-    n, S = n_blocks * m, h * m * n_blocks  # S as the profile's last node
+    n, S = n_blocks * m, h * m * n_blocks  # S as the profile's s_max
     sigma = np.asarray(sigma, dtype=float)
-    x = np.abs(sigma)
-    _check_reach(x, S)
-    k = np.minimum(np.rint(x / h), n).astype(np.int64)
-    nodes, row = np.unique(np.append(k, n), return_inverse=True)
+    _check_reach(sigma, S)
+    nodes = np.unique(np.concatenate(
+        ([0], np.minimum(np.rint(np.abs(sigma) / h), n).astype(np.int64), [n])))
     frames, points = frame_states(*_coefficients(a), 0.0, h, n, nodes, np.eye(3),
                                   np.array([0.0, 0.0, 2 * a]))
-    # block end k = j m is the profile's node (h m) j, which k h can miss by an ulp
-    node = np.where(k % m == 0, h * m * (k // m), k * h)
-    F, G = _step_from(a, node, frames[row[:-1]], points[row[:-1]], x)
-    neg = sigma < 0
-    _, F[neg], G[neg] = _mirror(x[neg], F[neg], G[neg])
+    # fine node k lies at h k, as the profile's node j at h (m j) (``_plan``)
+    F, G = _read(a, (h * nodes, frames, points), sigma, 1)
     return (F, G) + _limits(a, S, points[-1])
 
 
 # Planned bytes of a ``sample`` run per abscissa (sigma, frame and point,
 # 104, kept by the caller) and per fine step of its one kernel piece,
-# rounded up from the tracemalloc peak of the stability run (245 per step)
+# rounded up from the tracemalloc peak of the stability run (245 per step).
+# The fine node an abscissa may keep for itself (104 more; a run whose
+# abscissae each keep one peaks 189 bytes per abscissa above its piece)
+# falls to the caller's plan, ``flow._BYTES_PER_NODE`` in the stability run
 _BYTES_PER_SIGMA = 120
 _BYTES_PER_PIECE_STEP = 250
 
@@ -297,16 +354,20 @@ def v_shape(A_plus, A_minus, s):
 
 def chi(prof, s, t):
     """Evaluate chi(s,t) = sqrt(t) G(s/sqrt(t)); at t = 0 the V-shape trace.
-    An s or t that is not finite, or a t < 0, is InvalidParameter."""
+    An s or t that is not finite, or a t < 0, is InvalidParameter; an
+    s/sqrt(t) past the profile's s_max, overflowing included, is
+    OutOfProfileRange (``_sigma``)."""
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
     # written so that a NaN fails
     if not 0 <= t < math.inf:
         raise InvalidParameter(f"t must be finite and nonnegative, got {t!r}")
-    _check_reach(s)
-    rt = math.sqrt(t)
-    out = v_shape(prof.A_plus, prof.A_minus, s) if t == 0 else rt * evaluate(prof, s / rt)[1]
+    if t == 0:
+        _check_reach(s)
+        out = v_shape(prof.A_plus, prof.A_minus, s)
+    else:
+        out = math.sqrt(t) * evaluate(prof, _sigma(s, t))[1]
     return out[0] if scalar else out
 
 
@@ -319,10 +380,7 @@ def self_intersections(prof):
     closer than 1e-8 are merged.  The scan covers (0, s_max]; an empty
     array is a valid result.
     """
-    s = prof.curve.s_grid
-    x = prof.curve.points[:, 0]
-    pos = s > 0
-    sp, xp = s[pos], x[pos]
+    sp, xp = prof.half.s_grid[1:], prof.half.points[1:, 0]
     flip = np.nonzero(np.sign(xp[:-1]) * np.sign(xp[1:]) < 0)[0]
     if len(flip) == 0:
         return np.array([])

@@ -25,8 +25,8 @@ this process may run on two CPUs and each side has at least
 ``_MIN_SIDE_STEPS`` fine steps (about one fork round trip), integrates the
 s <= 0 side in one forked worker (``dataio._beside``) while it integrates
 the s >= 0 side itself.  The result is bit-identical to the serial run.
-The mirrored ``selfsimilar.profile`` and the stability slices of ``flow``
-call ``integrators.two_sided`` directly and fork nothing.
+``selfsimilar.profile``, which holds one half, and the stability slices of
+``flow``, which call ``integrators.two_sided`` directly, fork nothing.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from . import dataio
 from .errors import ConstraintViolated, InvalidParameter, OutOfProfileRange
 from .geometry import Curve
 from .integrators import _plan, two_sided
+from .selfsimilar import _sigma
 
 CONSTRAINT_TOL = 1e-10
 # fine steps per side at least before the two sides run at once: a fork,
@@ -370,8 +371,10 @@ def spiral_chi(params, profile_curve, s, t):
     G between the profile's nodes takes one DOP853 step (the block that
     ``spiral_profile`` runs) from the nearest node, as
     ``selfsimilar.evaluate`` takes one Magnus step: on ``_GRID`` it is at
-    most one fine step.  A non-finite t or s/sqrt(t), or a t <= 0, is
-    InvalidParameter.
+    most one fine step.  A non-finite t or s, or a t <= 0, is
+    InvalidParameter; an s/sqrt(t) outside the profile's span, overflowing
+    included, is OutOfProfileRange (``selfsimilar._sigma``).  An empty s
+    gives (0, 3) rows.
     """
     # written so that a NaN fails
     if not 0 < t < math.inf:
@@ -380,11 +383,9 @@ def spiral_chi(params, profile_curve, s, t):
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
     rt = math.sqrt(t)
-    sigma = s / rt
-    if not np.max(np.abs(sigma), initial=0.0) < math.inf:
-        raise InvalidParameter("s/sqrt(t) must be finite")
+    sigma = _sigma(s, t)
     grid = profile_curve.s_grid
-    if sigma.min() < grid[0] - 1e-12 or sigma.max() > grid[-1] + 1e-12:
+    if np.any(sigma < grid[0] - 1e-12) or np.any(sigma > grid[-1] + 1e-12):
         raise OutOfProfileRange("s/sqrt(t) outside the computed profile span")
     j = np.clip(np.searchsorted(grid, sigma), 1, len(grid) - 1)
     j -= sigma - grid[j - 1] < grid[j] - sigma

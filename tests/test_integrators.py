@@ -163,6 +163,8 @@ def test_plan_properties(s0_rel, span, blocks, out_every, over):
     n_blocks = len(s_out) - 1
     assert m == out_every and n_blocks >= 1
     assert s_out[0] == s0
+    # block end j is labelled with the abscissa s0 + k h of its fine step k = m j
+    assert np.array_equal(s_out, s0 + np.arange(0, n_blocks * m + 1, m) * h)
     assert abs(s_out[-1] - s1) <= 1e-12 * abs(span)
     assert h * m * n_blocks == pytest.approx(span, rel=1e-12)
     # the step bound holds, and one block fewer would break it: no spurious block

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from filamentlab import nls, selfsimilar, spiral
 from filamentlab.errors import InvalidParameter, OutOfProfileRange
-from filamentlab.integrators import propagate_frame
+from filamentlab.integrators import propagate_frame, two_sided
 from filamentlab.selfsimilar import chi, corner_angle, profile, self_intersections
 
 
@@ -175,6 +176,7 @@ def test_evaluate_between_short_span_nodes_matches_sample(a, span):
 @example(0.3, 15.0)
 @example(2.0, 60.0)
 @example(0.5, 500.004)
+@example(0.0, 51.0)  # m = 15: the node labels h (m j) and (h m) j differ here
 def test_sample_on_the_profile_nodes_is_the_profile(a, span):
     # the two routes to G_a share one grid (selfsimilar._grid): on the
     # profile's own nodes, a node every 16 fine steps at spans below 50,
@@ -185,6 +187,58 @@ def test_sample_on_the_profile_nodes_is_the_profile(a, span):
     for got, want in ((F, prof.curve.frames), (G, prof.curve.points),
                       (A_plus, prof.A_plus), (A_minus, prof.A_minus)):
         assert got.tobytes() == want.tobytes()
+
+
+def _traced_peak(run):
+    """(tracemalloc peak of ``run()``, its result)."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_profile_holds_its_half_alone():
+    # the s >= 0 half and one kernel piece (about 162 bytes per half node
+    # here); no s < 0 array is built
+    peak, prof = _traced_peak(lambda: profile(0.5, 400.0))
+    assert prof.half.s_grid[0] == 0.0 and prof.half.s_grid[-1] == prof.s_max
+    assert peak <= 250 * len(prof.half.s_grid)
+
+
+@pytest.mark.parametrize("a, s_max", [(0.0, 51.0), (0.5, 60.0), (2.0, 33.0)])
+def test_curve_is_the_half_and_its_mirror(a, s_max):
+    half = selfsimilar._half(a, s_max)
+    want = two_sided(lambda end: half if end > 0 else selfsimilar._mirror(*half),
+                     -s_max, s_max)
+    got = profile(a, s_max).curve
+    for g, w in zip((got.s_grid, got.frames, got.points), want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_evaluate_reads_negative_abscissae_by_parity_bit_for_bit():
+    prof = profile(1.0, 60.0)
+    g = prof.half.s_grid
+    sig = np.concatenate([np.random.default_rng(1).uniform(0.0, 60.0, 3000),
+                          g[::97], (g[:-1:89] + g[1::89]) / 2, [0.0, prof.s_max]])
+    F, G = selfsimilar.evaluate(prof, sig)
+    Fm, Gm = selfsimilar.evaluate(prof, -sig)
+    assert Fm.tobytes() == (F * selfsimilar._FRAME_PARITY + 0.0).tobytes()
+    assert Gm.tobytes() == (G * selfsimilar._POINT_PARITY + 0.0).tobytes()
+
+
+def test_sample_working_memory_does_not_grow_with_the_abscissae():
+    # twice the abscissae on the same fine nodes (each one and its mirror):
+    # above the outputs, the peak holds the kept nodes and one piece of the
+    # reader, so it does not grow with the abscissae
+    sig = np.random.default_rng(2).uniform(-499.0, 499.0, 40_040)
+
+    def above_outputs(sigma):
+        peak, (F, G, *_) = _traced_peak(lambda: selfsimilar.sample(0.5, 500.0, sigma))
+        return peak - F.nbytes - G.nbytes
+
+    assert above_outputs(np.concatenate([sig, -sig])) - above_outputs(sig) <= 2**20
 
 
 def test_third_order_ode_residual_second_order():
@@ -315,6 +369,26 @@ NON_FINITE_CALLS = {
     "gp_energy t inf": lambda: nls.gp_energy(
         nls.ComplexField(10.0, 16, np.full(16, 0.5 + 0j)), INF, 0.5, 1),
 }
+
+
+def test_spiral_chi_of_no_abscissae_is_empty():
+    assert spiral.spiral_chi(*_rotating(), np.array([]), 1.0).shape == (0, 3)
+
+
+OVERFLOW_CALLS = {
+    "chi": lambda: chi(_g(), 1e300, 1e-300),
+    "chi array": lambda: chi(_g(), np.array([0.0, -1e300]), 1e-300),
+    "spiral_chi": lambda: spiral.spiral_chi(*_rotating(), 1e300, 1e-300),
+}
+
+
+@pytest.mark.parametrize("call", sorted(OVERFLOW_CALLS))
+def test_finite_abscissae_whose_sigma_overflows_are_out_of_range(call):
+    # s is finite and s/sqrt(t) overflows: beyond every profile, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfProfileRange):
+            OVERFLOW_CALLS[call]()
 
 
 @pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))

@@ -219,7 +219,8 @@ def _dop853_plain(rhs, y0, s0, s1, step, m):
         y = [a + h * sum(b * Kl[j] for b, Kl in zip(B, K)) for j, a in enumerate(y)]
         if (k + 1) % m == 0:
             out.append(y)
-    return np.linspace(s0, s0 + n * h, n // m + 1), np.array(out)
+    # block end k is the abscissa s0 + k h that the next step starts from
+    return s0 + np.arange(0, n + 1, m) * h, np.array(out)
 
 
 def _rel(a, b):
@@ -292,10 +293,12 @@ def test_default_output_nodes_keep_the_rk4_spacing():
     res = spiral_profile(make_params(0.4, 0.5), (-5.0, 7.3))
     assert np.array_equal(res.curve.s_grid, np.concatenate([lo[:0:-1], hi]))
     for span in ((0.0, 7.3), (1.5, -2.01)):
-        assert np.array_equal(f_solve(1.0, 0.3j, 0.5, span)[0],
-                              _plan(*span, 2.5e-4, 64)[2])
-        # the old block length 50 is no power of two, so its node spacing
-        # (h 50) could round an ulp away from the one-step block's h
+        # a node is labelled by its fine step, s0 + h (m j): block lengths 3
+        # and 50 are no powers of two, so their labels round up to an ulp
+        # away from those of another block length on the same nodes
+        s = f_solve(1.0, 0.3j, 0.5, span)[0]
+        old = _plan(*span, 2.5e-4, 64)[2]
+        assert len(s) == len(old) and np.max(np.abs(s - old)) <= 1e-14
         s = yh_evolve(0.0, 0.0, -0.25, 0.0, span, x0=0.25)[0]
         old = _plan(*span, 2e-4, 50)[2]
         assert len(s) == len(old) and np.max(np.abs(s - old)) <= 1e-14

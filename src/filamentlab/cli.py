@@ -112,19 +112,21 @@ def _run_profile(params, outdir):
 def _run_angle(params, outdir):
     a, smax = params["a"], params["smax"]
     a1_cf, gamma_cf = selfsimilar.corner_angle(a)
-    prof = selfsimilar.profile(a, smax)
+    # the profile's limit directions and their bound, from its end node alone
+    bound = selfsimilar.span_and_bound(a, smax)[1]
+    *_, A_plus, A_minus = selfsimilar.sample(a, smax, [])
     est = theta.a1_from_theta(a, smax) if a > 0 else None  # route needs a > 0
     return {"a": a, "closed_form": a1_cf, "gamma_closed_form": gamma_cf,
-            "ode_estimate": prof.a1_estimate, "ode_error_bound": prof.a1_error_bound,
+            "ode_estimate": float(A_plus[0]), "ode_error_bound": bound,
             "theta_estimate": est.a1 if est else None,
             "theta_spread": est.spread if est else None,
             "theta_energy_drift": est.energy_drift if est else None,
-            "gamma_measured": prof.gamma_measured()}
+            "gamma_measured": selfsimilar.gamma_between(A_plus, A_minus)}
 
 
 def _run_nls(params, outdir):
     nls.check_memory(params["n_points"], params["n_steps"],
-                     nls._long_range_store(params["n_steps"]))
+                     nls._long_range_store(params["n_steps"]), streamed=True)
     up = nls.gaussian_field(params["length"], params["n_points"],
                             params["uplus_norm"], params["width"])
     report = nls.long_range_comparison(

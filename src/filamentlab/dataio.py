@@ -15,7 +15,7 @@ most one process per CPU this process may run on (``_fork_cpus``:
 work that outweighs a fork round trip of a few milliseconds.  The items
 are:
 
-* The sizes of the CSV writer's texts.  It formats 4096 rows per ``%``
+* The sizes of the CSV writer's texts.  It formats 1024 rows per ``%``
   operation, and that formatting holds the interpreter lock, so a batch of
   CSVs is spread over P processes.  Its blocks, taken file by file in the
   order they are written, are cut into P contiguous shares.  Each share is
@@ -117,7 +117,7 @@ def dump_json(obj, path):
         fh.write(dumps_json(obj))
 
 
-_CSV_BLOCK = 4096      # rows formatted per % operation; bounds the string held
+_CSV_BLOCK = 1024      # rows formatted per % operation; bounds the string held
 _MIN_SHARE = 1 << 16   # floats per process at least: a fork costs milliseconds
 
 

@@ -46,7 +46,9 @@ _CHUNK = 16_384   # fine steps per vectorized piece; caps peak memory
 _MAX_STEPS = 50_000_000  # fine steps of one planned run at most (module docstring)
 _SCAN_ROW = 32     # elements per row of the two-level prefix scan
 # Planned bytes per output node of a dense run (``_plan``), rounded up from the
-# tracemalloc peak: 162 per node of a profile's half, 850 of a spiral's side
+# tracemalloc peak: 162 per node of a profile's half, 451 per node of a side
+# of ``spiral --smax 100`` (669 at --smax 40, where its one assembly piece
+# weighs more per node)
 _BYTES_PER_OUTPUT_NODE = 1000
 
 

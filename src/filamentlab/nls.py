@@ -14,7 +14,9 @@ over each step, so mass is conserved to roundoff; a step costs one FFT pair,
 two unit phases of one ``tan`` each (the half-step's on N/2 + 1 frequencies
 only) and no allocation of the field's size.  Each step yields the spectrum
 at its end and the physical-space field at its middle, both buffers that the
-next step overwrites.
+next step overwrites.  ``evolve`` keeps the snapshots it stores, or passes
+each to a sink as it is made and keeps none (``long_range_comparison``),
+so that run holds one snapshot at a time.
 """
 
 from __future__ import annotations
@@ -36,10 +38,12 @@ from .geometry import _nonuniform_dt, _uniform_step
 
 ALIAS_FRACTION = 1e-6
 # Planned bytes of a Strang run per box point (the stepper's buffers and the
-# datum's temporaries), per point of a stored snapshot (one complex sample)
-# and per time step (the time grid and its differences).  The tracemalloc
-# peak of ``evolve`` with its datum, or of an nls CLI run, grows by 100 to
-# 170, 16 and 32 bytes per unit of each; these round those up.
+# datum's temporaries, or the work on one snapshot passed to a sink), per
+# point of a stored snapshot (one complex sample) and per time step (the
+# time grid and its differences).  The tracemalloc peak grows by about 145
+# bytes per point for ``evolve`` with its datum and 190 for an nls CLI run
+# (one snapshot held), 16 per stored point and 32 per step; these round
+# those up.
 _BYTES_PER_POINT = 200
 _BYTES_PER_STORED_POINT = 16
 _BYTES_PER_STEP = 40
@@ -290,39 +294,56 @@ def _strang(problem, v0, n_steps):
         yield k + 1, ts[k + 1], vhat, v
 
 
-def check_memory(n_points, n_steps, store_every):
+def check_memory(n_points, n_steps, store_every, *, streamed=False):
     """Plan the bytes of a Strang run on ``n_points`` that stores every
     ``store_every`` of ``n_steps`` steps (0 or None: the endpoints only):
-    the stepper's buffers, the n_steps/store_every + 2 stored snapshots and
+    the stepper's buffers, the n_steps/store_every + 2 stored snapshots, or
+    one when ``streamed`` (each passed on as it is made and none kept), and
     the time grid.  Raise MemoryBudgetExceeded above the package's budget;
     return the planned bytes."""
-    stored = n_steps // store_every + 2 if store_every else 2
+    if streamed:
+        stored = 1
+    else:
+        stored = n_steps // store_every + 2 if store_every else 2
     need = (n_points * (_BYTES_PER_POINT + _BYTES_PER_STORED_POINT * stored)
             + _BYTES_PER_STEP * (n_steps + 1))
     MemoryBudgetExceeded.check(need, "NLS run")
     return need
 
 
-def evolve(problem, v0, n_steps, *, store_every=None):
+def evolve(problem, v0, n_steps, *, store_every=None, sink=None):
     """Strang-split run over the problem's time span.
 
-    Returns snapshots every ``store_every`` steps (always including both
-    endpoints); mass is tracked at every stored snapshot.
+    Stores a snapshot every ``store_every`` steps (always including both
+    endpoints) and tracks the mass at each.  The result holds the
+    snapshots; with ``sink``, a callable, each is passed to ``sink(t,
+    field)`` as it is made instead, and the result's ``fields`` is empty,
+    so the run holds one snapshot at a time.  A snapshot's top-third
+    spectral fraction above ``ALIAS_FRACTION`` is AliasingDetected, raised
+    at the end of the run.
     """
     if store_every is not None and store_every < 0:
         raise InvalidParameter(f"store_every must be >= 0, got {store_every}")
-    check_memory(v0.n_points, n_steps, store_every)
-    stored_t = [problem.t_span[0]]
-    fields = [v0.copy_with(v0.values.copy())]
+    check_memory(v0.n_points, n_steps, store_every, streamed=sink is not None)
+    stored_t, fields, mass, alias = [], [], [], []
+
+    def store(t, field):
+        stored_t.append(t)
+        mass.append(field.mass())
+        alias.append(field.alias_fraction())
+        if sink is None:
+            fields.append(field)
+        else:
+            sink(t, field)
+
+    store(problem.t_span[0], v0.copy_with(v0.values.copy()))
     for k, t, vhat, _ in _strang(problem, v0, n_steps):
         if (store_every and k % store_every == 0) or k == n_steps:
-            stored_t.append(t)
-            fields.append(v0.copy_with(np.fft.ifft(vhat)))
-    frac = max(f.alias_fraction() for f in fields)
+            store(t, v0.copy_with(np.fft.ifft(vhat)))
+    frac = max(alias)
     if frac > ALIAS_FRACTION:
         raise AliasingDetected(f"top-third spectral energy fraction {frac:.2e}")
-    mass = np.array([f.mass() for f in fields])
-    return EvolveResult(problem, np.array(stored_t), fields, mass)
+    return EvolveResult(problem, np.array(stored_t), fields, np.array(mass))
 
 
 def hasimoto(intrinsic):
@@ -450,7 +471,8 @@ def _long_range_store(n_steps):
 def long_range_comparison(a, u_plus, sign, t_span, n_steps, *, coeff=1.0):
     """One GP run from v1(t0); ansatz defects with and without the log phase.
 
-    Snapshots are checked about 24 times over the run.  Returns a dict with
+    Snapshots are checked about 24 times over the run, each as ``evolve``
+    makes it (its ``sink``); none is kept.  Returns a dict with
     the endpoint defects, their ratio, and fitted log-log decay slopes of
     ||v - v1|| and its derivative; the later half of the stored times, through
     which the slopes are fitted, must be distinct in log t to within the
@@ -474,15 +496,17 @@ def long_range_comparison(a, u_plus, sign, t_span, n_steps, *, coeff=1.0):
             "distinct in log t to within np.polyfit's rank tolerance, so no decay "
             "slope can be fitted")
     v0 = long_range_ansatz(u_plus, a, sign, problem.t_span[0], coeff)
-    res = evolve(problem, v0, n_steps, store_every=store)
     d_phase, d_free, d_deriv = [], [], []
-    for t, f in zip(res.times, res.fields):
+
+    def defects(t, f):
         # the ansatz with and without its log phase share one free evolution
         w = free_evolution(u_plus, t).values
         diff = f.copy_with(f.values - (a + w * _log_phase(a, sign, coeff, t)))
         d_phase.append(diff.l2_norm())
         d_free.append(f.copy_with(f.values - (a + w)).l2_norm())
         d_deriv.append(diff.derivative().l2_norm())
+
+    res = evolve(problem, v0, n_steps, store_every=store, sink=defects)
     d_phase, d_free, d_deriv = map(np.array, (d_phase, d_free, d_deriv))
     half = len(res.times) // 2
 

@@ -61,7 +61,7 @@ class SelfSimilarProfile:
 
     def gamma_measured(self):
         """Angle between A+ and -A- read off the computed directions."""
-        return float(np.arccos(np.clip(-np.dot(self.A_plus, self.A_minus), -1, 1)))
+        return gamma_between(self.A_plus, self.A_minus)
 
     def csv_job(self, path):
         """The mirrored ``(path, header, columns, parity)`` job of the
@@ -124,6 +124,11 @@ def _check_family(a, s_max):
         raise InvalidParameter("need finite a >= 0 and s_max > 0")
 
 
+def gamma_between(A_plus, A_minus):
+    """The corner angle between A+ and -A-."""
+    return float(np.arccos(np.clip(-np.dot(A_plus, A_minus), -1, 1)))
+
+
 def _limits(a, S, end):
     """A+/- read off G(S) = ``end`` and its mirror G(-S) (see ``profile``)."""
     r = S + 2 * a * a / S
@@ -158,14 +163,7 @@ def profile(a, s_max):
     holds either way; where it is not finite (S^2 underflows, or 2a/S or
     2a^2 overflows) the profile is InvalidParameter, before it runs.
     """
-    _check_family(a, s_max)
-    h, m, n_blocks = _grid(s_max)
-    S = np.float64(h * m * n_blocks)  # the run's span, its last node s[-1] to an ulp
-    with np.errstate(all="ignore"):
-        bound = float(2 * a / S + 2 * a * a / (S * S))
-    if not math.isfinite(bound):
-        raise InvalidParameter(f"s_max = {S:g} is too small for a = {a:g}: the A+ "
-                               "error bound 2a/S + 2a^2/S^2 is not finite")
+    S, bound = span_and_bound(a, s_max)
     s, frames, points = _half(a, float(s_max))
     A_plus, A_minus = _limits(a, S, points[-1])
     return SelfSimilarProfile(
@@ -174,6 +172,22 @@ def profile(a, s_max):
         a1_estimate=float(A_plus[0]),
         a1_error_bound=bound,
     )
+
+
+def span_and_bound(a, s_max):
+    """(S, bound) of G_a on [-s_max, s_max]: S the span of its run on its
+    grid (``_grid``), its last node to an ulp, and ``bound`` the rigorous
+    error bound 2a/S + 2a^2/S^2 of the A+/- it reads there (see
+    ``profile``).  A bound that is not finite is InvalidParameter."""
+    _check_family(a, s_max)
+    h, m, n_blocks = _grid(s_max)
+    S = np.float64(h * m * n_blocks)
+    with np.errstate(all="ignore"):
+        bound = float(2 * a / S + 2 * a * a / (S * S))
+    if not math.isfinite(bound):
+        raise InvalidParameter(f"s_max = {S:g} is too small for a = {a:g}: the A+ "
+                               "error bound 2a/S + 2a^2/S^2 is not finite")
+    return S, bound
 
 
 def mirror_defect(a, s_max):
@@ -267,9 +281,10 @@ def _step_from(a, s, frames, points, sigma, n=1):
     return frames, points
 
 
-# abscissae per piece of ``_read``: its working arrays take up to 390 bytes
-# per abscissa (tracemalloc), so one piece (1.6 MB) stays below a kernel
-# piece of ``_CHUNK`` steps (4 MB)
+# abscissae per piece of ``_read``, and nodes per piece of the spiral
+# profile's frame assembly (``spiral.spiral_profile``): the working arrays
+# of either take up to 390 bytes per abscissa or node (tracemalloc), so one
+# piece (1.6 MB) stays below a kernel piece of ``_CHUNK`` steps (4 MB)
 _PIECE = 4096
 
 

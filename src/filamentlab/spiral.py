@@ -25,6 +25,10 @@ this process may run on two CPUs and each side has at least
 ``_MIN_SIDE_STEPS`` fine steps (about one fork round trip), integrates the
 s <= 0 side in one forked worker (``dataio._beside``) while it integrates
 the s >= 0 side itself.  The result is bit-identical to the serial run.
+The frames, c^2, y and tau are then assembled from the stitched (G, T) in
+pieces of ``selfsimilar._PIECE`` nodes, written into preallocated outputs;
+each node's row depends on that node alone, so the pieces give the bits of
+a whole-array assembly.
 ``selfsimilar.profile``, which holds one half, and the stability slices of
 ``flow``, which call ``integrators.two_sided`` directly, fork nothing.
 """
@@ -42,7 +46,7 @@ from . import dataio
 from .errors import ConstraintViolated, InvalidParameter, OutOfProfileRange
 from .geometry import Curve
 from .integrators import _plan, two_sided
-from .selfsimilar import _sigma
+from .selfsimilar import _PIECE, _sigma
 
 CONSTRAINT_TOL = 1e-10
 # fine steps per side at least before the two sides run at once: a fork,
@@ -279,8 +283,10 @@ def spiral_profile(params, s_span):
     """Integrate the profile equation over s_span (must contain 0) on ``_GRID``.
 
     Frames are assembled algebraically: n = T'/|T'|, b = T x n with
-    T' = (1/2)(I+A)G x T evaluated pointwise.  The two sides of s = 0 run
-    at once where ``_sides`` says so.
+    T' = (1/2)(I+A)G x T evaluated pointwise (``_assemble``), in pieces of
+    ``_PIECE`` nodes written into the preallocated outputs, so the working
+    arrays are one piece whatever the span.  The two sides of s = 0 run at
+    once where ``_sides`` says so.
     """
     if not isinstance(params, SpiralParams):
         raise InvalidParameter("params must be SpiralParams")
@@ -288,8 +294,19 @@ def spiral_profile(params, s_span):
     if s_lo > 0 or s_hi < 0:
         raise InvalidParameter("s_span must contain 0 (initial data lives there)")
     s, G, T = _sides(params, s_lo, s_hi)
-    mu = params.mu
-    IA = np.eye(3) + _amatrix(mu)
+    IA = np.eye(3) + _amatrix(params.mu)
+    frames = np.empty((len(s), 3, 3))
+    c_sq, y, tau = np.empty(len(s)), np.empty(len(s)), np.empty(len(s))
+    for lo in range(0, len(s), _PIECE):
+        p = slice(lo, lo + _PIECE)
+        frames[p], c_sq[p], y[p], tau[p] = _assemble(IA, G[p], T[p])
+    return SpiralProfileResult(params, Curve(s, G, frames), c_sq, y, tau)
+
+
+def _assemble(IA, G, T):
+    """(frames, c^2, y, tau) at the nodes that carry ``G`` and ``T``, for
+    the matrix I + A ``IA``; rows are independent, so pieces of nodes give
+    the bits of the whole."""
     mvec = 0.5 * (G @ IA.T)
     Tp = np.cross(mvec, T)
     c_sq = np.sum(Tp * Tp, axis=1)
@@ -302,10 +319,10 @@ def spiral_profile(params, s_span):
     # torsion tau = (T x T').T'' / |T'|^2 ; T'' = m' x T + m x T', m' = (I+A)T/2
     mp = 0.5 * (T @ IA.T)
     Tpp = np.cross(mp, T) + np.cross(mvec, Tp)
-    tau = np.full(len(s), np.nan)
+    tau = np.full(len(T), np.nan)
     tau[ok] = np.einsum("ij,ij->i", np.cross(T[ok], Tp[ok]), Tpp[ok]) / c_sq[ok]
     y = 2 * np.einsum("ij,ij->i", Tp, Tpp)
-    return SpiralProfileResult(params, Curve(s, G, frames), c_sq, y, tau)
+    return frames, c_sq, y, tau
 
 
 def g_of(x, nu, E0):

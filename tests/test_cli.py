@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from filamentlab import cli, dataio, nls
+from filamentlab import cli, dataio, nls, selfsimilar
 from filamentlab.dataio import dumps_json
-from filamentlab.errors import FilamentError
+from filamentlab.errors import FilamentError, MemoryBudgetExceeded
 
 
 def run_cli(args, tmp_path, monkeypatch=None, env_out=None):
@@ -47,6 +47,22 @@ def test_angle_at_zero_a_has_no_theta_route(tmp_path):
     assert data["ode_estimate"] == pytest.approx(1.0, abs=1e-12)
     for key in ("theta_estimate", "theta_spread", "theta_energy_drift"):
         assert data[key] is None
+
+
+def test_angle_reads_the_profile_end_node_alone(tmp_path, monkeypatch):
+    # A+/- come from an end-node run (selfsimilar.sample), not from the
+    # profile's nodes: they agree with the profile's reading to roundoff
+    prof = selfsimilar.profile(0.5, 400.0)
+
+    def no_profile(*args):
+        raise AssertionError("the angle run built the profile")
+
+    monkeypatch.setattr(selfsimilar, "profile", no_profile)
+    assert run_cli(["angle", "--a", "0.5", "--smax", "400"], tmp_path) == 0
+    data, _ = read_run_json(tmp_path, "angle")
+    assert data["ode_error_bound"] == prof.a1_error_bound
+    assert abs(data["ode_estimate"] - prof.a1_estimate) <= 1e-14
+    assert abs(data["gamma_measured"] - prof.gamma_measured()) <= 1e-13
 
 
 def test_profile_zero_curvature_writes_line(tmp_path):
@@ -249,7 +265,6 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
                  # a finite block count whose step count, two per block, overflows
                  ("spiral", "--smax", "1e306"): "inf steps needed",
                  ("profile", "--smax", "6000"): "MiB budget",
-                 ("angle", "--smax", "6000"): "MiB budget",
                  ("spiral", "--smax", "1e5"): "MiB budget",
                  ("nls", "--length", "1e300", *SMALL_GRID): "narrower than the grid step",
                  ("nls", "--t0", "inf", *SMALL_GRID, "--length", "100"): "must be finite",
@@ -331,7 +346,6 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
     ["nls", "--t1", "1e300", "--n-steps", "10000"],
     ["nls", "--length", "1e-300", "--n-points", "64", "--n-steps", "4"],
     ["profile", "--smax", "6000"],
-    ["angle", "--smax", "6000"],
     ["spiral", "--smax", "1e5"],
     ["profile", "--smax", "1e-300"],
     ["profile", "--a", "0", "--smax", "1e-300"],
@@ -361,7 +375,7 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
         "profile-a-1e150", "spiral-huge-a", "angle-huge-a", "nls-huge-length",
         "profile-step-count-beyond-float", "nls-huge-t0", "nls-huge-t1",
         "nls-huge-t1-many-steps", "nls-tiny-length", "profile-over-memory-budget",
-        "angle-over-memory-budget", "spiral-over-memory-budget",
+        "spiral-over-memory-budget",
         "profile-tiny-smax", "profile-a-0-tiny-smax", "angle-tiny-smax",
         "profile-huge-a-tiny-smax", "nls-empty-span", "nls-span-of-one-ulp",
         "nls-span-below-fit-rank"])
@@ -510,7 +524,9 @@ def test_nls_runs_stay_inside_their_memory_plan(tmp_path, sub, args):
 
         def run():
             cli.RUNNERS[sub](params, tmp_path)
-    plan = nls.check_memory(args["n_points"], args["n_steps"], store)
+    # the nls runner passes each snapshot on as it is made and keeps none
+    plan = nls.check_memory(args["n_points"], args["n_steps"], store,
+                            streamed=sub == "nls")
     tracemalloc.start()
     try:
         run()
@@ -520,3 +536,27 @@ def test_nls_runs_stay_inside_their_memory_plan(tmp_path, sub, args):
     # numpy reports its allocations to tracemalloc; the plan covers the
     # peak and is not loose by more than 2x
     assert peak <= plan <= 2 * peak
+
+
+def test_nls_cli_plans_2_22_points_inside_the_budget(tmp_path, monkeypatch):
+    # plan only: the runner stops where it would build the datum.  Its 26
+    # snapshots are not held, so 2^22 points plan under 1 GB, not 2.58 GB
+    class Planned(Exception):
+        pass
+
+    plans, check = [], nls.check_memory
+
+    def recorded(*args, **kwargs):
+        plans.append(check(*args, **kwargs))
+        return plans[-1]
+
+    def stop(*args, **kwargs):
+        raise Planned
+
+    monkeypatch.setattr(nls, "check_memory", recorded)
+    monkeypatch.setattr(nls, "gaussian_field", stop)
+    params = {key: kind(default) for key, (kind, default) in cli.SPECS["nls"].items()}
+    params["n_points"] = 2**22
+    with pytest.raises(Planned):
+        cli.RUNNERS["nls"](params, tmp_path)
+    assert len(plans) == 1 and plans[0] <= MemoryBudgetExceeded.BUDGET

@@ -110,18 +110,22 @@ def test_curves_match_the_serial_writer(tmp_path_factory, curve):
 
 
 def test_full_blocks_with_special_floats_match_the_serial_writer(tmp_path, monkeypatch):
-    # 4096-row blocks of 13 columns are larger than a pipe chunk; special
-    # values sit on both sides of each file's block boundaries
+    # full blocks of the writer's own size, 13 columns; special values sit
+    # on both sides of each file's block boundaries.  The files' 4, 1, 2 and
+    # 1 blocks over three processes are cut after blocks 2 and 5, so the
+    # first cut falls inside the first file
+    block = dataio._CSV_BLOCK
     rng = np.random.default_rng(0)
     jobs = []
-    for j, rows in enumerate((3 * 4096 + 7, 4096, 5000, 1)):
+    for j, rows in enumerate((3 * block + 7, block, block + 904, 1)):
         data = rng.normal(size=(rows, 13))
-        for edge in range(4096, rows, 4096):
+        for edge in range(block, rows, block):
             data[edge - 3 : edge + 2, j % 13] = SPECIAL_FLOATS
         data[-1, :5] = SPECIAL_FLOATS
         jobs.append((tmp_path / f"f{j}.csv", "s,x", [data[:, k] for k in range(13)]))
     _split(monkeypatch, 3)
-    assert dataio._n_processes(sum(13 * len(c[0]) for _, _, c in jobs), 7) == 3
+    assert [len(dataio._starts(job)) for job in jobs] == [4, 1, 2, 1]
+    assert dataio._n_processes(sum(13 * len(c[0]) for _, _, c in jobs), 8) == 3
     dataio.write_csvs(jobs)
     ref = tmp_path / "ref"
     ref.mkdir()
@@ -197,9 +201,11 @@ def test_parent_failure_reaps_workers(tmp_path, monkeypatch):
 
 
 def test_parent_failure_kills_workers_blocked_on_a_full_pipe(tmp_path, monkeypatch):
-    # each worker's share, 4096-row blocks of 13 columns, is more than a
-    # pipe holds; when the second file cannot be opened, every worker is
-    # killed if it still runs, and all are reaped at once
+    # one block in the first file and three in the second, cut into shares
+    # of 1, 1 and 2 blocks over three processes; each worker's share, whole
+    # blocks of 13 columns, is more than a pipe holds.  When the second file
+    # cannot be opened, every worker is killed if it still runs, and all are
+    # reaped at once
     monkeypatch.setattr(dataio, "_fork_cpus", lambda: 3)
     monkeypatch.setattr(dataio, "_MIN_SHARE", 1)
     parent, original = os.getpid(), dataio._format_block
@@ -210,7 +216,7 @@ def test_parent_failure_kills_workers_blocked_on_a_full_pipe(tmp_path, monkeypat
         return original(job, start)
 
     monkeypatch.setattr(dataio, "_format_block", slow_in_parent)
-    data = np.random.default_rng(3).normal(size=(4096, 13))
+    data = np.random.default_rng(3).normal(size=(dataio._CSV_BLOCK, 13))
     columns = [data[:, k] for k in range(13)]
     jobs = [(tmp_path / "a.csv", "h", columns),
             (tmp_path / "missing" / "b.csv", "h", [np.tile(c, 3) for c in columns])]
@@ -234,12 +240,12 @@ def test_worker_exits_when_its_reader_has_gone():
 
 def test_worker_formats_its_whole_share_without_the_parent(tmp_path, monkeypatch):
     # two one-block files over two processes: the worker's share is the
-    # second file, 4096 rows of 13 columns, more than a pipe holds.  The
+    # second file, a block of 13 columns, more than a pipe holds.  The
     # parent's first block waits until the worker's spill holds all of it,
     # which a worker that sends its texts to the parent never reaches
     _split(monkeypatch, 2)
     rng = np.random.default_rng(5)
-    jobs = [(tmp_path / f"f{j}.csv", "h", list(rng.normal(size=(13, 4096))))
+    jobs = [(tmp_path / f"f{j}.csv", "h", list(rng.normal(size=(13, dataio._CSV_BLOCK))))
             for j in range(2)]
     ref = tmp_path / "ref"
     ref.mkdir()

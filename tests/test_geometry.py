@@ -311,13 +311,14 @@ SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
 def test_curve_csv_roundtrip(tmp_path):
     traj = frenet_integrate(ONES, ZERO, FrenetFrame.identity(), (0, 3.0),
                             step=1e-3, out_every=16, position0=np.array([0.0, -1.0, 0.0]))
-    # several 4096-row write blocks plus a partial one, with special values
-    n = 2 * 4096 + 1000
+    # two whole write blocks plus a partial one, with special values
+    block = dataio._CSV_BLOCK
+    n = 2 * block + 1000
     rng = np.random.default_rng(0)
     s = np.concatenate([[-1.0, -0.0, 5e-324], np.arange(1.0, n - 2)])
     points = rng.normal(size=(n, 3))
     frames = rng.normal(size=(n, 3, 3))
-    points[4094:4099, 0] = SPECIAL_FLOATS
+    points[block - 2 : block + 3, 0] = SPECIAL_FLOATS
     frames[-5:, 2, 1] = SPECIAL_FLOATS
     for curve in (Curve(traj.s, traj.points, traj.frames), Curve(s, points, frames)):
         path = tmp_path / "curve.csv"

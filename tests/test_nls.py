@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -199,6 +200,77 @@ def test_long_range_phase_signature_small():
     report = nls.long_range_comparison(0.5, up, -1, (10.0, 2000.0), 900)
     assert report["defect_with_phase"] <= 0.5 * report["defect_without_phase"]
     assert report["mass_drift"] <= 1e-10
+
+
+def test_streamed_comparison_equals_the_kept_snapshots():
+    # the report read off each snapshot as evolve makes it equals, exactly,
+    # one built from the snapshots evolve keeps
+    a, sign, t_span, n_steps = 0.5, -1, (10.0, 2000.0), 240
+    up = gaussian_field(240.0, 1024, 1e-2, width=2.0)
+    got = nls.long_range_comparison(a, up, sign, t_span, n_steps)
+    problem = NlsProblem(sign=sign, background_a=a, potential="gp", t_span=t_span)
+    store = nls._long_range_store(n_steps)
+    res = evolve(problem, nls.long_range_ansatz(up, a, sign, t_span[0]), n_steps,
+                 store_every=store)
+    d_phase, d_free, d_deriv = [], [], []
+    for t, f in zip(res.times, res.fields):
+        w = nls.free_evolution(up, t).values
+        diff = f.copy_with(f.values - (a + w * nls._log_phase(a, sign, 1.0, t)))
+        d_phase.append(diff.l2_norm())
+        d_free.append(f.copy_with(f.values - (a + w)).l2_norm())
+        d_deriv.append(diff.derivative().l2_norm())
+    d_phase, d_free, d_deriv = map(np.array, (d_phase, d_free, d_deriv))
+    k = np.append(np.arange(0, n_steps, store), n_steps)
+    lt = np.log(nls.time_grid(problem, n_steps)[k[len(k) // 2:]])
+    half = len(res.times) // 2
+
+    def slope(d):
+        return float(np.polyfit(lt, np.log(np.maximum(d[half:], 1e-300)), 1)[0])
+
+    assert got == {
+        "t_final": float(res.times[-1]),
+        "defect_with_phase": float(d_phase[-1]),
+        "defect_without_phase": float(d_free[-1]),
+        "ratio": float(d_phase[-1] / d_free[-1]),
+        "slope_l2": slope(d_phase),
+        "slope_deriv_l2": slope(d_deriv),
+        "mass_drift": res.mass_drift(),
+        "times": res.times.tolist(),
+        "defects_with_phase": d_phase.tolist(),
+        "defects_without_phase": d_free.tolist(),
+    }
+
+
+def test_evolve_sink_sees_each_snapshot_and_keeps_none():
+    n = 128
+    f = gaussian_field(40.0, n, 0.5, width=2.0)
+    v0 = f.copy_with(0.5 + f.values * np.exp(0.3j * f.grid()))
+    problem = NlsProblem(sign=-1, background_a=0.5, potential="gp", t_span=(1.0, 3.0))
+    kept = evolve(problem, v0, 12, store_every=5)
+    seen = []
+    streamed = evolve(problem, v0, 12, store_every=5,
+                      sink=lambda t, field: seen.append((t, field.values.copy())))
+    assert streamed.fields == []
+    assert [t for t, _ in seen] == kept.times.tolist()
+    assert all(np.array_equal(v, g.values) for (_, v), g in zip(seen, kept.fields))
+    assert np.array_equal(streamed.mass, kept.mass)
+    assert np.array_equal(streamed.times, kept.times)
+
+
+def test_long_range_comparison_memory_per_point():
+    # the snapshots are read as they are made: the traced peak grows by the
+    # stepper's buffers and one snapshot's work per point (about 170 bytes);
+    # keeping its 26 snapshots would add 16 bytes per point for each
+    peaks = {}
+    for n in (8192, 65536):
+        up = gaussian_field(900.0, n, 1e-2, width=2.0)
+        tracemalloc.start()
+        try:
+            nls.long_range_comparison(0.5, up, -1, (10.0, 1e4), 48)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[65536] - peaks[8192]) / (65536 - 8192) <= 250
 
 
 def test_validation_errors():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,6 +303,54 @@ def test_default_output_nodes_keep_the_rk4_spacing():
         s = yh_evolve(0.0, 0.0, -0.25, 0.0, span, x0=0.25)[0]
         old = _plan(*span, 2e-4, 50)[2]
         assert len(s) == len(old) and np.max(np.abs(s - old)) <= 1e-14
+
+
+def _whole_array_assembly(mu, G, T):
+    """The frames, c^2, y and tau of the profile's nodes, each built over
+    the whole arrays at once: the reference of the piecewise assembly."""
+    IA = np.eye(3) + spiral._amatrix(mu)
+    mvec = 0.5 * (G @ IA.T)
+    Tp = np.cross(mvec, T)
+    c_sq = np.sum(Tp * Tp, axis=1)
+    c = np.sqrt(c_sq)
+    ok = c > 1e-9
+    nvec = np.full_like(T, np.nan)
+    nvec[ok] = Tp[ok] / c[ok, None]
+    frames = np.stack([T, nvec, np.cross(T, nvec)], axis=1)
+    mp = 0.5 * (T @ IA.T)
+    Tpp = np.cross(mp, T) + np.cross(mvec, Tp)
+    tau = np.full(len(T), np.nan)
+    tau[ok] = np.einsum("ij,ij->i", np.cross(T[ok], Tp[ok]), Tpp[ok]) / c_sq[ok]
+    y = 2 * np.einsum("ij,ij->i", Tp, Tpp)
+    return frames, c_sq, y, tau
+
+
+def test_piecewise_assembly_is_the_whole_array_assembly():
+    # 9376 nodes: two whole pieces of _PIECE nodes and part of a third
+    p = make_params(0.4, 0.5)
+    res = spiral_profile(p, (-30.0, 60.0))
+    assert len(res.curve.s_grid) > 2 * spiral._PIECE
+    G, T = res.curve.points, np.ascontiguousarray(res.curve.frames[:, 0])
+    want = _whole_array_assembly(p.mu, G, T)
+    for got, ref in zip((res.curve.frames, res.c_sq, res.y, res.tau), want, strict=True):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_assembly_holds_its_outputs_and_one_piece(monkeypatch):
+    # traced past the two sides' integration, which is run first: the
+    # frames, c^2, y and tau (96 bytes per node) and one piece of working
+    # arrays, about 170 bytes per node at --smax 100; whole-array working
+    # arrays would take about 370
+    p = make_params(0.4, 0.5)
+    sides = spiral._sides(p, -100.0, 100.0)
+    monkeypatch.setattr(spiral, "_sides", lambda *args: sides)
+    tracemalloc.start()
+    try:
+        spiral_profile(p, (-100.0, 100.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * len(sides[0])
 
 
 def test_spiral_profile_global_error_against_adaptive_dop853():

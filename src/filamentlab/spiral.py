@@ -25,10 +25,6 @@ this process may run on two CPUs and each side has at least
 ``_MIN_SIDE_STEPS`` fine steps (about one fork round trip), integrates the
 s <= 0 side in one forked worker (``dataio._beside``) while it integrates
 the s >= 0 side itself.  The result is bit-identical to the serial run.
-The frames, c^2, y and tau are then assembled from the stitched (G, T) in
-pieces of ``selfsimilar._PIECE`` nodes, written into preallocated outputs;
-each node's row depends on that node alone, so the pieces give the bits of
-a whole-array assembly.
 ``selfsimilar.profile``, which holds one half, and the stability slices of
 ``flow``, which call ``integrators.two_sided`` directly, fork nothing.
 """

@@ -201,7 +201,6 @@ def time_grid(problem, n_steps):
 
 @dataclass
 class EvolveResult:
-    problem: NlsProblem
     times: np.ndarray
     fields: list
     mass: np.ndarray
@@ -343,7 +342,7 @@ def evolve(problem, v0, n_steps, *, store_every=None, sink=None):
     frac = max(alias)
     if frac > ALIAS_FRACTION:
         raise AliasingDetected(f"top-third spectral energy fraction {frac:.2e}")
-    return EvolveResult(problem, np.array(stored_t), fields, np.array(mass))
+    return EvolveResult(np.array(stored_t), fields, np.array(mass))
 
 
 def hasimoto(intrinsic):

@@ -3,21 +3,24 @@
 chi(s,t) = exp((A/2) log t) sqrt(t) G(s/sqrt(t)) with A antisymmetric (mu in
 the xy block) forces the profile equation G'' = (1/2)(I+A) G x G' with the
 compatibility constraint (I+A)G(0) . G'(0) = 0.  Along any profile
-|T'|^2 + mu T_3 + nu = 0 with nu = -mu T_3(0) - |(I+A)G(0)|^2/4, and the
-reduced scalar description lives in (y, h) = (d c^2/ds, c^2 (tau - s/2)),
-bridged to the complex profile equation f'' + i(s/2) f' + (f/2)(|f|^2+nu)=0
-by  conj(f) f' = y/2 + i h.
+|T'|^2 + mu T_3 + nu = 0 with nu = -mu T_3(0) - |(I+A)G(0)|^2/4.  The
+profile's c^2 = |T'|^2, y = d c^2/ds and torsion tau bridge it to the
+complex profile equation f'' + i(s/2) f' + (f/2)(|f|^2+nu) = 0: the f with
+f(0) = c(0) and conj(f) f' = y/2 + i c^2 (tau - s/2) at s = 0 keeps
+|f|^2 = c^2 and conj(f) f' = y/2 + i c^2 (tau - s/2) at every s.
 
-All three ODEs (``spiral_profile``, ``yh_evolve``, ``f_solve``) run on one
-fixed-step driver, ``_fixed_step``, with the 12-stage 8th-order
-Dormand-Prince tableau (DOP853) and no step control.  It plans whole output
-blocks with the package's one planner, ``integrators._plan`` (which
-validates the step, the block, the span and the step budget) and checks the
-initial state at once; the run it returns calls the equation's step body
-once per block.  ``spiral_profile`` runs on the one grid ``_GRID``, which
-``spiral_chi`` steps on.  Each body is a fused loop on local floats, generated once on first use (``_body``) from the tableau and a short
-right-hand-side template: the twelve stages are written out, with no
-right-hand-side call and no tuple per stage.
+Both ODEs (``spiral_profile``, ``f_solve``) run on one fixed-step driver,
+``_fixed_step``, with the 12-stage 8th-order Dormand-Prince tableau
+(DOP853) and no step control, each on its own constant grid: the profile on
+``_GRID``, which ``spiral_chi`` steps on, and f on ``_F_GRID``.  The driver
+plans whole output blocks with the package's one planner,
+``integrators._plan`` (which validates the step, the block, the span and
+the step budget) and checks the initial state at once; the run it returns
+calls the equation's step body once per block and refuses a state that
+overflows.  Each body is a fused loop on local floats, generated once on
+first use (``_body``) from the tableau and a short right-hand-side
+template: the twelve stages are written out, with no right-hand-side call
+and no tuple per stage.
 
 The rotating profile has no mirror symmetry, so its two sides of s = 0 are
 two independent runs.  ``spiral_profile`` plans and checks both, then, when
@@ -39,7 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dataio
-from .errors import ConstraintViolated, InvalidParameter, OutOfProfileRange
+from .errors import (ConstraintViolated, InvalidParameter, NonFiniteCoefficient,
+                     OutOfProfileRange)
 from .geometry import Curve
 from .integrators import _plan, two_sided
 from .selfsimilar import _PIECE, _sigma
@@ -49,6 +53,7 @@ CONSTRAINT_TOL = 1e-10
 # pipe and reap round trip costs about 2.4 ms, some 150 DOP853 steps
 _MIN_SIDE_STEPS = 150
 _GRID = (4.8e-3, 2)  # (step, out_every) of every rotating profile
+_F_GRID = (1.6e-2 / 3, 3)  # (step, out_every) of every f_solve run
 
 
 def _amatrix(mu):
@@ -209,18 +214,19 @@ def _body(rhs):
     return scope["block"]
 
 
-def _fixed_step(rhs, params, y0, s0, s1, step, out_every):
-    """Fixed-step DOP853 driver shared by the scalar solvers of this module.
+def _fixed_step(rhs, params, y0, s0, s1, grid):
+    """Fixed-step DOP853 driver shared by the two ODEs of this module.
 
     Plans the fine steps over [s0, s1] with ``integrators._plan``, in output
-    blocks of m = ``out_every`` steps of at most ``step``, and
-    checks that ``y0`` is finite, at once.  Returns (s_nodes, integrate),
-    where ``integrate()`` runs the fused block of ``rhs`` (see ``_body``) with
+    blocks of m steps of at most h for the ``grid`` (h, m), and checks that
+    ``y0`` is finite, at once.  Returns (s_nodes, integrate), where
+    ``integrate()`` runs the fused block of ``rhs`` (see ``_body``) with
     ``params`` once per block, from that block's start node, and returns
     ``out``: the state at every block end in its rows, row 0 the initial
-    state.
+    state.  A state that overflows, by an OverflowError or to a non-finite
+    block end, is NonFiniteCoefficient.
     """
-    h, m, s_nodes, _ = _plan(s0, s1, step, out_every)
+    h, m, s_nodes, _ = _plan(s0, s1, *grid)
     y0 = np.asarray(y0)
     if not np.all(np.isfinite(y0)):
         raise InvalidParameter("initial state must be finite")
@@ -230,9 +236,17 @@ def _fixed_step(rhs, params, y0, s0, s1, step, out_every):
         out = np.empty((len(s_nodes), len(y0)), dtype=y0.dtype)
         out[0] = y0
         y = tuple(y0.tolist())
-        for b, s in enumerate(s_nodes[:-1].tolist(), 1):
-            y = block(y, s, h, m, *params)
-            out[b] = y
+        try:
+            for b, s in enumerate(s_nodes[:-1].tolist(), 1):
+                y = block(y, s, h, m, *params)
+                out[b] = y
+        except OverflowError:  # a float power or complex abs that overflows
+            finite = False
+        else:
+            finite = np.isfinite(out).all()
+        if not finite:
+            raise NonFiniteCoefficient(
+                f"the DOP853 state became non-finite on [{s0:g}, {s1:g}]")
         return out
 
     return s_nodes, integrate
@@ -257,7 +271,7 @@ def _sides(params, s_lo, s_hi):
     serial one, so the result is bit-identical.
     """
     y0 = (*params.G0.tolist(), *params.T0.tolist())
-    plans = {end: _fixed_step(_PROFILE, (params.mu,), y0, 0.0, end, *_GRID)
+    plans = {end: _fixed_step(_PROFILE, (params.mu,), y0, 0.0, end, _GRID)
              for end in (s_hi, s_lo) if end != 0}
     steps = [(len(s) - 1) * _GRID[1] for s, _ in plans.values()]
 
@@ -295,74 +309,48 @@ def spiral_profile(params, s_span):
     c_sq, y, tau = np.empty(len(s)), np.empty(len(s)), np.empty(len(s))
     for lo in range(0, len(s), _PIECE):
         p = slice(lo, lo + _PIECE)
-        frames[p], c_sq[p], y[p], tau[p] = _assemble(IA, G[p], T[p])
+        _assemble(IA, G[p], T[p], frames[p], c_sq[p], y[p], tau[p])
     return SpiralProfileResult(params, Curve(s, G, frames), c_sq, y, tau)
 
 
-def _assemble(IA, G, T):
-    """(frames, c^2, y, tau) at the nodes that carry ``G`` and ``T``, for
-    the matrix I + A ``IA``; rows are independent, so pieces of nodes give
-    the bits of the whole."""
+def _assemble(IA, G, T, frames, c_sq, y, tau):
+    """Write the frames, c^2, y and tau of the nodes that carry ``G`` and
+    ``T``, for the matrix I + A ``IA``, into the given output slices; rows
+    are independent, so pieces of nodes give the bits of the whole."""
     mvec = 0.5 * (G @ IA.T)
     Tp = np.cross(mvec, T)
-    c_sq = np.sum(Tp * Tp, axis=1)
+    np.sum(Tp * Tp, axis=1, out=c_sq)
     c = np.sqrt(c_sq)
     ok = c > 1e-9
-    nvec = np.full_like(T, np.nan)
+    frames[:, 0] = T
+    nvec = frames[:, 1]
+    nvec.fill(np.nan)
     nvec[ok] = Tp[ok] / c[ok, None]
-    bvec = np.cross(T, nvec)
-    frames = np.stack([T, nvec, bvec], axis=1)
+    frames[:, 2] = np.cross(T, nvec)
     # torsion tau = (T x T').T'' / |T'|^2 ; T'' = m' x T + m x T', m' = (I+A)T/2
     mp = 0.5 * (T @ IA.T)
     Tpp = np.cross(mp, T) + np.cross(mvec, Tp)
-    tau = np.full(len(T), np.nan)
+    tau.fill(np.nan)
     tau[ok] = np.einsum("ij,ij->i", np.cross(T[ok], Tp[ok]), Tpp[ok]) / c_sq[ok]
-    y = 2 * np.einsum("ij,ij->i", Tp, Tpp)
-    return frames, c_sq, y, tau
-
-
-def g_of(x, nu, E0):
-    """Coupling term of the reduced system: 2E(0) - (3x+nu)(x+nu)/2."""
-    return 2 * E0 - (3 * x + nu) * (x + nu) / 2
-
-
-# x' = y, y' = s h + g(x), h' = -(s/4) y (g_of inlined)
-_YH = ("nu, E0", "x y hh", (),
-       ("y", "s * hh + (2.0 * E0 - (3.0 * x + nu) * (x + nu) / 2.0)", "-(s / 4.0) * y"))
-
-
-def yh_evolve(y0, h0, nu, E0, s_span, *, x0, step=1e-2, out_every=1):
-    """Reduced system x' = y, y' = s h + g(x), h' = -(s/4) y from s_span[0].
-
-    ``x0`` supplies |T'|^2 at the starting point (the system only sees its
-    derivative y, so the level must be given).  Returns (s, x, y, h) arrays
-    on the nodes every ``out_every`` fine steps of at most ``step``.
-    """
-    nu, E0 = float(nu), float(E0)
-    if not (math.isfinite(nu) and math.isfinite(E0)):
-        raise InvalidParameter("nu and E0 must be finite")
-    s, integrate = _fixed_step(_YH, (nu, E0), (float(x0), float(y0), float(h0)),
-                               float(s_span[0]), float(s_span[1]), step, out_every)
-    out = integrate()
-    return s, out[:, 0], out[:, 1], out[:, 2]
+    y[:] = 2 * np.einsum("ij,ij->i", Tp, Tpp)
 
 
 # f' = g, g' = -i(s/2) g - (f/2)(|f|^2 + nu)
 _F = ("nu", "f g", (), ("g", "-0.5j * s * g - 0.5 * f * (abs(f) ** 2 + nu)"))
 
 
-def f_solve(f0, f0_prime, nu, s_span, *, step=1.6e-2 / 3, out_every=3):
+def f_solve(f0, f0_prime, nu, s_span):
     """Complex profile equation f'' + i(s/2) f' + (f/2)(|f|^2 + nu) = 0.
 
-    Initial data at s_span[0]; returns (s, f, f') arrays on the nodes every
-    ``out_every`` fine steps of at most ``step``.  The conserved energy is
-    |f'|^2 + (|f|^2 + nu)^2 / 4.
+    Initial data at s_span[0]; returns (s, f, f') arrays on the nodes of
+    ``_F_GRID`` (a node every 3 fine steps of at most 1.6e-2/3).  The
+    conserved energy is |f'|^2 + (|f|^2 + nu)^2 / 4.
     """
     nu = float(nu)
     if not math.isfinite(nu):
         raise InvalidParameter("nu must be finite")
     s, integrate = _fixed_step(_F, (nu,), (complex(f0), complex(f0_prime)),
-                               float(s_span[0]), float(s_span[1]), step, out_every)
+                               float(s_span[0]), float(s_span[1]), _F_GRID)
     out = integrate()
     return s, out[:, 0], out[:, 1]
 

@@ -266,6 +266,10 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
                  ("spiral", "--smax", "1e306"): "inf steps needed",
                  ("profile", "--smax", "6000"): "MiB budget",
                  ("spiral", "--smax", "1e5"): "MiB budget",
+                 # a finite E0, but a step of 4.8e-3 turns the frame through
+                 # hundreds of radians or more: the fixed-step state overflows
+                 ("spiral", "--mu", "1e8"): "state became non-finite",
+                 ("spiral", "--a", "1e8"): "state became non-finite",
                  ("nls", "--length", "1e300", *SMALL_GRID): "narrower than the grid step",
                  ("nls", "--t0", "inf", *SMALL_GRID, "--length", "100"): "must be finite",
                  ("nls", "--t1", "inf", *SMALL_GRID, "--length", "100"): "must be finite",
@@ -347,6 +351,8 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
     ["nls", "--length", "1e-300", "--n-points", "64", "--n-steps", "4"],
     ["profile", "--smax", "6000"],
     ["spiral", "--smax", "1e5"],
+    ["spiral", "--mu", "1e8"],
+    ["spiral", "--a", "1e8"],
     ["profile", "--smax", "1e-300"],
     ["profile", "--a", "0", "--smax", "1e-300"],
     ["angle", "--smax", "1e-300"],
@@ -375,7 +381,7 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
         "profile-a-1e150", "spiral-huge-a", "angle-huge-a", "nls-huge-length",
         "profile-step-count-beyond-float", "nls-huge-t0", "nls-huge-t1",
         "nls-huge-t1-many-steps", "nls-tiny-length", "profile-over-memory-budget",
-        "spiral-over-memory-budget",
+        "spiral-over-memory-budget", "spiral-unstable-mu", "spiral-unstable-a",
         "profile-tiny-smax", "profile-a-0-tiny-smax", "angle-tiny-smax",
         "profile-huge-a-tiny-smax", "nls-empty-span", "nls-span-of-one-ulp",
         "nls-span-below-fit-rank"])

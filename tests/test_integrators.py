@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from filamentlab import geometry, integrators, spiral, theta
+from filamentlab import geometry, integrators, theta
 from filamentlab.errors import InvalidParameter, StepLimitExceeded
 from filamentlab.integrators import (
     _Q_ONE,
@@ -196,7 +196,7 @@ def test_plan_rejects_out_every_below_one(out_every):
 
 ONE = lambda s: np.ones(np.shape(s))
 
-# every fixed-step solver, over [0, 1] with the given step keywords; each
+# every solver that takes step keywords, over [0, 1] with the given ones; each
 # returns its output nodes
 FIXED_STEP_SOLVERS = {
     "propagate_frame": lambda **kw: propagate_frame(ONE, ONE, 0.0, 1.0, np.eye(3), **kw)[0],
@@ -206,9 +206,6 @@ FIXED_STEP_SOLVERS = {
         ONE, ONE, geometry.FrenetFrame.identity(), (0.0, 1.0), **kw).s,
     "theta_solve": lambda **kw: theta.theta_solve(
         ONE, ONE, theta.ThetaState(0.0, 1.0), (0.0, 1.0), **kw).s,
-    "yh_evolve": lambda **kw: spiral.yh_evolve(0.0, 0.0, -0.25, 0.0, (0.0, 1.0),
-                                               x0=0.25, **kw)[0],
-    "f_solve": lambda **kw: spiral.f_solve(1.0, 0.3j, 0.5, (0.0, 1.0), **kw)[0],
 }
 
 

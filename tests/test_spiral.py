@@ -8,6 +8,7 @@ from filamentlab import selfsimilar, spiral
 from filamentlab.errors import (
     ConstraintViolated,
     InvalidParameter,
+    NonFiniteCoefficient,
     StepLimitExceeded,
 )
 from filamentlab.integrators import _MAX_STEPS, _plan
@@ -15,10 +16,8 @@ from filamentlab.spiral import (
     SpiralParams,
     f_energy,
     f_solve,
-    g_of,
     spiral_chi,
     spiral_profile,
-    yh_evolve,
 )
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -89,50 +88,34 @@ def test_f_amplitude_bound():
     assert np.max((np.abs(f) ** 2 + nu) ** 2) <= 4 * E0 * (1 + 1e-12)
 
 
-def test_yh_stationary_point():
-    a = 0.8
-    s, x, y, h = yh_evolve(0.0, 0.0, -a * a, 0.0, (0.0, 20.0), x0=a * a)
-    assert np.max(np.abs(y)) < 1e-13
-    assert np.max(np.abs(h)) < 1e-13
-    assert np.max(np.abs(x - a * a)) < 1e-13
-    assert g_of(a * a, -a * a, 0.0) == 0.0
-
-
-def test_bridge_f_to_yh():
-    # conj(f) f' = y/2 + i h maps f-trajectories onto the reduced system
-    nu = 0.4
-    f0, fp0 = 1.0, 0.25j
-    s, f, fp = f_solve(f0, fp0, nu, (0.0, 25.0), step=1e-2, out_every=1)
-    prod = np.conj(f) * fp
-    y_f, h_f = 2 * np.real(prod), np.imag(prod)
-    E0 = float(f_energy(f0, fp0, nu))
-    s2, x, y, h = yh_evolve(y_f[0], h_f[0], nu, E0, (0.0, 25.0), x0=abs(f0) ** 2,
-                            step=1e-2, out_every=1)
-    assert np.max(np.abs(s - s2)) < 1e-12
-    assert np.max(np.abs(y - y_f)) < 1e-5
-    assert np.max(np.abs(h - h_f)) < 1e-5
-    assert np.max(np.abs(x - np.abs(f) ** 2)) < 1e-5
-
-
-def test_profile_consistent_with_yh():
-    p = make_params(0.35, 0.5)
-    res = spiral_profile(p, (0.0, 25.0))
+@pytest.mark.parametrize("mu, a", [(0.35, 0.5), (0.7, 0.3), (0.0, 0.5)])
+def test_profile_bridges_to_f(mu, a):
+    # the f with f(0) = c(0), conj(f) f'(0) = y0/2 + i h0 keeps |f|^2 = c^2
+    # and conj(f) f' = y/2 + i c^2 (tau - s/2) along the profile
+    p = make_params(mu, a)
+    c0 = math.sqrt(p.c0_sq)
+    f0, fp0 = c0, complex(p.y0 / 2, p.h0) / c0
+    assert p.E0 == f_energy(f0, fp0, p.nu)
+    res = spiral_profile(p, (-24.0, 24.0))
     s = res.curve.s_grid
-    ds = s[1] - s[0]
-    # on the profile's own nodes
-    s2, x, y, h = yh_evolve(p.y0, p.h0, p.nu, p.E0, (0.0, 25.0), x0=p.c0_sq,
-                            step=4.8e-3, out_every=2)
-    y_on = np.interp(s, s2, y)
-    x_on = np.interp(s, s2, x)
-    assert np.max(np.abs(x_on - res.c_sq)) < 1e-5
-    assert np.max(np.abs(y_on - res.y)) < 1e-5
+    zero = len(s) // 2
+    assert s[zero] == 0.0
+    for end in (24.0, -24.0):
+        _, f, fp = f_solve(f0, fp0, p.nu, (0.0, end))
+        # 0.048 is 5 profile spacings and 3 of f: match the nodes by index,
+        # since their labels round differently
+        f, fp = f[::3], fp[::3]
+        at = zero + int(math.copysign(5, end)) * np.arange(len(f))
+        assert len(at) == 501
+        prod = np.conj(f) * fp
+        assert np.max(np.abs(np.abs(f) ** 2 - res.c_sq[at])) <= 1e-12
+        assert np.max(np.abs(2 * prod.real - res.y[at])) <= 1e-12
+        h = res.c_sq[at] * (res.tau[at] - s[at] / 2)
+        assert np.max(np.abs(prod.imag - h)) <= 1e-12
     # central differences of c^2 agree to the FD truncation order
+    ds = s[1] - s[0]
     y_fd = np.gradient(res.c_sq, ds)
     assert np.max(np.abs(y_fd - res.y)[2:-2]) < 50 * ds**2 * np.max(np.abs(s / 2)) ** 2
-    # h = c^2 (tau - s/2) from the profile torsion
-    h_profile = res.c_sq * (res.tau - s / 2)
-    h_on = np.interp(s, s2, h)
-    assert np.max(np.abs(h_on - h_profile)) < 1e-5
 
 
 def test_spiral_chi_properties():
@@ -258,21 +241,6 @@ def test_spiral_profile_matches_plain_dop853():
     assert _rel(res.curve.frames[:, 0], y_ref[:, 3:]) <= 1e-13
 
 
-def test_yh_evolve_matches_plain_dop853():
-    nu, E0 = 0.4, 0.3
-    grid = dict(step=1e-2, out_every=5)
-
-    def rhs(s, v):
-        x, y, h = v
-        return [y, s * h + g_of(x, nu, E0), -(s / 4) * y]
-
-    for span in ((0.0, 10.0), (2.0, -6.0)):
-        s, x, y, h = yh_evolve(0.1, 0.2, nu, E0, span, x0=0.7, **grid)
-        s_ref, ref = _dop853_plain(rhs, [0.7, 0.1, 0.2], *span, 1e-2, 5)
-        assert np.array_equal(s, s_ref)
-        assert _rel(np.stack([x, y, h], axis=1), ref) <= 1e-13
-
-
 def test_f_solve_matches_plain_dop853():
     nu = 0.5
 
@@ -282,26 +250,23 @@ def test_f_solve_matches_plain_dop853():
 
     for span in ((0.0, 10.0), (3.0, -5.0)):
         s, f, fp = f_solve(1.0, 0.3j, nu, span)
-        s_ref, ref = _dop853_plain(rhs, [1.0 + 0j, 0.3j], *span, 1.6e-2 / 3, 3)
+        s_ref, ref = _dop853_plain(rhs, [1.0 + 0j, 0.3j], *span, *spiral._F_GRID)
         assert np.array_equal(s, s_ref)
         assert _rel(np.stack([f, fp], axis=1), ref) <= 1e-13
 
 
 def test_default_output_nodes_keep_the_rk4_spacing():
-    # the defaults take fewer, larger steps than the old RK4 defaults
-    # (3e-4 x 32, 2e-4 x 50, 2.5e-4 x 64) on the same output nodes
+    # the grids take fewer, larger steps than the old RK4 defaults
+    # (3e-4 x 32, 2.5e-4 x 64) on the same output nodes
     lo, hi = _plan(0.0, -5.0, 3e-4, 32)[2], _plan(0.0, 7.3, 3e-4, 32)[2]
     res = spiral_profile(make_params(0.4, 0.5), (-5.0, 7.3))
     assert np.array_equal(res.curve.s_grid, np.concatenate([lo[:0:-1], hi]))
     for span in ((0.0, 7.3), (1.5, -2.01)):
-        # a node is labelled by its fine step, s0 + h (m j): block lengths 3
-        # and 50 are no powers of two, so their labels round up to an ulp
+        # a node is labelled by its fine step, s0 + h (m j): the block
+        # length 3 is no power of two, so its labels round up to an ulp
         # away from those of another block length on the same nodes
         s = f_solve(1.0, 0.3j, 0.5, span)[0]
         old = _plan(*span, 2.5e-4, 64)[2]
-        assert len(s) == len(old) and np.max(np.abs(s - old)) <= 1e-14
-        s = yh_evolve(0.0, 0.0, -0.25, 0.0, span, x0=0.25)[0]
-        old = _plan(*span, 2e-4, 50)[2]
         assert len(s) == len(old) and np.max(np.abs(s - old)) <= 1e-14
 
 
@@ -339,18 +304,22 @@ def test_piecewise_assembly_is_the_whole_array_assembly():
 def test_assembly_holds_its_outputs_and_one_piece(monkeypatch):
     # traced past the two sides' integration, which is run first: the
     # frames, c^2, y and tau (96 bytes per node) and one piece of working
-    # arrays, about 170 bytes per node at --smax 100; whole-array working
-    # arrays would take about 370
+    # arrays, about 140 bytes per node at --smax 100; whole-array working
+    # arrays would take about 370.  A span shorter than a piece holds its
+    # working arrays beside the outputs it writes into, about 335 bytes per
+    # node to s = 10; a second copy of its results would take about 470
     p = make_params(0.4, 0.5)
-    sides = spiral._sides(p, -100.0, 100.0)
-    monkeypatch.setattr(spiral, "_sides", lambda *args: sides)
-    tracemalloc.start()
-    try:
-        spiral_profile(p, (-100.0, 100.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 200 * len(sides[0])
+    for span, bound in (((-100.0, 100.0), 200), ((0.0, 10.0), 450)):
+        sides = spiral._sides(p, *span)
+        monkeypatch.setattr(spiral, "_sides", lambda *args: sides)
+        tracemalloc.start()
+        try:
+            spiral_profile(p, span)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert peak <= bound * len(sides[0]), span
 
 
 def test_spiral_profile_global_error_against_adaptive_dop853():
@@ -370,28 +339,21 @@ def test_spiral_profile_global_error_against_adaptive_dop853():
 def test_scalar_solvers_enforce_max_steps():
     # 1.01 budgets of fine steps per side: rejected when planned, before
     # any block runs
-    grid = dict(step=1e-3, out_every=1000)
-    over = 1.01e-3 * _MAX_STEPS
+    over = 1.01 * spiral._F_GRID[0] * _MAX_STEPS
     with pytest.raises(StepLimitExceeded):
-        f_solve(1.0, 0.3j, 0.5, (0.0, over), **grid)
-    with pytest.raises(StepLimitExceeded):
-        yh_evolve(0.0, 0.0, -0.25, 0.0, (0.0, -over), x0=0.25, **grid)
+        f_solve(1.0, 0.3j, 0.5, (0.0, over))
     over = 1.01 * spiral._GRID[0] * _MAX_STEPS
     with pytest.raises(StepLimitExceeded):
         spiral_profile(make_params(0.3, 0.5), (-over, over))
     # at the budget itself the run is planned: 50 000 blocks of 1000 steps
-    assert len(_plan(0.0, 1e-3 * _MAX_STEPS, **grid)[2]) == 50_001
+    assert len(_plan(0.0, 1e-3 * _MAX_STEPS, 1e-3, 1000)[2]) == 50_001
 
 
 def test_scalar_solvers_reject_empty_span():
     with pytest.raises(InvalidParameter):
         f_solve(1.0, 0.3j, 0.5, (0.0, 0.0))
     with pytest.raises(InvalidParameter):
-        yh_evolve(0.0, 0.0, -0.25, 0.0, (2.0, 2.0), x0=0.25)
-    with pytest.raises(InvalidParameter):
         f_solve(1.0, 0.3j, 0.5, (0.0, math.inf))
-    with pytest.raises(InvalidParameter):
-        yh_evolve(0.0, 0.0, -0.25, 0.0, (0.0, math.nan), x0=0.25)
 
 
 def test_scalar_solvers_reject_non_finite_input():
@@ -400,14 +362,11 @@ def test_scalar_solvers_reject_non_finite_input():
     with pytest.raises(InvalidParameter):
         f_solve(1.0, 0.3j, math.nan, (0.0, 1.0))
     with pytest.raises(InvalidParameter):
-        yh_evolve(0.0, 0.0, -0.25, math.inf, (0.0, 1.0), x0=0.25)
-    with pytest.raises(InvalidParameter):
         make_params(math.nan, 0.5)
     with pytest.raises(InvalidParameter):
         make_params(0.3, math.nan)
     with pytest.raises(InvalidParameter):
         f_solve(1.0, complex(0.0, math.inf), 0.5, (0.0, 1.0))
-    with pytest.raises(InvalidParameter):
-        yh_evolve(0.0, 0.0, -0.25, 0.0, (0.0, 1.0), x0=math.nan)
-    with pytest.raises(InvalidParameter):
-        yh_evolve(math.inf, 0.0, -0.25, 0.0, (0.0, 1.0), x0=0.25)
+    # finite data whose state overflows on the way: abs(f) ** 2 raises
+    with pytest.raises(NonFiniteCoefficient, match="non-finite"):
+        f_solve(1.0, 0.3j, 1e12, (0.0, 10.0))

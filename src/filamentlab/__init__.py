@@ -13,7 +13,7 @@ sweeps parallelize trivially.
 
 from . import flow, geometry, nls, selfsimilar, spiral, theta
 from .errors import FilamentError
-from .geometry import Curve, FrenetFrame, IntrinsicData
+from .geometry import Curve, IntrinsicData
 
 __all__ = [
     "flow",
@@ -24,7 +24,6 @@ __all__ = [
     "theta",
     "FilamentError",
     "Curve",
-    "FrenetFrame",
     "IntrinsicData",
 ]
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, flow, geometry, nls, selfsimilar, spiral, theta
-from .errors import FilamentError
+from .errors import FilamentError, GridTooCoarse
 
 
 class _UsageError(Exception):
@@ -136,14 +136,24 @@ def _run_nls(params, outdir):
     return {"a": params["a"], "sign": params["sign"], **report}
 
 
+# criterion 4's bound on a rotating profile's invariant |c^2 + mu T3 + nu|
+_ROTATION_INVARIANT_MAX = 1e-8
+
+
 def _run_spiral(params, outdir):
     a = params["a"]
     sp = spiral.SpiralParams(params["mu"], np.array([0.0, 0.0, 2 * a]),
                              np.array([1.0, 0.0, 0.0]))
     res = spiral.spiral_profile(sp, (-params["smax"], params["smax"]))
+    defect = res.rotation_invariant_defect()
+    if not defect <= _ROTATION_INVARIANT_MAX:
+        raise GridTooCoarse(
+            f"rotation invariant defect {defect:.3g} above {_ROTATION_INVARIANT_MAX:g}: "
+            f"the profile grid spiral._GRID = {spiral._GRID} (step, out_every) "
+            "does not resolve this profile")
     dataio.write_csvs([res.curve.csv_job(outdir / "spiral.csv")])
     return {"mu": sp.mu, "nu": sp.nu, "E0": sp.E0, "a": a,
-            "rotation_invariant_defect": res.rotation_invariant_defect(),
+            "rotation_invariant_defect": defect,
             "unit_speed_defect": res.unit_speed_defect()}
 
 
@@ -175,8 +185,7 @@ def _run_selfcheck(params, outdir):
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {value:.3e} (bound {bound:g})")
 
     circ = geometry.frenet_integrate(lambda s: np.ones(np.shape(s)),
-                                     lambda s: np.zeros(np.shape(s)),
-                                     geometry.FrenetFrame.identity(),
+                                     lambda s: np.zeros(np.shape(s)), np.eye(3),
                                      (0.0, 2 * math.pi), step=1e-3, out_every=16)
     check("geometry.circle_closure", float(np.linalg.norm(circ.T[-1] - circ.T[0])), 1e-6)
     check("geometry.orthonormality", geometry.frame_orthonormality_defect(circ.frames), 1e-8)
@@ -205,7 +214,8 @@ def _run_selfcheck(params, outdir):
     sp = spiral.SpiralParams(0.4, np.array([0.0, 0.0, 1.0]),
                              np.array([1.0, 0.0, 0.0]))
     res = spiral.spiral_profile(sp, (-30.0, 30.0))
-    check("spiral.rotation_invariant", res.rotation_invariant_defect(), 1e-8)
+    check("spiral.rotation_invariant", res.rotation_invariant_defect(),
+          _ROTATION_INVARIANT_MAX)
     sarr, fv, fp = spiral.f_solve(1.0, 0.3j, 0.5, (0.0, 30.0))
     E = spiral.f_energy(fv, fp, 0.5)
     check("spiral.f_energy_drift", float(np.max(np.abs(E - E[0])) / E[0]), 1e-8)

@@ -15,35 +15,39 @@ Schrodinger side.
 The Frenet system in s is linear in its initial state, so every slice is
 integrated once from the identity frame and the point 0 at s = 0
 (``_integrated_slice``) and then turned and moved to its origin frame and
-point (``_placed``); ``reconstruct_flow`` and the stability experiment share
-that one slice path.  A slice that carries the unperturbed fields
-c = a/sqrt(t), tau = s/2t is the self-similar profile rescaled,
-chi = sqrt(t) G(s/sqrt(t)), turned and moved the same way: the stability
-experiment builds its slices below the box's faithful horizon from its
-reference profile instead of integrating them.
+point (``_placed``).  ``_flow`` is the one placement path, for
+``reconstruct_flow`` and the stability experiment alike: it runs the origin
+track (``_origin_track``) and places the unplaced slices on it one at a
+time.  A slice that carries the unperturbed fields c = a/sqrt(t),
+tau = s/2t is the self-similar profile rescaled, chi = sqrt(t) G(s/sqrt(t)),
+turned and moved the same way: the stability experiment builds its slices
+below the box's faithful horizon from its reference profile instead of
+integrating them.
 
-The stability experiment's independent parts run at once where that pays:
-its Schrodinger stage runs in a forked worker (``dataio._beside``) when this
-process may run on two CPUs and the stage has at least ``_MIN_STAGE_SIZE``
-step-points (n_steps + 1) N.  The stage sends two messages: the (c, tau)
-rows of the slices past the horizon as soon as their last step k_c is done,
-and the origin series once the run ends.  Meanwhile this process samples
-the reference (G_a on every slice node, and A+/-), then integrates the
-slices from those rows while the stage steps on to its end; they are placed
-once the origin track is known.  The arithmetic is the serial run's, so the
-report and its artifacts are bit-identical either way.  The reference is
-``selfsimilar.sample``: one run over the profile's span that keeps only the
-nodes the slices read, then read at the slice nodes in fixed pieces, so its
-memory is its outputs, those nodes and one kernel piece, not the span; its
-plan is ``selfsimilar.sample_plan``'s and its cone ``selfsimilar.v_shape``.
-The slices are placed one at a time, each unplaced copy dropped as its
-placed one is made, and ``sup_T_defect`` is read slice by slice, so no
-array of every slice node is built besides the reference and the curves.
+``stability_experiment`` is a short driver over its seams: the Schrodinger
+stage (``_schrodinger_stage``), the reference profile on the slice nodes
+(``_reference``), the s = 0 origin series and the extra-information
+identity (``_origin_series``), the placed flow (``_flow``), and the vertex,
+cone defect and angle of its trace at t = 0 (``_corner``).  The stage runs
+in a forked worker (``dataio._beside``) when this process may run on two
+CPUs and the stage has at least ``_MIN_STAGE_SIZE`` step-points
+(n_steps + 1) N.  It sends two messages: the (c, tau) rows of the slices
+past the horizon as soon as their last step k_c is done, and the origin
+series once the run ends.  Meanwhile this process samples the reference,
+then integrates the slices from those rows while the stage steps on to its
+end.  The arithmetic is the serial run's, so the report and its artifacts
+are bit-identical either way.  The reference is ``selfsimilar.sample``:
+one run over the profile's span that keeps only the nodes the slices read,
+so its memory is its outputs, those nodes and one kernel piece, not the
+span.  Each unplaced slice is dropped as its placed one is made, and
+``sup_T_defect`` is read from the placed curves slice by slice, so no array
+of every slice node is built besides the reference and the curves.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -280,6 +284,16 @@ def _origin_track(series, frame0, point0, t_grid):
     return frames[js], chi[js] + 0.0
 
 
+def _flow(series, frame0, point0, t_grid, slices):
+    """The flow at the slice times ``t_grid``: the origin track of
+    ``series`` from ``frame0`` and ``point0`` at the last time, and the
+    unplaced ``slices``, one per time, each placed on it in turn, so that an
+    iterable that drops what it yields holds one unplaced slice at a time."""
+    frames, chi = _origin_track(series, frame0, point0, t_grid)
+    curves = [_placed(curve, F, p) for curve, F, p in zip(slices, frames, chi)]
+    return FlowResult(np.asarray(t_grid, dtype=float), curves, frames, chi)
+
+
 def reconstruct_flow(data, frame0, point0, *, origin_series=None):
     """Reconstruct curves for every time slice of the intrinsic data.
 
@@ -302,10 +316,8 @@ def reconstruct_flow(data, frame0, point0, *, origin_series=None):
     if len(data.t_grid) < 2:
         raise GridTooCoarse("need >= 2 time slices")
     series = origin_series or _origin_series_from_data(data, i0)
-    frames, chi = _origin_track(series, _checked_frame(frame0), point0, data.t_grid)
-    curves = [_placed(_integrated_slice(s, c, tau), F, p)
-              for c, tau, F, p in zip(data.c, data.tau, frames, chi)]
-    return FlowResult(np.asarray(data.t_grid, dtype=float), curves, frames, chi)
+    return _flow(series, _checked_frame(frame0), point0, data.t_grid,
+                 (_integrated_slice(s, c, tau) for c, tau in zip(data.c, data.tau)))
 
 
 def trace_at_zero(result):
@@ -499,40 +511,103 @@ def _schrodinger_stage(problem, v0, n_steps, slice_ids, s_grid):
     yield origin, min_abs, boundary_w
 
 
+def _origin_series(a, t_u, origin, t_clean):
+    """The s = 0 series of the stage's ``origin`` rows at the times ``t_u``
+    (ascending in t = 1/T, so the rows are read backward), and the
+    extra-information identity's defect over the times at or past
+    ``t_clean``."""
+    # The frame ODE is run in the gauge n~ + i b~ = e^{i phi/2}(n + i b),
+    # whose coupling entry (a^2/t - c^2)/2 needs only |v(0,T)| -- no spatial
+    # derivatives, so the entry stays clean even when the dispersed tail
+    # wraps the box.
+    a2 = a * a
+    v0s, vx0, vxx0 = origin[::-1].T
+    absv = np.abs(v0s)
+    tau0 = -np.imag(vx0 / v0s) / t_u
+    c0 = absv / np.sqrt(t_u)
+    dabs = np.real(np.conj(v0s) * vx0) / absv
+    c_s0 = dabs / (t_u * np.sqrt(t_u))
+    phi0 = np.unwrap(-np.angle(v0s))
+    g_entry = (a2 / t_u - c0**2) / 2
+    # the 1/t^{3/2}-weighted first-derivative entries are dominated by
+    # box-wrap noise past the faithful horizon while their true size decays;
+    # drop them there (the |v(0)|-based entries g and phi stay measured)
+    ctau0 = c0 * tau0
+    late = t_u < t_clean
+    ctau0[late] = 0.0
+    c_s0[late] = 0.0
+    series = OriginSeries(t_u, ctau0, c_s0, g_entry, c0, phi=phi0)
+
+    # extra-information identity at s = 0, a^2/t + phi_t = 2 q + c^2 with
+    # q = (c_ss - c tau^2)/c read spectrally; reported relative to the
+    # leading a^2/t scale and limited to times where the periodic box
+    # still cleanly represents the line (before the dispersed tail wraps)
+    d2abs = (np.real(np.conj(v0s) * vxx0) + np.abs(vx0) ** 2 - dabs**2) / absv
+    q0 = d2abs / (absv * t_u**2) - tau0**2
+    dphi = _nonuniform_dt(phi0[:, None], t_u)[:, 0]
+    extra = np.abs(a2 / t_u[1:-1] + dphi - 2 * q0[1:-1] - c0[1:-1] ** 2)
+    clean = t_u[1:-1] >= t_clean
+    return series, float(np.max((extra * t_u[1:-1] / a2)[clean]))
+
+
+def _reference(a, s_grid, t_slices):
+    """The reference profile G_a on every slice node, sigma = s/sqrt(t):
+    its frames and points, one (n_s, 3, 3) and one (n_s, 3) array per
+    slice, which give the slices below t_clean and the reference tangent;
+    and the V-shape of its A+/- on ``s_grid``."""
+    sig_max = float(np.max(np.abs(s_grid))) / math.sqrt(t_slices[0])
+    sig = (s_grid[None] / np.sqrt(t_slices)[:, None]).ravel()
+    span, _ = selfsimilar.sample_plan(sig_max, len(sig))
+    F_ref, G_ref, A_plus, A_minus = selfsimilar.sample(a, span, sig)
+    n = len(t_slices)
+    return (F_ref.reshape(n, -1, 3, 3), G_ref.reshape(n, -1, 3),
+            selfsimilar.v_shape(A_plus, A_minus, s_grid))
+
+
+def _corner(trace, chi, t, sA, s):
+    """The corner of ``trace``, the flow at t = 0 on the nodes ``s``: its
+    vertex, from the sqrt(t) law of the origin points ``chi`` at the first
+    two slice times ``t``; its cone defect, the largest distance from the
+    V-shape ``sA`` set at the vertex over |s| on the nodes with
+    |s| >= ``_CONE_FLOOR``; and its angle gamma between the directions from
+    the vertex to the two ends (``selfsimilar.gamma_between``)."""
+    r1, r2 = math.sqrt(t[0]), math.sqrt(t[1])
+    vertex = chi[0] - r1 * (chi[1] - chi[0]) / (r2 - r1)
+    dev = np.linalg.norm(trace.points - vertex[None] - sA, axis=1)
+    # the floor keeps the sqrt(t_min) corner layer out of the quotient
+    outer = np.abs(s) >= _CONE_FLOOR
+    cone = float(np.max(dev[outer] / np.abs(s[outer])))
+    dplus = trace.points[-1] - vertex
+    dminus = vertex - trace.points[0]  # points along A_minus
+    gamma = selfsimilar.gamma_between(dplus / np.linalg.norm(dplus),
+                                      dminus / np.linalg.norm(dminus))
+    return vertex, cone, gamma
+
+
 def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
                          ds=0.01, n_steps=2000, n_slices=40):
     """Drive the perturbed corner pipeline end to end.
 
-    The Schrodinger side runs the 1/t equation (coefficient 1/2, sign +1 --
-    the normalization under which the pseudo-conformal image of the run is a
-    filament function) from v1(1/t0) up to 1/t_min; curvature and torsion are
-    read off through the pseudo-conformal map, the flow is rebuilt, and the
-    report compares the trace against the unperturbed cone.
+    The Schrodinger stage (``_schrodinger_stage``) runs the 1/t equation
+    (coefficient 1/2, sign +1: the normalization under which the
+    pseudo-conformal image of the run is a filament function) from
+    v1(1/t0) up to 1/t_min, its field continued by the constant a outside
+    the periodic box (``boundary_w_max`` is the largest |v - a| discarded
+    there).  The slices with t below the box's faithful horizon
+    ``t_clean`` carry the unperturbed fields c = a/sqrt(t), tau = s/2t and
+    are built from the reference profile G_a (``_reference``); the others
+    are integrated in s from the stage's (c, tau) rows.  ``_origin_series``
+    reads the s = 0 series off the stage, ``_flow`` places every slice on
+    the origin track, as ``reconstruct_flow`` does, and ``_corner`` reads
+    the vertex, the cone defect and the angle off the trace at t = 0.
 
-    Outside the periodic box the field is continued by the constant a (the
-    perturbation there has dispersed to O(||u_plus||/sqrt(t_hi))); the
-    report's boundary_w_max records the largest magnitude actually discarded.
-
-    Slices with t below the box's faithful horizon ``t_clean`` carry the
-    unperturbed fields c = a/sqrt(t), tau = s/2t and are built from the
-    reference profile G_a, chi = sqrt(t) G(s/sqrt(t)), turned and moved by
-    the measured origin frame and point; only the others are read from the
-    Schrodinger run and integrated in s.  A curve grid without the interior
-    node s = 0 (GridTooCoarse), a u_plus that the grid does not resolve
-    (AliasingDetected) and a run whose interior times all lie below t_clean
-    (InsufficientTimeRange) are rejected before the Schrodinger stage.
-
-    Where ``dataio._beside`` forks (two CPUs, at least ``_MIN_STAGE_SIZE``
-    step-points), the Schrodinger stage runs in a worker process, and this
-    process meanwhile samples the reference profile on every slice node and
-    reads A+/-.  The stage sends the integrated slices' (c, tau) rows right
-    after its step k_c (``horizon_step``), and this process integrates them
-    from the identity frame while the stage steps on for the origin series;
-    the origin track, the placed slices and the defects follow once the
-    series is back.  Otherwise all of it runs here, in the same order.  The
-    report is bit-identical either way; a FilamentError of the stage,
-    before or after its rows, is raised as the same class, a worker that
-    dies is OSError, and no worker outlives the call.
+    A curve grid without the interior node s = 0 (GridTooCoarse), a u_plus
+    that the grid does not resolve (AliasingDetected) and a run whose
+    interior times all lie below t_clean (InsufficientTimeRange) are
+    rejected before the stage.  Where the stage runs in a worker (see the
+    module docstring), the report is bit-identical, a FilamentError of the
+    stage is raised as the same class, a worker that dies is OSError, and
+    no worker outlives the call.
     """
     if a <= 0:
         raise InvalidParameter("a must be positive")
@@ -540,9 +615,7 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
     if n_slices < 4:
         raise InvalidParameter("need n_slices >= 4 for the trace at t = 0")
     if n_slices > n_steps + 1:
-        raise InvalidParameter(
-            f"n_slices = {n_slices} exceeds the {n_steps + 1} stored times"
-        )
+        raise InvalidParameter(f"n_slices = {n_slices} exceeds the {n_steps + 1} stored times")
     norm_up = u_plus.l2_norm()
     if norm_up > 0.1 * a:
         raise InvalidParameter("perturbation too large: need ||u_plus|| <= 0.1 a")
@@ -576,86 +649,30 @@ def stability_experiment(a, u_plus, t0=1.0, *, t_min_factor=1e-4, s_max=5.0,
                         functools.partial(_schrodinger_stage, problem, v0, n_steps,
                                           slice_ids[n_prof:], s_grid),
                         (n_steps + 1) * v0.n_points >= _MIN_STAGE_SIZE) as stage:
-        # the unperturbed reference needs nothing of the stage: G_a's
-        # frames and points on every slice node (sigma = s/sqrt(t)), which
-        # give the slices below t_clean and the reference tangent, and A+/-
-        sig_max = float(np.max(np.abs(s_grid))) / math.sqrt(t_slices[0])
-        sig = (s_grid[None] / np.sqrt(t_slices)[:, None]).ravel()
-        span, _ = selfsimilar.sample_plan(sig_max, len(sig))
-        F_ref, G_ref, A_plus, A_minus = selfsimilar.sample(a, span, sig)
-        sA = selfsimilar.v_shape(A_plus, A_minus, s_grid)
-        # the slices at or past t_clean need only their (c, tau) rows: they
-        # are integrated from the identity frame while the stage steps on
-        # for the origin series, and placed once the origin track is known;
-        # reading the stage to its end reaps its worker
+        # the unperturbed reference needs nothing of the stage
+        F_ref, G_ref, sA = _reference(a, s_grid, t_slices)
+        # the slices at or past t_clean are integrated from their (c, tau)
+        # rows while the stage steps on for the origin series; reading the
+        # stage to its end reaps its worker
         cmat, taumat = next(stage)
         slices = [_integrated_slice(s_grid, *rows) for rows in zip(cmat, taumat)]
         [(origin, min_abs, boundary_w)] = stage
 
-    # u-side origin series (t = 1/T, ascending in t).  The frame ODE is run
-    # in the gauge n~ + i b~ = e^{i phi/2}(n + i b), whose coupling entry
-    # (a^2/t - c^2)/2 needs only |v(0,T)| -- no spatial derivatives, so the
-    # entry stays clean even when the dispersed tail wraps the box.
-    a2 = a * a
-    t_u = (1.0 / Ts)[::-1]
-    v0s, vx0, vxx0 = origin[::-1].T
-    absv = np.abs(v0s)
-    tau0 = -np.imag(vx0 / v0s) / t_u
-    c0 = absv / np.sqrt(t_u)
-    dabs = np.real(np.conj(v0s) * vx0) / absv
-    c_s0 = dabs / (t_u * np.sqrt(t_u))
-    phi0 = np.unwrap(-np.angle(v0s))
-    g_entry = (a2 / t_u - c0**2) / 2
-    # the 1/t^{3/2}-weighted first-derivative entries are dominated by
-    # box-wrap noise past the faithful horizon while their true size decays;
-    # drop them there (the |v(0)|-based entries g and phi stay measured)
-    ctau0 = c0 * tau0
-    late = t_u < t_clean
-    ctau0[late] = 0.0
-    c_s0[late] = 0.0
-    series = OriginSeries(t_u, ctau0, c_s0, g_entry, c0, phi=phi0)
-
-    # extra-information identity at s = 0, a^2/t + phi_t = 2 q + c^2 with
-    # q = (c_ss - c tau^2)/c read spectrally; reported relative to the
-    # leading a^2/t scale and limited to times where the periodic box
-    # still cleanly represents the line (before the dispersed tail wraps)
-    d2abs = (np.real(np.conj(v0s) * vxx0) + np.abs(vx0) ** 2 - dabs**2) / absv
-    q0 = d2abs / (absv * t_u**2) - tau0**2
-    dphi = _nonuniform_dt(phi0[:, None], t_u)[:, 0]
-    extra = np.abs(a2 / t_u[1:-1] + dphi - 2 * q0[1:-1] - c0[1:-1] ** 2)
-    clean = t_u[1:-1] >= t_clean
-    extra_defect = float(np.max((extra * t_u[1:-1] / a2)[clean]))
-
-    # slices below t_clean from the reference, the others integrated; each
-    # turned and moved by the origin track in turn, its unplaced copy
-    # dropped, and its tangent read against the reference tangent
+    # the reversed view, not 1.0 / Ts[::-1]: on that contiguous copy numpy's
+    # log and sqrt take another path and the frames move in the last digit
+    series, extra_defect = _origin_series(a, (1.0 / Ts)[::-1], origin, t_clean)
+    # slices below t_clean from the reference, the others integrated, each
+    # integrated one dropped from ``slices`` as it is placed
+    unplaced = itertools.chain(
+        (_profile_slice(a, s_grid, t_slices[k], (F_ref[k], G_ref[k])) for k in range(n_prof)),
+        (slices.pop(0) for _ in range(len(slices))))
     point0 = np.array([0.0, 0.0, 2 * a * math.sqrt(t_max)])
-    frames, chi = _origin_track(series, np.eye(3), point0, t_slices)
-    F_ref, G_ref = F_ref.reshape(n_slices, -1, 3, 3), G_ref.reshape(n_slices, -1, 3)
-    curves, defects = [], []
-    for k in range(n_slices):
-        unplaced = (_profile_slice(a, s_grid, t_slices[k], (F_ref[k], G_ref[k]))
-                    if k < n_prof else slices.pop(0))
-        curves.append(_placed(unplaced, frames[k], chi[k]))
-        T = curves[k].frames[:, 0]
-        defects.append(np.max(np.linalg.norm(T - F_ref[k, :, 0], axis=1)))
-    sup_T = float(np.max(defects))
-    result = FlowResult(t_slices, curves, frames, chi)
+    result = _flow(series, np.eye(3), point0, t_slices, unplaced)
+    sup_T = float(np.max([np.max(np.linalg.norm(c.frames[:, 0] - F_ref[k, :, 0], axis=1))
+                          for k, c in enumerate(result.curves)]))
     trace, const = trace_at_zero(result)
-
-    # vertex from the sqrt(t) law at s = 0, then cone defect vs A+/-
-    r1, r2 = math.sqrt(t_slices[0]), math.sqrt(t_slices[1])
-    vertex = chi[0] - r1 * (chi[1] - chi[0]) / (r2 - r1)
-    dev = np.linalg.norm(trace.points - vertex[None] - sA, axis=1)
-    # the floor keeps the sqrt(t_min) corner layer out of the quotient
-    outer = np.abs(s_grid) >= _CONE_FLOOR
-    cone = float(np.max(dev[outer] / np.abs(s_grid[outer])))
-    dplus = trace.points[-1] - vertex
-    dminus = trace.points[0] - vertex          # points along -A_minus
-    dplus /= np.linalg.norm(dplus)
-    dminus /= np.linalg.norm(dminus)
-    gamma = float(np.arccos(np.clip(np.dot(dplus, dminus), -1, 1)))
-    a1, gamma_cf = selfsimilar.corner_angle(a)
+    vertex, cone, gamma = _corner(trace, result.chi_origin, t_slices, sA, s_grid)
+    _, gamma_cf = selfsimilar.corner_angle(a)
     return StabilityReport(
         a=float(a), sign=sign, coeff=coeff, uplus_norm=float(norm_up),
         t_grid=t_slices, cone_defect=cone, gamma_measured=gamma,

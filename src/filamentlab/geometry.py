@@ -1,6 +1,7 @@
-"""Core 3-vector and frame types, Frenet integration, curve reconstruction,
-and binormal-flow residual diagnostics.  ``frenet_integrate`` takes the
-``step`` and ``out_every`` keywords of ``integrators.propagate_frame``."""
+"""Curve and frame-trajectory types, Frenet integration, curve
+reconstruction, and binormal-flow residual diagnostics.  A frame is a 3x3
+matrix of rows (T, n, b); ``frenet_integrate`` takes the ``step`` and
+``out_every`` keywords of ``integrators.propagate_frame``."""
 
 from __future__ import annotations
 
@@ -16,16 +17,8 @@ from .errors import (
 )
 from .integrators import propagate_frame
 
-TOL_UNIT = 1e-9
 TOL_FRAME = 1e-8
 TOL_CURVATURE = 1e-6  # below this torsion is flagged, not invented
-
-
-def unit_vec3(v):
-    v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > TOL_UNIT:
-        raise InvalidParameter(f"|v| = {np.linalg.norm(v)!r} is not 1 within {TOL_UNIT}")
-    return v
 
 
 def _checked_frame(M):
@@ -40,28 +33,6 @@ def _checked_frame(M):
     if not abs(np.linalg.det(M) - 1.0) <= TOL_FRAME:
         raise InvalidParameter("frame not right-handed")
     return M
-
-
-@dataclass(frozen=True)
-class FrenetFrame:
-    """Right-handed orthonormal triple (T, n, b)."""
-
-    T: np.ndarray
-    n: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        for v in (self.T, self.n, self.b):
-            unit_vec3(v)
-        _checked_frame(self.matrix())
-
-    def matrix(self):
-        """Rows (T, n, b)."""
-        return np.stack([self.T, self.n, self.b])
-
-    @staticmethod
-    def identity():
-        return FrenetFrame(np.eye(3)[0], np.eye(3)[1], np.eye(3)[2])
 
 
 @dataclass
@@ -215,12 +186,12 @@ def frenet_integrate(c, tau, frame0, s_span, *, step=1e-3, out_every=16,
     the frame needs no renormalization; output nodes land every
     ``out_every`` fine steps (``integrators.propagate_frame``).  When
     ``position0`` is given the curve point (chi' = T) is carried in the same
-    linear system.  A raw ``frame0`` matrix must be orthonormal and
-    right-handed, as a FrenetFrame is.
+    linear system.  ``frame0`` is a 3x3 matrix of rows (T, n, b),
+    orthonormal and right-handed within TOL_FRAME (InvalidParameter
+    otherwise).
     """
-    F0 = frame0.matrix() if isinstance(frame0, FrenetFrame) else _checked_frame(frame0)
     s_out, frames, points = propagate_frame(
-        c, tau, float(s_span[0]), float(s_span[1]), F0,
+        c, tau, float(s_span[0]), float(s_span[1]), _checked_frame(frame0),
         step=step, out_every=out_every, position0=position0,
     )
     return FrameTrajectory(s_out, frames, points)

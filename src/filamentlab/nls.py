@@ -467,8 +467,9 @@ def _long_range_store(n_steps):
     return max(1, n_steps // 24)
 
 
-def long_range_comparison(a, u_plus, sign, t_span, n_steps, *, coeff=1.0):
-    """One GP run from v1(t0); ansatz defects with and without the log phase.
+def long_range_comparison(a, u_plus, sign, t_span, n_steps):
+    """One GP run from v1(t0), at the 1/t equation's default coefficient 1;
+    ansatz defects with and without the log phase.
 
     Snapshots are checked about 24 times over the run, each as ``evolve``
     makes it (its ``sink``); none is kept.  Returns a dict with
@@ -480,8 +481,7 @@ def long_range_comparison(a, u_plus, sign, t_span, n_steps, *, coeff=1.0):
     if n_steps < 2:
         # the slopes are fitted through the later half of >= 2 stored times
         raise InvalidParameter(f"n_steps must be >= 2, got {n_steps}")
-    problem = NlsProblem(sign=sign, background_a=a, potential="gp",
-                         t_span=tuple(t_span), coeff=coeff)
+    problem = NlsProblem(sign=sign, background_a=a, potential="gp", t_span=tuple(t_span))
     # the steps ``evolve`` stores: 0, every store-th one and the last
     store = _long_range_store(n_steps)
     k = np.append(np.arange(0, n_steps, store), n_steps)
@@ -494,13 +494,13 @@ def long_range_comparison(a, u_plus, sign, t_span, n_steps, *, coeff=1.0):
             f"t_span {problem.t_span}: the later half of the stored times is not "
             "distinct in log t to within np.polyfit's rank tolerance, so no decay "
             "slope can be fitted")
-    v0 = long_range_ansatz(u_plus, a, sign, problem.t_span[0], coeff)
+    v0 = long_range_ansatz(u_plus, a, sign, problem.t_span[0], problem.coeff)
     d_phase, d_free, d_deriv = [], [], []
 
     def defects(t, f):
         # the ansatz with and without its log phase share one free evolution
         w = free_evolution(u_plus, t).values
-        diff = f.copy_with(f.values - (a + w * _log_phase(a, sign, coeff, t)))
+        diff = f.copy_with(f.values - (a + w * _log_phase(a, sign, problem.coeff, t)))
         d_phase.append(diff.l2_norm())
         d_free.append(f.copy_with(f.values - (a + w)).l2_norm())
         d_deriv.append(diff.derivative().l2_norm())

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from filamentlab import cli, flow, geometry, nls, selfsimilar, spiral, theta
-from filamentlab.geometry import FrenetFrame, IntrinsicData
+from filamentlab.geometry import IntrinsicData
 
 
 def _report(n, msg, t0, limit):
@@ -107,8 +107,7 @@ def test_criterion_5_cross_oracles():
     trajs = [theta.theta_solve(c_fn, tau_fn, st, (0.0, 50.0), **grid_t)
              for st in theta.canonical_initial_data(a)]
     fr_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
-    fr = geometry.frenet_integrate(c_fn, tau_fn, FrenetFrame.identity(),
-                                   (0.0, 50.0),
+    fr = geometry.frenet_integrate(c_fn, tau_fn, np.eye(3), (0.0, 50.0),
                                    step=2.5e-4, out_every=80)
     d_routes = float(np.max(np.abs(fr.T - fr_theta.frames[:, 0])))
     assert d_routes <= 1e-6

@@ -204,7 +204,7 @@ def test_reconstructed_curves_lie_on_data_grid(s_max, ds):
     (np.eye(2), "3x3"),
 ], ids=["zero", "twice-identity", "left-handed", "nan", "2x2"])
 def test_raw_frame0_must_be_a_frame(frame0, message):
-    # both boundaries that take a raw matrix check it as FrenetFrame does
+    # both boundaries that take a frame check it with geometry._checked_frame
     data = selfsimilar_data(0.5, 0.5, 1.0, 3, 1.0, 0.05)
     with pytest.raises(InvalidParameter, match=message):
         flow.reconstruct_flow(data, frame0, np.zeros(3))
@@ -326,6 +326,25 @@ def test_origin_frame_rejects_an_unresolved_rotation(entry, error, message):
     series = flow.OriginSeries(t, 0 * t, 0 * t, np.full(2, entry), np.ones(2))
     with pytest.raises(error, match=re.escape(message)):
         flow._frame_ode_backward(series)
+
+
+def test_corner_of_an_exact_v_shape():
+    # the trace is the V-shape set at a vertex, and the origin points lie on
+    # a line through the vertex at sqrt(t) = 1/4 and 1/2; every number is
+    # dyadic or a unit vector whose norm rounds to 1, so the corner is exact
+    A_plus = np.array([0.36, 0.48, 0.8])
+    A_minus = np.array([0.36, -0.48, -0.8])
+    assert np.linalg.norm(A_plus) == np.linalg.norm(A_minus) == 1.0
+    vertex = np.array([0.5, -0.25, 1.0])
+    s = np.arange(-4.0, 4.25, 0.25)
+    sA = selfsimilar.v_shape(A_plus, A_minus, s)
+    trace = geometry.Curve(s, vertex + sA)
+    t = np.array([1 / 16, 1 / 4])
+    chi = vertex + np.sqrt(t)[:, None] * np.array([0.5, -0.25, 1.0])
+    got, cone, gamma = flow._corner(trace, chi, t, sA, s)
+    assert np.max(np.abs(got - vertex)) <= 1e-15
+    assert cone <= 1e-15
+    assert gamma == selfsimilar.gamma_between(A_plus, A_minus)
 
 
 def test_trace_at_zero_selfsimilar():

@@ -14,7 +14,7 @@ from filamentlab.errors import (
     InvalidParameter,
     NonFiniteCoefficient,
 )
-from filamentlab.geometry import Curve, FrenetFrame, frenet_integrate
+from filamentlab.geometry import Curve, frenet_integrate
 
 ONES = lambda s: np.ones(np.shape(s))
 ZERO = lambda s: np.zeros(np.shape(s))
@@ -32,32 +32,29 @@ def helix_curve(s):
 
 
 def test_circle_closes():
-    traj = frenet_integrate(ONES, ZERO, FrenetFrame.identity(), (0, 2 * np.pi),
+    traj = frenet_integrate(ONES, ZERO, np.eye(3), (0, 2 * np.pi),
                             step=1e-3, out_every=16)
     assert np.linalg.norm(traj.T[-1] - traj.T[0]) < 1e-6
     assert traj.s[0] == 0.0
 
 
 def test_zero_coefficients_freeze_frame():
-    traj = frenet_integrate(ZERO, ZERO, FrenetFrame.identity(), (0, 5.0),
+    traj = frenet_integrate(ZERO, ZERO, np.eye(3), (0, 5.0),
                             step=1e-2, out_every=8)
     assert np.max(np.abs(traj.frames - np.eye(3)[None])) < 1e-14
 
 
 def test_helix_matches_closed_form():
     half = lambda s: 0.5 * np.ones(np.shape(s))
-    frame0 = FrenetFrame(
-        helix_tangent(np.array([0.0]))[0],
-        np.array([-1.0, 0.0, 0.0]),
-        np.cross(helix_tangent(np.array([0.0]))[0], [-1.0, 0.0, 0.0]),
-    )
+    T0 = helix_tangent(np.array([0.0]))[0]
+    frame0 = np.stack([T0, [-1.0, 0.0, 0.0], np.cross(T0, [-1.0, 0.0, 0.0])])
     traj = frenet_integrate(half, half, frame0, (0, 12.0), step=5e-4, out_every=16)
     assert np.max(np.abs(traj.T - helix_tangent(traj.s))) < 1e-6
 
 
 def test_orthonormality_long_span():
     traj = frenet_integrate(lambda s: 1 + 0.3 * np.sin(s), lambda s: s / 2,
-                            FrenetFrame.identity(), (0, 100.0), step=1e-3, out_every=16)
+                            np.eye(3), (0, 100.0), step=1e-3, out_every=16)
     assert geometry.frame_orthonormality_defect(traj.frames) <= 1e-8
 
 
@@ -65,7 +62,7 @@ def test_rk4_convergence_order_at_least_4():
     """Magnus-4 order on variable coefficients; constant ones it solves exactly."""
     c_fn = lambda s: 1 + 0.3 * np.sin(s)
     tau_fn = lambda s: 0.5 * np.cos(s)
-    frame0 = FrenetFrame.identity()
+    frame0 = np.eye(3)
 
     def final_frame(step):
         return frenet_integrate(c_fn, tau_fn, frame0, (0, 2 * np.pi),
@@ -221,7 +218,7 @@ def test_inversion_round_trip_second_order():
     tau_fn = lambda s: 0.5 * np.cos(s)
     errs = []
     for m in (8, 4):
-        traj = frenet_integrate(c_fn, tau_fn, FrenetFrame.identity(), (0, 10.0),
+        traj = frenet_integrate(c_fn, tau_fn, np.eye(3), (0, 10.0),
                                 step=2.5e-4, out_every=m, position0=np.zeros(3))
         curve = Curve(traj.s, traj.points)
         out = geometry.curvature_torsion_from_curve(curve)
@@ -271,7 +268,7 @@ def test_bf_residual_grid_mismatch():
 def test_nonfinite_coefficient_raises():
     bad = lambda s: np.where(s > 1, np.inf, 1.0)
     with pytest.raises(NonFiniteCoefficient):
-        frenet_integrate(bad, ZERO, FrenetFrame.identity(), (0, 2.0),
+        frenet_integrate(bad, ZERO, np.eye(3), (0, 2.0),
                          step=1e-2, out_every=4)
 
 
@@ -279,7 +276,7 @@ def test_empty_span_rejected():
     from filamentlab import spiral
 
     with pytest.raises(InvalidParameter):
-        frenet_integrate(ONES, ZERO, FrenetFrame.identity(), (1.0, 1.0))
+        frenet_integrate(ONES, ZERO, np.eye(3), (1.0, 1.0))
     params = spiral.SpiralParams(0.4, np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(InvalidParameter):
         spiral.spiral_profile(params, (0.0, 0.0))
@@ -291,25 +288,24 @@ def test_step_limit_enforced():
     # 1e8 fine steps, twice the budget: rejected when planned, before the
     # 2.5e7 output nodes are allocated
     with pytest.raises(StepLimitExceeded):
-        frenet_integrate(ONES, ZERO, FrenetFrame.identity(), (0, 100.0),
+        frenet_integrate(ONES, ZERO, np.eye(3), (0, 100.0),
                          step=1e-6, out_every=4)
 
 
 def test_frame_validation():
-    with pytest.raises(InvalidParameter):
-        FrenetFrame(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), np.array([0, 0, 1.0]))
-    with pytest.raises(InvalidParameter):
-        FrenetFrame(np.array([2.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
-    # left-handed triple rejected
-    with pytest.raises(InvalidParameter):
-        FrenetFrame(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, -1.0]))
+    # rows (T, n, b): a repeated row, a row of length 2, a left-handed triple
+    for frame0 in ([[1.0, 0, 0], [1.0, 0, 0], [0, 0, 1.0]],
+                   [[2.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]],
+                   [[1.0, 0, 0], [0, 1.0, 0], [0, 0, -1.0]]):
+        with pytest.raises(InvalidParameter):
+            frenet_integrate(ONES, ZERO, frame0, (0, 1.0))
 
 
 SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
 
 
 def test_curve_csv_roundtrip(tmp_path):
-    traj = frenet_integrate(ONES, ZERO, FrenetFrame.identity(), (0, 3.0),
+    traj = frenet_integrate(ONES, ZERO, np.eye(3), (0, 3.0),
                             step=1e-3, out_every=16, position0=np.array([0.0, -1.0, 0.0]))
     # two whole write blocks plus a partial one, with special values
     block = dataio._CSV_BLOCK

@@ -203,7 +203,7 @@ FIXED_STEP_SOLVERS = {
     "propagate_linear2": lambda **kw: propagate_linear2(
         lambda s: np.zeros((len(s), 2, 2), complex), 0.0, 1.0, [1.0, 0.0], **kw)[0],
     "frenet_integrate": lambda **kw: geometry.frenet_integrate(
-        ONE, ONE, geometry.FrenetFrame.identity(), (0.0, 1.0), **kw).s,
+        ONE, ONE, np.eye(3), (0.0, 1.0), **kw).s,
     "theta_solve": lambda **kw: theta.theta_solve(
         ONE, ONE, theta.ThetaState(0.0, 1.0), (0.0, 1.0), **kw).s,
 }

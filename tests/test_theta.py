@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 from filamentlab import geometry, theta
 from filamentlab.errors import CurvatureVanishes, EnergyDegenerate, InvalidParameter
-from filamentlab.geometry import FrenetFrame, frenet_integrate
+from filamentlab.geometry import frenet_integrate
 from filamentlab.theta import ThetaState, canonical_initial_data, theta_solve
 
 CONST_A = lambda a: (lambda s: np.full(np.shape(s), float(a)))
@@ -93,7 +93,7 @@ def test_tangent_cross_oracle_theta_vs_frenet(c_fn, tau_fn, span):
              for st in canonical_initial_data(float(np.asarray(c_fn(0.0))))]
     fr_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
     grid_f = dict(step=2.5e-4, out_every=80)
-    fr = frenet_integrate(c_fn, tau_fn, FrenetFrame.identity(), (0.0, span), **grid_f)
+    fr = frenet_integrate(c_fn, tau_fn, np.eye(3), (0.0, span), **grid_f)
     assert np.max(np.abs(fr.s - fr_theta.s)) < 1e-9
     assert np.max(np.abs(fr.T - fr_theta.frames[:, 0])) <= 1e-12
 
@@ -105,7 +105,7 @@ def test_full_frame_cross_oracle_smooth_coefficients():
     trajs = [theta_solve(c_fn, tau_fn, st, (0.0, 20.0), **grid)
              for st in canonical_initial_data(1.2)]
     fr_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
-    fr = frenet_integrate(c_fn, tau_fn, FrenetFrame.identity(), (0.0, 20.0),
+    fr = frenet_integrate(c_fn, tau_fn, np.eye(3), (0.0, 20.0),
                           step=2.5e-4, out_every=80)
     assert np.max(np.abs(fr.frames - fr_theta.frames)) <= 1e-12
 

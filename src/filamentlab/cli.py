@@ -125,8 +125,7 @@ def _run_angle(params, outdir):
 
 
 def _run_nls(params, outdir):
-    nls.check_memory(params["n_points"], params["n_steps"],
-                     nls._long_range_store(params["n_steps"]), streamed=True)
+    nls.check_memory(params["n_points"], params["n_steps"])
     up = nls.gaussian_field(params["length"], params["n_points"],
                             params["uplus_norm"], params["width"])
     report = nls.long_range_comparison(
@@ -224,7 +223,7 @@ def _run_selfcheck(params, outdir):
     pr = nls.NlsProblem(sign=-1, background_a=0.5, potential="gp", t_span=(1.0, 5.0))
     out = nls.evolve(pr, box, 200)
     check("nls.constant_solution",
-          float(np.max(np.abs(out.fields[-1].values - 0.5))), 1e-12)
+          float(np.max(np.abs(out.final.values - 0.5))), 1e-12)
     check("nls.mass_drift", out.mass_drift(), 1e-10)
 
     ok = all(c[1] for c in checks)

@@ -76,11 +76,12 @@ _CONE_FLOOR = 1.0      # the cone defect reads the nodes with |s| at or above it
 # Planned bytes of a stability run per time step (time grid, origin series,
 # origin-frame ODE), per box point (the stepper's buffers, the spectral
 # weights, the upsampled slice) and per slice node (the (c, tau) rows and the
-# curves), besides the reference's own plan.  The tracemalloc peak grows by
-# 790, 265 and 172 (slice and reference node) bytes per unit, rounded up.
+# curves), besides the reference's own plan (120 per node).  The tracemalloc
+# peak grows by 790, 265 and about 205 (slice and reference node) bytes per
+# unit, rounded up.
 _BYTES_PER_STEP = 1000
 _BYTES_PER_POINT = 400
-_BYTES_PER_NODE = 500
+_BYTES_PER_NODE = 250
 # Range of the time scales t0 and t_min of a stability run: the pipeline's
 # time derivatives and Magnus steps carry up to t^3, a normal float in here
 _TIME_SCALES = (1e-100, 1e100)

@@ -14,9 +14,9 @@ over each step, so mass is conserved to roundoff; a step costs one FFT pair,
 two unit phases of one ``tan`` each (the half-step's on N/2 + 1 frequencies
 only) and no allocation of the field's size.  Each step yields the spectrum
 at its end and the physical-space field at its middle, both buffers that the
-next step overwrites.  ``evolve`` keeps the snapshots it stores, or passes
-each to a sink as it is made and keeps none (``long_range_comparison``),
-so that run holds one snapshot at a time.
+next step overwrites.  ``evolve`` passes each snapshot it stores to a sink
+as it is made and keeps only the last, so a run holds one snapshot at a
+time.
 """
 
 from __future__ import annotations
@@ -37,15 +37,17 @@ from .errors import (
 from .geometry import _nonuniform_dt, _uniform_step
 
 ALIAS_FRACTION = 1e-6
-# Planned bytes of a Strang run per box point (the stepper's buffers and the
-# datum's temporaries, or the work on one snapshot passed to a sink), per
-# point of a stored snapshot (one complex sample) and per time step (the
-# time grid and its differences).  The tracemalloc peak grows by about 145
-# bytes per point for ``evolve`` with its datum and 190 for an nls CLI run
-# (one snapshot held), 16 per stored point and 32 per step; these round
+# Largest share of max|w1| that a background a may round off the ansatz's
+# perturbation w1: a rounds each sample by at most a eps/2, so max|w1| down
+# to about 1e-10 a passes, and what a run reads off w1 keeps six digits.
+W1_RESOLUTION = 1e-6
+# Planned bytes of a Strang run per box point (the stepper's buffers, the
+# datum's temporaries, the last snapshot and the work on one snapshot
+# passed to a sink) and per time step (the time grid and its differences).
+# The tracemalloc peak grows by about 157 bytes per point for ``evolve``
+# with its datum and 192 for an nls CLI run, and 32 per step; these round
 # those up.
 _BYTES_PER_POINT = 200
-_BYTES_PER_STORED_POINT = 16
 _BYTES_PER_STEP = 40
 
 
@@ -202,8 +204,8 @@ def time_grid(problem, n_steps):
 @dataclass
 class EvolveResult:
     times: np.ndarray
-    fields: list
     mass: np.ndarray
+    final: ComplexField
 
     def mass_drift(self):
         """Largest mass change relative to the initial mass (absolute if that is 0)."""
@@ -293,19 +295,12 @@ def _strang(problem, v0, n_steps):
         yield k + 1, ts[k + 1], vhat, v
 
 
-def check_memory(n_points, n_steps, store_every, *, streamed=False):
-    """Plan the bytes of a Strang run on ``n_points`` that stores every
-    ``store_every`` of ``n_steps`` steps (0 or None: the endpoints only):
-    the stepper's buffers, the n_steps/store_every + 2 stored snapshots, or
-    one when ``streamed`` (each passed on as it is made and none kept), and
-    the time grid.  Raise MemoryBudgetExceeded above the package's budget;
+def check_memory(n_points, n_steps):
+    """Plan the bytes of a Strang run of ``n_steps`` steps on ``n_points``:
+    the stepper's buffers, one snapshot in flight, the last one and the
+    time grid.  Raise MemoryBudgetExceeded above the package's budget;
     return the planned bytes."""
-    if streamed:
-        stored = 1
-    else:
-        stored = n_steps // store_every + 2 if store_every else 2
-    need = (n_points * (_BYTES_PER_POINT + _BYTES_PER_STORED_POINT * stored)
-            + _BYTES_PER_STEP * (n_steps + 1))
+    need = n_points * _BYTES_PER_POINT + _BYTES_PER_STEP * (n_steps + 1)
     MemoryBudgetExceeded.check(need, "NLS run")
     return need
 
@@ -313,36 +308,34 @@ def check_memory(n_points, n_steps, store_every, *, streamed=False):
 def evolve(problem, v0, n_steps, *, store_every=None, sink=None):
     """Strang-split run over the problem's time span.
 
-    Stores a snapshot every ``store_every`` steps (always including both
-    endpoints) and tracks the mass at each.  The result holds the
-    snapshots; with ``sink``, a callable, each is passed to ``sink(t,
-    field)`` as it is made instead, and the result's ``fields`` is empty,
-    so the run holds one snapshot at a time.  A snapshot's top-third
-    spectral fraction above ``ALIAS_FRACTION`` is AliasingDetected, raised
-    at the end of the run.
+    Stores a snapshot at step 0, every ``store_every``-th step (0 or None:
+    none between) and the last, and tracks the mass at each; with ``sink``,
+    a callable, each is passed to ``sink(t, field)`` as it is made.  The
+    result keeps the last, ``final``, and no other, so the run holds one
+    snapshot at a time.  A snapshot's top-third spectral fraction above
+    ``ALIAS_FRACTION`` is AliasingDetected, raised at the end of the run.
     """
     if store_every is not None and store_every < 0:
         raise InvalidParameter(f"store_every must be >= 0, got {store_every}")
-    check_memory(v0.n_points, n_steps, store_every, streamed=sink is not None)
-    stored_t, fields, mass, alias = [], [], [], []
+    check_memory(v0.n_points, n_steps)
+    stored_t, mass, alias = [], [], []
 
     def store(t, field):
         stored_t.append(t)
         mass.append(field.mass())
         alias.append(field.alias_fraction())
-        if sink is None:
-            fields.append(field)
-        else:
+        if sink is not None:
             sink(t, field)
 
-    store(problem.t_span[0], v0.copy_with(v0.values.copy()))
+    store(problem.t_span[0], v0)
     for k, t, vhat, _ in _strang(problem, v0, n_steps):
         if (store_every and k % store_every == 0) or k == n_steps:
-            store(t, v0.copy_with(np.fft.ifft(vhat)))
+            final = v0.copy_with(np.fft.ifft(vhat))
+            store(t, final)
     frac = max(alias)
     if frac > ALIAS_FRACTION:
         raise AliasingDetected(f"top-third spectral energy fraction {frac:.2e}")
-    return EvolveResult(np.array(stored_t), fields, np.array(mass))
+    return EvolveResult(np.array(stored_t), np.array(mass), final)
 
 
 def hasimoto(intrinsic):
@@ -399,11 +392,22 @@ def free_evolution(field, t):
 
 
 def long_range_ansatz(u_plus, a, sign, t, coeff=1.0):
-    """v1(t) = a + e^{i sign coeff a^2 log t} (free evolution of u_plus)."""
+    """v1(t) = a + e^{i sign coeff a^2 log t} (free evolution of u_plus).
+
+    A perturbation w1 that (a + w1) - a misses by more than
+    ``W1_RESOLUTION`` max|w1| is InvalidParameter: a run from v1 would
+    measure the rounding of a, not w1."""
     if t <= 0:
         raise InvalidParameter("t must be positive")
     w1 = free_evolution(u_plus, t).values * _log_phase(a, sign, coeff, t)
-    return u_plus.copy_with(a + w1)
+    v1 = a + w1
+    w1_max, lost = np.max(np.abs(w1)), np.max(np.abs((v1 - a) - w1))
+    if lost > W1_RESOLUTION * w1_max:
+        raise InvalidParameter(
+            f"perturbation max|w1| = {w1_max:.3g} is not resolved by the background "
+            f"a = {a:g}: (a + w1) - a is off by {lost / w1_max:.2g} max|w1|, "
+            f"above {W1_RESOLUTION:g}")
+    return u_plus.copy_with(v1)
 
 
 def _log_phase(a, sign, coeff, t):
@@ -462,11 +466,6 @@ def faithful_horizon(u_plus):
     return 4.0 * float(xi[order[min(k, len(xi) - 1)]]) / u_plus.domain_length
 
 
-def _long_range_store(n_steps):
-    """Steps between the snapshots ``long_range_comparison`` checks."""
-    return max(1, n_steps // 24)
-
-
 def long_range_comparison(a, u_plus, sign, t_span, n_steps):
     """One GP run from v1(t0), at the 1/t equation's default coefficient 1;
     ansatz defects with and without the log phase.
@@ -483,7 +482,7 @@ def long_range_comparison(a, u_plus, sign, t_span, n_steps):
         raise InvalidParameter(f"n_steps must be >= 2, got {n_steps}")
     problem = NlsProblem(sign=sign, background_a=a, potential="gp", t_span=tuple(t_span))
     # the steps ``evolve`` stores: 0, every store-th one and the last
-    store = _long_range_store(n_steps)
+    store = max(1, n_steps // 24)
     k = np.append(np.arange(0, n_steps, store), n_steps)
     lt = np.log(time_grid(problem, n_steps)[k[len(k) // 2:]])
     # lt is monotone in k, so a repeat is a neighbour; distinct log t still

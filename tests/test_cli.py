@@ -242,6 +242,8 @@ def test_selfcheck_exit_code_follows_checks(tmp_path, monkeypatch, all_ok, code)
 
 SMALL_GRID = ["--n-points", "256", "--n-steps", "10"]
 SWEEP_GRID = ["--n-points", "256", "--n-steps", "20", "--n-slices", "8", "--tmin-factor", "1e-2"]
+ZERO_DATUM = ["--uplus-norm", "0"]
+UNRESOLVED = "is not resolved by the background"
 # a huge t1 breaks the split step's time step, not the datum
 PHASE = "half-step phase xi^2 dt/2 = 3.23e+301 rad overflows"
 # failed-run rows whose one line must also name what is wrong
@@ -255,12 +257,21 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
                  ("profile", "--a", "1e300"): "s_max = 20 is too small for a = 1e+300",
                  # a^2 is finite, but the reference profile's step turns the
                  # frame by h a = 2e147 rad, before the origin frame's Magnus
-                 # exponent overflows (test_flow pins that message)
+                 # exponent overflows (test_flow pins that message); the zero
+                 # datum, since a nonzero one is lost on such a background
                  ("stability", "--a", "1e150", *SMALL_GRID, "--n-slices", "8",
-                  "--tmin-factor", "1e-2"): "h max(|c|, |tau|) = 2e+147 rad per step",
+                  "--tmin-factor", "1e-2", *ZERO_DATUM):
+                     "h max(|c|, |tau|) = 2e+147 rad per step",
                  # finite frames whose rotation angles round to noise
-                 ("stability", "--a", "1e30", *SWEEP_GRID): "= 2e+27 rad per step overflows",
-                 ("stability", "--a", "1e60", *SWEEP_GRID): "= 2e+57 rad per step overflows",
+                 ("stability", "--a", "1e30", *SWEEP_GRID, *ZERO_DATUM):
+                     "= 2e+27 rad per step overflows",
+                 ("stability", "--a", "1e60", *SWEEP_GRID, *ZERO_DATUM):
+                     "= 2e+57 rad per step overflows",
+                 # a perturbation that a + w1 rounds away: the run would
+                 # report rounding noise with exit 0
+                 ("nls", "--a", "1e16"): UNRESOLVED,
+                 ("nls", "--uplus-norm", "1e-30"): UNRESOLVED,
+                 ("stability", "--a", "1e16"): UNRESOLVED,
                  ("profile", "--a", "1e150", "--smax", "20"): "= 2e+147 rad per step overflows",
                  # a finite block count whose step count, two per block, overflows
                  ("spiral", "--smax", "1e306"): "inf steps needed",
@@ -340,9 +351,10 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
     ["stability", "--ds", "0.3"],
     ["stability", "--smax", "0.5"],
     ["profile", "--a", "1e300"],
-    ["stability", "--a", "1e150", *SMALL_GRID, "--n-slices", "8", "--tmin-factor", "1e-2"],
-    ["stability", "--a", "1e30", *SWEEP_GRID],
-    ["stability", "--a", "1e60", *SWEEP_GRID],
+    ["stability", "--a", "1e150", *SMALL_GRID, "--n-slices", "8", "--tmin-factor", "1e-2",
+     *ZERO_DATUM],
+    ["stability", "--a", "1e30", *SWEEP_GRID, *ZERO_DATUM],
+    ["stability", "--a", "1e60", *SWEEP_GRID, *ZERO_DATUM],
     ["profile", "--a", "1e150", "--smax", "20"],
     ["spiral", "--a", "1e300"],
     ["angle", "--a", "1e300"],
@@ -364,6 +376,9 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
     ["nls", "--t1", "10"],
     ["nls", "--t1", "10.000000000000002"],
     ["nls", "--t1", "10.0000000000002"],
+    ["nls", "--a", "1e16"],
+    ["nls", "--uplus-norm", "1e-30"],
+    ["stability", "--a", "1e16"],
 ], ids=["spiral-negative-smax", "spiral-over-step-limit",
         "profile-inf-step", "profile-inf-smax", "angle-inf-smax",
         "profile-huge-smax", "angle-huge-smax", "nls-inf-t1",
@@ -389,7 +404,8 @@ FAILURE_NAMES = {("stability", "--ds", "0.3"): "s = 0 must be a grid node",
         "spiral-unresolved-mu",
         "profile-tiny-smax", "profile-a-0-tiny-smax", "angle-tiny-smax",
         "profile-huge-a-tiny-smax", "nls-empty-span", "nls-span-of-one-ulp",
-        "nls-span-below-fit-rank"])
+        "nls-span-below-fit-rank", "nls-unresolved-a", "nls-unresolved-uplus-norm",
+        "stability-unresolved-a"])
 def test_failed_run_leaves_no_directory(tmp_path_factory, tmp_path, capsys, args):
     bad_config = tmp_path_factory.mktemp("config") / "bad.cfg"
     bad_config.write_text("a = abc\n")
@@ -521,23 +537,20 @@ def test_nls_runs_stay_inside_their_memory_plan(tmp_path, sub, args):
     # over a background that is built while traced, as the nls runner
     # builds its datum; nls: the CLI runner
     if sub == "evolve":
-        store = args["store_every"]
         problem = nls.NlsProblem(sign=-1, background_a=0.5, t_span=(1.0, 10.0))
 
         def run():
             bump = nls.gaussian_field(100.0, args["n_points"], 1e-2, 2.0)
             nls.evolve(problem, bump.copy_with(0.5 + bump.values), args["n_steps"],
-                       store_every=store)
+                       store_every=args["store_every"])
     else:
         params = {key: kind(default) for key, (kind, default) in cli.SPECS[sub].items()}
         params.update(args)
-        store = nls._long_range_store(params["n_steps"])
 
         def run():
             cli.RUNNERS[sub](params, tmp_path)
-    # the nls runner passes each snapshot on as it is made and keeps none
-    plan = nls.check_memory(args["n_points"], args["n_steps"], store,
-                            streamed=sub == "nls")
+    # either run holds one snapshot in flight and the last
+    plan = nls.check_memory(args["n_points"], args["n_steps"])
     tracemalloc.start()
     try:
         run()

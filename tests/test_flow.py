@@ -716,6 +716,29 @@ def test_stability_plans_its_memory(big):
         flow.check_scales(*{**args, **big}.values())
 
 
+def test_stability_plans_its_nodes_within_twice_their_peak(monkeypatch):
+    # halving ds doubles the slice nodes; the traced peak grows by about 200
+    # bytes per slice node, its reference node included, and the plan's
+    # growth per node covers that by less than 2x.
+    # tracemalloc sees this process only: the stage runs here on one CPU
+    monkeypatch.setattr(flow.dataio, "_fork_cpus", lambda: 1)
+    up = nls.gaussian_field(125.0, 1024, 1e-2, width=2.0)
+    runs = []
+    for ds in (0.005, 0.0025):
+        args = (1.0, 1e-2, 2.0, ds, 1024, 100, 40)
+        tracemalloc.start()
+        try:
+            flow.stability_experiment(0.5, up, 1.0, t_min_factor=1e-2, s_max=2.0,
+                                      ds=ds, n_steps=100, n_slices=40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        runs.append((peak, flow.check_scales(*args), 40 * (round(4.0 / ds) + 1)))
+    (p1, q1, n1), (p2, q2, n2) = runs
+    growth, plan = (p2 - p1) / (n2 - n1), (q2 - q1) / (n2 - n1)
+    assert growth <= plan <= 2 * growth
+
+
 def test_stability_admits_a_small_tmin_on_a_fine_box():
     # the reference profile to sigma = 5000 costs its 40 040 sampled nodes
     # and one kernel piece, not the 2.5 million nodes of its span

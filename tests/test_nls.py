@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -19,6 +21,14 @@ from filamentlab.errors import (
 )
 from filamentlab.geometry import IntrinsicData
 from filamentlab.nls import ComplexField, NlsProblem, evolve, gaussian_field
+
+
+def collected(problem, v0, n_steps, store_every):
+    """``evolve``'s result and every snapshot it stored, collected by a sink."""
+    fields = []
+    out = evolve(problem, v0, n_steps, store_every=store_every,
+                 sink=lambda t, field: fields.append(field))
+    return out, fields
 
 
 def uniform_slice(L, n, c_fn, tau_fn):
@@ -69,7 +79,7 @@ def test_gp_constant_background_is_exact():
     f = ComplexField(50.0, n, np.full(n, 0.8, dtype=complex))
     problem = NlsProblem(sign=-1, background_a=0.8, potential="gp", t_span=(1.0, 20.0))
     out = evolve(problem, f, 400)
-    assert np.max(np.abs(out.fields[-1].values - 0.8)) < 1e-12
+    assert np.max(np.abs(out.final.values - 0.8)) < 1e-12
     assert out.mass_drift() <= 1e-10
 
 
@@ -93,7 +103,7 @@ def test_second_order_self_convergence():
     problem = NlsProblem(sign=1, background_a=0.0, potential="none", t_span=(0.0, 1.0))
 
     def final(nsteps):
-        return evolve(problem, v0, nsteps).fields[-1].values
+        return evolve(problem, v0, nsteps).final.values
 
     ref = final(3200)
     e1 = np.max(np.abs(final(200) - ref))
@@ -115,8 +125,8 @@ def test_galilean_covariance(coeffs, m, sign):
     v = np.fft.ifft(spec) * n
     u0 = ComplexField(L, n, 0.3 * v / max(1.0, float(np.max(np.abs(v)))))
     problem = NlsProblem(sign=sign, background_a=0.0, potential="none", t_span=(0.0, t1))
-    direct = evolve(problem, nls.galilean_transform(u0, m, 0.0), 200).fields[-1]
-    moved = nls.galilean_transform(evolve(problem, u0, 200).fields[-1], m, t1)
+    direct = evolve(problem, nls.galilean_transform(u0, m, 0.0), 200).final
+    moved = nls.galilean_transform(evolve(problem, u0, 200).final, m, t1)
     assert np.max(np.abs(direct.values - moved.values)) <= 1e-6
 
 
@@ -129,12 +139,12 @@ def test_scaling_symmetry():
     u0 = ComplexField(L, n, 0.2 * np.exp(-x**2 / 9))
     t1 = 0.4
     coarse = evolve(NlsProblem(sign=1, background_a=0.0, potential="none",
-                               t_span=(0.0, t1)), u0, 1600).fields[-1]
+                               t_span=(0.0, t1)), u0, 1600).final
     # rescaled run on the box of length L/lam: datum lam*u0(lam x)
     xs = ComplexField(L / lam, n, np.zeros(n, dtype=complex)).grid()
     u0s = ComplexField(L / lam, n, lam * 0.2 * np.exp(-((lam * xs) ** 2) / 9))
     fine = evolve(NlsProblem(sign=1, background_a=0.0, potential="none",
-                             t_span=(0.0, t1 / lam**2)), u0s, 1600).fields[-1]
+                             t_span=(0.0, t1 / lam**2)), u0s, 1600).final
     assert np.max(np.abs(fine.values - lam * coarse.values)) <= 1e-6
 
 
@@ -169,6 +179,26 @@ def test_long_range_ansatz_properties():
                          - (0.0 + free.values))) < 1e-14
 
 
+@pytest.mark.parametrize("a, norm", [(1e16, 1e-2), (0.5, 1e-30)])
+def test_long_range_ansatz_refuses_a_perturbation_the_background_rounds_away(a, norm):
+    # a + w1 drops w1 (or all but its imaginary part), so a run from it would
+    # measure rounding
+    up = gaussian_field(100.0, 256, norm, width=2.0)
+    with pytest.raises(InvalidParameter,
+                       match=r"max\|w1\| = .* is not resolved by the background "
+                             rf"a = {re.escape(f'{a:g}')}:"):
+        nls.long_range_ansatz(up, a, -1, 10.0)
+    # scaled to max|w1| = 1e-8 a, the datum passes on the same background:
+    # (a + w1) - a keeps it to about 1e-8
+    w_max = np.max(np.abs(nls.free_evolution(up, 10.0).values))
+    assert w_max > 0
+    small = up.copy_with(up.values * (1e-8 * a / w_max))
+    w1 = nls.free_evolution(small, 10.0).values * nls._log_phase(a, -1, 1.0, 10.0)
+    v1 = nls.long_range_ansatz(small, a, -1, 10.0).values
+    assert np.array_equal(v1, a + w1)
+    assert np.max(np.abs((v1 - a) - w1)) <= 1e-6 * np.max(np.abs(w1))
+
+
 def test_gp_energy_constant_zero_and_law():
     n = 256
     f = ComplexField(50.0, n, np.full(n, 0.9, dtype=complex))
@@ -181,15 +211,15 @@ def test_gp_energy_constant_zero_and_law():
     def law_defect(nsteps):
         # refining nsteps with fixed store_every also refines the sampling
         # grid of the central-difference dE/dt estimate
-        out = evolve(problem, v0, nsteps, store_every=25)
-        return nls.gp_energy_law_defect(out.times, out.fields, 0.5, -1)
+        out, fields = collected(problem, v0, nsteps, 25)
+        return nls.gp_energy_law_defect(out.times, fields, 0.5, -1)
 
     d1, d2 = law_defect(400), law_defect(800)
     assert d1 / d2 > 3.0  # O(dt^2)
 
     # defocusing branch: E(t) monotone non-increasing
-    out = evolve(problem, v0, 800, store_every=50)
-    E = [nls.gp_energy(f, t, 0.5, -1) for f, t in zip(out.fields, out.times)]
+    out, fields = collected(problem, v0, 800, 50)
+    E = [nls.gp_energy(f, t, 0.5, -1) for f, t in zip(fields, out.times)]
     assert all(e1 >= e2 - 1e-12 for e1, e2 in zip(E, E[1:]))
 
 
@@ -204,16 +234,16 @@ def test_long_range_phase_signature_small():
 
 def test_streamed_comparison_equals_the_kept_snapshots():
     # the report read off each snapshot as evolve makes it equals, exactly,
-    # one built from the snapshots evolve keeps
+    # one built afterwards from the snapshots a sink kept
     a, sign, t_span, n_steps = 0.5, -1, (10.0, 2000.0), 240
     up = gaussian_field(240.0, 1024, 1e-2, width=2.0)
     got = nls.long_range_comparison(a, up, sign, t_span, n_steps)
     problem = NlsProblem(sign=sign, background_a=a, potential="gp", t_span=t_span)
-    store = nls._long_range_store(n_steps)
-    res = evolve(problem, nls.long_range_ansatz(up, a, sign, t_span[0]), n_steps,
-                 store_every=store)
+    store = n_steps // 24  # the comparison's snapshot spacing
+    res, fields = collected(problem, nls.long_range_ansatz(up, a, sign, t_span[0]),
+                            n_steps, store)
     d_phase, d_free, d_deriv = [], [], []
-    for t, f in zip(res.times, res.fields):
+    for t, f in zip(res.times, fields):
         w = nls.free_evolution(up, t).values
         diff = f.copy_with(f.values - (a + w * nls._log_phase(a, sign, 1.0, t)))
         d_phase.append(diff.l2_norm())
@@ -246,15 +276,19 @@ def test_evolve_sink_sees_each_snapshot_and_keeps_none():
     f = gaussian_field(40.0, n, 0.5, width=2.0)
     v0 = f.copy_with(0.5 + f.values * np.exp(0.3j * f.grid()))
     problem = NlsProblem(sign=-1, background_a=0.5, potential="gp", t_span=(1.0, 3.0))
-    kept = evolve(problem, v0, 12, store_every=5)
     seen = []
-    streamed = evolve(problem, v0, 12, store_every=5,
-                      sink=lambda t, field: seen.append((t, field.values.copy())))
-    assert streamed.fields == []
-    assert [t for t, _ in seen] == kept.times.tolist()
-    assert all(np.array_equal(v, g.values) for (_, v), g in zip(seen, kept.fields))
-    assert np.array_equal(streamed.mass, kept.mass)
-    assert np.array_equal(streamed.times, kept.times)
+    out = evolve(problem, v0, 12, store_every=5,
+                 sink=lambda t, field: seen.append((t, field.values.copy())))
+    # step 0, every fifth step and the last, as the stepper makes them
+    spectra = {k: vhat.copy() for k, _, vhat, _ in nls._strang(problem, v0, 12)}
+    want = [v0.values] + [np.fft.ifft(spectra[k]) for k in (5, 10, 12)]
+    assert [t for t, _ in seen] == out.times.tolist()
+    assert np.array_equal(out.times, nls.time_grid(problem, 12)[[0, 5, 10, 12]])
+    assert all(np.array_equal(v, w) for (_, v), w in zip(seen, want, strict=True))
+    assert np.array_equal(out.mass, [v0.copy_with(w).mass() for w in want])
+    # the result keeps the last snapshot and no other
+    assert [f.name for f in dataclasses.fields(out)] == ["times", "mass", "final"]
+    assert np.array_equal(out.final.values, want[-1])
 
 
 def test_long_range_comparison_memory_per_point():
@@ -271,6 +305,24 @@ def test_long_range_comparison_memory_per_point():
         finally:
             tracemalloc.stop()
     assert (peaks[65536] - peaks[8192]) / (65536 - 8192) <= 250
+
+
+def test_evolve_memory_does_not_grow_with_the_snapshot_count():
+    # a snapshot at each of 200 steps on 2^12 points: the run holds one in
+    # flight and the last (a traced peak of 0.59 MB), inside the plan of
+    # 0.83 MB.  When evolve kept every snapshot its peak grew by one per
+    # step, 16 bytes per point: 3.98 MB at 50 steps and 13.7 MB at 200
+    n, n_steps = 2**12, 200
+    f = gaussian_field(100.0, n, 1e-2, width=2.0)
+    v0 = f.copy_with(0.5 + f.values)
+    problem = NlsProblem(sign=-1, background_a=0.5, t_span=(1.0, 10.0))
+    tracemalloc.start()
+    try:
+        evolve(problem, v0, n_steps, store_every=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= nls.check_memory(n, n_steps)
 
 
 def test_validation_errors():
@@ -293,9 +345,11 @@ def test_validation_errors():
     for n_steps, store_every in ((0, None), (-3, None), (10, -1)):
         with pytest.raises(InvalidParameter, match="must be >= "):
             evolve(quiet, ComplexField.zeros(10.0, 64), n_steps, store_every=store_every)
-    # a snapshot at each of a million steps is refused before any is stored
+    # a box of 2^24 points is refused before its buffers are allocated; a
+    # million steps on 4096 points keep one snapshot, not a million
     with pytest.raises(MemoryBudgetExceeded, match="budget"):
-        nls.check_memory(4096, 10**6, 1)
+        nls.check_memory(2**24, 100)
+    assert nls.check_memory(4096, 10**6) < 2**26
     for length in (0.0, -5.0, math.inf, -math.inf, math.nan):
         with pytest.raises(InvalidParameter, match="domain_length"):
             ComplexField(length, 64, np.zeros(64, dtype=complex))
@@ -422,7 +476,7 @@ def test_stepper_matches_unfused_strang(potential):
     ref = _unfused_strang(problem, v0, n_steps)
     out = evolve(problem, v0, n_steps, store_every=100)
     assert np.max(np.abs(ref - v0.values)) > 0.1  # the run moved the field
-    assert np.max(np.abs(out.fields[-1].values - ref)) <= 1e-12
+    assert np.max(np.abs(out.final.values - ref)) <= 1e-12
     # the stepper overwrites its spectrum buffer at every step, so keep copies
     steps = [(k, t, vhat.copy()) for k, t, vhat, _ in nls._strang(problem, v0, n_steps)]
     assert not np.array_equal(steps[0][2], steps[-1][2])
@@ -505,15 +559,16 @@ def test_evolve_snapshots_are_distinct_copies():
     v0 = f.copy_with(0.5 + f.values * np.exp(0.3j * f.grid()))
     problem = NlsProblem(sign=-1, background_a=0.5, potential="gp", t_span=(1.0, 3.0))
     n_steps = 12
-    out = evolve(problem, v0, n_steps, store_every=1)
+    _, fields = collected(problem, v0, n_steps, 1)
     expect = [v0.values] + [np.fft.ifft(vhat.copy())
                             for _, _, vhat, _ in nls._strang(problem, v0, n_steps)]
-    assert len(out.fields) == n_steps + 1
-    for got, want in zip(out.fields, expect, strict=True):
+    assert len(fields) == n_steps + 1
+    # each snapshot the sink kept still holds its step's field
+    for got, want in zip(fields, expect, strict=True):
         assert np.array_equal(got.values, want)
-    for i in range(len(out.fields)):
+    for i in range(len(fields)):
         for j in range(i):
-            assert not np.array_equal(out.fields[i].values, out.fields[j].values)
+            assert not np.array_equal(fields[i].values, fields[j].values)
 
 
 def test_evolve_fft_count(monkeypatch):
@@ -534,8 +589,8 @@ def test_evolve_fft_count(monkeypatch):
     problem = NlsProblem(sign=-1, background_a=0.5, potential="gp", t_span=(1.0, 3.0))
     n_steps = 60
     out = evolve(problem, f.copy_with(0.5 + f.values), n_steps, store_every=20)
-    assert len(out.fields) == 4
-    assert len(calls) <= 2 * n_steps + 2 * len(out.fields)
+    assert len(out.times) == 4
+    assert len(calls) <= 2 * n_steps + 2 * len(out.times)
 
 
 @pytest.mark.parametrize("L, N", [(100.0, 1024), (400.0, 4096)])

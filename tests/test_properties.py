@@ -162,8 +162,10 @@ def test_gp_energy_law_defect_falls_at_second_order(run):
     problem, v0 = run
     defects = []
     for steps in (400, 800):
-        out = nls.evolve(problem, v0, steps, store_every=20)
-        defects.append(nls.gp_energy_law_defect(out.times, out.fields,
+        fields = []
+        out = nls.evolve(problem, v0, steps, store_every=20,
+                         sink=lambda t, field: fields.append(field))
+        defects.append(nls.gp_energy_law_defect(out.times, fields,
                                                 problem.background_a, problem.sign,
                                                 problem.coeff))
     assert defects[1] <= defects[0] / 3

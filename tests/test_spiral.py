@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from filamentlab import selfsimilar, spiral
+from filamentlab import integrators, selfsimilar, spiral
 from filamentlab.errors import (
     ConstraintViolated,
     InvalidParameter,
@@ -320,6 +320,38 @@ def test_assembly_holds_its_outputs_and_one_piece(monkeypatch):
             tracemalloc.stop()
         monkeypatch.undo()
         assert peak <= bound * len(sides[0]), span
+
+
+def test_dense_run_plan_is_within_twice_the_peak_per_node(monkeypatch):
+    # integrators._plan plans _BYTES_PER_OUTPUT_NODE per node of each side;
+    # a two-sided rotating profile, its largest user, grows by about 305
+    # bytes per node of a side (each side's states, the stitched grid and
+    # the assembled outputs), a profile's half by about 120 per node.  The
+    # DOP853 block is the identity here: its floats are freed at each block,
+    # so the arrays are those of the real run, but tracing them costs about
+    # 12 ms per node.  One CPU, as tracemalloc sees this process only
+    monkeypatch.setattr(spiral.dataio, "_fork_cpus", lambda: 1)
+    monkeypatch.setattr(spiral, "_body", lambda rhs: lambda y, s, h, m, *params: y)
+    p = make_params(0.4, 0.5)
+
+    def growth(run, nodes, spans):
+        peaks = []
+        for span in spans:
+            tracemalloc.start()
+            try:
+                out = run(span)
+                peaks.append((tracemalloc.get_traced_memory()[1], nodes(out)))
+            finally:
+                tracemalloc.stop()
+        (p1, n1), (p2, n2) = peaks
+        return (p2 - p1) / (n2 - n1)
+
+    side = growth(lambda s: spiral_profile(p, (-s, s)),
+                  lambda res: (len(res.curve.s_grid) + 1) // 2, (200.0, 400.0))
+    half = growth(lambda s: selfsimilar.profile(0.5, s), lambda prof: len(prof.half.s_grid),
+                  (200.0, 400.0))
+    plan = integrators._BYTES_PER_OUTPUT_NODE
+    assert half <= side <= plan <= 2 * side
 
 
 def test_spiral_profile_global_error_against_adaptive_dop853():

@@ -183,11 +183,11 @@ def _run_selfcheck(params, outdir):
         checks.append((name, ok, value, bound))
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {value:.3e} (bound {bound:g})")
 
-    circ = geometry.frenet_integrate(lambda s: np.ones(np.shape(s)),
-                                     lambda s: np.zeros(np.shape(s)), np.eye(3),
-                                     (0.0, 2 * math.pi), step=1e-3, out_every=16)
-    check("geometry.circle_closure", float(np.linalg.norm(circ.T[-1] - circ.T[0])), 1e-6)
-    check("geometry.orthonormality", geometry.frame_orthonormality_defect(circ.frames), 1e-8)
+    _, circ, _ = geometry.frenet_integrate(lambda s: np.ones(np.shape(s)),
+                                           lambda s: np.zeros(np.shape(s)), np.eye(3),
+                                           (0.0, 2 * math.pi), step=1e-3, out_every=16)
+    check("geometry.circle_closure", float(np.linalg.norm(circ[-1, 0] - circ[0, 0])), 1e-6)
+    check("geometry.orthonormality", geometry.frame_orthonormality_defect(circ), 1e-8)
 
     prof = selfsimilar.profile(0.5, 60.0)
     # the profile's left half is the mirror of its right half, so its parity
@@ -282,13 +282,16 @@ def main(argv=None):
         _emit(outdir, summary)
         print(outdir)
         return 0 if summary.get("all_ok", True) else 1
-    except (FilamentError, ValueError) as exc:
+    except BaseException as exc:
+        # whatever stops a run, an interrupt included, leaves nothing behind;
+        # only the typed failures become an exit code
         _discard(outdir, made)
-        print(f"error[validation]: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        _discard(outdir, made)
-        print(f"error[io]: {exc}", file=sys.stderr)
+        if isinstance(exc, (FilamentError, ValueError)):
+            print(f"error[validation]: {exc}", file=sys.stderr)
+        elif isinstance(exc, OSError):
+            print(f"error[io]: {exc}", file=sys.stderr)
+        else:
+            raise
         return 2
 
 

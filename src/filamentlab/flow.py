@@ -4,9 +4,10 @@ experiment.
 Given curvature/torsion fields (c, tau) on a (t, s) grid, the frame at s=0
 is propagated backward in time by the ODE with matrix entries
 (0, -c tau, c_s; c tau, 0, (c_ss - c tau^2)/c; -c_s, ..., 0) -- a skew
-system, so it runs on the package's quaternion Magnus-4 step and prefix scan
-with exact rotations -- each time slice is completed by Frenet integration
-in s, and the curve follows from
+system, so it steps on the frame kernel's exact rotations
+(``integrators.skew_propagators``) given its rotation-vector coefficients --
+each time slice is completed by Frenet integration in s, and the curve
+follows from
 chi(s,t) = chi(0,t~0) - int c b dt' + int T ds.  The t -> 0 limit exists
 with |chi(s,t) - chi0(s)| <= C a sqrt(t); the stability experiment drives
 the whole chain from a perturbed filament function built on the
@@ -62,12 +63,10 @@ from .errors import (
     InsufficientTimeRange,
     InvalidParameter,
     MemoryBudgetExceeded,
-    NonFiniteCoefficient,
 )
-from .geometry import (Curve, _checked_frame, _cumulative_simpson,
-                       _nonuniform_dt, _uniform_step, propagate_frame)
-from .integrators import (GAUSS_C1, GAUSS_C2, _Q_ONE, _check_angle, _qmul, _rotation,
-                          _scan, magnus_omega, rodrigues_phi1, two_sided)
+from .geometry import (Curve, _checked_frame, _cumulative_simpson, _nonuniform_dt,
+                       _uniform_step)
+from .integrators import propagate_frame, skew_propagators, two_sided
 
 _ORIGIN_SUBSTEPS = 2  # uniform frame-ODE steps per origin-series interval
 _SLICE_STEP = 1e-3     # fine-step bound of the Frenet integration in s
@@ -168,10 +167,10 @@ def _gauge_rotation(phi):
 def _frame_ode_backward(series):
     """Propagators of the s=0 frame ODE from max(t) down to every series node.
 
-    F' = A(t) F with A = (0, -c tau, c_s; c tau, 0, g; -c_s, -g, 0), the
-    entries interpolated linearly in log t.  Each series interval takes
-    ``_ORIGIN_SUBSTEPS`` uniform Magnus-4 steps, whose exponentials are exact
-    rotations combined by the quaternion prefix scan of the frame kernel.
+    F' = skew(w(t)) F with w = (-g, c_s, c tau), that is the matrix
+    (0, -c tau, c_s; c tau, 0, g; -c_s, -g, 0), the entries interpolated
+    linearly in log t.  Each series interval takes ``_ORIGIN_SUBSTEPS``
+    uniform steps of ``integrators.skew_propagators``.
     """
     lt = np.log(series.t)
     t = series.t[::-1]
@@ -179,25 +178,14 @@ def _frame_ode_backward(series):
     h = np.repeat(np.diff(t) / m, m)
     start = np.repeat(t[:-1], m) + np.tile(np.arange(m), len(t) - 1) * h
 
-    def coeffs(tt):
+    def w(tt):
         x = np.log(tt)
         ct, cs, g = (np.interp(x, lt, v) for v in (series.ctau, series.c_s, series.g))
-        A = np.zeros(tt.shape + (3, 3))
-        A[:, 1, 0], A[:, 0, 2], A[:, 1, 2] = ct, cs, g
-        return A - A.swapaxes(1, 2)
+        return np.stack([-g, cs, ct], axis=1)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        Om = magnus_omega(coeffs(start + GAUSS_C1 * h), coeffs(start + GAUSS_C2 * h),
-                          h[:, None, None])
-        omega = np.stack([Om[:, 2, 1], Om[:, 0, 2], Om[:, 1, 0]], axis=1)
-        q, _, _ = rodrigues_phi1(omega)
-        angle = math.sqrt(np.max(np.sum(omega * omega, axis=1), initial=0.0))
-    if not np.all(np.isfinite(q.view(float))):
-        raise NonFiniteCoefficient("origin propagator became non-finite")
-    _check_angle(angle, "origin frame rotation angle |Omega|")
     out = np.empty((len(t), 3, 3))
     out[0] = np.eye(3)
-    out[1:] = _rotation(_scan(q, _qmul, _Q_ONE)[m - 1 :: m])
+    out[1:] = skew_propagators(w, start, h, "origin")[m - 1 :: m]
     return out[::-1]
 
 

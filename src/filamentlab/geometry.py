@@ -1,7 +1,8 @@
-"""Curve and frame-trajectory types, Frenet integration, curve
-reconstruction, and binormal-flow residual diagnostics.  A frame is a 3x3
-matrix of rows (T, n, b); ``frenet_integrate`` takes the ``step`` and
-``out_every`` keywords of ``integrators.propagate_frame``."""
+"""The curve type, Frenet integration, curve reconstruction, and
+binormal-flow residual diagnostics.  A frame is a 3x3 matrix of rows
+(T, n, b); ``frenet_integrate`` checks the initial frame and returns
+``integrators.propagate_frame``'s (s, frames, points), taking its ``step``
+and ``out_every`` keywords."""
 
 from __future__ import annotations
 
@@ -86,27 +87,6 @@ class Curve:
 
 
 @dataclass
-class FrameTrajectory:
-    """Frames (rows T,n,b) sampled along s; points present when integrated."""
-
-    s: np.ndarray
-    frames: np.ndarray
-    points: np.ndarray | None = None
-
-    @property
-    def T(self):
-        return self.frames[:, 0]
-
-    @property
-    def n(self):
-        return self.frames[:, 1]
-
-    @property
-    def b(self):
-        return self.frames[:, 2]
-
-
-@dataclass
 class IntrinsicData:
     """Curvature/torsion samples on a (t, s) grid; single slice allowed."""
 
@@ -188,13 +168,13 @@ def frenet_integrate(c, tau, frame0, s_span, *, step=1e-3, out_every=16,
     ``position0`` is given the curve point (chi' = T) is carried in the same
     linear system.  ``frame0`` is a 3x3 matrix of rows (T, n, b),
     orthonormal and right-handed within TOL_FRAME (InvalidParameter
-    otherwise).
+    otherwise).  Returns (s, frames, points): the output nodes, their
+    (N, 3, 3) frames, and their (N, 3) points, None without ``position0``.
     """
-    s_out, frames, points = propagate_frame(
+    return propagate_frame(
         c, tau, float(s_span[0]), float(s_span[1]), _checked_frame(frame0),
         step=step, out_every=out_every, position0=position0,
     )
-    return FrameTrajectory(s_out, frames, points)
 
 
 def curve_from_tangent(tangents, base):

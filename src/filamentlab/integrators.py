@@ -7,13 +7,14 @@ combined by one work-efficient two-level prefix scan (``_scan``), so
 multi-million-step runs cost a handful of numpy passes instead of a Python
 loop.
 
-Skew 3x3 systems -- the frame system (T,n,b) with its position row
-(``magnus_frame_step``), and the origin-frame ODE in t of the flow
-reconstruction -- take exact exponentials: rotations held as unit
+Skew 3x3 systems take exact exponentials: rotations held as unit
 quaternions (Euler-Rodrigues parameters, ``rodrigues_phi1``), multiplied
 elementwise in the scan and turned into matrices only at output nodes.  The
-2-dim complex systems use a closed-form 2x2 exponential and the same scan
-with ``matmul``.
+frame system (T,n,b) with its position row steps on its own Frenet formula
+(``magnus_frame_step``); any other skew system, such as the origin-frame ODE
+in t of the flow reconstruction, on ``skew_propagators``, whose exponent is
+a cross product and whose steps need not be uniform.  The 2-dim complex
+systems use a closed-form 2x2 exponential and the same scan with ``matmul``.
 
 ``_blocks`` lays every fixed-step run on whole output blocks (``_plan``
 adds the block ends as output nodes); it also plans the fused fixed-step
@@ -22,10 +23,10 @@ alone validates a run's ``step`` and ``out_every``.  A fine step is a Magnus
 step, or a DOP853 step of 12 right-hand sides.  One run (one side of a
 two-sided run) takes at most ``_MAX_STEPS`` fine steps, a time budget: it
 holds one piece of ``_CHUNK`` fine steps, about 4 MB for the frame kernel,
-and its output nodes, which ``_plan`` bounds.  The Magnus kernels run on one chunk loop, ``_sweep``, in pieces of ``_CHUNK``
-fine steps that keep only the requested states: every block end for
-``propagate_frame`` and ``propagate_linear2``, any sorted set of fine steps
-for ``frame_states``.
+and its output nodes, which ``_plan`` bounds.  The Magnus kernels run on one
+chunk loop, ``_sweep``, in pieces of ``_CHUNK`` fine steps that keep only
+the requested states: every block end for ``propagate_frame`` and
+``propagate_linear2``, any sorted set of fine steps for ``frame_states``.
 """
 
 from __future__ import annotations
@@ -167,11 +168,6 @@ def expm2(M):
     return np.exp(tr)[:, None, None] * out
 
 
-def magnus_omega(A1, A2, h):
-    """4th-order two-point Magnus exponent for y' = A(s) y."""
-    return (h / 2) * (A1 + A2) + (np.sqrt(3.0) * h * h / 12) * (A2 @ A1 - A1 @ A2)
-
-
 def magnus_frame_step(c1, c2, t1, t2, h):
     """One Magnus-4 step of the frame system, batched over steps.
 
@@ -202,6 +198,30 @@ def _check_angle(angle, name):
     if not angle < 1 / np.finfo(float).eps:
         raise InvalidParameter(
             f"{name} = {angle:.3g} rad per step overflows a float's radian resolution")
+
+
+def skew_propagators(w_fn, starts, h, name):
+    """Propagators of the skew system F' = skew(w(t)) F over the given steps.
+
+    skew(w) is the 3x3 matrix of v -> w x v and ``w_fn(t_array) -> (N, 3)``.
+    Step k runs from ``starts[k]`` over ``h[k]``; the steps need not be
+    uniform.  Its Magnus-4 exponent is skew(Omega), with
+    Omega = h/2 (w1 + w2) + sqrt(3) h^2/12 (w2 x w1) and w1, w2 at the two
+    Gauss nodes, as [skew(a), skew(b)] = skew(a x b); its exponential is an
+    exact rotation R_k.  Returns the (N, 3, 3) products R_k ... R_0.  A
+    non-finite rotation is NonFiniteCoefficient and an angle |Omega| that
+    reaches 1/eps InvalidParameter, both naming ``name``.
+    """
+    w1, w2 = w_fn(starts + GAUSS_C1 * h), w_fn(starts + GAUSS_C2 * h)
+    hv = h[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = (hv / 2) * (w1 + w2) + (np.sqrt(3.0) * hv * hv / 12) * np.cross(w2, w1)
+        q, _, _ = rodrigues_phi1(omega)
+        angle = math.sqrt(np.max(np.sum(omega * omega, axis=1), initial=0.0))
+    if not np.all(np.isfinite(q.view(float))):
+        raise NonFiniteCoefficient(f"{name} propagator became non-finite")
+    _check_angle(angle, f"{name} frame rotation angle |Omega|")
+    return _rotation(_scan(q, _qmul, _Q_ONE))
 
 
 def _stage_coeffs(fn, s):
@@ -352,7 +372,8 @@ def propagate_linear2(afn, s0, s1, y0, *, step, out_every):
         A1 = afn(sk + GAUSS_C1 * h)
         A2 = afn(sk + GAUSS_C2 * h)
         with np.errstate(over="ignore", invalid="ignore"):
-            P = expm2(magnus_omega(A1, A2, h))
+            Om = (h / 2) * (A1 + A2) + (np.sqrt(3.0) * h * h / 12) * (A2 @ A1 - A1 @ A2)
+            P = expm2(Om)
         if not np.all(np.isfinite(P.view(float))):
             raise NonFiniteCoefficient("propagator became non-finite")
         return (np.einsum("bij,j->bi", _scan(P, np.matmul, np.eye(2))[ends], y),)

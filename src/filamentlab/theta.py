@@ -13,7 +13,8 @@ skew-Hermitian and holds no c', so each Magnus step is unitary and keeps
 E = |w|^2 to roundoff (Iserles & Norsett 1999).  This gives an integration
 route entirely independent of the 3x3 Frenet system, and in the
 self-similar case (c = a, tau = s/2) an independent computation of the
-limit tangent component.
+limit tangent component.  ``frame_from_theta`` returns the frames as an
+(N, 3, 3) array of rows (T, n, b) on the trajectories' shared grid.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurvatureVanishes, EnergyDegenerate, GridMismatch, InvalidParameter
-from .geometry import FrameTrajectory
 from .integrators import propagate_linear2
 
 TOL_C = 1e-6
@@ -99,7 +99,8 @@ def canonical_initial_data(c0):
 
 
 def frame_from_theta(traj1, traj2, traj3, c, E0):
-    """Assemble (T, n, b) componentwise from three theta trajectories."""
+    """Assemble (T, n, b) componentwise from three theta trajectories: the
+    (N, 3, 3) frames on their shared grid ``traj1.s``."""
     if E0 <= 1e-12:
         raise EnergyDegenerate("E0 must be positive")
     trajs = (traj1, traj2, traj3)
@@ -112,8 +113,7 @@ def frame_from_theta(traj1, traj2, traj3, c, E0):
     prod = [t.theta * np.conj(t.theta_prime) for t in trajs]
     n = np.stack([-np.real(p) / (E0 * cv) for p in prod], axis=1)
     b = np.stack([np.imag(p) / (E0 * cv) for p in prod], axis=1)
-    frames = np.stack([T, n, b], axis=1)
-    return FrameTrajectory(s, frames)
+    return np.stack([T, n, b], axis=1)
 
 
 @dataclass

@@ -106,10 +106,10 @@ def test_criterion_5_cross_oracles():
     grid_t = dict(step=1e-3, out_every=20)
     trajs = [theta.theta_solve(c_fn, tau_fn, st, (0.0, 50.0), **grid_t)
              for st in theta.canonical_initial_data(a)]
-    fr_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
-    fr = geometry.frenet_integrate(c_fn, tau_fn, np.eye(3), (0.0, 50.0),
-                                   step=2.5e-4, out_every=80)
-    d_routes = float(np.max(np.abs(fr.T - fr_theta.frames[:, 0])))
+    frames_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
+    _, frames, _ = geometry.frenet_integrate(c_fn, tau_fn, np.eye(3), (0.0, 50.0),
+                                             step=2.5e-4, out_every=80)
+    d_routes = float(np.max(np.abs(frames[:, 0] - frames_theta[:, 0])))
     assert d_routes <= 1e-6
 
     params = spiral.SpiralParams(0.0, np.array([0.0, 0.0, 2 * a]),

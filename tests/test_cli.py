@@ -456,6 +456,24 @@ def test_failed_run_removes_its_partial_files(tmp_path, monkeypatch, capsys,
     assert left == ([Path("runs"), run_dir.relative_to(tmp_path)] if earlier_run else [])
 
 
+@pytest.mark.parametrize("error", [RuntimeError("untyped"), KeyboardInterrupt()],
+                         ids=["RuntimeError", "KeyboardInterrupt"])
+def test_untyped_failure_discards_the_run_and_propagates(tmp_path, monkeypatch, capsys,
+                                                         error):
+    def fails_after_writing(params, outdir):
+        dataio.write_csvs([(outdir / "partial.csv", "s", [np.arange(3.0)])])
+        raise error
+
+    monkeypatch.setitem(cli.RUNNERS, "angle", fails_after_writing)
+    with pytest.raises(type(error)) as raised:
+        cli.main(["angle", "--out-dir", str(tmp_path / "deep")])
+    # the same exception, with no error line of its own; the run directory
+    # and the out dir the run made are gone
+    assert raised.value is error
+    assert capsys.readouterr().err == ""
+    assert not list(tmp_path.iterdir())
+
+
 # every numeric flag of every subcommand on a small grid; an int flag cannot
 # take nan or inf (argparse rejects it), so it gets 0, -1 and a huge 2**40
 # where a float flag gets 1e300

@@ -32,30 +32,30 @@ def helix_curve(s):
 
 
 def test_circle_closes():
-    traj = frenet_integrate(ONES, ZERO, np.eye(3), (0, 2 * np.pi),
-                            step=1e-3, out_every=16)
-    assert np.linalg.norm(traj.T[-1] - traj.T[0]) < 1e-6
-    assert traj.s[0] == 0.0
+    s, frames, _ = frenet_integrate(ONES, ZERO, np.eye(3), (0, 2 * np.pi),
+                                    step=1e-3, out_every=16)
+    assert np.linalg.norm(frames[-1, 0] - frames[0, 0]) < 1e-6
+    assert s[0] == 0.0
 
 
 def test_zero_coefficients_freeze_frame():
-    traj = frenet_integrate(ZERO, ZERO, np.eye(3), (0, 5.0),
-                            step=1e-2, out_every=8)
-    assert np.max(np.abs(traj.frames - np.eye(3)[None])) < 1e-14
+    _, frames, _ = frenet_integrate(ZERO, ZERO, np.eye(3), (0, 5.0),
+                                    step=1e-2, out_every=8)
+    assert np.max(np.abs(frames - np.eye(3)[None])) < 1e-14
 
 
 def test_helix_matches_closed_form():
     half = lambda s: 0.5 * np.ones(np.shape(s))
     T0 = helix_tangent(np.array([0.0]))[0]
     frame0 = np.stack([T0, [-1.0, 0.0, 0.0], np.cross(T0, [-1.0, 0.0, 0.0])])
-    traj = frenet_integrate(half, half, frame0, (0, 12.0), step=5e-4, out_every=16)
-    assert np.max(np.abs(traj.T - helix_tangent(traj.s))) < 1e-6
+    s, frames, _ = frenet_integrate(half, half, frame0, (0, 12.0), step=5e-4, out_every=16)
+    assert np.max(np.abs(frames[:, 0] - helix_tangent(s))) < 1e-6
 
 
 def test_orthonormality_long_span():
-    traj = frenet_integrate(lambda s: 1 + 0.3 * np.sin(s), lambda s: s / 2,
-                            np.eye(3), (0, 100.0), step=1e-3, out_every=16)
-    assert geometry.frame_orthonormality_defect(traj.frames) <= 1e-8
+    _, frames, _ = frenet_integrate(lambda s: 1 + 0.3 * np.sin(s), lambda s: s / 2,
+                                    np.eye(3), (0, 100.0), step=1e-3, out_every=16)
+    assert geometry.frame_orthonormality_defect(frames) <= 1e-8
 
 
 def test_rk4_convergence_order_at_least_4():
@@ -66,7 +66,7 @@ def test_rk4_convergence_order_at_least_4():
 
     def final_frame(step):
         return frenet_integrate(c_fn, tau_fn, frame0, (0, 2 * np.pi),
-                                step=step, out_every=1).frames[-1]
+                                step=step, out_every=1)[1][-1]
 
     ref = final_frame(1e-3)
     errs = [np.max(np.abs(final_frame(step) - ref)) for step in (4e-2, 2e-2)]
@@ -218,9 +218,9 @@ def test_inversion_round_trip_second_order():
     tau_fn = lambda s: 0.5 * np.cos(s)
     errs = []
     for m in (8, 4):
-        traj = frenet_integrate(c_fn, tau_fn, np.eye(3), (0, 10.0),
-                                step=2.5e-4, out_every=m, position0=np.zeros(3))
-        curve = Curve(traj.s, traj.points)
+        s, _, points = frenet_integrate(c_fn, tau_fn, np.eye(3), (0, 10.0),
+                                        step=2.5e-4, out_every=m, position0=np.zeros(3))
+        curve = Curve(s, points)
         out = geometry.curvature_torsion_from_curve(curve)
         errs.append(max(np.max(np.abs(out.c - c_fn(out.s_grid))),
                         np.max(np.abs(out.tau - tau_fn(out.s_grid)))))
@@ -305,8 +305,9 @@ SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
 
 
 def test_curve_csv_roundtrip(tmp_path):
-    traj = frenet_integrate(ONES, ZERO, np.eye(3), (0, 3.0),
-                            step=1e-3, out_every=16, position0=np.array([0.0, -1.0, 0.0]))
+    s0, frames0, points0 = frenet_integrate(ONES, ZERO, np.eye(3), (0, 3.0), step=1e-3,
+                                            out_every=16,
+                                            position0=np.array([0.0, -1.0, 0.0]))
     # two whole write blocks plus a partial one, with special values
     block = dataio._CSV_BLOCK
     n = 2 * block + 1000
@@ -316,7 +317,7 @@ def test_curve_csv_roundtrip(tmp_path):
     frames = rng.normal(size=(n, 3, 3))
     points[block - 2 : block + 3, 0] = SPECIAL_FLOATS
     frames[-5:, 2, 1] = SPECIAL_FLOATS
-    for curve in (Curve(traj.s, traj.points, traj.frames), Curve(s, points, frames)):
+    for curve in (Curve(s0, points0, frames0), Curve(s, points, frames)):
         path = tmp_path / "curve.csv"
         dataio.write_csvs([curve.csv_job(path)])
         back = Curve.read_csv(path)

@@ -14,6 +14,8 @@ from scipy.linalg import expm
 from filamentlab import geometry, integrators, theta
 from filamentlab.errors import InvalidParameter, StepLimitExceeded
 from filamentlab.integrators import (
+    GAUSS_C1,
+    GAUSS_C2,
     _Q_ONE,
     _SCAN_ROW,
     _qmul,
@@ -25,6 +27,7 @@ from filamentlab.integrators import (
     propagate_frame,
     propagate_linear2,
     rodrigues_phi1,
+    skew_propagators,
 )
 
 B = _SCAN_ROW
@@ -91,6 +94,44 @@ def test_magnus_frame_step_matches_augmented_expm():
         assert np.max(np.abs(_rotation(q[i]) - E[:3, :3])) < 1e-14
         assert np.max(np.abs(wV[i] - E[3, :3])) < 1e-15
     assert np.max(np.abs(np.abs(q[:, 0]) ** 2 + np.abs(q[:, 1]) ** 2 - 1)) < 1e-15
+
+
+def test_skew_propagators_match_expm_products():
+    # row k is exp(skew(Omega_k)) ... exp(skew(Omega_0)), Omega_k the
+    # two-point Magnus exponent of step k; the steps are not uniform and
+    # their angles span the series branch (< 1e-4) and the closed form
+    rng = np.random.default_rng(3)
+    n = 40
+    h = np.where(rng.random(n) < 0.5, 1e-7, 0.3) * rng.uniform(0.5, 1.5, n)
+    starts = np.concatenate([[0.1], 0.1 + np.cumsum(h[:-1])])
+    coef = rng.normal(size=(3, 3))
+
+    def w_fn(t):
+        return coef[0] + np.multiply.outer(np.sin(t), coef[1]) + np.multiply.outer(
+            np.cos(3 * t), coef[2])
+
+    R = skew_propagators(w_fn, starts, h, "test")
+    acc, angles = np.eye(3), []
+    for k in range(n):
+        w1 = w_fn(starts[k] + GAUSS_C1 * h[k])
+        w2 = w_fn(starts[k] + GAUSS_C2 * h[k])
+        omega = (h[k] / 2) * (w1 + w2) + (np.sqrt(3.0) * h[k] ** 2 / 12) * np.cross(w2, w1)
+        angles.append(np.linalg.norm(omega))
+        acc = expm(_skew(omega)) @ acc
+        assert np.max(np.abs(R[k] - acc)) < 1e-14, k
+    assert min(angles) < 1e-4 < max(angles)
+
+
+def test_skew_propagators_step_is_the_frenet_rotation():
+    # the frame system is the skew system of w = (-tau, 0, -c)
+    c_fn = lambda s: 1 + 0.5 * s
+    tau_fn = lambda s: 0.3 - s
+    s0, h = 0.2, 0.3
+    sg1, sg2 = np.array([s0 + GAUSS_C1 * h]), np.array([s0 + GAUSS_C2 * h])
+    q, _ = magnus_frame_step(c_fn(sg1), c_fn(sg2), tau_fn(sg1), tau_fn(sg2), h)
+    R = skew_propagators(lambda s: np.stack([-tau_fn(s), 0 * s, -c_fn(s)], axis=1),
+                         np.array([s0]), np.array([h]), "frame")
+    assert np.max(np.abs(R[0] - _rotation(q[0]))) < 1e-15
 
 
 def test_frame_oracle_stability_regime():
@@ -203,7 +244,7 @@ FIXED_STEP_SOLVERS = {
     "propagate_linear2": lambda **kw: propagate_linear2(
         lambda s: np.zeros((len(s), 2, 2), complex), 0.0, 1.0, [1.0, 0.0], **kw)[0],
     "frenet_integrate": lambda **kw: geometry.frenet_integrate(
-        ONE, ONE, np.eye(3), (0.0, 1.0), **kw).s,
+        ONE, ONE, np.eye(3), (0.0, 1.0), **kw)[0],
     "theta_solve": lambda **kw: theta.theta_solve(
         ONE, ONE, theta.ThetaState(0.0, 1.0), (0.0, 1.0), **kw).s,
 }

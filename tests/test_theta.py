@@ -72,12 +72,12 @@ def test_frame_from_theta_circle_components():
     c = CONST_A(1.0)
     trajs = [theta_solve(c, ZERO, st, (0.0, 12.0), **grid)
              for st in canonical_initial_data(1.0)]
-    fr = theta.frame_from_theta(*trajs, c=c, E0=0.5)
-    n1 = fr.frames[:, 1, 0]
-    b1 = fr.frames[:, 2, 0]
-    assert np.max(np.abs(n1 + np.sin(fr.s))) < 1e-6
+    frames = theta.frame_from_theta(*trajs, c=c, E0=0.5)
+    n1 = frames[:, 1, 0]
+    b1 = frames[:, 2, 0]
+    assert np.max(np.abs(n1 + np.sin(trajs[0].s))) < 1e-6
     assert np.max(np.abs(b1)) < 1e-6
-    assert geometry.frame_orthonormality_defect(fr.frames) < 2e-6
+    assert geometry.frame_orthonormality_defect(frames) < 2e-6
 
 
 @pytest.mark.parametrize(
@@ -91,11 +91,11 @@ def test_tangent_cross_oracle_theta_vs_frenet(c_fn, tau_fn, span):
     grid_t = dict(step=1e-3, out_every=20)
     trajs = [theta_solve(c_fn, tau_fn, st, (0.0, span), **grid_t)
              for st in canonical_initial_data(float(np.asarray(c_fn(0.0))))]
-    fr_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
+    frames_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
     grid_f = dict(step=2.5e-4, out_every=80)
-    fr = frenet_integrate(c_fn, tau_fn, np.eye(3), (0.0, span), **grid_f)
-    assert np.max(np.abs(fr.s - fr_theta.s)) < 1e-9
-    assert np.max(np.abs(fr.T - fr_theta.frames[:, 0])) <= 1e-12
+    s, frames, _ = frenet_integrate(c_fn, tau_fn, np.eye(3), (0.0, span), **grid_f)
+    assert np.max(np.abs(s - trajs[0].s)) < 1e-9
+    assert np.max(np.abs(frames[:, 0] - frames_theta[:, 0])) <= 1e-12
 
 
 def test_full_frame_cross_oracle_smooth_coefficients():
@@ -104,10 +104,10 @@ def test_full_frame_cross_oracle_smooth_coefficients():
     grid = dict(step=5e-4, out_every=40)
     trajs = [theta_solve(c_fn, tau_fn, st, (0.0, 20.0), **grid)
              for st in canonical_initial_data(1.2)]
-    fr_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
-    fr = frenet_integrate(c_fn, tau_fn, np.eye(3), (0.0, 20.0),
-                          step=2.5e-4, out_every=80)
-    assert np.max(np.abs(fr.frames - fr_theta.frames)) <= 1e-12
+    frames_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
+    _, frames, _ = frenet_integrate(c_fn, tau_fn, np.eye(3), (0.0, 20.0),
+                                    step=2.5e-4, out_every=80)
+    assert np.max(np.abs(frames - frames_theta)) <= 1e-12
 
 
 @pytest.mark.parametrize("a,ref", [(0.5, 0.6752), (1.0, 0.2079)])

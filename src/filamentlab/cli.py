@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, flow, geometry, nls, selfsimilar, spiral, theta
+from . import dataio, flow, geometry, integrators, nls, selfsimilar, spiral, theta
 from .errors import FilamentError, GridTooCoarse
 
 
@@ -183,9 +183,9 @@ def _run_selfcheck(params, outdir):
         checks.append((name, ok, value, bound))
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {value:.3e} (bound {bound:g})")
 
-    _, circ, _ = geometry.frenet_integrate(lambda s: np.ones(np.shape(s)),
-                                           lambda s: np.zeros(np.shape(s)), np.eye(3),
-                                           (0.0, 2 * math.pi), step=1e-3, out_every=16)
+    _, circ, _ = integrators.propagate_frame(lambda s: np.ones(np.shape(s)),
+                                             lambda s: np.zeros(np.shape(s)), 0.0,
+                                             2 * math.pi, np.eye(3), step=1e-3, out_every=16)
     check("geometry.circle_closure", float(np.linalg.norm(circ[-1, 0] - circ[0, 0])), 1e-6)
     check("geometry.orthonormality", geometry.frame_orthonormality_defect(circ), 1e-8)
 

@@ -6,24 +6,25 @@ is propagated backward in time by the ODE with matrix entries
 (0, -c tau, c_s; c tau, 0, (c_ss - c tau^2)/c; -c_s, ..., 0) -- a skew
 system, so it steps on the frame kernel's exact rotations
 (``integrators.skew_propagators``) given its rotation-vector coefficients --
-each time slice is completed by Frenet integration in s, and the curve
-follows from
+each time slice is completed by Frenet integration in s
+(``integrators.propagate_frame``), and the curve follows from
 chi(s,t) = chi(0,t~0) - int c b dt' + int T ds.  The t -> 0 limit exists
 with |chi(s,t) - chi0(s)| <= C a sqrt(t); the stability experiment drives
 the whole chain from a perturbed filament function built on the
 Schrodinger side.
 
 The Frenet system in s is linear in its initial state, so every slice is
-integrated once from the identity frame and the point 0 at s = 0
-(``_integrated_slice``) and then turned and moved to its origin frame and
-point (``_placed``).  ``_flow`` is the one placement path, for
-``reconstruct_flow`` and the stability experiment alike: it runs the origin
-track (``_origin_track``) and places the unplaced slices on it one at a
-time.  A slice that carries the unperturbed fields c = a/sqrt(t),
-tau = s/2t is the self-similar profile rescaled, chi = sqrt(t) G(s/sqrt(t)),
-turned and moved the same way: the stability experiment builds its slices
-below the box's faithful horizon from its reference profile instead of
-integrating them.
+integrated once from the identity frame and the kernel's default point 0
+at s = 0 (``_integrated_slice``) and then turned and moved to its origin
+frame and point (``_placed``).  ``reconstruct_flow`` checks the frame and
+point it is given (``geometry._checked_frame`` and ``_checked_point``).
+``_flow`` is the one placement path, for ``reconstruct_flow`` and the
+stability experiment alike: it runs the origin track (``_origin_track``)
+and places the unplaced slices on it one at a time.  A slice that carries
+the unperturbed fields c = a/sqrt(t), tau = s/2t is the self-similar
+profile rescaled, chi = sqrt(t) G(s/sqrt(t)), turned and moved the same
+way: the stability experiment builds its slices below the box's faithful
+horizon from its reference profile instead of integrating them.
 
 ``stability_experiment`` is a short driver over its seams: the Schrodinger
 stage (``_schrodinger_stage``), the reference profile on the slice nodes
@@ -64,8 +65,8 @@ from .errors import (
     InvalidParameter,
     MemoryBudgetExceeded,
 )
-from .geometry import (Curve, _checked_frame, _cumulative_simpson, _nonuniform_dt,
-                       _uniform_step)
+from .geometry import (Curve, _checked_frame, _checked_point, _cumulative_simpson,
+                       _nonuniform_dt, _uniform_step)
 from .integrators import propagate_frame, skew_propagators, two_sided
 
 _ORIGIN_SUBSTEPS = 2  # uniform frame-ODE steps per origin-series interval
@@ -242,8 +243,7 @@ def _integrated_slice(s, c_row, tau_row):
     tau_fn = lambda x: np.interp(x, s, tau_row)
     _, FF, GG = two_sided(
         lambda end: propagate_frame(c_fn, tau_fn, 0.0, end, np.eye(3),
-                                    step=(s[1] - s[0]) / m, out_every=m,
-                                    position0=np.zeros(3)),
+                                    step=(s[1] - s[0]) / m, out_every=m),
         float(s[0]), float(s[-1]),
     )
     return Curve(s, GG, FF)
@@ -287,7 +287,8 @@ def reconstruct_flow(data, frame0, point0, *, origin_series=None):
     """Reconstruct curves for every time slice of the intrinsic data.
 
     ``frame0`` (rows T,n,b, orthonormal and right-handed within
-    ``geometry.TOL_FRAME``) and ``point0`` are the data at (s=0, t=max).
+    ``geometry.TOL_FRAME``) and ``point0`` (a finite 3-vector) are the data
+    at (s=0, t=max); InvalidParameter otherwise.
     ``origin_series`` overrides the finite-difference s=0 coefficient
     history (when spectral values are available).  Every slice is
     integrated in s from its origin frame and point and returned on the
@@ -295,6 +296,7 @@ def reconstruct_flow(data, frame0, point0, *, origin_series=None):
     s = 0 an interior node (GridTooCoarse).  The slice times and the series
     times must be finite, > 0 and strictly increasing (ConstraintViolated).
     """
+    frame0, point0 = _checked_frame(frame0), _checked_point(point0, "point0")
     _check_times(data.t_grid, "t_grid")
     if origin_series is not None:
         _check_times(origin_series.t, "origin_series.t")
@@ -305,7 +307,7 @@ def reconstruct_flow(data, frame0, point0, *, origin_series=None):
     if len(data.t_grid) < 2:
         raise GridTooCoarse("need >= 2 time slices")
     series = origin_series or _origin_series_from_data(data, i0)
-    return _flow(series, _checked_frame(frame0), point0, data.t_grid,
+    return _flow(series, frame0, point0, data.t_grid,
                  (_integrated_slice(s, c, tau) for c, tau in zip(data.c, data.tau)))
 
 

@@ -1,8 +1,9 @@
-"""The curve type, Frenet integration, curve reconstruction, and
-binormal-flow residual diagnostics.  A frame is a 3x3 matrix of rows
-(T, n, b); ``frenet_integrate`` checks the initial frame and returns
-``integrators.propagate_frame``'s (s, frames, points), taking its ``step``
-and ``out_every`` keywords."""
+"""The curve type, curve reconstruction, binormal-flow residual
+diagnostics, and the checks of a frame and a point at every boundary that
+takes one.  A frame is a 3x3 matrix of rows (T, n, b), checked by
+``_checked_frame``; a point is a finite 3-vector, checked by
+``_checked_point``.  Frenet integration is ``integrators.propagate_frame``,
+which checks its initial frame and point here."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from .errors import (
     GridTooCoarse,
     InvalidParameter,
 )
-from .integrators import propagate_frame
 
 TOL_FRAME = 1e-8
 TOL_CURVATURE = 1e-6  # below this torsion is flagged, not invented
@@ -34,6 +34,15 @@ def _checked_frame(M):
     if not abs(np.linalg.det(M) - 1.0) <= TOL_FRAME:
         raise InvalidParameter("frame not right-handed")
     return M
+
+
+def _checked_point(p, name):
+    """``p`` as a float 3-vector, finite (InvalidParameter naming ``name``
+    otherwise)."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (3,) or not np.all(np.isfinite(p)):
+        raise InvalidParameter(f"{name} must be a finite 3-vector, got {p.tolist()}")
+    return p
 
 
 @dataclass
@@ -157,30 +166,11 @@ def _cumulative_simpson(y, x):
     return np.concatenate([np.zeros_like(y[:1]), np.cumsum(panels, axis=0) + 0.0])
 
 
-def frenet_integrate(c, tau, frame0, s_span, *, step=1e-3, out_every=16,
-                     position0=None):
-    """Integrate T' = c n, n' = -c T + tau b, b' = -tau n over s_span.
-
-    ``c`` and ``tau`` are scalar functions accepting ndarray arguments.
-    Every fine step, of at most ``step``, is a Magnus-4 exact rotation, so
-    the frame needs no renormalization; output nodes land every
-    ``out_every`` fine steps (``integrators.propagate_frame``).  When
-    ``position0`` is given the curve point (chi' = T) is carried in the same
-    linear system.  ``frame0`` is a 3x3 matrix of rows (T, n, b),
-    orthonormal and right-handed within TOL_FRAME (InvalidParameter
-    otherwise).  Returns (s, frames, points): the output nodes, their
-    (N, 3, 3) frames, and their (N, 3) points, None without ``position0``.
-    """
-    return propagate_frame(
-        c, tau, float(s_span[0]), float(s_span[1]), _checked_frame(frame0),
-        step=step, out_every=out_every, position0=position0,
-    )
-
-
 def curve_from_tangent(tangents, base):
     """Antiderivative of the tangent field: chi(s) = base + int T.
 
-    ``tangents`` is (s_grid, T) with T of shape (N, 3) on a uniform grid.
+    ``tangents`` is (s_grid, T) with T of shape (N, 3) on a uniform grid;
+    ``base`` is a finite 3-vector (InvalidParameter otherwise).
     """
     s, T = tangents
     s = np.asarray(s, dtype=float)
@@ -188,7 +178,7 @@ def curve_from_tangent(tangents, base):
     if len(s) < 3:
         raise GridTooCoarse("need at least 3 tangent samples")
     _uniform_step(s, "curve_from_tangent")
-    pts = np.asarray(base, dtype=float)[None] + _cumulative_simpson(T, s)
+    pts = _checked_point(base, "base")[None] + _cumulative_simpson(T, s)
     return Curve(s, pts)
 
 

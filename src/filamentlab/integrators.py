@@ -11,10 +11,14 @@ Skew 3x3 systems take exact exponentials: rotations held as unit
 quaternions (Euler-Rodrigues parameters, ``rodrigues_phi1``), multiplied
 elementwise in the scan and turned into matrices only at output nodes.  The
 frame system (T,n,b) with its position row steps on its own Frenet formula
-(``magnus_frame_step``); any other skew system, such as the origin-frame ODE
-in t of the flow reconstruction, on ``skew_propagators``, whose exponent is
-a cross product and whose steps need not be uniform.  The 2-dim complex
-systems use a closed-form 2x2 exponential and the same scan with ``matmul``.
+(``magnus_frame_step``).  ``propagate_frame`` is its one public entry: it
+checks its initial frame and point (``geometry._checked_frame`` and
+``_checked_point``) and always carries the point, from the origin unless
+given; ``frame_states``, its core, keeps any set of fine steps.  Any other
+skew system, such as the origin-frame ODE in t of the flow reconstruction,
+steps on ``skew_propagators``, whose exponent is a cross product and whose
+steps need not be uniform.  The 2-dim complex systems use a closed-form
+2x2 exponential and the same scan with ``matmul``.
 
 ``_blocks`` lays every fixed-step run on whole output blocks (``_plan``
 adds the block ends as output nodes); it also plans the fused fixed-step
@@ -38,6 +42,7 @@ import numpy as np
 
 from .errors import (InvalidParameter, MemoryBudgetExceeded, NonFiniteCoefficient,
                      StepLimitExceeded)
+from .geometry import _checked_frame, _checked_point
 
 # Gauss-Legendre 2-point nodes on [0, 1]
 GAUSS_C1 = 0.5 - np.sqrt(3.0) / 6.0
@@ -307,15 +312,14 @@ def _sweep(piece, s0, h, n, at, state):
     return outs
 
 
-def frame_states(c_fn, tau_fn, s0, h, n, at, frame0, position0=None):
-    """Frames, and points when ``position0`` is given, of the Frenet frame
-    system after the fine steps ``at`` (sorted, distinct, in [0, n]) of n
-    steps of size h from s0, as (frames, points); points is None without
-    ``position0``.  Only the requested states are kept: the working arrays
-    hold one piece of ``_CHUNK`` steps (see ``_sweep``).
+def frame_states(c_fn, tau_fn, s0, h, n, at, frame0, position0):
+    """Frames and points of the Frenet frame system after the fine steps
+    ``at`` (sorted, distinct, in [0, n]) of n steps of size h from s0, as
+    (frames, points).  Only the requested states are kept: the working
+    arrays hold one piece of ``_CHUNK`` steps (see ``_sweep``).
     """
 
-    def piece(sk, ends, F, G=None):
+    def piece(sk, ends, F, G):
         sg1, sg2 = sk + GAUSS_C1 * h, sk + GAUSS_C2 * h
         c1, c2 = _stage_coeffs(c_fn, sg1), _stage_coeffs(c_fn, sg2)
         t1, t2 = _stage_coeffs(tau_fn, sg1), _stage_coeffs(tau_fn, sg2)
@@ -326,34 +330,31 @@ def frame_states(c_fn, tau_fn, s0, h, n, at, frame0, position0=None):
         _check_angle(abs(h) * max(np.max(np.abs(x)) for x in (c1, c2, t1, t2)),
                      "frame rotation angle h max(|c|, |tau|)")
         P = _scan(q, _qmul, _Q_ONE)
-        frames = _rotation(P[ends]) @ F
-        if G is None:
-            return (frames,)
         # step k adds wV_k @ R(P_{k-1}) @ F, with P_{-1} the identity
         wV[1:] = _unrotate(P[:-1], wV[1:])
         rows = np.add.reduceat(wV, np.concatenate(([0], ends[:-1] + 1))) @ F
         # one running sum from G: a point is rounded once per row, as if
         # the run were one piece
         rows[0] += G
-        return frames, np.cumsum(rows, axis=0)
+        return _rotation(P[ends]) @ F, np.cumsum(rows, axis=0)
 
-    state = [np.array(frame0, dtype=float)]
-    if position0 is not None:
-        state.append(np.array(position0, dtype=float))
-    out = _sweep(piece, s0, h, n, np.asarray(at), state)
-    return out[0], (out[1] if position0 is not None else None)
+    state = (np.array(frame0, dtype=float), np.array(position0, dtype=float))
+    return _sweep(piece, s0, h, n, np.asarray(at), state)
 
 
 def propagate_frame(c_fn, tau_fn, s0, s1, frame0, *, step, out_every,
-                    position0=None):
-    """Propagate the Frenet frame system, optionally with the curve point.
+                    position0=(0.0, 0.0, 0.0)):
+    """Propagate the Frenet frame system and the curve point.
 
-    State rows are (T, n, b) (and G when position0 is given); the system is
-    linear with coefficient rows T'=c n, n'=-c T + tau b, b'=-tau n, G'=T.
-    Returns (s_out, frames, points) with outputs every ``out_every`` fine
-    steps, s_out[0] = s0.  Every step is an exact rotation, so the frames
-    stay orthonormal to roundoff without renormalization.
+    State rows are (T, n, b) and G, linear with coefficient rows T'=c n,
+    n'=-c T + tau b, b'=-tau n, G'=T, from the frame ``frame0``
+    (``geometry._checked_frame``) and the point ``position0``, the origin
+    by default (``geometry._checked_point``).  Returns (s_out, frames,
+    points) with outputs every ``out_every`` fine steps, s_out[0] = s0.
+    Every step is an exact rotation, so the frames stay orthonormal to
+    roundoff without renormalization.
     """
+    frame0, position0 = _checked_frame(frame0), _checked_point(position0, "position0")
     h, m, s_out, n = _plan(s0, s1, step, out_every)
     frames, points = frame_states(c_fn, tau_fn, s0, h, n, m * np.arange(len(s_out)),
                                   frame0, position0)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from filamentlab import cli, flow, geometry, nls, selfsimilar, spiral, theta
+from filamentlab import cli, flow, geometry, integrators, nls, selfsimilar, spiral, theta
 from filamentlab.geometry import IntrinsicData
 
 
@@ -107,8 +107,8 @@ def test_criterion_5_cross_oracles():
     trajs = [theta.theta_solve(c_fn, tau_fn, st, (0.0, 50.0), **grid_t)
              for st in theta.canonical_initial_data(a)]
     frames_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
-    _, frames, _ = geometry.frenet_integrate(c_fn, tau_fn, np.eye(3), (0.0, 50.0),
-                                             step=2.5e-4, out_every=80)
+    _, frames, _ = integrators.propagate_frame(c_fn, tau_fn, 0.0, 50.0, np.eye(3),
+                                               step=2.5e-4, out_every=80)
     d_routes = float(np.max(np.abs(frames[:, 0] - frames_theta[:, 0])))
     assert d_routes <= 1e-6
 

@@ -114,9 +114,9 @@ def _slice_from(s, c_row, tau_row, Fk, pk):
     c_fn = lambda x: np.interp(x, s, c_row)
     tau_fn = lambda x: np.interp(x, s, tau_row)
     _, F, G = integrators.two_sided(
-        lambda end: geometry.propagate_frame(c_fn, tau_fn, 0.0, end, Fk,
-                                             step=(s[1] - s[0]) / m, out_every=m,
-                                             position0=pk),
+        lambda end: integrators.propagate_frame(c_fn, tau_fn, 0.0, end, Fk,
+                                                step=(s[1] - s[0]) / m, out_every=m,
+                                                position0=pk),
         float(s[0]), float(s[-1]))
     return F, G
 
@@ -210,7 +210,29 @@ def test_raw_frame0_must_be_a_frame(frame0, message):
         flow.reconstruct_flow(data, frame0, np.zeros(3))
     ones = lambda s: np.ones(np.shape(s))
     with pytest.raises(InvalidParameter, match=message):
-        geometry.frenet_integrate(ones, ones, frame0, (0.0, 1.0))
+        integrators.propagate_frame(ones, ones, 0.0, 1.0, frame0, step=1e-3, out_every=16)
+
+
+# every boundary that takes a start point, by the name of its argument
+POINT_BOUNDARIES = {
+    "point0": lambda p: flow.reconstruct_flow(
+        selfsimilar_data(0.5, 0.5, 1.0, 3, 1.0, 0.05), np.eye(3), p),
+    "position0": lambda p: integrators.propagate_frame(
+        np.cos, np.sin, 0.0, 1.0, np.eye(3), step=1e-3, out_every=16, position0=p),
+    "base": lambda p: geometry.curve_from_tangent(
+        (np.linspace(0.0, 1.0, 11), np.tile([1.0, 0.0, 0.0], (11, 1))), p),
+}
+
+
+@pytest.mark.parametrize("point", [
+    np.array([0.0, np.nan, 0.0]), np.array([np.inf, 0.0, 0.0]), np.zeros(2), np.zeros((2, 3)),
+], ids=["nan", "inf", "shape-2", "shape-2x3"])
+@pytest.mark.parametrize("name", sorted(POINT_BOUNDARIES))
+def test_raw_point_must_be_a_finite_3_vector(name, point):
+    # each checks it with geometry._checked_point: a non-finite point does
+    # not become non-finite points, a misshapen one not numpy's broadcast error
+    with pytest.raises(InvalidParameter, match=name):
+        POINT_BOUNDARIES[name](point)
 
 
 BAD_TIMES = {

@@ -14,7 +14,8 @@ from filamentlab.errors import (
     InvalidParameter,
     NonFiniteCoefficient,
 )
-from filamentlab.geometry import Curve, frenet_integrate
+from filamentlab.geometry import Curve
+from filamentlab.integrators import propagate_frame
 
 ONES = lambda s: np.ones(np.shape(s))
 ZERO = lambda s: np.zeros(np.shape(s))
@@ -32,15 +33,15 @@ def helix_curve(s):
 
 
 def test_circle_closes():
-    s, frames, _ = frenet_integrate(ONES, ZERO, np.eye(3), (0, 2 * np.pi),
-                                    step=1e-3, out_every=16)
+    s, frames, _ = propagate_frame(ONES, ZERO, 0.0, 2 * np.pi, np.eye(3),
+                                   step=1e-3, out_every=16)
     assert np.linalg.norm(frames[-1, 0] - frames[0, 0]) < 1e-6
     assert s[0] == 0.0
 
 
 def test_zero_coefficients_freeze_frame():
-    _, frames, _ = frenet_integrate(ZERO, ZERO, np.eye(3), (0, 5.0),
-                                    step=1e-2, out_every=8)
+    _, frames, _ = propagate_frame(ZERO, ZERO, 0.0, 5.0, np.eye(3),
+                                   step=1e-2, out_every=8)
     assert np.max(np.abs(frames - np.eye(3)[None])) < 1e-14
 
 
@@ -48,13 +49,13 @@ def test_helix_matches_closed_form():
     half = lambda s: 0.5 * np.ones(np.shape(s))
     T0 = helix_tangent(np.array([0.0]))[0]
     frame0 = np.stack([T0, [-1.0, 0.0, 0.0], np.cross(T0, [-1.0, 0.0, 0.0])])
-    s, frames, _ = frenet_integrate(half, half, frame0, (0, 12.0), step=5e-4, out_every=16)
+    s, frames, _ = propagate_frame(half, half, 0.0, 12.0, frame0, step=5e-4, out_every=16)
     assert np.max(np.abs(frames[:, 0] - helix_tangent(s))) < 1e-6
 
 
 def test_orthonormality_long_span():
-    _, frames, _ = frenet_integrate(lambda s: 1 + 0.3 * np.sin(s), lambda s: s / 2,
-                                    np.eye(3), (0, 100.0), step=1e-3, out_every=16)
+    _, frames, _ = propagate_frame(lambda s: 1 + 0.3 * np.sin(s), lambda s: s / 2,
+                                   0.0, 100.0, np.eye(3), step=1e-3, out_every=16)
     assert geometry.frame_orthonormality_defect(frames) <= 1e-8
 
 
@@ -65,8 +66,8 @@ def test_rk4_convergence_order_at_least_4():
     frame0 = np.eye(3)
 
     def final_frame(step):
-        return frenet_integrate(c_fn, tau_fn, frame0, (0, 2 * np.pi),
-                                step=step, out_every=1)[1][-1]
+        return propagate_frame(c_fn, tau_fn, 0.0, 2 * np.pi, frame0,
+                               step=step, out_every=1)[1][-1]
 
     ref = final_frame(1e-3)
     errs = [np.max(np.abs(final_frame(step) - ref)) for step in (4e-2, 2e-2)]
@@ -218,8 +219,8 @@ def test_inversion_round_trip_second_order():
     tau_fn = lambda s: 0.5 * np.cos(s)
     errs = []
     for m in (8, 4):
-        s, _, points = frenet_integrate(c_fn, tau_fn, np.eye(3), (0, 10.0),
-                                        step=2.5e-4, out_every=m, position0=np.zeros(3))
+        s, _, points = propagate_frame(c_fn, tau_fn, 0.0, 10.0, np.eye(3),
+                                       step=2.5e-4, out_every=m, position0=np.zeros(3))
         curve = Curve(s, points)
         out = geometry.curvature_torsion_from_curve(curve)
         errs.append(max(np.max(np.abs(out.c - c_fn(out.s_grid))),
@@ -268,15 +269,14 @@ def test_bf_residual_grid_mismatch():
 def test_nonfinite_coefficient_raises():
     bad = lambda s: np.where(s > 1, np.inf, 1.0)
     with pytest.raises(NonFiniteCoefficient):
-        frenet_integrate(bad, ZERO, np.eye(3), (0, 2.0),
-                         step=1e-2, out_every=4)
+        propagate_frame(bad, ZERO, 0.0, 2.0, np.eye(3), step=1e-2, out_every=4)
 
 
 def test_empty_span_rejected():
     from filamentlab import spiral
 
     with pytest.raises(InvalidParameter):
-        frenet_integrate(ONES, ZERO, np.eye(3), (1.0, 1.0))
+        propagate_frame(ONES, ZERO, 1.0, 1.0, np.eye(3), step=1e-3, out_every=16)
     params = spiral.SpiralParams(0.4, np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(InvalidParameter):
         spiral.spiral_profile(params, (0.0, 0.0))
@@ -288,8 +288,7 @@ def test_step_limit_enforced():
     # 1e8 fine steps, twice the budget: rejected when planned, before the
     # 2.5e7 output nodes are allocated
     with pytest.raises(StepLimitExceeded):
-        frenet_integrate(ONES, ZERO, np.eye(3), (0, 100.0),
-                         step=1e-6, out_every=4)
+        propagate_frame(ONES, ZERO, 0.0, 100.0, np.eye(3), step=1e-6, out_every=4)
 
 
 def test_frame_validation():
@@ -298,16 +297,16 @@ def test_frame_validation():
                    [[2.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]],
                    [[1.0, 0, 0], [0, 1.0, 0], [0, 0, -1.0]]):
         with pytest.raises(InvalidParameter):
-            frenet_integrate(ONES, ZERO, frame0, (0, 1.0))
+            propagate_frame(ONES, ZERO, 0.0, 1.0, frame0, step=1e-3, out_every=16)
 
 
 SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
 
 
 def test_curve_csv_roundtrip(tmp_path):
-    s0, frames0, points0 = frenet_integrate(ONES, ZERO, np.eye(3), (0, 3.0), step=1e-3,
-                                            out_every=16,
-                                            position0=np.array([0.0, -1.0, 0.0]))
+    s0, frames0, points0 = propagate_frame(ONES, ZERO, 0.0, 3.0, np.eye(3), step=1e-3,
+                                           out_every=16,
+                                           position0=np.array([0.0, -1.0, 0.0]))
     # two whole write blocks plus a partial one, with special values
     block = dataio._CSV_BLOCK
     n = 2 * block + 1000

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from filamentlab import geometry, integrators, theta
+from filamentlab import integrators, theta
 from filamentlab.errors import InvalidParameter, StepLimitExceeded
 from filamentlab.integrators import (
     GAUSS_C1,
@@ -174,6 +174,20 @@ def test_frames_orthonormal_across_chunks(monkeypatch):
     assert np.max(np.abs(points - points2)) < 1e-12
 
 
+def test_default_start_point_is_the_origin(monkeypatch):
+    # a run without position0 is the run from an explicit zero point, bit
+    # for bit, across several pieces of the running point sum
+    monkeypatch.setattr(integrators, "_CHUNK", 3000)
+    c_fn, tau_fn = lambda x: 1 + 0.3 * np.sin(x), lambda x: x / 2
+    s, frames, points = propagate_frame(c_fn, tau_fn, 0.0, 20.0, np.eye(3),
+                                        step=1e-3, out_every=7)
+    s0, frames0, points0 = propagate_frame(c_fn, tau_fn, 0.0, 20.0, np.eye(3),
+                                           step=1e-3, out_every=7, position0=np.zeros(3))
+    assert np.array_equal(s, s0)
+    assert np.array_equal(frames, frames0)
+    assert np.array_equal(points, points0)
+
+
 def test_plan_whole_span_gets_exact_block_count():
     # spans that are a whole number of blocks up to roundoff, as the
     # reconstruction asks for (step ds/m, m steps per block, s_max = k ds)
@@ -243,8 +257,6 @@ FIXED_STEP_SOLVERS = {
     "propagate_frame": lambda **kw: propagate_frame(ONE, ONE, 0.0, 1.0, np.eye(3), **kw)[0],
     "propagate_linear2": lambda **kw: propagate_linear2(
         lambda s: np.zeros((len(s), 2, 2), complex), 0.0, 1.0, [1.0, 0.0], **kw)[0],
-    "frenet_integrate": lambda **kw: geometry.frenet_integrate(
-        ONE, ONE, np.eye(3), (0.0, 1.0), **kw)[0],
     "theta_solve": lambda **kw: theta.theta_solve(
         ONE, ONE, theta.ThetaState(0.0, 1.0), (0.0, 1.0), **kw).s,
 }

@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 from filamentlab import geometry, theta
 from filamentlab.errors import CurvatureVanishes, EnergyDegenerate, InvalidParameter
-from filamentlab.geometry import frenet_integrate
+from filamentlab.integrators import propagate_frame
 from filamentlab.theta import ThetaState, canonical_initial_data, theta_solve
 
 CONST_A = lambda a: (lambda s: np.full(np.shape(s), float(a)))
@@ -93,7 +93,7 @@ def test_tangent_cross_oracle_theta_vs_frenet(c_fn, tau_fn, span):
              for st in canonical_initial_data(float(np.asarray(c_fn(0.0))))]
     frames_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
     grid_f = dict(step=2.5e-4, out_every=80)
-    s, frames, _ = frenet_integrate(c_fn, tau_fn, np.eye(3), (0.0, span), **grid_f)
+    s, frames, _ = propagate_frame(c_fn, tau_fn, 0.0, span, np.eye(3), **grid_f)
     assert np.max(np.abs(s - trajs[0].s)) < 1e-9
     assert np.max(np.abs(frames[:, 0] - frames_theta[:, 0])) <= 1e-12
 
@@ -105,8 +105,8 @@ def test_full_frame_cross_oracle_smooth_coefficients():
     trajs = [theta_solve(c_fn, tau_fn, st, (0.0, 20.0), **grid)
              for st in canonical_initial_data(1.2)]
     frames_theta = theta.frame_from_theta(*trajs, c=c_fn, E0=0.5)
-    _, frames, _ = frenet_integrate(c_fn, tau_fn, np.eye(3), (0.0, 20.0),
-                                    step=2.5e-4, out_every=80)
+    _, frames, _ = propagate_frame(c_fn, tau_fn, 0.0, 20.0, np.eye(3),
+                                   step=2.5e-4, out_every=80)
     assert np.max(np.abs(frames - frames_theta)) <= 1e-12
 
 
